@@ -13,6 +13,7 @@ from .policy import (
     PolicyParams,
     forward,
     init_policy,
+    jacobian,
     jvp,
     load_checkpoint,
     param_gradient,
@@ -67,6 +68,7 @@ __all__ = [
     "forward",
     "global_penalty",
     "init_policy",
+    "jacobian",
     "jvp",
     "load_checkpoint",
     "loss",

@@ -246,14 +246,13 @@ def _parse_train(raw) -> dict:
         raise ConfigError("train.set.p: must be 2 or \"inf\"")
     pset = {"p": "inf" if p_val == math.inf else 2, "epsilon": _number(set_raw, "train.set.epsilon", positive=True)}
     reg_raw = _require_mapping(raw.get("reg", {}), "train.reg")
+    # power_iters and power_tol are accepted from older configs and ignored: spectral norms are exact
     _check_keys(reg_raw, "train.reg", {"lambda", "gamma", "gamma_adv", "power_iters", "power_tol", "aajr_hinge"})
     gamma = _number(reg_raw, "train.reg.gamma", positive=True, default=1.0)
     reg = {
         "lambda": _number(reg_raw, "train.reg.lambda", nonnegative=True, default=0.0),
         "gamma": gamma,
         "gamma_adv": _number(reg_raw, "train.reg.gamma_adv", positive=True, default=gamma),
-        "power_iters": _integer(reg_raw, "train.reg.power_iters", minimum=1, default=20),
-        "power_tol": _number(reg_raw, "train.reg.power_tol", positive=True, default=1e-9),
         "aajr_hinge": _bool(reg_raw, "train.reg.aajr_hinge", default=False),
     }
     return {
@@ -391,8 +390,6 @@ def build_train_config(block: dict, state_dim: int) -> TrainConfig:
         lam=block["reg"]["lambda"],
         gamma=block["reg"]["gamma"],
         gamma_adv=block["reg"]["gamma_adv"],
-        power_iters=block["reg"]["power_iters"],
-        power_tol=block["reg"]["power_tol"],
         aajr_hinge=block["reg"]["aajr_hinge"],
     )
     return TrainConfig(
@@ -405,20 +402,6 @@ def build_train_config(block: dict, state_dim: int) -> TrainConfig:
         reg=reg,
         seed=block["seed"],
     )
-
-
-def _default_reg(cfg: RunConfig) -> RegularizerConfig:
-    if cfg.train is not None:
-        reg = cfg.train["reg"]
-        return RegularizerConfig(
-            lam=reg["lambda"],
-            gamma=reg["gamma"],
-            gamma_adv=reg["gamma_adv"],
-            power_iters=reg["power_iters"],
-            power_tol=reg["power_tol"],
-            aajr_hinge=reg["aajr_hinge"],
-        )
-    return RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0)
 
 
 def _train_required(cfg: RunConfig, command: str) -> dict:
@@ -460,11 +443,11 @@ def cmd_verify(cfg: RunConfig, out_override: str | None = None) -> int:
     verify = cfg.verify
     if cfg.train is not None:
         tcfg = build_train_config(cfg.train, env.state_dim)
-        pset, inner = tcfg.pset, tcfg.inner
+        pset, inner, reg = tcfg.pset, tcfg.inner, tcfg.reg
     else:
         pset = PerturbationSet(p=2.0, epsilon=0.5, dim=env.state_dim)
         inner = InnerLoopConfig(eta=0.1, steps=5)
-    reg = _default_reg(cfg)
+        reg = RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0)
     out = _out_dir(cfg, out_override)
     marker = out / INCOMPLETE_MARKER
     marker.touch()

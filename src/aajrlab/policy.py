@@ -4,8 +4,9 @@ The same layer recursion is written once and executed either on plain
 ndarrays (fast value paths used by the inner loop) or on tape ``Node``
 weights (parameter gradients). Forward-mode propagation supplies
 Jacobian-vector products; a dedicated reverse pass supplies
-transposed-Jacobian-vector products. Jacobians are never materialized
-here; tests assemble them column-by-column when they need a dense oracle.
+transposed-Jacobian-vector products. The dense state-action Jacobian is
+small (the state has at most a handful of entries), so ``jacobian`` builds
+it from one jvp column per state coordinate.
 """
 
 from __future__ import annotations
@@ -178,6 +179,11 @@ def jvp(params: PolicyParams, s, v) -> Array:
     return _mlp_jvp([(l.weight, l.bias) for l in params.layers], params.activations(), s, v)
 
 
+def jacobian(params: PolicyParams, s) -> Array:
+    """Dense (out_dim, in_dim) Jacobian of the action with respect to the state."""
+    return np.stack([jvp(params, s, e) for e in np.eye(params.in_dim)], axis=1)
+
+
 def vjp(params: PolicyParams, s, w) -> Array:
     """Pull a cotangent on the action back to the state (reverse mode)."""
     s = _check_vector(s, params.in_dim, "state")
@@ -239,10 +245,16 @@ def param_gradient(params: PolicyParams, objective: Objective):
 
 
 def apply_gradient_step(params: PolicyParams, grads, lr: float) -> PolicyParams:
-    """One plain gradient-descent update; returns a new parameter snapshot."""
+    """One plain gradient-descent update; returns a new parameter snapshot.
+
+    An update that overflows raises ``NumericError``: the run diverged.
+    """
     layers = []
-    for layer, (dW, db) in zip(params.layers, grads):
-        layers.append(Layer(layer.weight - lr * dW, layer.bias - lr * db, layer.activation))
+    for k, (layer, (dW, db)) in enumerate(zip(params.layers, grads)):
+        W, b = layer.weight - lr * dW, layer.bias - lr * db
+        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+            raise NumericError(f"layer {k}: gradient step produced non-finite parameters")
+        layers.append(Layer(W, b, layer.activation))
     return PolicyParams(tuple(layers))
 
 

@@ -1,12 +1,12 @@
 """Sensitivity penalties: the trajectory-aligned directional penalty, a
-global spectral-norm hinge baseline, and power-iteration spectral norms.
+global spectral-norm hinge baseline, and exact spectral norms.
 
 The directional penalty averages ||J(s + delta_t) u_t||_2^2 over the
 recorded ascent steps with the directions held constant: trajectories are
 computed before the penalty is differentiated, so no gradient ever flows
-through u_t. Spectral norms come from power iteration on J^T J driven by
-jvp/vjp pairs; when differentiated, the converged singular vector is held
-fixed and the gradient flows only through the final product.
+through u_t. Spectral norms come from a dense SVD of the small state-action
+Jacobian; when differentiated, the top right singular vector is held fixed
+and the gradient flows only through the product J v.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .inner import Trajectory
-from .policy import PolicyHandle, PolicyParams, jvp, numpy_handle, vjp
+from .policy import PolicyHandle, PolicyParams, jacobian, numpy_handle
 from .tape import dot, relu, sqrt
 
 Array = np.ndarray
@@ -29,8 +29,6 @@ class RegularizerConfig:
     lam: float  # penalty weight
     gamma: float  # global sensitivity budget
     gamma_adv: float  # directional budget (hinge form only)
-    power_iters: int = 20
-    power_tol: float = 1e-9
     aajr_hinge: bool = False
 
     def __post_init__(self):
@@ -40,11 +38,6 @@ class RegularizerConfig:
             raise ConfigError("global budget gamma must be > 0")
         if not self.gamma_adv > 0:
             raise ConfigError("directional budget gamma_adv must be > 0")
-        if int(self.power_iters) < 1:
-            raise ConfigError("power_iters must be >= 1")
-        if not self.power_tol > 0:
-            raise ConfigError("power_tol must be > 0")
-        object.__setattr__(self, "power_iters", int(self.power_iters))
 
 
 def aajr_term(handle: PolicyHandle, s, traj: Trajectory, cfg: RegularizerConfig | None = None):
@@ -72,48 +65,28 @@ def aajr_penalty(params: PolicyParams, s, traj: Trajectory, cfg: RegularizerConf
     return float(aajr_term(numpy_handle(params), np.asarray(s, dtype=np.float64), traj, cfg))
 
 
-def _power_iteration(params: PolicyParams, s, iters: int, tol: float, seed: int = 0):
-    """Largest singular value of J(s) and the matching right singular vector.
-
-    Lower bound up to convergence tolerance: the estimate is ||J v|| for a
-    unit vector v, which never exceeds the true spectral norm.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(params.in_dim)
-    v /= np.linalg.norm(v)
-    sigma_prev = None
-    sigma = 0.0
-    for _ in range(iters):
-        w = jvp(params, s, v)
-        if not np.all(np.isfinite(w)):
-            raise NumericError("non-finite iterate in power iteration")
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            return 0.0, v
-        back = vjp(params, s, w)
-        nb = np.linalg.norm(back)
-        if nb == 0.0:
-            return sigma, v
-        v = back / nb
-        if sigma_prev is not None and abs(sigma - sigma_prev) < tol:
-            break
-        sigma_prev = sigma
-    sigma = float(np.linalg.norm(jvp(params, s, v)))
-    return sigma, v
+def _top_singular(params: PolicyParams, s):
+    """Largest singular value of J(s) and its right singular vector, from a
+    dense SVD of the Jacobian."""
+    J = jacobian(params, s)
+    if not np.all(np.isfinite(J)):
+        raise NumericError("non-finite Jacobian")
+    _, sigmas, vt = np.linalg.svd(J)
+    return float(sigmas[0]), vt[0]
 
 
-def spectral_norm(params: PolicyParams, s, cfg: RegularizerConfig) -> float:
-    """Power-iteration estimate of ||J(s)||_2 with a seeded start vector."""
-    sigma, _ = _power_iteration(params, s, cfg.power_iters, cfg.power_tol)
-    return sigma
+def spectral_norm(params: PolicyParams, s) -> float:
+    """Exact ||J(s)||_2."""
+    return _top_singular(params, s)[0]
 
 
 def global_term(handle: PolicyHandle, params: PolicyParams, states, cfg: RegularizerConfig):
     """Mean hinge^2 above gamma as a tape-generic expression.
 
-    Power iteration runs untaped to find the top singular direction; the
-    differentiable part is ||J v_hat|| with v_hat fixed.
+    The top right singular vector v_hat comes from an untaped SVD; the
+    differentiable part is ||J v_hat|| with v_hat fixed, which by Danskin's
+    theorem has the gradient of ||J||_2 wherever the top singular value is
+    simple.
     """
     states = list(states)
     if not states:
@@ -121,7 +94,7 @@ def global_term(handle: PolicyHandle, params: PolicyParams, states, cfg: Regular
     total = None
     for s in states:
         s = np.asarray(s, dtype=np.float64)
-        _, v_hat = _power_iteration(params, s, cfg.power_iters, cfg.power_tol)
+        _, v_hat = _top_singular(params, s)
         w = handle.jvp(s, v_hat)
         excess = relu(sqrt(dot(w, w)) - cfg.gamma)
         term = excess * excess

@@ -72,7 +72,6 @@ class StepRecord:
     nominal_loss: float
     aajr_penalty: float
     global_penalty: float
-    mean_dir_amp: float
     max_dir_amp: float
     mean_spectral: float
     grad_norm: float
@@ -127,9 +126,10 @@ def _objective_builder(env, batch, trajs, cfg: TrainConfig, params: PolicyParams
 def train(cfg: TrainConfig, env: Environment, params0: PolicyParams):
     """Run the outer loop; returns final parameters and per-step metrics.
 
-    Deterministic given (cfg.seed, env.seed, params0). A non-finite loss or
-    gradient aborts the run, with the offending step recorded in the
-    metrics instead of raised.
+    Deterministic given (cfg.seed, env.seed, params0). A non-finite loss,
+    gradient or parameter update aborts the run, with the offending step
+    recorded in the metrics instead of raised; the returned parameters are
+    the last finite ones.
     """
     if params0.in_dim != env.state_dim or params0.out_dim != env.action_dim:
         raise ConfigError(
@@ -150,11 +150,12 @@ def train(cfg: TrainConfig, env: Environment, params0: PolicyParams):
             if not np.isfinite(value):
                 raise NumericError(f"non-finite objective at outer step {step}")
             record = _step_record(step, env, params, batch, trajs, grads, cfg)
+            new_params = apply_gradient_step(params, grads, cfg.outer_lr)
         except NumericError:
             metrics.aborted_step = step
             break
         metrics.records.append(record)
-        params = apply_gradient_step(params, grads, cfg.outer_lr)
+        params = new_params
     return params, metrics
 
 
@@ -173,14 +174,13 @@ def _step_record(step, env, params, batch, trajs, grads, cfg: TrainConfig) -> St
         amps = [amp for t in trajs for amp in t.dir_amps]
     states = [s for s, _ in batch]
     global_val = global_penalty(params, states, cfg.reg)
-    spectrals = [spectral_norm(params, s, cfg.reg) for s in states]
+    spectrals = [spectral_norm(params, s) for s in states]
     return StepRecord(
         step=step,
         robust_loss=robust_loss,
         nominal_loss=nominal_loss,
         aajr_penalty=aajr_val,
         global_penalty=float(global_val),
-        mean_dir_amp=float(np.mean(amps)) if amps else 0.0,
         max_dir_amp=float(np.max(amps)) if amps else 0.0,
         mean_spectral=float(np.mean(spectrals)),
         grad_norm=gradient_norm(grads),
@@ -231,7 +231,6 @@ def measure_achieved_levels(
     env: Environment,
     pset: PerturbationSet,
     inner: InnerLoopConfig,
-    reg: RegularizerConfig,
     n_samples: int,
     seed: int,
 ):
@@ -249,7 +248,7 @@ def measure_achieved_levels(
         if traj.dir_amps:
             max_amp = max(max_amp, max(traj.dir_amps))
         for delta in traj.deltas:
-            max_spec = max(max_spec, spectral_norm(params, s + delta, reg))
+            max_spec = max(max_spec, spectral_norm(params, s + delta))
     return max_amp, max_spec
 
 
@@ -314,9 +313,7 @@ def price_of_robustness(
         if metrics.aborted_step is not None:
             return None
         risk, se = _nominal_risk_samples(params, env, eval_samples, eval_seed)
-        amp, spec = measure_achieved_levels(
-            params, env, base_cfg.pset, base_cfg.inner, base_cfg.reg, achieved_samples, eval_seed
-        )
+        amp, spec = measure_achieved_levels(params, env, base_cfg.pset, base_cfg.inner, achieved_samples, eval_seed)
         return {
             "mode": mode,
             "seed": seed,
@@ -327,12 +324,13 @@ def price_of_robustness(
             "achieved_spectral": spec,
         }
 
-    def match_budget(mode: str, seed: int):
-        """Bisect the penalty weight until the achieved level is near gamma."""
+    def match_budget(mode: str, seed: int, unpenalized):
+        """Bisect the penalty weight until the achieved level is near gamma,
+        starting from this seed's lambda = 0 run."""
         lo_band, hi_band = (1.0 - match_tol) * gamma, (1.0 + match_tol) * gamma
-        result = run_once(mode, 0.0, seed)
-        if result is None:
+        if unpenalized is None:
             return None
+        result = dict(unpenalized, mode=mode)
         if _achieved_level(mode, result["achieved_dir_amp"], result["achieved_spectral"]) <= hi_band:
             return result  # budget not binding (or already matched) at lambda = 0
         lo_lam = 0.0
@@ -382,9 +380,12 @@ def price_of_robustness(
             excluded.append({"seed": seed, "mode": "nominal", "reason": "aborted"})
             continue
         entry["nominal"] = nominal
+        # at lambda = 0 no penalty is built and diagnostics never feed the
+        # gradients, so both penalized modes start from the same training run
+        unpenalized = run_once("robust_plain", 0.0, seed)
         ok = True
         for mode in ("robust_global", "robust_aajr"):
-            matched = match_budget(mode, seed)
+            matched = match_budget(mode, seed, unpenalized)
             if matched is None:
                 excluded.append({"seed": seed, "mode": mode, "reason": "aborted"})
                 ok = False

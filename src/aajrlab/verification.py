@@ -310,13 +310,10 @@ def check_inclusion(
     n_samples: int,
     *,
     seed: int = 0,
-    reg: RegularizerConfig | None = None,
 ) -> InclusionReport:
     """A global budget that holds on every visited state must bound every
     directional amplification. Reported as skipped when the budget itself
     is violated."""
-    if reg is None:
-        reg = RegularizerConfig(lam=0.0, gamma=gamma, gamma_adv=gamma, power_iters=60, power_tol=1e-12)
     sup_proxy = 0.0
     max_amp = 0.0
     violations = []
@@ -324,7 +321,7 @@ def check_inclusion(
         s, a = sample(env, seed + k)
         traj = pga_run(params, s, a, env, pset, inner)
         for delta in traj.deltas:
-            sup_proxy = max(sup_proxy, spectral_norm(params, s + delta, reg))
+            sup_proxy = max(sup_proxy, spectral_norm(params, s + delta))
         for t, amp in enumerate(traj.dir_amps):
             max_amp = max(max_amp, amp)
             if amp > gamma + DIRECTIONAL_TOL:
@@ -388,7 +385,7 @@ class WitnessReport:
     dim: int
     subspace_dim: int
     membership_ok: bool  # every supplied direction amplified at most gamma
-    sigma: float  # power-iteration spectral norm of the constructed map
+    sigma: float  # exact spectral norm of the constructed map (dense SVD)
     exclusion_ok: bool  # sigma exceeds gamma
     max_direction_amp: float
     e2e_u_in_subspace: bool | None = None
@@ -420,8 +417,7 @@ def class_witness(spec: WitnessSpec, directions, *, run_e2e: bool = True, e2e_se
             raise ConfigError("directions must lie in the witness subspace")
         max_amp = max(max_amp, float(np.linalg.norm(jvp(params, zero_state, u))))
     membership_ok = max_amp <= spec.gamma + DIRECTIONAL_TOL
-    reg = RegularizerConfig(lam=0.0, gamma=spec.gamma, gamma_adv=spec.gamma, power_iters=200, power_tol=1e-14)
-    sigma = spectral_norm(params, zero_state, reg)
+    sigma = spectral_norm(params, zero_state)
     exclusion_ok = sigma > spec.gamma + DIRECTIONAL_TOL
     report = WitnessReport(
         gamma=spec.gamma,

@@ -1,25 +1,19 @@
 """Shared oracle helpers: dense Jacobian assembly and parameter flattening.
 
-Dense Jacobians live here on purpose; the library itself only ever touches
-them through jvp/vjp products.
+The oracle Jacobian is assembled row by row from vjp, so it is independent
+of the library's ``jacobian``, which stacks jvp columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from aajrlab.policy import Layer, PolicyParams, jvp
+from aajrlab.policy import Layer, PolicyParams, vjp
 
 
 def assemble_jacobian(params: PolicyParams, s) -> np.ndarray:
-    """Column-by-column Jacobian via jvp against basis vectors."""
-    d = params.in_dim
-    cols = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        cols.append(jvp(params, s, e))
-    return np.stack(cols, axis=1)
+    """Row-by-row Jacobian via vjp against basis cotangents."""
+    return np.stack([vjp(params, s, e) for e in np.eye(params.out_dim)], axis=0)
 
 
 def flatten_params(params: PolicyParams) -> np.ndarray:

@@ -15,6 +15,7 @@ from aajrlab.policy import (
     eval_objective,
     forward,
     init_policy,
+    jacobian,
     jvp,
     load_checkpoint,
     param_gradient,
@@ -139,11 +140,27 @@ def test_linear_policy_jacobian_is_weight_product():
     p = PolicyParams(
         (Layer(W1, np.zeros(4), "identity"), Layer(W2, np.zeros(2), "identity"))
     )
-    J = assemble_jacobian(p, np.zeros(3))
+    J = jacobian(p, np.zeros(3))
     for i in range(3):
         e = np.zeros(3)
         e[i] = 1.0
         assert np.array_equal(J[:, i], W2 @ (W1 @ e))
+
+
+@pytest.mark.parametrize("dims", [(2, 6, 2), (3, 6, 3), (4, 8, 4)])
+def test_jacobian_matches_vjp_rows_and_finite_differences(dims):
+    rng = np.random.default_rng(sum(dims))
+    h = 1e-5
+    for seed in range(3):
+        p = init_policy(dims, seed=seed)
+        s = rng.uniform(-1, 1, dims[0])
+        J = jacobian(p, s)
+        assert J.shape == (dims[-1], dims[0])
+        assert np.max(np.abs(J - assemble_jacobian(p, s))) <= 1e-12
+        fd = np.stack(
+            [(forward(p, s + h * e) - forward(p, s - h * e)) / (2 * h) for e in np.eye(dims[0])], axis=1
+        )
+        assert np.max(np.abs(J - fd)) <= 1e-6
 
 
 def test_param_gradient_quadratic_identity_policy():

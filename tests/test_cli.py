@@ -237,6 +237,31 @@ def test_exit_code_runtime_on_divergence(tmp_path, capsys):
     assert "marked incomplete" in capsys.readouterr().out
 
 
+def test_exit_code_runtime_on_overflowing_update(tmp_path, capsys):
+    cfg = json.loads(QUAD_CONFIG.read_text())
+    cfg["environment"]["c"] = [50, -50]
+    cfg["train"]["outer_lr"] = 1.7e308
+    cfg["train"]["outer_steps"] = 3
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "overflow"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--config", str(path), "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert "aborted at outer step" in capsys.readouterr().err
+    assert (out / ".incomplete").exists()
+    assert (out / "metrics.csv").read_text().startswith("step,")
+    params = load_checkpoint(out / "checkpoint.json")  # last finite parameters
+    assert all(np.all(np.isfinite(layer.weight)) for layer in params.layers)
+
+
+def test_legacy_power_iteration_keys_are_accepted_and_ignored():
+    cfg = minimal_config()
+    cfg["train"]["reg"] = {"gamma": 2.0}
+    expected = parse_config_dict(cfg).train
+    cfg["train"]["reg"].update(power_iters=60, power_tol=1e-12)
+    assert parse_config_dict(cfg).train == expected
+
+
 def test_exit_code_contract_from_report():
     passing = {"checks": [{"name": "x", "pass": True}], "all_pass": True}
     failing = {"checks": [{"name": "x", "pass": True}, {"name": "y", "pass": False}], "all_pass": False}

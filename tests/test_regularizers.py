@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from aajrlab.environments import Environment, sample
-from aajrlab.errors import ConfigError
+from aajrlab.errors import ConfigError, NumericError
 from aajrlab.inner import InnerLoopConfig, PerturbationSet, Trajectory, pga_run
-from aajrlab.policy import init_policy, numpy_handle, scale_policy
+from aajrlab.policy import Layer, PolicyParams, init_policy, numpy_handle, scale_policy
 from aajrlab.regularizers import (
     RegularizerConfig,
     aajr_penalty,
@@ -22,6 +22,9 @@ from conftest import assemble_jacobian, linear_policy
 
 def reg(lam=0.0, gamma=1.0, gamma_adv=1.0, **kw):
     return RegularizerConfig(lam=lam, gamma=gamma, gamma_adv=gamma_adv, **kw)
+
+
+SHIPPED_SHAPES = [(2, 6, 2), (3, 6, 3), (4, 8, 4)]
 
 
 def fixed_trajectory(deltas, us):
@@ -103,12 +106,12 @@ def test_aajr_bounded_by_max_operator_norm():
 
 def test_spectral_norm_diagonal():
     p = linear_policy(np.diag([1.0, 2.0]))
-    assert spectral_norm(p, np.zeros(2), reg()) == pytest.approx(2.0, abs=1e-9)
+    assert spectral_norm(p, np.zeros(2)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_spectral_norm_zero_policy():
     p = linear_policy(np.zeros((3, 3)))
-    assert spectral_norm(p, np.zeros(3), reg()) == 0.0
+    assert spectral_norm(p, np.zeros(3)) == 0.0
 
 
 def test_spectral_norm_matches_gram_eigensolve():
@@ -116,8 +119,8 @@ def test_spectral_norm_matches_gram_eigensolve():
     W = rng.standard_normal((4, 3))
     p = linear_policy(W)
     expected = float(np.sqrt(np.max(np.linalg.eigvalsh(W.T @ W))))
-    got = spectral_norm(p, np.zeros(3), reg(power_iters=100, power_tol=1e-13))
-    assert got == pytest.approx(expected, rel=1e-9)
+    got = spectral_norm(p, np.zeros(3))
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (4, 3), (8, 8), (3, 8)])
@@ -126,28 +129,60 @@ def test_spectral_norm_matches_dense_svd_linear(dims):
     W = rng.standard_normal(dims)
     p = linear_policy(W)
     expected = float(np.linalg.svd(W, compute_uv=False)[0])
-    got = spectral_norm(p, np.zeros(dims[1]), reg(power_iters=200, power_tol=1e-14))
-    assert got == pytest.approx(expected, rel=1e-6)
+    got = spectral_norm(p, np.zeros(dims[1]))
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_spectral_norm_scaling_linearity():
     rng = np.random.default_rng(12)
     W = rng.standard_normal((3, 3))
     p = linear_policy(W)
-    cfg = reg(power_iters=100, power_tol=1e-13)
-    base = spectral_norm(p, np.zeros(3), cfg)
+    base = spectral_norm(p, np.zeros(3))
     for c in (0.5, 2.0, 7.25):
-        scaled = spectral_norm(scale_policy(p, c), np.zeros(3), cfg)
-        assert scaled == pytest.approx(c * base, rel=1e-9)
+        scaled = spectral_norm(scale_policy(p, c), np.zeros(3))
+        assert scaled == pytest.approx(c * base, rel=1e-12)
 
 
 def test_spectral_norm_is_lower_bound_on_tanh_net():
     params = init_policy([4, 6, 3], seed=3)
     s = np.full(4, 0.2)
-    est = spectral_norm(params, s, reg(power_iters=100, power_tol=1e-13))
+    est = spectral_norm(params, s)
     dense = np.linalg.norm(assemble_jacobian(params, s), 2)
     assert est <= dense + 1e-12
-    assert est == pytest.approx(dense, rel=1e-9)
+    assert est == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("dims", SHIPPED_SHAPES)
+def test_spectral_norm_matches_svd_of_vjp_oracle(dims):
+    rng = np.random.default_rng(sum(dims))
+    for seed in range(5):
+        params = init_policy(dims, seed=seed)
+        s = rng.uniform(-1, 1, dims[0])
+        dense = np.linalg.svd(assemble_jacobian(params, s), compute_uv=False)[0]
+        assert abs(spectral_norm(params, s) - dense) <= 1e-12
+
+
+def test_spectral_norm_overflowing_jacobian_raises_numeric_error():
+    big = 1e200 * np.eye(2)
+    params = PolicyParams((Layer(big, np.zeros(2), "identity"), Layer(big, np.zeros(2), "identity")))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="Jacobian"):
+        spectral_norm(params, np.zeros(2))
+
+
+@pytest.mark.parametrize("dims", SHIPPED_SHAPES)
+def test_spectral_norm_bounds_every_directional_amplification(dims):
+    d = dims[0]
+    env = Environment(kind="quadratic_congestion", c=np.linspace(-0.5, 0.5, d), A=np.eye(d), state_dim=d)
+    pset = PerturbationSet(p=2, epsilon=0.5, dim=d)
+    checked = 0
+    for seed in range(10):
+        params = scale_policy(init_policy(dims, seed=seed), 2.0)
+        s, a = sample(env, seed)
+        traj = pga_run(params, s, a, env, pset, InnerLoopConfig(eta=0.3, steps=5))
+        for delta, amp in zip(traj.deltas[:-1], traj.dir_amps):
+            assert spectral_norm(params, s + delta) >= amp
+            checked += 1
+    assert checked == 50
 
 
 def test_global_penalty_inactive_hinge():
@@ -158,18 +193,16 @@ def test_global_penalty_inactive_hinge():
 
 def test_global_penalty_single_state():
     p = linear_policy(np.diag([3.0, 3.0]))
-    assert global_penalty(p, [np.zeros(2)], reg(gamma=1.0, power_iters=100, power_tol=1e-13)) == pytest.approx(
-        4.0, rel=1e-9
-    )
+    assert global_penalty(p, [np.zeros(2)], reg(gamma=1.0)) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_global_penalty_matches_per_state_loop():
     rng = np.random.default_rng(8)
     params = init_policy([3, 5, 3], seed=8)
     params = scale_policy(params, 3.0)
-    cfg = reg(gamma=0.4, power_iters=100, power_tol=1e-13)
+    cfg = reg(gamma=0.4)
     states = [rng.uniform(-1, 1, 3) for _ in range(4)]
-    expected = np.mean([max(0.0, spectral_norm(params, s, cfg) - cfg.gamma) ** 2 for s in states])
+    expected = np.mean([max(0.0, spectral_norm(params, s) - cfg.gamma) ** 2 for s in states])
     assert global_penalty(params, states, cfg) == pytest.approx(expected, rel=1e-12)
 
 
@@ -196,4 +229,4 @@ def test_regularizer_config_validation():
     with pytest.raises(ConfigError):
         RegularizerConfig(lam=0.0, gamma=0.0, gamma_adv=1.0)
     with pytest.raises(ConfigError):
-        RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0, power_iters=0)
+        RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=0.0)
