@@ -8,7 +8,7 @@ stability properties that separate the two.
 
 from .environments import Environment, loss, loss_grad, loss_hessian, loss_hessian_bound, sample
 from .errors import ConfigError, NumericError
-from .inner import InnerLoopConfig, PerturbationSet, Trajectory, ascent_direction, pga_run, project
+from .inner import InnerLoopConfig, PerturbationSet, Trajectory, ascent_direction, pga_batch, pga_run, project
 from .policy import (
     PolicyParams,
     forward,
@@ -76,6 +76,7 @@ __all__ = [
     "loss_hessian",
     "loss_hessian_bound",
     "param_gradient",
+    "pga_batch",
     "pga_run",
     "price_of_robustness",
     "project",

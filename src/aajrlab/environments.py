@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tape import dot, sigmoid, softplus, vsum
+from .tape import dot, matvec, sigmoid, softplus, vsum
 
 Array = np.ndarray
 
@@ -102,50 +102,57 @@ def sample(env: Environment, seed: int):
     return _draw(env, np.random.default_rng([env.seed, int(seed)]))
 
 
-def _check_pair(env: Environment, z, a):
+def _check_pair(env: Environment, z, a, rows: bool = True):
+    """An action and a peer context, or (B, m) and (B, q) stacks of them."""
     z = np.asarray(z, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
-    if z.shape != (env.action_dim,):
-        raise ConfigError(f"action has shape {z.shape}, expected ({env.action_dim},)")
-    if a.shape != (env.peer_dim,):
-        raise ConfigError(f"peer context has shape {a.shape}, expected ({env.peer_dim},)")
+    m = env.action_dim
+    if z.ndim not in ((1, 2) if rows else (1,)) or z.shape[-1] != m:
+        raise ConfigError(f"action has shape {z.shape}, expected ({m},)" + (f" or (B, {m})" if rows else ""))
+    if a.shape != z.shape[:-1] + (env.peer_dim,):
+        raise ConfigError(f"peer context has shape {a.shape}, expected {z.shape[:-1] + (env.peer_dim,)}")
     return z, a
 
 
+def _residual(env: Environment, z, a):
+    """z + A a - c, projected when the environment has a projector; one row
+    per action when z and a are stacked. z may be an ndarray or a Node."""
+    r = z + (matvec(env.A, a) - env.c)
+    if env.projector is not None:
+        r = matvec(env.projector, r)
+    return r
+
+
 def loss_term(env: Environment, z, a):
-    """Loss as a tape-generic expression; z may be an ndarray or a Node."""
-    offset = env.A @ np.asarray(a, dtype=np.float64) - env.c
-    r = z + offset
+    """Loss summed over every row of z, as a tape-generic expression; z may
+    be an ndarray or a Node."""
+    r = _residual(env, z, np.asarray(a, dtype=np.float64))
     if env.kind == "quadratic_congestion":
-        if env.projector is not None:
-            r = env.projector @ r
         return 0.5 * dot(r, r)
     return vsum(softplus(env.beta * r))
 
 
-def loss(env: Environment, z, a) -> float:
-    z, a = _check_pair(env, z, a)
-    return float(loss_term(env, z, a))
+def loss(env: Environment, z, a):
+    """Loss at an action; one value per row for stacked actions and contexts."""
+    r = _residual(env, *_check_pair(env, z, a))
+    if env.kind == "quadratic_congestion":
+        values = 0.5 * np.sum(r * r, axis=-1)
+    else:
+        values = np.sum(np.logaddexp(0.0, env.beta * r), axis=-1)
+    return float(values) if values.ndim == 0 else values
 
 
 def loss_grad(env: Environment, z, a) -> Array:
-    z, a = _check_pair(env, z, a)
-    r = z + env.A @ a - env.c
-    if env.kind == "quadratic_congestion":
-        if env.projector is not None:
-            return env.projector @ r
-        return r
-    return env.beta * sigmoid(env.beta * r)
+    """Gradient of the loss in the action, row by row for stacked input."""
+    r = _residual(env, *_check_pair(env, z, a))
+    return r if env.kind == "quadratic_congestion" else env.beta * sigmoid(env.beta * r)
 
 
 def loss_hessian(env: Environment, z, a) -> Array:
-    z, a = _check_pair(env, z, a)
+    z, a = _check_pair(env, z, a, rows=False)
     if env.kind == "quadratic_congestion":
-        if env.projector is not None:
-            return env.projector.copy()
-        return np.eye(env.action_dim)
-    r = z + env.A @ a - env.c
-    sig = sigmoid(env.beta * r)
+        return np.eye(env.action_dim) if env.projector is None else env.projector.copy()
+    sig = sigmoid(env.beta * _residual(env, z, a))
     return np.diag(env.beta**2 * sig * (1.0 - sig))
 
 

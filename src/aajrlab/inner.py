@@ -1,5 +1,10 @@
 """Projected gradient ascent over a norm-ball perturbation set.
 
+The ascent runs on a whole minibatch at once, with states stacked as
+(B, d) rows: each step takes the policy outputs and dense Jacobians of all
+iterates in one pass, then projects and normalizes row by row. A single
+run is the same computation on one row.
+
 The run records everything later checks need: iterates, normalized ascent
 directions, unit update directions, objective values, exact inner
 gradients, and the directional amplification ||J(s + delta_t) u_t||_2 at
@@ -47,9 +52,10 @@ class PerturbationSet:
         object.__setattr__(self, "dim", int(self.dim))
 
     def norm(self, delta: Array) -> float:
+        delta = np.asarray(delta, dtype=np.float64)
         if self.p == 2.0:
-            return _safe_l2(np.asarray(delta, dtype=np.float64))
-        return float(np.max(np.abs(delta))) if delta.size else 0.0
+            return float(_safe_l2(delta))
+        return float(np.max(np.abs(delta), initial=0.0))
 
     def contains(self, delta: Array, tol: float = 0.0) -> bool:
         return self.norm(np.asarray(delta, dtype=np.float64)) <= self.epsilon + tol
@@ -91,35 +97,96 @@ class Trajectory:
         return self.deltas[-1]
 
 
-def _safe_l2(x: Array) -> float:
-    """l2 norm that cannot overflow on finite input."""
-    m = float(np.max(np.abs(x))) if x.size else 0.0
-    if m == 0.0 or not np.isfinite(m):
-        return m
-    return m * float(np.linalg.norm(x / m))
+def _safe_l2(x: Array) -> Array:
+    """l2 norm of each row that cannot overflow on finite input."""
+    m = np.max(np.abs(x), axis=-1, initial=0.0)
+    ok = (m > 0.0) & np.isfinite(m)
+    scale = np.where(ok, m, 1.0)[..., None]
+    return np.where(ok, m * np.linalg.norm(x / scale, axis=-1), m)
 
 
 def project(delta, pset: PerturbationSet) -> Array:
-    """Euclidean projection onto the norm ball."""
+    """Euclidean projection onto the norm ball, row by row."""
     delta = np.asarray(delta, dtype=np.float64)
     if pset.p == 2.0:
-        n = _safe_l2(delta)
-        if n > pset.epsilon:
-            return (delta / n) * pset.epsilon
-        return delta.copy()
+        n = _safe_l2(delta)[..., None]
+        outside = n > pset.epsilon
+        return np.where(outside, (delta / np.where(outside, n, 1.0)) * pset.epsilon, delta)
     return np.clip(delta, -pset.epsilon, pset.epsilon)
 
 
 def ascent_direction(grad, eps0: float) -> Array:
-    """grad / (||grad||_2 + eps0); strictly shorter than a unit vector."""
+    """grad / (||grad||_2 + eps0) row by row; strictly shorter than a unit vector.
+
+    Where eps0 is lost in the rounding of a large norm, the denominator is
+    raised by the worst-case rounding error of the norms instead, so the
+    result still has a computed norm below 1.
+    """
     grad = np.asarray(grad, dtype=np.float64)
-    return grad / (np.linalg.norm(grad) + eps0)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(grad, axis=-1, keepdims=True)
+    if not np.isfinite(n).all():
+        # a finite gradient can overflow the plain norm
+        n = np.where(np.isfinite(n), n, _safe_l2(grad)[..., None])
+    slack = (grad.shape[-1] + 4) * np.finfo(np.float64).eps
+    return grad / np.maximum(n + eps0, n * (1.0 + slack))
 
 
-def _frozen(arr: Array) -> Array:
-    out = np.asarray(arr, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+def _check_rows(ok: Array, what: str, step: int) -> None:
+    if not ok.all():
+        raise NumericError(f"{what} at step {step}, sample {int(np.argmin(ok))}")
+
+
+def pga_batch(
+    params: PolicyParams, states, contexts, env: Environment, pset: PerturbationSet, cfg: InnerLoopConfig
+) -> list[Trajectory]:
+    """``pga_run`` on every row of (B, d) states and (B, q) peer contexts.
+
+    Each step evaluates the policy, its vjp and its jvp once for all B
+    iterates; a row's trajectory never depends on the rows batched with it.
+    Raises NumericError naming the step and the sample if an iterate, the
+    objective or its gradient turns non-finite.
+    """
+    S = np.asarray(states, dtype=np.float64)
+    A = np.asarray(contexts, dtype=np.float64)
+    if pset.dim != params.in_dim or S.ndim != 2 or S.shape[1] != params.in_dim:
+        raise ConfigError(f"states {S.shape}, policy input {params.in_dim} and perturbation dim {pset.dim} disagree")
+    (B, d), K = S.shape, cfg.steps
+    deltas, grads, values = np.zeros((B, K + 1, d)), np.empty((B, K + 1, d)), np.empty((B, K + 1))
+    ascent, update, amps, moved = np.empty((B, K, d)), np.empty((B, K, d)), np.empty((B, K)), np.empty((B, K), bool)
+    for t in range(K + 1):
+        delta = deltas[:, t]
+        X = S + delta
+        _check_rows(np.isfinite(X).all(axis=1), "non-finite iterate", t)
+        Z = forward(params, X)
+        values[:, t] = loss(env, Z, A)
+        _check_rows(np.isfinite(values[:, t]), "non-finite inner objective", t)
+        grad = vjp(params, X, loss_grad(env, Z, A))  # J(X)^T grad L, one Jacobian per row
+        _check_rows(np.isfinite(grad).all(axis=1), "non-finite inner gradient", t)
+        grads[:, t] = grad
+        if t == K:
+            break
+        u = ascent_direction(grad, cfg.eps0)
+        ascent[:, t] = u
+        amps[:, t] = np.linalg.norm(jvp(params, X, u), axis=1)
+        deltas[:, t + 1] = project(delta + cfg.eta * grad, pset)
+        step = deltas[:, t + 1] - delta
+        moved[:, t] = np.any(step != 0.0, axis=1)
+        norms = np.linalg.norm(step, axis=1, keepdims=True)
+        update[:, t] = step / np.where(moved[:, t, None], norms, 1.0)
+    for arr in (deltas, grads, ascent, update):
+        arr.setflags(write=False)
+    return [
+        Trajectory(
+            deltas=tuple(deltas[i]),
+            ascent_dirs=tuple(ascent[i]),
+            update_dirs=tuple(v if m else None for v, m in zip(update[i], moved[i])),
+            inner_values=tuple(values[i].tolist()),
+            inner_grads=tuple(grads[i]),
+            dir_amps=tuple(amps[i].tolist()),
+        )
+        for i in range(B)
+    ]
 
 
 def pga_run(
@@ -136,59 +203,7 @@ def pga_run(
     Deterministic; raises NumericError naming the step if the objective or
     its gradient turns non-finite.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if pset.dim != params.in_dim or s.shape != (params.in_dim,):
-        raise ConfigError(
-            f"state dim {s.shape}, policy input {params.in_dim}, and perturbation dim {pset.dim} must agree"
-        )
-
-    def value_and_grad(delta, step):
-        if not np.all(np.isfinite(delta)):
-            raise NumericError(f"non-finite iterate at step {step}")
-        x = s + delta
-        z = forward(params, x)
-        g = loss(env, z, context)
-        grad = vjp(params, x, loss_grad(env, z, context))
-        if not (np.isfinite(g) and np.all(np.isfinite(grad))):
-            raise NumericError(f"non-finite inner objective at step {step}")
-        return g, grad
-
-    delta = np.zeros(pset.dim)
-    deltas = [_frozen(delta)]
-    values: list[float] = []
-    grads: list[Array] = []
-    ascent_dirs: list[Array] = []
-    update_dirs: list[Array | None] = []
-    dir_amps: list[float] = []
-
-    for t in range(cfg.steps):
-        g, grad = value_and_grad(delta, t)
-        values.append(g)
-        grads.append(_frozen(grad))
-        u = ascent_direction(grad, cfg.eps0)
-        ascent_dirs.append(_frozen(u))
-        dir_amps.append(float(np.linalg.norm(jvp(params, s + delta, u))))
-        new_delta = project(delta + cfg.eta * grad, pset)
-        if np.array_equal(new_delta, delta):
-            update_dirs.append(None)
-        else:
-            step_vec = new_delta - delta
-            update_dirs.append(_frozen(step_vec / np.linalg.norm(step_vec)))
-        delta = new_delta
-        deltas.append(_frozen(delta))
-
-    g, grad = value_and_grad(delta, cfg.steps)
-    values.append(g)
-    grads.append(_frozen(grad))
-
-    return Trajectory(
-        deltas=tuple(deltas),
-        ascent_dirs=tuple(ascent_dirs),
-        update_dirs=tuple(update_dirs),
-        inner_values=tuple(values),
-        inner_grads=tuple(grads),
-        dir_amps=tuple(dir_amps),
-    )
+    return pga_batch(params, np.asarray(s)[None], np.asarray(context)[None], env, pset, cfg)[0]
 
 
 def trajectory_records(traj: Trajectory) -> list[dict]:

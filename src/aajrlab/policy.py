@@ -1,12 +1,13 @@
 """MLP policies with exact input-space and parameter-space derivatives.
 
-The same layer recursion is written once and executed either on plain
-ndarrays (fast value paths used by the inner loop) or on tape ``Node``
-weights (parameter gradients). Forward-mode propagation supplies
-Jacobian-vector products; a dedicated reverse pass supplies
-transposed-Jacobian-vector products. The dense state-action Jacobian is
-small (the state has at most a handful of entries), so ``jacobian`` builds
-it from one jvp column per state coordinate.
+One layer recursion, ``_mlp``, runs over states stacked as (B, d) rows and
+executes either on plain ndarrays (value paths used by the inner loop) or
+on tape ``Node`` weights (parameter gradients). Tangents pushed alongside
+the states supply Jacobian-vector products. The dense state-action Jacobian
+is small (the state has at most a handful of entries), so ``jacobian``
+takes it in one pass with identity tangents, and ``vjp`` is its transpose
+applied to the cotangent. Public functions validate a state or a stack
+once per call; internal paths call the recursion directly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .tape import Node, backward, tanh
+from .tape import Node, backward, matvec, tanh
 
 Array = np.ndarray
 
@@ -111,29 +112,28 @@ def scale_policy(params: PolicyParams, factor: float) -> PolicyParams:
     )
 
 
-# -- shared computation description ----------------------------------------
+# -- the layer recursion ------------------------------------------------------
 
 
-def _mlp_forward(layers, activations, x):
-    h = x
+def _mlp(layers, activations, X, T=None):
+    """Run the layers over a state (or states stacked as rows) X.
+
+    Per layer a = h @ W.T + b, and tangents T, if given, are pushed forward
+    alongside. Weights may be ndarrays or tape ``Node``s. Returns (h, t);
+    t is None without tangents.
+    """
+    h, t = X, T
     for (W, b), act in zip(layers, activations):
-        a = W @ h + b
-        h = tanh(a) if act == "tanh" else a
-    return h
-
-
-def _mlp_jvp(layers, activations, x, v):
-    h, t = x, v
-    for (W, b), act in zip(layers, activations):
-        a = W @ h + b
-        u = W @ t
+        a = matvec(W, h) + b
+        if t is not None:
+            t = matvec(W, t)
         if act == "tanh":
-            y = tanh(a)
-            h = y
-            t = (1.0 - y * y) * u
+            h = tanh(a)
+            if t is not None:
+                t = (1.0 - h * h) * t
         else:
-            h, t = a, u
-    return t
+            h = a
+    return h, t
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,10 +144,10 @@ class PolicyHandle:
     activations: tuple[str, ...]
 
     def forward(self, x):
-        return _mlp_forward(self.layers, self.activations, x)
+        return _mlp(self.layers, self.activations, x)[0]
 
     def jvp(self, x, v):
-        return _mlp_jvp(self.layers, self.activations, x, v)
+        return _mlp(self.layers, self.activations, x, v)[1]
 
 
 def numpy_handle(params: PolicyParams) -> PolicyHandle:
@@ -157,50 +157,51 @@ def numpy_handle(params: PolicyParams) -> PolicyHandle:
     )
 
 
-def _check_vector(x, dim: int, what: str) -> Array:
+def _jacobian(params: PolicyParams, S: Array) -> Array:
+    """Dense Jacobians at a state or at every row of S, from one pass over
+    ``in_dim`` copies of each state with identity tangents."""
+    n = params.in_dim
+    rows = np.repeat(np.atleast_2d(S), n, axis=0)
+    handle = numpy_handle(params)
+    _, t = _mlp(handle.layers, handle.activations, rows, np.tile(np.eye(n), (len(rows) // n, 1)))
+    return np.swapaxes(t.reshape(S.shape[:-1] + (n, -1)), -1, -2)
+
+
+def _check_states(x, dim: int, what: str, rows: tuple | None = None) -> Array:
+    """A (dim,) vector or a (B, dim) stack of rows, all finite; ``rows``, if
+    given, fixes the leading shape."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dim,):
-        raise ConfigError(f"{what} has shape {x.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(x)):
+    expected = f"({dim},) or (B, {dim})" if rows is None else str(rows + (dim,))
+    if x.ndim not in (1, 2) or x.shape[-1] != dim or (rows is not None and x.shape[:-1] != rows):
+        raise ConfigError(f"{what} has shape {x.shape}, expected {expected}")
+    if not np.isfinite(x).all():
         raise NumericError(f"{what} contains non-finite entries")
     return x
 
 
 def forward(params: PolicyParams, s) -> Array:
-    """Evaluate the policy at a state."""
-    s = _check_vector(s, params.in_dim, "state")
-    return _mlp_forward([(l.weight, l.bias) for l in params.layers], params.activations(), s)
+    """Evaluate the policy at a state, or at every row of a (B, in_dim) stack."""
+    return numpy_handle(params).forward(_check_states(s, params.in_dim, "state"))
 
 
 def jvp(params: PolicyParams, s, v) -> Array:
-    """Directional derivative of the policy output along v (forward mode)."""
-    s = _check_vector(s, params.in_dim, "state")
-    v = _check_vector(v, params.in_dim, "tangent")
-    return _mlp_jvp([(l.weight, l.bias) for l in params.layers], params.activations(), s, v)
+    """Directional derivative of the policy output along v (forward mode);
+    row by row when s and v are stacked."""
+    s = _check_states(s, params.in_dim, "state")
+    return numpy_handle(params).jvp(s, _check_states(v, params.in_dim, "tangent", s.shape[:-1]))
 
 
 def jacobian(params: PolicyParams, s) -> Array:
-    """Dense (out_dim, in_dim) Jacobian of the action with respect to the state."""
-    return np.stack([jvp(params, s, e) for e in np.eye(params.in_dim)], axis=1)
+    """Dense (out_dim, in_dim) Jacobian of the action with respect to the
+    state; (B, out_dim, in_dim) for a (B, in_dim) stack of states."""
+    return _jacobian(params, _check_states(s, params.in_dim, "state"))
 
 
 def vjp(params: PolicyParams, s, w) -> Array:
-    """Pull a cotangent on the action back to the state (reverse mode)."""
-    s = _check_vector(s, params.in_dim, "state")
-    w = _check_vector(w, params.out_dim, "cotangent")
-    pres = []
-    h = s
-    for layer in params.layers:
-        a = layer.weight @ h + layer.bias
-        pres.append(a)
-        h = np.tanh(a) if layer.activation == "tanh" else a
-    g = w
-    for layer, a in zip(reversed(params.layers), reversed(pres)):
-        if layer.activation == "tanh":
-            y = np.tanh(a)
-            g = (1.0 - y * y) * g
-        g = layer.weight.T @ g
-    return g
+    """Pull a cotangent on the action back to the state: J(s).T @ w."""
+    s = _check_states(s, params.in_dim, "state")
+    w = _check_states(w, params.out_dim, "cotangent", s.shape[:-1])
+    return matvec(np.swapaxes(_jacobian(params, s), -1, -2), w)
 
 
 Objective = Callable[[PolicyHandle], object]
@@ -208,8 +209,7 @@ Objective = Callable[[PolicyHandle], object]
 
 def eval_objective(params: PolicyParams, objective: Objective) -> float:
     """Evaluate an objective on plain ndarrays (no tape)."""
-    out = objective(numpy_handle(params))
-    return float(out)
+    return float(objective(numpy_handle(params)))
 
 
 def param_gradient(params: PolicyParams, objective: Objective):

@@ -40,21 +40,34 @@ class RegularizerConfig:
             raise ConfigError("directional budget gamma_adv must be > 0")
 
 
-def aajr_term(handle: PolicyHandle, s, traj: Trajectory, cfg: RegularizerConfig | None = None):
-    """Penalty as a tape-generic expression; 0.0 when the trajectory is empty."""
-    if traj.steps == 0:
+def _hinge_sq(w, budget: float):
+    """Mean over the rows of w of max(0, ||row||_2 - budget)^2, tape-generic."""
+    excess = relu(sqrt((w * w) @ np.ones(w.shape[-1])) - budget)
+    return dot(excess, excess) * (1.0 / w.shape[0])
+
+
+def aajr_batch_term(handle: PolicyHandle, states, trajs, cfg: RegularizerConfig | None = None):
+    """Mean penalty over every ascent step of a batch, as a tape-generic
+    expression: one policy pass over the stacked rows (s + delta_t, u_t).
+    Every trajectory must have the same number of steps; 0.0 when it is 0.
+    """
+    trajs = list(trajs)
+    steps = {traj.steps for traj in trajs}
+    if len(steps) != 1:
+        raise ConfigError(f"penalty needs trajectories with one common step count, got {sorted(steps)}")
+    if steps == {0}:
         return 0.0
-    hinge = bool(cfg and cfg.aajr_hinge)
-    total = None
-    for delta, u in zip(traj.deltas[:-1], traj.ascent_dirs):
-        amp_vec = handle.jvp(s + delta, u)
-        if hinge:
-            excess = relu(sqrt(dot(amp_vec, amp_vec)) - cfg.gamma_adv)
-            term = excess * excess
-        else:
-            term = dot(amp_vec, amp_vec)
-        total = term if total is None else total + term
-    return total * (1.0 / traj.steps)
+    X = np.concatenate([np.asarray(s, dtype=np.float64) + traj.deltas[:-1] for s, traj in zip(states, trajs)])
+    amp = handle.jvp(X, np.concatenate([traj.ascent_dirs for traj in trajs]))
+    if cfg is not None and cfg.aajr_hinge:
+        return _hinge_sq(amp, cfg.gamma_adv)
+    return dot(amp, amp) * (1.0 / len(X))
+
+
+def aajr_term(handle: PolicyHandle, s, traj: Trajectory, cfg: RegularizerConfig | None = None):
+    """Penalty of one trajectory as a tape-generic expression; 0.0 when the
+    trajectory is empty."""
+    return aajr_batch_term(handle, [s], [traj], cfg)
 
 
 def aajr_penalty(params: PolicyParams, s, traj: Trajectory, cfg: RegularizerConfig | None = None) -> float:
@@ -65,43 +78,45 @@ def aajr_penalty(params: PolicyParams, s, traj: Trajectory, cfg: RegularizerConf
     return float(aajr_term(numpy_handle(params), np.asarray(s, dtype=np.float64), traj, cfg))
 
 
-def _top_singular(params: PolicyParams, s):
-    """Largest singular value of J(s) and its right singular vector, from a
-    dense SVD of the Jacobian."""
-    J = jacobian(params, s)
+def _top_singular(params: PolicyParams, states):
+    """Largest singular value of J and its right singular vector at a state,
+    or at every row of stacked states, from one dense SVD per Jacobian."""
+    J = jacobian(params, states)
     if not np.all(np.isfinite(J)):
         raise NumericError("non-finite Jacobian")
     _, sigmas, vt = np.linalg.svd(J)
-    return float(sigmas[0]), vt[0]
+    return sigmas[..., 0], vt[..., 0, :]
 
 
-def spectral_norm(params: PolicyParams, s) -> float:
-    """Exact ||J(s)||_2."""
-    return _top_singular(params, s)[0]
+def spectral_norm(params: PolicyParams, s):
+    """Exact ||J(s)||_2; one value per row for (B, in_dim) stacked states."""
+    sigma = _top_singular(params, s)[0]
+    return float(sigma) if sigma.ndim == 0 else sigma
+
+
+def _stacked(states) -> Array:
+    states = np.asarray(list(states), dtype=np.float64)
+    if not len(states):
+        raise ConfigError("global penalty needs at least one state")
+    return states
 
 
 def global_term(handle: PolicyHandle, params: PolicyParams, states, cfg: RegularizerConfig):
     """Mean hinge^2 above gamma as a tape-generic expression.
 
-    The top right singular vector v_hat comes from an untaped SVD; the
+    The top right singular vectors v_hat come from an untaped SVD; the
     differentiable part is ||J v_hat|| with v_hat fixed, which by Danskin's
     theorem has the gradient of ||J||_2 wherever the top singular value is
     simple.
     """
-    states = list(states)
-    if not states:
-        raise ConfigError("global penalty needs at least one state")
-    total = None
-    for s in states:
-        s = np.asarray(s, dtype=np.float64)
-        _, v_hat = _top_singular(params, s)
-        w = handle.jvp(s, v_hat)
-        excess = relu(sqrt(dot(w, w)) - cfg.gamma)
-        term = excess * excess
-        total = term if total is None else total + term
-    return total * (1.0 / len(states))
+    states = _stacked(states)
+    return _hinge_sq(handle.jvp(states, _top_singular(params, states)[1]), cfg.gamma)
 
 
 def global_penalty(params: PolicyParams, states, cfg: RegularizerConfig) -> float:
     """Mean over states of max(0, ||J(s)||_2 - gamma)^2."""
-    return float(global_term(numpy_handle(params), params, states, cfg))
+    return _hinge_mean(_top_singular(params, _stacked(states))[0], cfg.gamma)
+
+
+def _hinge_mean(sigmas: Array, gamma: float) -> float:
+    return float(np.mean(np.maximum(sigmas - gamma, 0.0) ** 2))

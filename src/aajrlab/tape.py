@@ -4,9 +4,13 @@ A ``Node`` wraps a value together with links to its parents; each link
 carries the local vector-Jacobian product. ``backward`` walks the graph
 once in reverse topological order and accumulates adjoints into ``.grad``.
 
-The module-level helpers (``tanh``, ``softplus``, ``dot``, ...) accept both
-``Node`` and plain ndarray arguments, so the same objective code can run
-untaped for cheap value evaluation and taped when gradients are needed.
+Matrix products take 1-D and 2-D operands, so a whole minibatch of states
+stacked as rows flows through one node per operation.
+
+The module-level helpers (``tanh``, ``softplus``, ``dot``, ``matvec``, ...)
+accept both ``Node`` and plain ndarray arguments, so the same objective
+code can run untaped for cheap value evaluation and taped when gradients
+are needed.
 """
 
 from __future__ import annotations
@@ -37,10 +41,11 @@ class Node:
     """One value in the computation graph."""
 
     __slots__ = ("value", "grad", "op", "_parents")
+    __array_ufunc__ = None  # ndarray (op) Node defers to the Node's reflected method
 
     def __init__(self, value, parents=(), op="leaf"):
         self.value = _as_value(value)
-        if not np.all(np.isfinite(self.value)):
+        if not np.isfinite(self.value).all():
             raise NumericError(f"non-finite value produced by op '{op}'")
         self.grad = None
         self.op = op
@@ -58,19 +63,10 @@ class Node:
     __radd__ = __add__
 
     def __sub__(self, other):
-        ov, onode = _split(other)
-        links = [(self, lambda g, s=self.value.shape: _unbroadcast(g, s))]
-        if onode is not None:
-            links.append((onode, lambda g, s=ov.shape: -_unbroadcast(g, s)))
-        return Node(self.value - ov, links, "sub")
+        return self + (-other)  # exact: x - y == x + (-y) in IEEE arithmetic
 
     def __rsub__(self, other):
-        ov, _ = _split(other)
-        return Node(
-            ov - self.value,
-            [(self, lambda g, s=self.value.shape: -_unbroadcast(g, s))],
-            "rsub",
-        )
+        return (-self) + other
 
     def __mul__(self, other):
         ov, onode = _split(other)
@@ -83,29 +79,24 @@ class Node:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Node):
-            raise TypeError("division by a Node is not supported")
-        return self * (1.0 / float(other))
+        return self * (1.0 / float(other))  # float() rejects a Node divisor
 
     def __neg__(self):
         return Node(-self.value, [(self, lambda g: -g)], "neg")
 
     def __matmul__(self, other):
-        # matrix (m, n) @ vector (n,) only; that is all the policies need
-        ov, onode = _split(other)
-        W = self.value
-        if W.ndim != 2 or ov.ndim != 1:
-            raise TypeError("matmul supports matrix @ vector only")
-        links = [(self, lambda g, x=ov: np.outer(g, x))]
-        if onode is not None:
-            links.append((onode, lambda g, Wv=W: Wv.T @ g))
-        return Node(W @ ov, links, "matmul")
+        return _matmul(self, other)
 
     def __rmatmul__(self, other):
-        W = _as_value(other)
-        if W.ndim != 2 or self.value.ndim != 1:
-            raise TypeError("matmul supports matrix @ vector only")
-        return Node(W @ self.value, [(self, lambda g: W.T @ g)], "matmul")
+        return _matmul(other, self)
+
+    @property
+    def shape(self) -> tuple:
+        return self.value.shape
+
+    @property
+    def T(self):
+        return Node(self.value.T, [(self, lambda g: g.T)], "transpose")
 
     # -- elementwise functions --------------------------------------------
 
@@ -144,6 +135,22 @@ def _split(x):
     if isinstance(x, Node):
         return x.value, x
     return _as_value(x), None
+
+
+def _matmul(x, y):
+    """x @ y for 1-D or 2-D operands, either of which may be a constant; for
+    the adjoints a 1-D left operand is one row and a 1-D right one a column."""
+    xv, xn = _split(x)
+    yv, yn = _split(y)
+    if xv.ndim not in (1, 2) or yv.ndim not in (1, 2):
+        raise TypeError("matmul supports 1-D and 2-D operands only")
+    x2, y2 = xv.reshape(-1, xv.shape[-1]), yv.reshape(yv.shape[0], -1)
+    links = []
+    if xn is not None:
+        links.append((xn, lambda g: (np.reshape(g, (len(x2), -1)) @ y2.T).reshape(xv.shape)))
+    if yn is not None:
+        links.append((yn, lambda g: (x2.T @ np.reshape(g, (len(x2), -1))).reshape(yv.shape)))
+    return Node(xv @ yv, links, "matmul")
 
 
 def _sigmoid(x: Array) -> Array:
@@ -209,6 +216,15 @@ def vsum(x):
 
 def dot(a, b):
     return vsum(a * b)
+
+
+def matvec(W, x):
+    """W @ x for a 1-D x or for every row of a stacked x. On plain arrays
+    each row is its own matrix-vector product (W may be stacked too), so a
+    row never depends on the rows batched with it."""
+    if isinstance(W, Node) or isinstance(x, Node):
+        return x @ W.T
+    return np.matmul(W, np.asarray(x, dtype=np.float64)[..., None])[..., 0]
 
 
 def sigmoid(x):

@@ -1,9 +1,10 @@
 """Outer gradient descent on nominal and robust objectives, risk
 evaluation, and the budget-matched price-of-robustness sweep.
 
-Each outer step draws a seeded batch, runs the inner maximizer per sample
-for robust modes, builds the chosen objective over the tape, and applies
-one plain gradient-descent update. The worst-case perturbation and the
+Each outer step draws a seeded batch, stacks it as (B, d) rows, runs the
+inner maximizer on all rows at once for robust modes, builds the chosen
+objective over the tape with one policy pass per term, and applies one
+plain gradient-descent update. The worst-case perturbation and the
 ascent directions are treated as constants during the outer update, which
 is what makes the surrogate a stable first-order method.
 
@@ -18,23 +19,29 @@ reported gaps are trained-optimum estimates, not exact infima.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
 from .environments import Environment, _draw, loss, loss_term
 from .errors import ConfigError, NumericError
-from .inner import InnerLoopConfig, PerturbationSet, pga_run
+from .inner import InnerLoopConfig, PerturbationSet, pga_batch
 from .policy import (
     PolicyParams,
     apply_gradient_step,
-    forward,
     gradient_norm,
     init_policy,
     numpy_handle,
     param_gradient,
 )
-from .regularizers import RegularizerConfig, aajr_term, global_penalty, global_term, spectral_norm
+from .regularizers import (
+    RegularizerConfig,
+    _hinge_mean,
+    _hinge_sq,
+    _top_singular,
+    aajr_batch_term,
+    spectral_norm,
+)
 
 MODES = ("nominal", "robust_aajr", "robust_global", "robust_plain")
 
@@ -83,41 +90,26 @@ class RunMetrics:
     aborted_step: int | None = None
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.records:
-            lines.append(
-                f"{r.step},{float(r.robust_loss)!r},{float(r.nominal_loss)!r},"
-                f"{float(r.aajr_penalty)!r},{float(r.global_penalty)!r},"
-                f"{float(r.max_dir_amp)!r},{float(r.mean_spectral)!r},{float(r.grad_norm)!r}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = [[str(r.step)] + [repr(float(x)) for x in astuple(r)[1:]] for r in self.records]
+        return "\n".join([CSV_HEADER] + [",".join(row) for row in rows]) + "\n"
 
 
-def _batch(env: Environment, cfg_seed: int, step: int, size: int):
-    rng = np.random.default_rng([env.seed, cfg_seed, step])
-    return [_draw(env, rng) for _ in range(size)]
+def _draws(env: Environment, rng: np.random.Generator, n: int):
+    """n seeded (state, peer context) draws, stacked as (n, d) and (n, q) rows."""
+    pairs = [_draw(env, rng) for _ in range(n)]
+    return np.array([s for s, _ in pairs]), np.array([a for _, a in pairs])
 
 
-def _objective_builder(env, batch, trajs, cfg: TrainConfig, params: PolicyParams):
+def _objective_builder(env, S, A, trajs, cfg: TrainConfig, v_hat):
     reg = cfg.reg
-    robust = cfg.mode != "nominal"
+    X = S if trajs is None else S + np.array([t.delta_star for t in trajs])
 
     def build(handle):
-        total = None
-        for i, (s, a) in enumerate(batch):
-            x = s + trajs[i].delta_star if robust else s
-            term = loss_term(env, handle.forward(x), a)
-            total = term if total is None else total + term
-        obj = total * (1.0 / len(batch))
+        obj = loss_term(env, handle.forward(X), A) * (1.0 / len(S))
         if cfg.mode == "robust_aajr" and reg.lam != 0.0:
-            pen = None
-            for (s, _), traj in zip(batch, trajs):
-                term = aajr_term(handle, s, traj, reg)
-                pen = term if pen is None else pen + term
-            obj = obj + reg.lam * (pen * (1.0 / len(batch)))
+            obj = obj + reg.lam * aajr_batch_term(handle, S, trajs, reg)
         elif cfg.mode == "robust_global" and reg.lam != 0.0:
-            states = [s for s, _ in batch]
-            obj = obj + reg.lam * global_term(handle, params, states, reg)
+            obj = obj + reg.lam * _hinge_sq(handle.jvp(S, v_hat), reg.gamma)
         return obj
 
     return build
@@ -140,16 +132,15 @@ def train(cfg: TrainConfig, env: Environment, params0: PolicyParams):
     metrics = RunMetrics()
     robust = cfg.mode != "nominal"
     for step in range(cfg.outer_steps):
-        batch = _batch(env, cfg.seed, step, cfg.batch_size)
+        S, A = _draws(env, np.random.default_rng([env.seed, cfg.seed, step]), cfg.batch_size)
         try:
-            trajs = None
-            if robust:
-                trajs = [pga_run(params, s, a, env, cfg.pset, cfg.inner) for s, a in batch]
-            build = _objective_builder(env, batch, trajs, cfg, params)
+            trajs = pga_batch(params, S, A, env, cfg.pset, cfg.inner) if robust else None
+            sigmas, v_hat = _top_singular(params, S)
+            build = _objective_builder(env, S, A, trajs, cfg, v_hat)
             value, grads = param_gradient(params, build)
             if not np.isfinite(value):
                 raise NumericError(f"non-finite objective at outer step {step}")
-            record = _step_record(step, env, params, batch, trajs, grads, cfg)
+            record = _step_record(step, env, params, S, A, trajs, sigmas, grads, cfg)
             new_params = apply_gradient_step(params, grads, cfg.outer_lr)
         except NumericError:
             metrics.aborted_step = step
@@ -159,30 +150,23 @@ def train(cfg: TrainConfig, env: Environment, params0: PolicyParams):
     return params, metrics
 
 
-def _step_record(step, env, params, batch, trajs, grads, cfg: TrainConfig) -> StepRecord:
-    nominal_vals = [loss(env, forward(params, s), a) for s, a in batch]
-    nominal_loss = float(np.mean(nominal_vals))
-    if trajs is None:
-        robust_loss = nominal_loss
-        aajr_val = 0.0
-        amps: list[float] = []
-    else:
-        robust_loss = float(np.mean([t.inner_values[-1] for t in trajs]))
-        handle = numpy_handle(params)
-        aajr_vals = [float(aajr_term(handle, s, t, cfg.reg)) for (s, _), t in zip(batch, trajs)]
-        aajr_val = float(np.mean(aajr_vals))
-        amps = [amp for t in trajs for amp in t.dir_amps]
-    states = [s for s, _ in batch]
-    global_val = global_penalty(params, states, cfg.reg)
-    spectrals = [spectral_norm(params, s) for s in states]
+def _step_record(step, env, params, S, A, trajs, sigmas, grads, cfg: TrainConfig) -> StepRecord:
+    """Per-step diagnostics, each computed once for the whole batch; the
+    spectral norms are those of the objective's global hinge."""
+    handle = numpy_handle(params)
+    nominal_loss = float(np.mean(loss(env, handle.forward(S), A)))
+    robust = trajs is not None
+    robust_loss = float(np.mean([t.inner_values[-1] for t in trajs])) if robust else nominal_loss
+    aajr_val = float(aajr_batch_term(handle, S, trajs, cfg.reg)) if robust else 0.0
+    amps = [amp for t in trajs for amp in t.dir_amps] if robust else []
     return StepRecord(
         step=step,
         robust_loss=robust_loss,
         nominal_loss=nominal_loss,
         aajr_penalty=aajr_val,
-        global_penalty=float(global_val),
+        global_penalty=_hinge_mean(sigmas, cfg.reg.gamma),
         max_dir_amp=float(np.max(amps)) if amps else 0.0,
-        mean_spectral=float(np.mean(spectrals)),
+        mean_spectral=float(np.mean(sigmas)),
         grad_norm=gradient_norm(grads),
     )
 
@@ -193,15 +177,16 @@ def evaluate_nominal_risk(params: PolicyParams, env: Environment, n_samples: int
     return mean
 
 
-def _nominal_risk_samples(params, env, n_samples, seed):
+def _eval_draws(env: Environment, n_samples: int, seed: int):
+    """The seeded evaluation sample, drawn in full before any evaluation."""
     if int(n_samples) < 1:
         raise ConfigError("n_samples must be >= 1")
-    rng = np.random.default_rng([env.seed, int(seed)])
-    vals = []
-    for _ in range(int(n_samples)):
-        s, a = _draw(env, rng)
-        vals.append(loss(env, forward(params, s), a))
-    vals = np.asarray(vals)
+    return _draws(env, np.random.default_rng([env.seed, int(seed)]), int(n_samples))
+
+
+def _nominal_risk_samples(params, env, n_samples, seed):
+    S, A = _eval_draws(env, n_samples, seed)
+    vals = loss(env, numpy_handle(params).forward(S), A)
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return float(np.mean(vals)), se
 
@@ -215,15 +200,8 @@ def evaluate_robust_risk(
     seed: int,
 ) -> float:
     """Monte-Carlo mean of the inner objective at the final PGA iterate."""
-    if int(n_samples) < 1:
-        raise ConfigError("n_samples must be >= 1")
-    rng = np.random.default_rng([env.seed, int(seed)])
-    vals = []
-    for _ in range(int(n_samples)):
-        s, a = _draw(env, rng)
-        traj = pga_run(params, s, a, env, pset, inner)
-        vals.append(traj.inner_values[-1])
-    return float(np.mean(vals))
+    S, A = _eval_draws(env, n_samples, seed)
+    return float(np.mean([t.inner_values[-1] for t in pga_batch(params, S, A, env, pset, inner)]))
 
 
 def measure_achieved_levels(
@@ -239,17 +217,11 @@ def measure_achieved_levels(
     Returns (max directional amplification over ascent steps, max spectral
     norm over every visited state s + delta_t).
     """
-    rng = np.random.default_rng([env.seed, int(seed)])
-    max_amp = 0.0
-    max_spec = 0.0
-    for _ in range(int(n_samples)):
-        s, a = _draw(env, rng)
-        traj = pga_run(params, s, a, env, pset, inner)
-        if traj.dir_amps:
-            max_amp = max(max_amp, max(traj.dir_amps))
-        for delta in traj.deltas:
-            max_spec = max(max_spec, spectral_norm(params, s + delta))
-    return max_amp, max_spec
+    S, A = _eval_draws(env, n_samples, seed)
+    trajs = pga_batch(params, S, A, env, pset, inner)
+    visited = np.concatenate([s + np.array(t.deltas) for s, t in zip(S, trajs)])
+    max_amp = max([0.0] + [amp for t in trajs for amp in t.dir_amps])
+    return max_amp, max(0.0, float(np.max(spectral_norm(params, visited))))
 
 
 @dataclass
@@ -265,24 +237,12 @@ class GapReport:
     excluded: list[dict]
 
     def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "t_hat": self.t_hat,
-            "t_hat_ad": self.t_hat_ad,
-            "pooled_se": self.pooled_se,
-            "per_seed": self.per_seed,
-            "aggregate": self.aggregate,
-            "excluded": self.excluded,
-        }
+        return asdict(self)
 
     def dump(self, path) -> None:
         with open(path, "w") as fp:
             json.dump(self.to_json(), fp, indent=2)
             fp.write("\n")
-
-
-def _achieved_level(mode: str, dir_amp: float, spec: float) -> float:
-    return dir_amp if mode == "robust_aajr" else spec
 
 
 def price_of_robustness(
@@ -304,6 +264,8 @@ def price_of_robustness(
     seeds = [int(s) for s in seeds]
     if len(seeds) < 3:
         raise ConfigError("price_of_robustness needs at least 3 seeds")
+    if int(eval_samples) < 1 or int(achieved_samples) < 1:
+        raise ConfigError("n_samples must be >= 1")
     gamma = base_cfg.reg.gamma
 
     def run_once(mode: str, lam: float, seed: int):
@@ -324,6 +286,9 @@ def price_of_robustness(
             "achieved_spectral": spec,
         }
 
+    def level(mode: str, result: dict) -> float:
+        return result["achieved_dir_amp" if mode == "robust_aajr" else "achieved_spectral"]
+
     def match_budget(mode: str, seed: int, unpenalized):
         """Bisect the penalty weight until the achieved level is near gamma,
         starting from this seed's lambda = 0 run."""
@@ -331,44 +296,30 @@ def price_of_robustness(
         if unpenalized is None:
             return None
         result = dict(unpenalized, mode=mode)
-        if _achieved_level(mode, result["achieved_dir_amp"], result["achieved_spectral"]) <= hi_band:
+        if level(mode, result) <= hi_band:
             return result  # budget not binding (or already matched) at lambda = 0
-        lo_lam = 0.0
-        hi_lam = lambda_init
-        hi_result = run_once(mode, hi_lam, seed)
-        doublings = 0
-        while hi_result is not None and doublings < max_doublings:
-            level = _achieved_level(mode, hi_result["achieved_dir_amp"], hi_result["achieved_spectral"])
-            if level <= hi_band:
+        lo_lam, hi_lam = 0.0, lambda_init
+        best = run_once(mode, hi_lam, seed)
+        for _ in range(max_doublings):
+            if best is None or level(mode, best) <= hi_band:
                 break
-            lo_lam = hi_lam
-            hi_lam *= 2.0
-            hi_result = run_once(mode, hi_lam, seed)
-            doublings += 1
-        if hi_result is None:
+            lo_lam, hi_lam = hi_lam, 2.0 * hi_lam
+            best = run_once(mode, hi_lam, seed)
+        if best is None:
             return None
-        best = hi_result
-        best_err = abs(
-            _achieved_level(mode, best["achieved_dir_amp"], best["achieved_spectral"]) - gamma
-        )
         for _ in range(bisect_iters):
-            level = _achieved_level(mode, best["achieved_dir_amp"], best["achieved_spectral"])
-            if lo_band <= level <= hi_band:
+            if lo_band <= level(mode, best) <= hi_band:
                 return best
             mid = 0.5 * (lo_lam + hi_lam)
             mid_result = run_once(mode, mid, seed)
             if mid_result is None:
                 return best
-            mid_level = _achieved_level(
-                mode, mid_result["achieved_dir_amp"], mid_result["achieved_spectral"]
-            )
-            if mid_level > hi_band:
+            if level(mode, mid_result) > hi_band:
                 lo_lam = mid
             else:
                 hi_lam = mid
-            err = abs(mid_level - gamma)
-            if err < best_err:
-                best, best_err = mid_result, err
+            if abs(level(mode, mid_result) - gamma) < abs(level(mode, best) - gamma):
+                best = mid_result
         return best
 
     per_seed: list[dict] = []

@@ -26,8 +26,8 @@ import numpy as np
 
 from .environments import Environment, loss, loss_hessian, loss_hessian_bound, sample
 from .errors import ConfigError
-from .inner import InnerLoopConfig, PerturbationSet, Trajectory, pga_run
-from .policy import Layer, PolicyParams, forward, init_policy, jvp
+from .inner import InnerLoopConfig, PerturbationSet, Trajectory, pga_batch, pga_run
+from .policy import Layer, PolicyParams, forward, init_policy, jvp, numpy_handle
 from .regularizers import RegularizerConfig, spectral_norm
 
 Array = np.ndarray
@@ -77,35 +77,33 @@ def _segment_scan(
     h_scale: float = 1e-4,
     h: float | None = None,
 ) -> list[SegmentPoint]:
-    """Probe interior grid points of every segment the iterates moved along."""
+    """Probe interior grid points of every segment the iterates moved along,
+    all of them in one batched policy pass."""
     if int(grid) < 1:
         raise ConfigError("segment grid must be >= 1")
+    if h is not None and not h > 0:
+        raise ConfigError("finite-difference step h must be > 0")
+    moved = [t for t, v in enumerate(traj.update_dirs) if v is not None]
+    if not moved:
+        return []
+    seg = np.repeat(moved, int(grid))
+    tau = np.tile(np.arange(1, int(grid) + 1) / (grid + 1), len(moved))[:, None]
+    deltas = np.array(traj.deltas)
+    delta = (1.0 - tau) * deltas[seg] + tau * deltas[seg + 1]
+    V = np.array([traj.update_dirs[t] for t in seg])
+    norms = np.linalg.norm(delta, axis=1, keepdims=True)
+    step = np.full_like(norms, h) if h is not None else h_scale * np.maximum(1.0, norms)
     s = np.asarray(s, dtype=np.float64)
-    g = inner_objective(params, env, s, a)
-    points = []
-    for t, v in enumerate(traj.update_dirs):
-        if v is None:
-            continue
-        d0, d1 = traj.deltas[t], traj.deltas[t + 1]
-        for i in range(int(grid)):
-            tau = (i + 1) / (grid + 1)
-            delta = (1.0 - tau) * d0 + tau * d1
-            step = h if h is not None else h_scale * max(1.0, float(np.linalg.norm(delta)))
-            curv = directional_curvature(g, delta, v, step)
-            x = s + delta
-            z = forward(params, x)
-            Jv = jvp(params, x, v)
-            quad = float(Jv @ loss_hessian(env, z, a) @ Jv)
-            points.append(
-                SegmentPoint(
-                    segment=t,
-                    tau=float(tau),
-                    curvature=float(curv),
-                    amplification=float(np.linalg.norm(Jv)),
-                    residual=float(curv - quad),
-                )
-            )
-    return points
+    handle = numpy_handle(params)
+    Z = handle.forward(s + np.concatenate([delta + step * V, delta, delta - step * V]))
+    g = loss(env, Z, np.broadcast_to(a, (len(Z), env.peer_dim))).reshape(3, -1)
+    curv = (g[0] - 2.0 * g[1] + g[2]) / (step[:, 0] * step[:, 0])
+    Jv = handle.jvp(s + delta, V)
+    quad = [float(jv @ loss_hessian(env, z, a) @ jv) for z, jv in zip(Z[len(seg) : 2 * len(seg)], Jv)]
+    return [
+        SegmentPoint(int(t), float(x), float(c), float(np.linalg.norm(jv)), float(c - q))
+        for t, x, c, jv, q in zip(seg, tau[:, 0], curv, Jv, quad)
+    ]
 
 
 def estimate_C(
@@ -122,10 +120,7 @@ def estimate_C(
     The residual isolates the policy's own second-order contribution: for a
     linear policy it vanishes up to finite-difference noise.
     """
-    points = _segment_scan(params, env, s, a, traj, grid=grid, h=h)
-    if not points:
-        return 0.0
-    return max(0.0, max(p.residual for p in points))
+    return max([0.0] + [p.residual for p in _segment_scan(params, env, s, a, traj, grid=grid, h=h)])
 
 
 @dataclass
@@ -314,18 +309,18 @@ def check_inclusion(
     """A global budget that holds on every visited state must bound every
     directional amplification. Reported as skipped when the budget itself
     is violated."""
-    sup_proxy = 0.0
-    max_amp = 0.0
-    violations = []
-    for k in range(int(n_samples)):
-        s, a = sample(env, seed + k)
-        traj = pga_run(params, s, a, env, pset, inner)
-        for delta in traj.deltas:
-            sup_proxy = max(sup_proxy, spectral_norm(params, s + delta))
-        for t, amp in enumerate(traj.dir_amps):
-            max_amp = max(max_amp, amp)
-            if amp > gamma + DIRECTIONAL_TOL:
-                violations.append({"sample": k, "step": t, "dir_amp": amp})
+    pairs = [sample(env, seed + k) for k in range(int(n_samples))]
+    sup_proxy, max_amp, violations = 0.0, 0.0, []
+    if pairs:
+        S, A = (np.array(rows) for rows in zip(*pairs))
+        trajs = pga_batch(params, S, A, env, pset, inner)
+        visited = np.concatenate([s + np.array(traj.deltas) for s, traj in zip(S, trajs)])
+        sup_proxy = float(np.max(spectral_norm(params, visited)))
+        for k, traj in enumerate(trajs):
+            for t, amp in enumerate(traj.dir_amps):
+                max_amp = max(max_amp, amp)
+                if amp > gamma + DIRECTIONAL_TOL:
+                    violations.append({"sample": k, "step": t, "dir_amp": amp})
     if sup_proxy > gamma:
         status = "premise_not_met"
     else:

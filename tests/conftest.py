@@ -1,19 +1,31 @@
 """Shared oracle helpers: dense Jacobian assembly and parameter flattening.
 
-The oracle Jacobian is assembled row by row from vjp, so it is independent
-of the library's ``jacobian``, which stacks jvp columns.
+The oracle Jacobian is assembled row by row by a hand-written reverse pass,
+so it is independent of the library's forward-mode layer recursion, from
+which ``jacobian``, ``jvp`` and ``vjp`` all come.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from aajrlab.policy import Layer, PolicyParams, vjp
+from aajrlab.policy import Layer, PolicyParams
 
 
 def assemble_jacobian(params: PolicyParams, s) -> np.ndarray:
-    """Row-by-row Jacobian via vjp against basis cotangents."""
-    return np.stack([vjp(params, s, e) for e in np.eye(params.out_dim)], axis=0)
+    """Row-by-row Jacobian: basis cotangents pulled back through the layers."""
+    h = np.asarray(s, dtype=np.float64)
+    slopes = []
+    for layer in params.layers:
+        a = layer.weight @ h + layer.bias
+        h = np.tanh(a) if layer.activation == "tanh" else a
+        slopes.append(1.0 - h * h if layer.activation == "tanh" else np.ones_like(a))
+    rows = []
+    for g in np.eye(params.out_dim):
+        for layer, slope in zip(reversed(params.layers), reversed(slopes)):
+            g = layer.weight.T @ (slope * g)
+        rows.append(g)
+    return np.stack(rows, axis=0)
 
 
 def flatten_params(params: PolicyParams) -> np.ndarray:

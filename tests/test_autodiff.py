@@ -22,7 +22,7 @@ from aajrlab.policy import (
     save_checkpoint,
     vjp,
 )
-from aajrlab.tape import dot
+from aajrlab.tape import Node, backward, dot, vsum
 
 from conftest import (
     assemble_jacobian,
@@ -274,3 +274,44 @@ def test_checkpoint_rejects_malformed(tmp_path):
     path.write_text('{"dims": [2, 2], "activations": ["identity"], "layers": [{"weight": [1.0], "bias": [0.0, 0.0]}]}')
     with pytest.raises(ConfigError):
         load_checkpoint(path)
+
+
+def test_tape_matmul_and_transpose_match_central_differences():
+    rng = np.random.default_rng(17)
+    values = [rng.standard_normal((3, 4)), rng.standard_normal((4, 5)), rng.standard_normal(4), rng.standard_normal(3)]
+    C = rng.standard_normal((3, 5))
+
+    def f(X, Y, x, y):
+        # 2-D @ 2-D, 1-D @ 2-D, 2-D @ 1-D, and transposes, each once
+        return vsum((X @ Y) * C) + dot(x @ Y, x @ Y) + dot(X @ x, y) + vsum((Y.T @ X.T) * C.T)
+
+    leaves = [Node(v) for v in values]
+    backward(f(*leaves))
+    h = 1e-6
+    for k, leaf in enumerate(leaves):
+        fd = np.zeros_like(values[k])
+        for idx in np.ndindex(values[k].shape):
+            plus = [v.copy() for v in values]
+            minus = [v.copy() for v in values]
+            plus[k][idx] += h
+            minus[k][idx] -= h
+            fd[idx] = (f(*plus) - f(*minus)) / (2 * h)
+        assert leaf.grad.shape == values[k].shape
+        assert np.max(np.abs(leaf.grad - fd)) <= 1e-6
+
+
+def test_batched_policy_calls_equal_single_state_calls():
+    rng = np.random.default_rng(23)
+    p = init_policy([4, 8, 4], seed=23)
+    S = rng.uniform(-1, 1, (5, 4))
+    V = rng.standard_normal((5, 4))
+    W = rng.standard_normal((5, 4))
+    Z, T, J, G = forward(p, S), jvp(p, S, V), jacobian(p, S), vjp(p, S, W)
+    assert Z.shape == (5, 4) and J.shape == (5, 4, 4)
+    for i in range(5):
+        assert np.array_equal(Z[i], forward(p, S[i]))
+        assert np.array_equal(T[i], jvp(p, S[i], V[i]))
+        assert np.array_equal(J[i], jacobian(p, S[i]))
+        assert np.array_equal(G[i], vjp(p, S[i], W[i]))
+    with pytest.raises(ConfigError):
+        jvp(p, S, V[:3])

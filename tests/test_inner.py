@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from aajrlab.inner import (
     PerturbationSet,
     ascent_direction,
     dump_trajectory,
+    pga_batch,
     pga_run,
     project,
     trajectory_records,
@@ -249,3 +251,66 @@ def test_pga_dimension_mismatch():
     p = linear_policy(np.eye(2))
     with pytest.raises(ConfigError):
         pga_run(p, np.zeros(2), np.zeros(2), env, PerturbationSet(2, 1.0, 3), InnerLoopConfig(eta=0.1, steps=1))
+
+
+@pytest.mark.parametrize(
+    "dims,p_norm,kind",
+    [((2, 6, 2), 2, "quadratic"), ((3, 6, 3), math.inf, "softplus"), ((4, 8, 4), 2, "mirror")],
+)
+def test_pga_batch_rows_equal_pga_run_bit_for_bit(dims, p_norm, kind):
+    d, m = dims[0], dims[-1]
+    if kind == "softplus":
+        env = Environment(
+            kind="softplus_congestion", c=np.linspace(-0.4, 0.6, m), A=np.zeros((m, d)), state_dim=d, beta=2.0
+        )
+    else:
+        env = Environment(
+            kind="quadratic_congestion",
+            c=np.linspace(-0.3, 0.5, m),
+            A=2.0 * np.eye(m) if kind == "mirror" else 0.3 * np.eye(m),
+            state_dim=d,
+            peer_mode="mirror" if kind == "mirror" else "independent",
+        )
+    pset = PerturbationSet(p=p_norm, epsilon=0.3, dim=d)
+    cfg = InnerLoopConfig(eta=0.4, steps=5)
+    for seed in range(3):
+        params = init_policy(dims, seed=seed)
+        pairs = [sample(env, 10 * seed + k) for k in range(6)]
+        batch = pga_batch(params, np.array([s for s, _ in pairs]), np.array([a for _, a in pairs]), env, pset, cfg)
+        for (s, a), got in zip(pairs, batch):
+            one = pga_run(params, s, a, env, pset, cfg)
+            for field in ("deltas", "ascent_dirs", "inner_grads"):
+                assert all(np.array_equal(x, y) for x, y in zip(getattr(one, field), getattr(got, field)))
+            assert [v is None for v in one.update_dirs] == [v is None for v in got.update_dirs]
+            assert all(x is None or np.array_equal(x, y) for x, y in zip(one.update_dirs, got.update_dirs))
+            assert one.inner_values == got.inner_values
+            assert one.dir_amps == got.dir_amps
+
+
+def test_pga_batch_numeric_error_names_step_and_sample():
+    env = quad_env([1.0, 0.0])
+    p = linear_policy(np.eye(2))
+    states = np.zeros((4, 2))
+    states[2] = [1e155, 0.0]  # its loss overflows
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=r"step \d+, sample 2"):
+        pga_batch(p, states, np.zeros((4, 2)), env, PerturbationSet(2, 1.0, 2), InnerLoopConfig(eta=0.5, steps=3))
+
+
+def test_pga_batch_rejects_mismatched_contexts():
+    env = quad_env([1.0, 0.0])
+    p = linear_policy(np.eye(2))
+    with pytest.raises(ConfigError):
+        pga_batch(
+            p, np.zeros((3, 2)), np.zeros((2, 2)), env, PerturbationSet(2, 1.0, 2), InnerLoopConfig(eta=0.1, steps=1)
+        )
+
+
+def test_ascent_direction_keeps_gradient_whose_norm_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = ascent_direction(np.array([1e200, -1e200]), 1e-8)
+    assert np.allclose(u, [math.sqrt(0.5), -math.sqrt(0.5)], rtol=1e-14, atol=0)
+    assert np.linalg.norm(u) < 1.0
+    rows = ascent_direction(np.array([[1e200, -1e200], [3.0, 4.0]]), 1e-8)
+    assert np.array_equal(rows[0], u)
+    assert np.array_equal(rows[1], ascent_direction(np.array([3.0, 4.0]), 1e-8))

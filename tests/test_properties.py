@@ -1,0 +1,65 @@
+"""Property tests: row-wise projection and ascent directions on extreme
+finite inputs, and batched policy calls against single-state calls."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from aajrlab.inner import PerturbationSet, ascent_direction, project
+from aajrlab.policy import forward, init_policy, jacobian
+
+FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+EPS = np.finfo(np.float64).eps
+TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def rows_of(max_dim: int = 6):
+    """(B, d) arrays of finite entries up to 1e300 in magnitude."""
+    shapes = st.tuples(st.integers(1, 5), st.integers(1, max_dim))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=FINITE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=rows_of(), p=st.sampled_from([2.0, math.inf]), epsilon=st.floats(0.0, 1e3))
+def test_project_rows_are_feasible_and_independent(rows, p, epsilon):
+    pset = PerturbationSet(p=p, epsilon=epsilon, dim=rows.shape[1])
+    out = project(rows, pset)
+    assert out.shape == rows.shape
+    for row, original in zip(out, rows):
+        # feasible up to the rounding of the radial rescaling: a few units in
+        # the last place, or a few subnormal steps for a subnormal epsilon
+        assert pset.norm(row) <= epsilon * (1.0 + 4 * EPS) + 4 * TINY
+        assert np.array_equal(row, project(original, pset))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=rows_of(max_dim=8), eps0=st.floats(1e-12, 1.0))
+def test_ascent_direction_is_shorter_than_unit_and_nonzero(rows, eps0):
+    # with eps0 <= 1 the division cannot flush a non-zero subnormal entry
+    # to zero, so a non-zero gradient always leaves a non-zero direction
+    out = ascent_direction(rows, eps0)
+    for u, grad in zip(out, rows):
+        assert np.all(np.isfinite(u))
+        assert np.linalg.norm(u) < 1.0
+        assert np.any(u != 0.0) == np.any(grad != 0.0)
+        assert np.array_equal(u, ascent_direction(grad, eps0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 8), min_size=2, max_size=4),
+    seed=st.integers(0, 2**16),
+    batch=st.integers(1, 9),
+)
+def test_batched_forward_and_jacobian_rows_equal_single_calls(dims, seed, batch):
+    params = init_policy(dims, seed=seed)
+    states = np.random.default_rng(seed).uniform(-3.0, 3.0, (batch, dims[0]))
+    Z, J = forward(params, states), jacobian(params, states)
+    for i, s in enumerate(states):
+        assert np.array_equal(Z[i], forward(params, s))
+        assert np.array_equal(J[i], jacobian(params, s))

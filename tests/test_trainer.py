@@ -7,16 +7,27 @@ import math
 import numpy as np
 import pytest
 
-from aajrlab.environments import Environment
+from aajrlab import tape
+from aajrlab.environments import Environment, loss_term
 from aajrlab.errors import ConfigError
-from aajrlab.inner import InnerLoopConfig, PerturbationSet
-from aajrlab.policy import Layer, PolicyParams, init_policy
+from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_run
+from aajrlab.policy import (
+    Layer,
+    PolicyParams,
+    apply_gradient_step,
+    gradient_norm,
+    init_policy,
+    jacobian,
+    param_gradient,
+)
 from aajrlab.regularizers import RegularizerConfig
+from aajrlab.tape import dot, relu, sqrt
 from aajrlab.trainer import (
     CSV_HEADER,
     TrainConfig,
     evaluate_nominal_risk,
     evaluate_robust_risk,
+    measure_achieved_levels,
     price_of_robustness,
     train,
 )
@@ -294,3 +305,91 @@ def test_price_of_robustness_needs_three_seeds():
     env = quad_env([0.5, -0.5])
     with pytest.raises(ConfigError):
         price_of_robustness(env, make_cfg(), seeds=[0, 1], policy_dims=[2, 4, 2])
+
+
+def mirror_env():
+    return quad_env([0.3, -0.2, 0.5, 0.1], A=2.0 * np.eye(4), seed=2, peer_mode="mirror")
+
+
+def mirror_cfg(mode, batch, hinge=False, steps=1):
+    return TrainConfig(
+        mode=mode,
+        outer_lr=0.1,
+        outer_steps=steps,
+        batch_size=batch,
+        inner=InnerLoopConfig(eta=0.3, steps=4),
+        pset=PerturbationSet(p=2, epsilon=0.3, dim=4),
+        reg=RegularizerConfig(lam=0.7, gamma=0.4, gamma_adv=0.3, aajr_hinge=hinge),
+        seed=5,
+    )
+
+
+@pytest.mark.parametrize("mode,hinge", [("robust_aajr", False), ("robust_aajr", True), ("robust_global", False)])
+def test_train_step_matches_sum_of_per_sample_objectives(mode, hinge):
+    # the batched objective against one taped objective per sample, averaged
+    env = mirror_env()
+    cfg = mirror_cfg(mode, batch=5, hinge=hinge)
+    params0 = init_policy([4, 8, 4], seed=4)
+    params1, _ = train(cfg, env, params0)
+    batch = replicate_batch(env, cfg.seed, 0, cfg.batch_size)
+    trajs = [pga_run(params0, s, a, env, cfg.pset, cfg.inner) for s, a in batch]
+
+    def hinge_sq(w, budget):
+        excess = relu(sqrt(dot(w, w)) - budget)
+        return excess * excess
+
+    def per_sample(handle):
+        # one small graph per sample and step, written out independently of
+        # the batched penalty helpers
+        total = 0.0
+        for (s, a), traj in zip(batch, trajs):
+            if mode == "robust_aajr":
+                pen = 0.0
+                for delta, u in zip(traj.deltas[:-1], traj.ascent_dirs):
+                    amp = handle.jvp(s + delta, u)
+                    pen = pen + (hinge_sq(amp, cfg.reg.gamma_adv) if hinge else dot(amp, amp))
+                pen = pen * (1.0 / traj.steps)
+            else:
+                v_hat = np.linalg.svd(jacobian(params0, s))[2][0]
+                pen = hinge_sq(handle.jvp(s, v_hat), cfg.reg.gamma)
+            total = total + loss_term(env, handle.forward(s + traj.delta_star), a) + cfg.reg.lam * pen
+        return total * (1.0 / len(batch))
+
+    _, grads = param_gradient(params0, per_sample)
+    assert gradient_norm(grads) > 0.1
+    expected = apply_gradient_step(params0, grads, cfg.outer_lr)
+    for got, want in zip(params1.layers, expected.layers):
+        assert np.allclose(got.weight, want.weight, rtol=0, atol=1e-12)
+        assert np.allclose(got.bias, want.bias, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["nominal", "robust_aajr", "robust_global"])
+def test_objective_tape_size_does_not_grow_with_batch(mode, monkeypatch):
+    counts = []
+    original = tape.Node.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts[-1] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(tape.Node, "__init__", counting_init)
+    for batch in (2, 9):
+        counts.append(0)
+        train(mirror_cfg(mode, batch), mirror_env(), init_policy([4, 8, 4], seed=1))
+    assert counts[0] == counts[1] <= 60
+
+
+def test_measure_achieved_levels_rejects_nonpositive_sample_counts():
+    env = mirror_env()
+    cfg = mirror_cfg("robust_aajr", batch=2)
+    params = init_policy([4, 8, 4], seed=0)
+    for n in (0, -5):
+        with pytest.raises(ConfigError, match="n_samples"):
+            measure_achieved_levels(params, env, cfg.pset, cfg.inner, n, seed=0)
+
+
+def test_price_of_robustness_rejects_nonpositive_sample_counts():
+    env = quad_env([0.5, -0.5])
+    for counts in ({"achieved_samples": 0}, {"eval_samples": 0}, {"achieved_samples": -5}):
+        with pytest.raises(ConfigError, match="n_samples"):
+            price_of_robustness(env, make_cfg(), seeds=[0, 1, 2], policy_dims=[2, 4, 2], **counts)
