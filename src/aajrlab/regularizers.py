@@ -78,7 +78,7 @@ def aajr_penalty(params: PolicyParams, s, traj: Trajectory, cfg: RegularizerConf
     return float(aajr_term(numpy_handle(params), np.asarray(s, dtype=np.float64), traj, cfg))
 
 
-def _top_singular(params: PolicyParams, states):
+def top_singular(params: PolicyParams, states):
     """Largest singular value of J and its right singular vector at a state,
     or at every row of stacked states, from one dense SVD per Jacobian."""
     J = jacobian(params, states)
@@ -90,7 +90,7 @@ def _top_singular(params: PolicyParams, states):
 
 def spectral_norm(params: PolicyParams, s):
     """Exact ||J(s)||_2; one value per row for (B, in_dim) stacked states."""
-    sigma = _top_singular(params, s)[0]
+    sigma = top_singular(params, s)[0]
     return float(sigma) if sigma.ndim == 0 else sigma
 
 
@@ -101,22 +101,23 @@ def _stacked(states) -> Array:
     return states
 
 
-def global_term(handle: PolicyHandle, params: PolicyParams, states, cfg: RegularizerConfig):
+def global_term(handle: PolicyHandle, params: PolicyParams, states, cfg: RegularizerConfig, v_hat=None):
     """Mean hinge^2 above gamma as a tape-generic expression.
 
-    The top right singular vectors v_hat come from an untaped SVD; the
-    differentiable part is ||J v_hat|| with v_hat fixed, which by Danskin's
-    theorem has the gradient of ||J||_2 wherever the top singular value is
-    simple.
+    The top right singular vectors v_hat come from an untaped SVD, unless
+    the caller already has them from ``top_singular``; the differentiable
+    part is ||J v_hat|| with v_hat fixed, which by Danskin's theorem has the
+    gradient of ||J||_2 wherever the top singular value is simple.
     """
     states = _stacked(states)
-    return _hinge_sq(handle.jvp(states, _top_singular(params, states)[1]), cfg.gamma)
+    if v_hat is None:
+        v_hat = top_singular(params, states)[1]
+    return _hinge_sq(handle.jvp(states, v_hat), cfg.gamma)
 
 
-def global_penalty(params: PolicyParams, states, cfg: RegularizerConfig) -> float:
-    """Mean over states of max(0, ||J(s)||_2 - gamma)^2."""
-    return _hinge_mean(_top_singular(params, _stacked(states))[0], cfg.gamma)
-
-
-def _hinge_mean(sigmas: Array, gamma: float) -> float:
-    return float(np.mean(np.maximum(sigmas - gamma, 0.0) ** 2))
+def global_penalty(params: PolicyParams, states, cfg: RegularizerConfig, sigmas=None) -> float:
+    """Mean over states of max(0, ||J(s)||_2 - gamma)^2; ``sigmas``, if
+    given, are those spectral norms already taken by ``top_singular``."""
+    if sigmas is None:
+        sigmas = top_singular(params, _stacked(states))[0]
+    return float(np.mean(np.maximum(sigmas - cfg.gamma, 0.0) ** 2))

@@ -63,10 +63,19 @@ class Node:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)  # exact: x - y == x + (-y) in IEEE arithmetic
+        ov, onode = _split(other)
+        links = [(self, lambda g, s=self.value.shape: _unbroadcast(g, s))]
+        if onode is not None:
+            links.append((onode, lambda g, s=ov.shape: -_unbroadcast(g, s)))
+        return Node(self.value - ov, links, "sub")
 
     def __rsub__(self, other):
-        return (-self) + other
+        ov, _ = _split(other)
+        return Node(
+            ov - self.value,
+            [(self, lambda g, s=self.value.shape: -_unbroadcast(g, s))],
+            "rsub",
+        )
 
     def __mul__(self, other):
         ov, onode = _split(other)
@@ -79,7 +88,9 @@ class Node:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * (1.0 / float(other))  # float() rejects a Node divisor
+        if isinstance(other, Node):
+            raise TypeError("division by a Node is not supported")
+        return self * (1.0 / float(other))
 
     def __neg__(self):
         return Node(-self.value, [(self, lambda g: -g)], "neg")

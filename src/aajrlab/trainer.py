@@ -19,7 +19,7 @@ reported gaps are trained-optimum estimates, not exact infima.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,11 +36,11 @@ from .policy import (
 )
 from .regularizers import (
     RegularizerConfig,
-    _hinge_mean,
-    _hinge_sq,
-    _top_singular,
     aajr_batch_term,
+    global_penalty,
+    global_term,
     spectral_norm,
+    top_singular,
 )
 
 MODES = ("nominal", "robust_aajr", "robust_global", "robust_plain")
@@ -90,8 +90,14 @@ class RunMetrics:
     aborted_step: int | None = None
 
     def to_csv(self) -> str:
-        rows = [[str(r.step)] + [repr(float(x)) for x in astuple(r)[1:]] for r in self.records]
-        return "\n".join([CSV_HEADER] + [",".join(row) for row in rows]) + "\n"
+        lines = [CSV_HEADER]
+        for r in self.records:
+            lines.append(
+                f"{r.step},{float(r.robust_loss)!r},{float(r.nominal_loss)!r},"
+                f"{float(r.aajr_penalty)!r},{float(r.global_penalty)!r},"
+                f"{float(r.max_dir_amp)!r},{float(r.mean_spectral)!r},{float(r.grad_norm)!r}"
+            )
+        return "\n".join(lines) + "\n"
 
 
 def _draws(env: Environment, rng: np.random.Generator, n: int):
@@ -100,7 +106,7 @@ def _draws(env: Environment, rng: np.random.Generator, n: int):
     return np.array([s for s, _ in pairs]), np.array([a for _, a in pairs])
 
 
-def _objective_builder(env, S, A, trajs, cfg: TrainConfig, v_hat):
+def _objective_builder(env, S, A, trajs, cfg: TrainConfig, params: PolicyParams, v_hat):
     reg = cfg.reg
     X = S if trajs is None else S + np.array([t.delta_star for t in trajs])
 
@@ -109,7 +115,7 @@ def _objective_builder(env, S, A, trajs, cfg: TrainConfig, v_hat):
         if cfg.mode == "robust_aajr" and reg.lam != 0.0:
             obj = obj + reg.lam * aajr_batch_term(handle, S, trajs, reg)
         elif cfg.mode == "robust_global" and reg.lam != 0.0:
-            obj = obj + reg.lam * _hinge_sq(handle.jvp(S, v_hat), reg.gamma)
+            obj = obj + reg.lam * global_term(handle, params, S, reg, v_hat=v_hat)
         return obj
 
     return build
@@ -135,8 +141,8 @@ def train(cfg: TrainConfig, env: Environment, params0: PolicyParams):
         S, A = _draws(env, np.random.default_rng([env.seed, cfg.seed, step]), cfg.batch_size)
         try:
             trajs = pga_batch(params, S, A, env, cfg.pset, cfg.inner) if robust else None
-            sigmas, v_hat = _top_singular(params, S)
-            build = _objective_builder(env, S, A, trajs, cfg, v_hat)
+            sigmas, v_hat = top_singular(params, S)
+            build = _objective_builder(env, S, A, trajs, cfg, params, v_hat)
             value, grads = param_gradient(params, build)
             if not np.isfinite(value):
                 raise NumericError(f"non-finite objective at outer step {step}")
@@ -164,7 +170,7 @@ def _step_record(step, env, params, S, A, trajs, sigmas, grads, cfg: TrainConfig
         robust_loss=robust_loss,
         nominal_loss=nominal_loss,
         aajr_penalty=aajr_val,
-        global_penalty=_hinge_mean(sigmas, cfg.reg.gamma),
+        global_penalty=global_penalty(params, S, cfg.reg, sigmas=sigmas),
         max_dir_amp=float(np.max(amps)) if amps else 0.0,
         mean_spectral=float(np.mean(sigmas)),
         grad_norm=gradient_norm(grads),
@@ -237,12 +243,24 @@ class GapReport:
     excluded: list[dict]
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "gamma": self.gamma,
+            "t_hat": self.t_hat,
+            "t_hat_ad": self.t_hat_ad,
+            "pooled_se": self.pooled_se,
+            "per_seed": self.per_seed,
+            "aggregate": self.aggregate,
+            "excluded": self.excluded,
+        }
 
     def dump(self, path) -> None:
         with open(path, "w") as fp:
             json.dump(self.to_json(), fp, indent=2)
             fp.write("\n")
+
+
+def _achieved_level(mode: str, dir_amp: float, spec: float) -> float:
+    return dir_amp if mode == "robust_aajr" else spec
 
 
 def price_of_robustness(
@@ -286,9 +304,6 @@ def price_of_robustness(
             "achieved_spectral": spec,
         }
 
-    def level(mode: str, result: dict) -> float:
-        return result["achieved_dir_amp" if mode == "robust_aajr" else "achieved_spectral"]
-
     def match_budget(mode: str, seed: int, unpenalized):
         """Bisect the penalty weight until the achieved level is near gamma,
         starting from this seed's lambda = 0 run."""
@@ -296,30 +311,44 @@ def price_of_robustness(
         if unpenalized is None:
             return None
         result = dict(unpenalized, mode=mode)
-        if level(mode, result) <= hi_band:
+        if _achieved_level(mode, result["achieved_dir_amp"], result["achieved_spectral"]) <= hi_band:
             return result  # budget not binding (or already matched) at lambda = 0
-        lo_lam, hi_lam = 0.0, lambda_init
-        best = run_once(mode, hi_lam, seed)
-        for _ in range(max_doublings):
-            if best is None or level(mode, best) <= hi_band:
+        lo_lam = 0.0
+        hi_lam = lambda_init
+        hi_result = run_once(mode, hi_lam, seed)
+        doublings = 0
+        while hi_result is not None and doublings < max_doublings:
+            level = _achieved_level(mode, hi_result["achieved_dir_amp"], hi_result["achieved_spectral"])
+            if level <= hi_band:
                 break
-            lo_lam, hi_lam = hi_lam, 2.0 * hi_lam
-            best = run_once(mode, hi_lam, seed)
-        if best is None:
+            lo_lam = hi_lam
+            hi_lam *= 2.0
+            hi_result = run_once(mode, hi_lam, seed)
+            doublings += 1
+        if hi_result is None:
             return None
+        best = hi_result
+        best_err = abs(
+            _achieved_level(mode, best["achieved_dir_amp"], best["achieved_spectral"]) - gamma
+        )
         for _ in range(bisect_iters):
-            if lo_band <= level(mode, best) <= hi_band:
+            level = _achieved_level(mode, best["achieved_dir_amp"], best["achieved_spectral"])
+            if lo_band <= level <= hi_band:
                 return best
             mid = 0.5 * (lo_lam + hi_lam)
             mid_result = run_once(mode, mid, seed)
             if mid_result is None:
                 return best
-            if level(mode, mid_result) > hi_band:
+            mid_level = _achieved_level(
+                mode, mid_result["achieved_dir_amp"], mid_result["achieved_spectral"]
+            )
+            if mid_level > hi_band:
                 lo_lam = mid
             else:
                 hi_lam = mid
-            if abs(level(mode, mid_result) - gamma) < abs(level(mode, best) - gamma):
-                best = mid_result
+            err = abs(mid_level - gamma)
+            if err < best_err:
+                best, best_err = mid_result, err
         return best
 
     per_seed: list[dict] = []

@@ -27,7 +27,7 @@ import numpy as np
 from .environments import Environment, loss, loss_hessian, loss_hessian_bound, sample
 from .errors import ConfigError
 from .inner import InnerLoopConfig, PerturbationSet, Trajectory, pga_batch, pga_run
-from .policy import Layer, PolicyParams, forward, init_policy, jvp, numpy_handle
+from .policy import Layer, PolicyParams, forward, init_policy, jvp
 from .regularizers import RegularizerConfig, spectral_norm
 
 Array = np.ndarray
@@ -38,22 +38,32 @@ ASCENT_TOL = 1e-8
 DIRECTIONAL_TOL = 1e-9
 
 
-def directional_curvature(g, delta, v, h: float) -> float:
-    """Second-order central difference of g along a unit direction."""
+def directional_curvature(g, delta, v, h):
+    """Second-order central difference of g along a unit direction.
+
+    Row by row when delta and v are (n, d) stacks: g then maps a stack to
+    one value per row, h is one step or one step per row, and the result
+    has one curvature per row.
+    """
     delta = np.asarray(delta, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+    h = np.asarray(h, dtype=np.float64)
+    if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-9):
         raise ConfigError("direction must be a unit vector")
-    if not h > 0:
+    if not np.all(h > 0):
         raise ConfigError("finite-difference step h must be > 0")
-    return (g(delta + h * v) - 2.0 * g(delta) + g(delta - h * v)) / (h * h)
+    step = h[..., None] * v
+    return (g(delta + step) - 2.0 * g(delta) + g(delta - step)) / (h * h)
 
 
 def inner_objective(params: PolicyParams, env: Environment, s, a):
+    """delta -> L(pi(s + delta), a); one value per row for stacked deltas."""
     s = np.asarray(s, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
 
     def g(delta):
-        return loss(env, forward(params, s + np.asarray(delta, dtype=np.float64)), a)
+        z = forward(params, s + np.asarray(delta, dtype=np.float64))
+        return loss(env, z, np.broadcast_to(a, z.shape[:-1] + a.shape))
 
     return g
 
@@ -78,31 +88,25 @@ def _segment_scan(
     h: float | None = None,
 ) -> list[SegmentPoint]:
     """Probe interior grid points of every segment the iterates moved along,
-    all of them in one batched policy pass."""
+    all of them in one batched pass."""
     if int(grid) < 1:
         raise ConfigError("segment grid must be >= 1")
-    if h is not None and not h > 0:
-        raise ConfigError("finite-difference step h must be > 0")
     moved = [t for t, v in enumerate(traj.update_dirs) if v is not None]
     if not moved:
         return []
     seg = np.repeat(moved, int(grid))
-    tau = np.tile(np.arange(1, int(grid) + 1) / (grid + 1), len(moved))[:, None]
+    tau = np.tile(np.arange(1, int(grid) + 1) / (grid + 1), len(moved))
     deltas = np.array(traj.deltas)
-    delta = (1.0 - tau) * deltas[seg] + tau * deltas[seg + 1]
+    delta = (1.0 - tau[:, None]) * deltas[seg] + tau[:, None] * deltas[seg + 1]
     V = np.array([traj.update_dirs[t] for t in seg])
-    norms = np.linalg.norm(delta, axis=1, keepdims=True)
-    step = np.full_like(norms, h) if h is not None else h_scale * np.maximum(1.0, norms)
-    s = np.asarray(s, dtype=np.float64)
-    handle = numpy_handle(params)
-    Z = handle.forward(s + np.concatenate([delta + step * V, delta, delta - step * V]))
-    g = loss(env, Z, np.broadcast_to(a, (len(Z), env.peer_dim))).reshape(3, -1)
-    curv = (g[0] - 2.0 * g[1] + g[2]) / (step[:, 0] * step[:, 0])
-    Jv = handle.jvp(s + delta, V)
-    quad = [float(jv @ loss_hessian(env, z, a) @ jv) for z, jv in zip(Z[len(seg) : 2 * len(seg)], Jv)]
+    step = np.full(len(seg), h) if h is not None else h_scale * np.maximum(1.0, np.linalg.norm(delta, axis=1))
+    curv = directional_curvature(inner_objective(params, env, s, a), delta, V, step)
+    X = np.asarray(s, dtype=np.float64) + delta
+    Jv = jvp(params, X, V)
+    quad = [float(jv @ loss_hessian(env, z, a) @ jv) for z, jv in zip(forward(params, X), Jv)]
     return [
         SegmentPoint(int(t), float(x), float(c), float(np.linalg.norm(jv)), float(c - q))
-        for t, x, c, jv, q in zip(seg, tau[:, 0], curv, Jv, quad)
+        for t, x, c, jv, q in zip(seg, tau, curv, Jv, quad)
     ]
 
 
@@ -120,7 +124,10 @@ def estimate_C(
     The residual isolates the policy's own second-order contribution: for a
     linear policy it vanishes up to finite-difference noise.
     """
-    return max([0.0] + [p.residual for p in _segment_scan(params, env, s, a, traj, grid=grid, h=h)])
+    points = _segment_scan(params, env, s, a, traj, grid=grid, h=h)
+    if not points:
+        return 0.0
+    return max(0.0, max(p.residual for p in points))
 
 
 @dataclass

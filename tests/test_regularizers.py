@@ -14,7 +14,9 @@ from aajrlab.regularizers import (
     aajr_penalty,
     aajr_term,
     global_penalty,
+    global_term,
     spectral_norm,
+    top_singular,
 )
 
 from conftest import assemble_jacobian, linear_policy
@@ -204,6 +206,22 @@ def test_global_penalty_matches_per_state_loop():
     states = [rng.uniform(-1, 1, 3) for _ in range(4)]
     expected = np.mean([max(0.0, spectral_norm(params, s) - cfg.gamma) ** 2 for s in states])
     assert global_penalty(params, states, cfg) == pytest.approx(expected, rel=1e-12)
+
+
+def test_global_hinge_reuses_precomputed_singular_pairs():
+    params = scale_policy(init_policy([4, 8, 4], seed=5), 3.0)
+    states = np.random.default_rng(5).uniform(-1, 1, (6, 4))
+    cfg = reg(gamma=0.4)
+    sigmas, v_hat = top_singular(params, states)
+    np.testing.assert_array_equal(sigmas, spectral_norm(params, states))
+    handle = numpy_handle(params)
+    term = float(global_term(handle, params, states, cfg, v_hat=v_hat))
+    assert term == float(global_term(handle, params, states, cfg))
+    assert float(global_term(handle, params, states, cfg, v_hat=np.tile(np.eye(4)[0], (6, 1)))) < term
+    penalty = global_penalty(params, states, cfg, sigmas=sigmas)
+    assert penalty == global_penalty(params, states, cfg) > 0.0
+    assert global_penalty(params, states, cfg, sigmas=np.zeros(6)) == 0.0
+    assert term == pytest.approx(penalty, rel=1e-12)
 
 
 def test_global_penalty_empty_states_rejected():

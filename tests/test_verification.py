@@ -112,6 +112,26 @@ def test_curvature_second_order_convergence():
     assert 3.5 <= err_h / err_h2 <= 4.5
 
 
+def test_curvature_rows_equal_single_row_calls():
+    rng = np.random.default_rng(4)
+    env = soft_env(rng.standard_normal(3))
+    params = init_policy([3, 5, 3], seed=4)
+    s, a = sample(env, 1)
+    g = inner_objective(params, env, s, a)
+    deltas = rng.uniform(-0.2, 0.2, (5, 3))
+    V = rng.standard_normal((5, 3))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    h = np.array([1e-3, 2e-3, 5e-4, 1e-3, 3e-3])
+    rows = directional_curvature(g, deltas, V, h)
+    assert rows.shape == (5,)
+    for i in range(5):
+        assert rows[i] == directional_curvature(g, deltas[i], V[i], h[i])
+    with pytest.raises(ConfigError, match="unit"):
+        directional_curvature(g, deltas, np.vstack([V[:4], 2.0 * V[4:]]), h)
+    with pytest.raises(ConfigError, match="h must be > 0"):
+        directional_curvature(g, deltas, V, np.array([1e-3, 1e-3, 0.0, 1e-3, 1e-3]))
+
+
 def test_curvature_rejects_non_unit_direction():
     g = lambda delta: float(np.sum(delta**2))
     with pytest.raises(ConfigError):
