@@ -107,12 +107,16 @@ def _string(obj, path, choices=None, default=None):
     return val
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _float_list(obj, path, default=None):
     key = path.split(".")[-1]
     if key not in obj:
         return default
     val = obj[key]
-    if not isinstance(val, list) or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in val):
+    if not isinstance(val, list) or not all(_is_number(x) for x in val):
         raise ConfigError(f"{path}: expected a list of numbers")
     return [float(x) for x in val]
 
@@ -122,7 +126,7 @@ def _matrix(obj, path, default=None):
     if key not in obj:
         return default
     val = obj[key]
-    if not isinstance(val, list) or not all(isinstance(row, list) for row in val):
+    if not isinstance(val, list) or not all(isinstance(row, list) and all(_is_number(x) for x in row) for row in val):
         raise ConfigError(f"{path}: expected a list of lists of numbers")
     widths = {len(row) for row in val}
     if len(widths) != 1:
@@ -196,6 +200,10 @@ def _parse_policy(raw, state_dim: int, action_dim: int) -> dict:
     dims = _int_list(raw, "policy.dims", minimum=1)
     if dims is None or len(dims) < 2:
         raise ConfigError("policy.dims: expected at least [input, output]")
+    for i, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
+        # numpy refuses arrays whose byte size does not fit its index type
+        if n_in * n_out * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+            raise ConfigError(f"policy.dims: layer {i} ({n_out}x{n_in} weights) is larger than numpy can index")
     if dims[0] != state_dim:
         raise ConfigError(f"policy.dims: first entry {dims[0]} must equal environment.state_dim {state_dim}")
     if dims[-1] != action_dim:

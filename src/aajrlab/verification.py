@@ -16,6 +16,11 @@ Checks implemented here:
   iterates gain at least eta/2 * ||grad||^2 on interior steps, gain at
   least ||step||^2 / (2 eta) on every step, keep gradient changes along the
   update direction below L_eff * ||step||, and stay feasible.
+
+The last three share one projected gradient ascent per (sample, eta): the
+smoothness report keeps the trajectory it measured and the inner-loop
+config it ran at, the step-size search measures again only when eta
+shrinks, and the stability check reads its iterates from that report.
 """
 
 from __future__ import annotations
@@ -137,6 +142,8 @@ class SmoothnessReport:
     gamma_adv_hat: float  # max segment amplification along update directions
     l_eff_bound: float  # l_loss * gamma_adv_hat^2 + c_hat
     tol: float
+    inner: InnerLoopConfig  # the inner-loop config the ascent ran at
+    trajectory: Trajectory  # the ascent whose segments were measured
     points: list[SegmentPoint] = field(default_factory=list)
     violations: list[dict] = field(default_factory=list)
     passed: bool = True
@@ -162,14 +169,18 @@ def check_effective_smoothness(
     h: float | None = None,
 ) -> SmoothnessReport:
     """Directional curvature along every recorded segment must stay below
-    L_loss * gamma_hat^2 + C_hat. Vacuously true when no iterate moved."""
+    L_loss * gamma_hat^2 + C_hat. Vacuously true when no iterate moved.
+
+    Runs the ascent once; the report keeps that trajectory and ``inner`` so
+    the step-size and stability checks can reuse them.
+    """
     s, a = sample_pair
     traj = pga_run(params, s, a, env, pset, inner)
     points = _segment_scan(params, env, s, a, traj, grid=grid, h=h)
     l_loss = loss_hessian_bound(env)
     if not points:
         return SmoothnessReport(
-            l_loss=l_loss, c_hat=0.0, gamma_adv_hat=0.0, l_eff_bound=0.0, tol=0.0
+            l_loss=l_loss, c_hat=0.0, gamma_adv_hat=0.0, l_eff_bound=0.0, tol=0.0, inner=inner, trajectory=traj
         )
     gamma_hat = max(p.amplification for p in points)
     c_hat = max(0.0, max(p.residual for p in points))
@@ -186,6 +197,8 @@ def check_effective_smoothness(
         gamma_adv_hat=gamma_hat,
         l_eff_bound=bound,
         tol=tol,
+        inner=inner,
+        trajectory=traj,
         points=points,
         violations=violations,
         passed=not violations,
@@ -202,6 +215,7 @@ def stable_step_size(
     safety: float = 0.9,
     rounds: int = 8,
     grid: int = 5,
+    smoothness: SmoothnessReport | None = None,
 ) -> tuple[InnerLoopConfig, SmoothnessReport]:
     """Shrink eta until it is consistent with the bound measured at that eta.
 
@@ -209,11 +223,19 @@ def stable_step_size(
     on eta, so a single division is not self-consistent. Iterating
     eta <- safety / bound(eta) settles after a few rounds; eta only ever
     shrinks, which keeps the loop monotone.
+
+    ``smoothness``, when given, is the report already measured at ``inner``
+    (ConfigError otherwise) and saves measuring it again; a new ascent runs
+    only in a round that shrinks eta. The returned report was measured at
+    the returned config.
     """
     if not 0 < safety <= 1:
         raise ConfigError("safety factor must be in (0, 1]")
     cfg = inner
-    smooth = check_effective_smoothness(params, env, sample_pair, pset, cfg, grid=grid)
+    if smoothness is None:
+        smooth = check_effective_smoothness(params, env, sample_pair, pset, cfg, grid=grid)
+    else:
+        smooth = _measured_at(smoothness, cfg)
     for _ in range(rounds):
         bound = smooth.l_eff_bound
         if bound == 0.0 or cfg.eta <= safety / bound:
@@ -221,6 +243,13 @@ def stable_step_size(
         cfg = InnerLoopConfig(eta=safety / bound, steps=cfg.steps, eps0=cfg.eps0)
         smooth = check_effective_smoothness(params, env, sample_pair, pset, cfg, grid=grid)
     return cfg, smooth
+
+
+def _measured_at(smoothness: SmoothnessReport, inner: InnerLoopConfig) -> SmoothnessReport:
+    """The report, if its trajectory was run at ``inner``."""
+    if smoothness.inner != inner:
+        raise ConfigError(f"smoothness report was measured at {smoothness.inner}, not at {inner}")
+    return smoothness
 
 
 @dataclass
@@ -244,15 +273,21 @@ def check_pga_stability(
     tol: float = ASCENT_TOL,
     smoothness: SmoothnessReport | None = None,
 ) -> StabilityReport:
-    """Per-step ascent, gradient-control, and feasibility inequalities."""
-    s, a = sample_pair
+    """Per-step ascent, gradient-control, and feasibility inequalities.
+
+    The iterates are the trajectory of ``smoothness``, which must have been
+    measured at ``inner`` (ConfigError otherwise); without a report one is
+    measured here, from one ascent.
+    """
     if smoothness is None:
         smoothness = check_effective_smoothness(params, env, sample_pair, pset, inner, grid=grid)
+    else:
+        smoothness = _measured_at(smoothness, inner)
     l_eff = smoothness.l_eff_bound
     # the measured bound carries finite-difference noise; allow 1e-9 relative
     # slack so eta == 1/L_eff exactly still counts as meeting the premise
     premise_ok = l_eff == 0.0 or inner.eta <= (1.0 + 1e-9) / l_eff
-    traj = pga_run(params, s, a, env, pset, inner)
+    traj = smoothness.trajectory
     eta = inner.eta
     report = StabilityReport(eta=eta, l_eff_bound=l_eff, premise_ok=premise_ok)
 
@@ -495,7 +530,12 @@ def verify_suite(
     eta_safety: float = 0.9,
     witness_dims=(2, 4),
 ) -> tuple[dict, dict[int, Trajectory]]:
-    """Run every check per seed; returns the JSON report and trajectories."""
+    """Run every check per seed; returns the JSON report and trajectories.
+
+    Each seed's smoothness, step-size and stability checks share one ascent
+    (one more per round that shrinks eta), and the returned trajectory is
+    the one measured at the stabilised step size.
+    """
     checks: list[dict] = []
     trajectories: dict[int, Trajectory] = {}
 
@@ -530,7 +570,7 @@ def verify_suite(
             smooth.constants(),
         )
         inner_stab, smooth_stab = stable_step_size(
-            params, env, pair, pset, inner, safety=eta_safety, grid=grid
+            params, env, pair, pset, inner, safety=eta_safety, grid=grid, smoothness=smooth
         )
         stability = check_pga_stability(
             params, env, pair, pset, inner_stab, grid=grid, smoothness=smooth_stab
@@ -544,7 +584,7 @@ def verify_suite(
             smooth_stab.constants(),
             status if status else ("pass" if stability.passed else "fail"),
         )
-        trajectories[seed] = pga_run(params, pair[0], pair[1], env, pset, inner_stab)
+        trajectories[seed] = smooth_stab.trajectory
         inclusion = check_inclusion(
             params, env, pset, inner, reg.gamma, n_samples, seed=seed * 1000
         )

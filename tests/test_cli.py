@@ -254,6 +254,28 @@ def test_exit_code_runtime_on_overflowing_update(tmp_path, capsys):
     assert all(np.all(np.isfinite(layer.weight)) for layer in params.layers)
 
 
+@pytest.mark.parametrize("entry", ["x", "0.5", None, {}, [1]])
+@pytest.mark.parametrize("key", ["A", "projector"])
+def test_non_numeric_matrix_entry_is_config_error(tmp_path, capsys, key, entry):
+    cfg = minimal_config()
+    cfg["environment"][key] = [[0.0, entry], [0.0, 0.0]]
+    with pytest.raises(ConfigError, match=f"environment.{key}: expected a list of lists of numbers"):
+        parse_config_dict(cfg)
+    path = write_config(tmp_path, cfg)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"environment.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hidden", [10**30, 2**61])
+def test_policy_dims_numpy_cannot_index_is_config_error(tmp_path, capsys, hidden):
+    cfg = minimal_config(policy={"dims": [2, hidden, 2]})
+    with pytest.raises(ConfigError, match="policy.dims: layer 0"):
+        parse_config_dict(cfg)
+    path = write_config(tmp_path, cfg)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "policy.dims" in capsys.readouterr().err
+
+
 def test_legacy_power_iteration_keys_are_accepted_and_ignored():
     cfg = minimal_config()
     cfg["train"]["reg"] = {"gamma": 2.0}

@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from aajrlab import verification
 from aajrlab.environments import Environment, loss_hessian, sample
 from aajrlab.errors import ConfigError
-from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_run
+from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_run, trajectory_records
 from aajrlab.policy import forward, init_policy, scale_policy
+from aajrlab.regularizers import RegularizerConfig
 from aajrlab.verification import (
     WitnessSpec,
     check_effective_smoothness,
@@ -23,6 +25,7 @@ from aajrlab.verification import (
     random_orthonormal_basis,
     stable_step_size,
     subspace_directions,
+    verify_suite,
     witness_matrix,
 )
 
@@ -272,6 +275,99 @@ def test_stability_oversized_step_recorded_not_asserted():
         assert not report.premise_ok
         outcomes.append(report.passed)
     assert outcomes  # at least one oversized run was actually exercised
+
+
+def test_stability_rejects_report_from_another_step_size(monkeypatch):
+    env = quad_env([0.6, -0.8, 0.3])
+    params = init_policy([3, 6, 3], seed=0)
+    pset = PerturbationSet(p=2, epsilon=0.5, dim=3)
+    pair = sample(env, 0)
+    inner = InnerLoopConfig(eta=0.3, steps=4)
+    smooth = check_effective_smoothness(params, env, pair, pset, inner)
+    other = InnerLoopConfig(eta=0.2, steps=4)
+    with pytest.raises(ConfigError, match="measured at"):
+        check_pga_stability(params, env, pair, pset, other, smoothness=smooth)
+    with pytest.raises(ConfigError, match="measured at"):
+        stable_step_size(params, env, pair, pset, other, smoothness=smooth)
+    with pytest.raises(ConfigError, match="measured at"):
+        check_pga_stability(params, env, pair, pset, InnerLoopConfig(eta=0.3, steps=3), smoothness=smooth)
+    calls = []
+    monkeypatch.setattr(verification, "pga_run", lambda *args: calls.append(args) or pga_run(*args))
+    report = check_pga_stability(params, env, pair, pset, inner)
+    assert len(calls) == 1  # the smoothness report's ascent supplies the iterates
+    reused = check_pga_stability(params, env, pair, pset, inner, smoothness=smooth)
+    assert len(calls) == 1
+    assert reused.steps == report.steps and reused.violations == report.violations
+
+
+# -- verify suite -------------------------------------------------------------
+
+
+def _counted_suite(monkeypatch, eta):
+    """verify_suite on a [3,6,3] net with every pga_run call recorded."""
+    env = quad_env([0.6, -0.8, 0.3])
+    pset = PerturbationSet(p=2, epsilon=2.0, dim=3)
+    inner = InnerLoopConfig(eta=eta, steps=4)
+    calls = []
+
+    def counting(params, s, a, env_, pset_, cfg):
+        calls.append((env_ is env, tuple(np.asarray(s, dtype=float)), cfg))
+        return pga_run(params, s, a, env_, pset_, cfg)
+
+    monkeypatch.setattr(verification, "pga_run", counting)
+    report, trajectories = verify_suite(
+        env,
+        [3, 6, 3],
+        ["tanh", "identity"],
+        pset,
+        inner,
+        RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0),
+        seeds=[0, 1, 2],
+        n_samples=2,
+        witness_dims=(2,),
+    )
+    return env, pset, inner, report, trajectories, calls
+
+
+@pytest.mark.parametrize("eta", [0.1, 8.0])
+def test_verify_suite_runs_one_ascent_per_seed_and_step_size(monkeypatch, eta):
+    env, _, inner, report, _, calls = _counted_suite(monkeypatch, eta)
+    stability = {c["seed"]: c["margins"]["eta"] for c in report["checks"] if c["name"] == "pga_stability"}
+    witnesses = sum(c["name"] == "class_witness" for c in report["checks"])
+    rounds = 0
+    for seed, eta_stab in stability.items():
+        etas = [cfg.eta for own, s, cfg in calls if own and s == tuple(sample(env, seed)[0])]
+        # one ascent at the configured eta, then one per round that shrinks it
+        assert etas[0] == inner.eta and etas[-1] == eta_stab
+        assert all(later < earlier for earlier, later in zip(etas, etas[1:]))
+        rounds += len(etas) - 1
+    assert len(calls) == len(stability) + rounds + witnesses
+    assert (rounds > 0) == (eta == 8.0)
+
+
+def test_verify_suite_after_shrinking_eta_matches_fresh_run(monkeypatch):
+    env, pset, inner, report, trajectories, _ = _counted_suite(monkeypatch, 8.0)
+    shrunk = 0
+    for check in report["checks"]:
+        if check["name"] != "pga_stability":
+            continue
+        seed = check["seed"]
+        params = init_policy([3, 6, 3], ["tanh", "identity"], seed=seed)
+        pair = sample(env, seed)
+        cfg = InnerLoopConfig(eta=check["margins"]["eta"], steps=inner.steps, eps0=inner.eps0)
+        shrunk += cfg.eta < inner.eta
+        fresh = pga_run(params, pair[0], pair[1], env, pset, cfg)
+        assert trajectory_records(trajectories[seed]) == trajectory_records(fresh)
+        stability = check_pga_stability(params, env, pair, pset, cfg)
+        smooth = check_effective_smoothness(params, env, pair, pset, cfg)
+        assert check["margins"] == {
+            "violations": stability.violations,
+            "eta": stability.eta,
+            "premise_ok": stability.premise_ok,
+        }
+        assert check["constants"] == smooth.constants()
+        assert check["pass"] == (stability.passed or not stability.premise_ok)
+    assert shrunk  # at least one seed ran at a shrunk eta
 
 
 # -- inclusion ----------------------------------------------------------------
