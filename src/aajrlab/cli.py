@@ -35,6 +35,9 @@ EXIT_RUNTIME = 3
 
 INCOMPLETE_MARKER = ".incomplete"
 
+# largest ambient dimension of a class-witness construction
+MAX_WITNESS_DIM = 64
+
 
 @dataclass
 class RunConfig:
@@ -66,6 +69,18 @@ def _check_keys(obj: dict, path: str, allowed, required=()):
             raise ConfigError(f"{path}: missing required key '{key}'")
 
 
+def _finite(x, path) -> float:
+    """A JSON number as a finite float; an integer beyond the float range
+    is not finite either."""
+    try:
+        val = float(x)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise ConfigError(f"{path}: must be finite")
+    return val
+
+
 def _number(obj, path, *, positive=False, nonnegative=False, default=None):
     key = path.split(".")[-1]
     if key not in obj:
@@ -73,9 +88,7 @@ def _number(obj, path, *, positive=False, nonnegative=False, default=None):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    val = float(val)
-    if not math.isfinite(val):
-        raise ConfigError(f"{path}: must be finite")
+    val = _finite(val, path)
     if positive and not val > 0:
         raise ConfigError(f"{path}: must be > 0")
     if nonnegative and val < 0:
@@ -118,7 +131,7 @@ def _float_list(obj, path, default=None):
     val = obj[key]
     if not isinstance(val, list) or not all(_is_number(x) for x in val):
         raise ConfigError(f"{path}: expected a list of numbers")
-    return [float(x) for x in val]
+    return [_finite(x, path) for x in val]
 
 
 def _matrix(obj, path, default=None):
@@ -131,10 +144,10 @@ def _matrix(obj, path, default=None):
     widths = {len(row) for row in val}
     if len(widths) != 1:
         raise ConfigError(f"{path}: rows must all have the same length")
-    return [[float(x) for x in row] for row in val]
+    return [[_finite(x, path) for x in row] for row in val]
 
 
-def _int_list(obj, path, default=None, minimum=None):
+def _int_list(obj, path, default=None, minimum=None, maximum=None):
     key = path.split(".")[-1]
     if key not in obj:
         return default
@@ -143,6 +156,8 @@ def _int_list(obj, path, default=None, minimum=None):
         raise ConfigError(f"{path}: expected a list of integers")
     if minimum is not None and any(x < minimum for x in val):
         raise ConfigError(f"{path}: entries must be >= {minimum}")
+    if maximum is not None and any(x > maximum for x in val):
+        raise ConfigError(f"{path}: entries must be <= {maximum}")
     return list(val)
 
 
@@ -291,7 +306,7 @@ def _parse_verify(raw) -> dict:
         "n_samples": _integer(raw, "verify.n_samples", minimum=1, default=10),
         "eta_safety": eta_safety,
         "tol_curv_scale": _number(raw, "verify.tol_curv_scale", positive=True, default=1e-4),
-        "witness_dims": _int_list(raw, "verify.witness_dims", default=[2, 4], minimum=2),
+        "witness_dims": _int_list(raw, "verify.witness_dims", default=[2, 4], minimum=2, maximum=MAX_WITNESS_DIM),
     }
 
 

@@ -26,6 +26,8 @@ from .policy import PolicyParams, forward, jvp, vjp
 
 Array = np.ndarray
 
+_EPS = np.finfo(np.float64).eps
+
 
 @dataclass(frozen=True, eq=False)
 class PerturbationSet:
@@ -97,12 +99,18 @@ class Trajectory:
         return self.deltas[-1]
 
 
+def _row_norms(x: Array, keepdims: bool = False) -> Array:
+    """l2 norm of each row; the arithmetic of ``np.linalg.norm(x, axis=-1)``
+    on real input without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
+
+
 def _safe_l2(x: Array) -> Array:
     """l2 norm of each row that cannot overflow on finite input."""
     m = np.max(np.abs(x), axis=-1, initial=0.0)
     ok = (m > 0.0) & np.isfinite(m)
     scale = np.where(ok, m, 1.0)[..., None]
-    return np.where(ok, m * np.linalg.norm(x / scale, axis=-1), m)
+    return np.where(ok, m * _row_norms(x / scale), m)
 
 
 def project(delta, pset: PerturbationSet) -> Array:
@@ -124,11 +132,11 @@ def ascent_direction(grad, eps0: float) -> Array:
     """
     grad = np.asarray(grad, dtype=np.float64)
     with np.errstate(over="ignore"):
-        n = np.linalg.norm(grad, axis=-1, keepdims=True)
+        n = _row_norms(grad, keepdims=True)
     if not np.isfinite(n).all():
         # a finite gradient can overflow the plain norm
         n = np.where(np.isfinite(n), n, _safe_l2(grad)[..., None])
-    slack = (grad.shape[-1] + 4) * np.finfo(np.float64).eps
+    slack = (grad.shape[-1] + 4) * _EPS
     return grad / np.maximum(n + eps0, n * (1.0 + slack))
 
 
@@ -168,11 +176,11 @@ def pga_batch(
             break
         u = ascent_direction(grad, cfg.eps0)
         ascent[:, t] = u
-        amps[:, t] = np.linalg.norm(jvp(params, X, u), axis=1)
+        amps[:, t] = _row_norms(jvp(params, X, u))
         deltas[:, t + 1] = project(delta + cfg.eta * grad, pset)
         step = deltas[:, t + 1] - delta
         moved[:, t] = np.any(step != 0.0, axis=1)
-        norms = np.linalg.norm(step, axis=1, keepdims=True)
+        norms = _row_norms(step, keepdims=True)
         update[:, t] = step / np.where(moved[:, t, None], norms, 1.0)
     for arr in (deltas, grads, ascent, update):
         arr.setflags(write=False)

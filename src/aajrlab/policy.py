@@ -3,17 +3,18 @@
 One layer recursion, ``_mlp``, runs over states stacked as (B, d) rows and
 executes either on plain ndarrays (value paths used by the inner loop) or
 on tape ``Node`` weights (parameter gradients). Tangents pushed alongside
-the states supply Jacobian-vector products. The dense state-action Jacobian
-is small (the state has at most a handful of entries), so ``jacobian``
-takes it in one pass with identity tangents, and ``vjp`` is its transpose
-applied to the cotangent. Public functions validate a state or a stack
-once per call; internal paths call the recursion directly.
+the states supply Jacobian-vector products, one tangent per state or a
+stack of them. The dense state-action Jacobian is small (the state has at
+most a handful of entries), so ``jacobian`` takes it in one forward pass
+per state that carries all ``in_dim`` identity tangents, and ``vjp`` is its
+transpose applied to the cotangent. Public functions validate a state or a
+stack once per call; internal paths call the recursion directly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -45,6 +46,7 @@ class PolicyParams:
     """
 
     layers: tuple[Layer, ...]
+    handle: PolicyHandle = field(init=False, repr=False)  # the layers as plain ndarrays
 
     def __post_init__(self):
         if not self.layers:
@@ -68,6 +70,11 @@ class PolicyParams:
         if fixed[-1].activation != "identity":
             raise ConfigError("final layer activation must be identity")
         object.__setattr__(self, "layers", tuple(fixed))
+        object.__setattr__(
+            self,
+            "handle",
+            PolicyHandle(tuple((layer.weight, layer.bias) for layer in fixed), tuple(self.activations())),
+        )
 
     @property
     def in_dim(self) -> int:
@@ -119,10 +126,13 @@ def _mlp(layers, activations, X, T=None):
     """Run the layers over a state (or states stacked as rows) X.
 
     Per layer a = h @ W.T + b, and tangents T, if given, are pushed forward
-    alongside. Weights may be ndarrays or tape ``Node``s. Returns (h, t);
-    t is None without tangents.
+    alongside: one per state, shaped like X, or a stack of k per state,
+    shaped (..., k, d) against X of shape (..., d). Weights may be ndarrays
+    or tape ``Node``s. Returns (h, t); t is None without tangents, and a
+    tangent stack that never meets a ``tanh`` keeps the leading shape of T.
     """
     h, t = X, T
+    stacked = T is not None and np.ndim(T) > np.ndim(X)
     for (W, b), act in zip(layers, activations):
         a = matvec(W, h) + b
         if t is not None:
@@ -130,7 +140,8 @@ def _mlp(layers, activations, X, T=None):
         if act == "tanh":
             h = tanh(a)
             if t is not None:
-                t = (1.0 - h * h) * t
+                dh = 1.0 - h * h
+                t = (dh[..., None, :] if stacked else dh) * t
         else:
             h = a
     return h, t
@@ -151,20 +162,18 @@ class PolicyHandle:
 
 
 def numpy_handle(params: PolicyParams) -> PolicyHandle:
-    return PolicyHandle(
-        tuple((layer.weight, layer.bias) for layer in params.layers),
-        tuple(params.activations()),
-    )
+    return params.handle
 
 
 def _jacobian(params: PolicyParams, S: Array) -> Array:
-    """Dense Jacobians at a state or at every row of S, from one pass over
-    ``in_dim`` copies of each state with identity tangents."""
-    n = params.in_dim
-    rows = np.repeat(np.atleast_2d(S), n, axis=0)
-    handle = numpy_handle(params)
-    _, t = _mlp(handle.layers, handle.activations, rows, np.tile(np.eye(n), (len(rows) // n, 1)))
-    return np.swapaxes(t.reshape(S.shape[:-1] + (n, -1)), -1, -2)
+    """Dense Jacobians at a state or at every row of S, from one forward
+    pass per state carrying the ``in_dim`` identity tangents."""
+    n, handle = params.in_dim, params.handle
+    _, t = _mlp(handle.layers, handle.activations, S, np.eye(n).reshape((1,) * (S.ndim - 1) + (n, n)))
+    shape = S.shape[:-1] + (n, params.out_dim)
+    if t.shape != shape:  # no tanh layer: the tangents never met the states
+        t = np.broadcast_to(t, shape).copy()
+    return np.swapaxes(t, -1, -2)
 
 
 def _check_states(x, dim: int, what: str, rows: tuple | None = None) -> Array:
@@ -181,14 +190,14 @@ def _check_states(x, dim: int, what: str, rows: tuple | None = None) -> Array:
 
 def forward(params: PolicyParams, s) -> Array:
     """Evaluate the policy at a state, or at every row of a (B, in_dim) stack."""
-    return numpy_handle(params).forward(_check_states(s, params.in_dim, "state"))
+    return params.handle.forward(_check_states(s, params.in_dim, "state"))
 
 
 def jvp(params: PolicyParams, s, v) -> Array:
     """Directional derivative of the policy output along v (forward mode);
     row by row when s and v are stacked."""
     s = _check_states(s, params.in_dim, "state")
-    return numpy_handle(params).jvp(s, _check_states(v, params.in_dim, "tangent", s.shape[:-1]))
+    return params.handle.jvp(s, _check_states(v, params.in_dim, "tangent", s.shape[:-1]))
 
 
 def jacobian(params: PolicyParams, s) -> Array:
@@ -209,7 +218,7 @@ Objective = Callable[[PolicyHandle], object]
 
 def eval_objective(params: PolicyParams, objective: Objective) -> float:
     """Evaluate an objective on plain ndarrays (no tape)."""
-    return float(objective(numpy_handle(params)))
+    return float(objective(params.handle))
 
 
 def param_gradient(params: PolicyParams, objective: Objective):

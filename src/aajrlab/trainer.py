@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .environments import Environment, _draw, loss, loss_term
+from .environments import Environment, loss, loss_term
 from .errors import ConfigError, NumericError
 from .inner import InnerLoopConfig, PerturbationSet, pga_batch
 from .policy import (
@@ -101,9 +101,15 @@ class RunMetrics:
 
 
 def _draws(env: Environment, rng: np.random.Generator, n: int):
-    """n seeded (state, peer context) draws, stacked as (n, d) and (n, q) rows."""
-    pairs = [_draw(env, rng) for _ in range(n)]
-    return np.array([s for s, _ in pairs]), np.array([a for _, a in pairs])
+    """n seeded (state, peer context) draws, stacked as (n, d) and (n, q)
+    rows: one uniform draw of n rows, each the values of one per-sample
+    draw (state, then peer context unless it mirrors the state)."""
+    d = env.state_dim
+    if env.peer_mode == "mirror":
+        S = rng.uniform(-1.0, 1.0, (n, d))
+        return S, S.copy()
+    rows = rng.uniform(-1.0, 1.0, (n, d + env.peer_dim))
+    return rows[:, :d].copy(), rows[:, d:].copy()
 
 
 def _objective_builder(env, S, A, trajs, cfg: TrainConfig, params: PolicyParams, v_hat):
@@ -121,13 +127,15 @@ def _objective_builder(env, S, A, trajs, cfg: TrainConfig, params: PolicyParams,
     return build
 
 
-def train(cfg: TrainConfig, env: Environment, params0: PolicyParams):
+def train(cfg: TrainConfig, env: Environment, params0: PolicyParams, *, diagnostics: bool = True):
     """Run the outer loop; returns final parameters and per-step metrics.
 
     Deterministic given (cfg.seed, env.seed, params0). A non-finite loss,
     gradient or parameter update aborts the run, with the offending step
     recorded in the metrics instead of raised; the returned parameters are
-    the last finite ones.
+    the last finite ones. With ``diagnostics=False`` no per-step record is
+    built and ``metrics.records`` stays empty; the diagnostics never feed
+    the update, so the parameters and the aborted step are the same.
     """
     if params0.in_dim != env.state_dim or params0.out_dim != env.action_dim:
         raise ConfigError(
@@ -146,12 +154,13 @@ def train(cfg: TrainConfig, env: Environment, params0: PolicyParams):
             value, grads = param_gradient(params, build)
             if not np.isfinite(value):
                 raise NumericError(f"non-finite objective at outer step {step}")
-            record = _step_record(step, env, params, S, A, trajs, sigmas, grads, cfg)
+            record = _step_record(step, env, params, S, A, trajs, sigmas, grads, cfg) if diagnostics else None
             new_params = apply_gradient_step(params, grads, cfg.outer_lr)
         except NumericError:
             metrics.aborted_step = step
             break
-        metrics.records.append(record)
+        if record is not None:
+            metrics.records.append(record)
         params = new_params
     return params, metrics
 
@@ -289,7 +298,7 @@ def price_of_robustness(
     def run_once(mode: str, lam: float, seed: int):
         cfg = replace(base_cfg, mode=mode, seed=seed, reg=replace(base_cfg.reg, lam=lam))
         params0 = init_policy(policy_dims, activations, seed=seed)
-        params, metrics = train(cfg, env, params0)
+        params, metrics = train(cfg, env, params0, diagnostics=False)
         if metrics.aborted_step is not None:
             return None
         risk, se = _nominal_risk_samples(params, env, eval_samples, eval_seed)

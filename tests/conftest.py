@@ -2,14 +2,16 @@
 
 The oracle Jacobian is assembled row by row by a hand-written reverse pass,
 so it is independent of the library's forward-mode layer recursion, from
-which ``jacobian``, ``jvp`` and ``vjp`` all come.
+which ``jacobian``, ``jvp`` and ``vjp`` all come. ``repeat_tile_jacobian``
+is the earlier, bit-exact construction of ``jacobian`` from plain ``jvp``
+calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from aajrlab.policy import Layer, PolicyParams
+from aajrlab.policy import Layer, PolicyParams, jvp
 
 
 def assemble_jacobian(params: PolicyParams, s) -> np.ndarray:
@@ -26,6 +28,16 @@ def assemble_jacobian(params: PolicyParams, s) -> np.ndarray:
             g = layer.weight.T @ (slope * g)
         rows.append(g)
     return np.stack(rows, axis=0)
+
+
+def repeat_tile_jacobian(params: PolicyParams, s) -> np.ndarray:
+    """Jacobian at a state or at every row of s: each state repeated
+    ``in_dim`` times, one identity tangent per copy, in one ``jvp`` call."""
+    s = np.asarray(s, dtype=np.float64)
+    n = params.in_dim
+    rows = np.repeat(np.atleast_2d(s), n, axis=0)
+    t = jvp(params, rows, np.tile(np.eye(n), (len(rows) // n, 1)))
+    return np.swapaxes(t.reshape(s.shape[:-1] + (n, -1)), -1, -2)
 
 
 def flatten_params(params: PolicyParams) -> np.ndarray:

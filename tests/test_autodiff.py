@@ -29,6 +29,7 @@ from conftest import (
     fd_param_gradient,
     flatten_grads,
     linear_policy,
+    repeat_tile_jacobian,
 )
 
 
@@ -161,6 +162,38 @@ def test_jacobian_matches_vjp_rows_and_finite_differences(dims):
             [(forward(p, s + h * e) - forward(p, s - h * e)) / (2 * h) for e in np.eye(dims[0])], axis=1
         )
         assert np.max(np.abs(J - fd)) <= 1e-6
+
+
+@pytest.mark.parametrize("dims", [(2, 6, 2), (3, 6, 3), (4, 8, 4), (4, 8, 8, 4), (1, 1), (3, 2)])
+def test_jacobian_equals_repeat_tile_construction_bit_for_bit(dims):
+    # one forward pass per state carrying all identity tangents, against
+    # in_dim copies of each state with one tangent each
+    rng = np.random.default_rng(len(dims) + dims[0])
+    for seed in range(3):
+        p = init_policy(dims, seed=seed)
+        S = rng.uniform(-2.0, 2.0, (5, dims[0]))
+        for states in (S, S[0]):
+            J = jacobian(p, states)
+            assert J.shape == states.shape[:-1] + (dims[-1], dims[0])
+            assert np.array_equal(J, repeat_tile_jacobian(p, states))
+            assert np.array_equal(np.signbit(J), np.signbit(repeat_tile_jacobian(p, states)))
+
+
+def test_jacobian_without_tanh_layer_is_batched_and_writable():
+    # no tanh: the identity tangents never meet a state, yet every state
+    # gets its own writable Jacobian
+    rng = np.random.default_rng(0)
+    for p in (init_policy([1, 1], seed=3), linear_policy(rng.standard_normal((2, 3)))):
+        W = p.layers[0].weight
+        S = rng.uniform(-1.0, 1.0, (4, p.in_dim))
+        J = jacobian(p, S)
+        assert J.shape == (4,) + W.shape
+        assert J.flags.writeable
+        assert all(np.array_equal(Ji, W) for Ji in J)
+        J[0] += 1.0
+        assert np.array_equal(J[1], W) and np.array_equal(jacobian(p, S)[0], W)
+        single = jacobian(p, S[0])
+        assert single.shape == W.shape and single.flags.writeable
 
 
 def test_param_gradient_quadratic_identity_policy():

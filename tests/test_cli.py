@@ -276,6 +276,53 @@ def test_policy_dims_numpy_cannot_index_is_config_error(tmp_path, capsys, hidden
     assert "policy.dims" in capsys.readouterr().err
 
 
+def _set_outer_lr(cfg, x):
+    cfg["train"]["outer_lr"] = x
+
+
+def _set_c_entry(cfg, x):
+    cfg["environment"]["c"] = [0.5, x]
+
+
+def _set_A_entry(cfg, x):
+    cfg["environment"]["A"] = [[0.0, x], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "field, setter",
+    [("train.outer_lr", _set_outer_lr), ("environment.c", _set_c_entry), ("environment.A", _set_A_entry)],
+)
+@pytest.mark.parametrize("huge", [10**400, -(10**400)])
+def test_integer_beyond_float_range_is_config_error(tmp_path, capsys, field, setter, huge):
+    # one field per helper: a number, a list of numbers, a matrix
+    cfg = minimal_config()
+    setter(cfg, huge)
+    with pytest.raises(ConfigError, match=f"{field}: must be finite"):
+        parse_config_dict(cfg)
+    path = write_config(tmp_path, cfg)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"{field}: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", [[2, 10**30], [2, 65], [65]])
+def test_witness_dims_above_bound_is_config_error(tmp_path, capsys, dims):
+    cfg = json.loads(VERIFY_CONFIG.read_text())
+    cfg["verify"] = dict(cfg.get("verify", {}), witness_dims=dims)
+    with pytest.raises(ConfigError, match="verify.witness_dims: entries must be <= 64"):
+        parse_config_dict(cfg)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "verify.witness_dims" in capsys.readouterr().err
+    assert not (out / ".incomplete").exists()
+
+
+def test_witness_dims_at_bound_parses():
+    cfg = json.loads(VERIFY_CONFIG.read_text())
+    cfg["verify"] = dict(cfg.get("verify", {}), witness_dims=[2, 64])
+    assert parse_config_dict(cfg).verify["witness_dims"] == [2, 64]
+
+
 def test_legacy_power_iteration_keys_are_accepted_and_ignored():
     cfg = minimal_config()
     cfg["train"]["reg"] = {"gamma": 2.0}

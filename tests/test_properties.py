@@ -1,17 +1,25 @@
 """Property tests: row-wise projection and ascent directions on extreme
-finite inputs, and batched policy calls against single-state calls."""
+finite inputs, batched policy calls against single-state calls, and config
+parsing of shipped configs with one value replaced by arbitrary JSON."""
 
 from __future__ import annotations
 
+import copy
+import json
 import math
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from aajrlab.cli import parse_config_dict
+from aajrlab.errors import ConfigError
 from aajrlab.inner import PerturbationSet, ascent_direction, project
 from aajrlab.policy import forward, init_policy, jacobian
+
+from conftest import repeat_tile_jacobian
 
 FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 EPS = np.finfo(np.float64).eps
@@ -56,10 +64,54 @@ def test_ascent_direction_is_shorter_than_unit_and_nonzero(rows, eps0):
     seed=st.integers(0, 2**16),
     batch=st.integers(1, 9),
 )
+@example(dims=[1, 1], seed=0, batch=3)  # no tanh layer
 def test_batched_forward_and_jacobian_rows_equal_single_calls(dims, seed, batch):
     params = init_policy(dims, seed=seed)
     states = np.random.default_rng(seed).uniform(-3.0, 3.0, (batch, dims[0]))
     Z, J = forward(params, states), jacobian(params, states)
+    assert J.shape == (batch, dims[-1], dims[0]) and J.flags.writeable
+    assert np.array_equal(J, repeat_tile_jacobian(params, states))
     for i, s in enumerate(states):
         assert np.array_equal(Z[i], forward(params, s))
         assert np.array_equal(J[i], jacobian(params, s))
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = {path.name: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+
+# integers beyond the float range, or beyond what numpy can size an array by
+HUGE = st.sampled_from([10**400, -(10**400), 10**30, 2**63])
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | HUGE | st.floats() | st.text(max_size=8)
+JSON_VALUES = JSON_LEAVES | st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    """Every position below the root of a parsed JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(node, path, value):
+    node = copy.deepcopy(node)
+    parent = node
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return node
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(SHIPPED)), value=JSON_VALUES)
+def test_config_with_one_value_replaced_parses_or_raises_config_error(data, name, value):
+    raw = SHIPPED[name]
+    path = data.draw(st.sampled_from(list(_paths(raw))), label="path")
+    try:
+        parse_config_dict(_replaced(raw, path, value))
+    except ConfigError:
+        pass

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from aajrlab import tape
-from aajrlab.environments import Environment, loss_term
+from aajrlab import tape, trainer
+from aajrlab.environments import Environment, _draw, loss_term
 from aajrlab.errors import ConfigError
 from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_run
 from aajrlab.policy import (
@@ -28,6 +28,7 @@ from aajrlab.trainer import (
     evaluate_nominal_risk,
     evaluate_robust_risk,
     measure_achieved_levels,
+    _draws,
     price_of_robustness,
     train,
 )
@@ -393,3 +394,55 @@ def test_price_of_robustness_rejects_nonpositive_sample_counts():
     for counts in ({"achieved_samples": 0}, {"eval_samples": 0}, {"achieved_samples": -5}):
         with pytest.raises(ConfigError, match="n_samples"):
             price_of_robustness(env, make_cfg(), seeds=[0, 1, 2], policy_dims=[2, 4, 2], **counts)
+
+
+@pytest.mark.parametrize("peer_mode, A", [("independent", np.ones((3, 2))), ("mirror", np.eye(3))])
+def test_batched_draws_equal_per_sample_draws(peer_mode, A):
+    env = quad_env([0.3, -0.2, 0.5], A=A, state_dim=3, seed=4, peer_mode=peer_mode)
+    for n in (1, 7):
+        S, A = _draws(env, np.random.default_rng([4, 1, n]), n)
+        rng = np.random.default_rng([4, 1, n])
+        pairs = [_draw(env, rng) for _ in range(n)]
+        assert np.array_equal(S, np.array([s for s, _ in pairs]))
+        assert np.array_equal(A, np.array([a for _, a in pairs]))
+        assert S.flags.c_contiguous and A.flags.c_contiguous and not np.shares_memory(S, A)
+
+
+@pytest.mark.parametrize("mode", ["nominal", "robust_aajr", "robust_global"])
+def test_train_without_diagnostics_gives_same_parameters(mode):
+    env = mirror_env()
+    cfg = mirror_cfg(mode, batch=3, steps=4)
+    params0 = init_policy([4, 6, 4], seed=1)
+    with_diag, metrics = train(cfg, env, params0)
+    without, bare = train(cfg, env, params0, diagnostics=False)
+    assert len(metrics.records) == 4 and bare.records == []
+    assert bare.aborted_step is None is metrics.aborted_step
+    for a, b in zip(with_diag.layers, without.layers):
+        assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+
+
+def test_train_without_diagnostics_aborts_at_same_step():
+    env = quad_env([0.5, 0.5])
+    params0 = linear_policy(np.eye(2))
+    cfg = make_cfg(mode="nominal", lr=1e12, steps=40, batch=2, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        last, metrics = train(cfg, env, params0)
+        bare_last, bare = train(cfg, env, params0, diagnostics=False)
+    assert metrics.aborted_step is not None
+    assert bare.aborted_step == metrics.aborted_step and bare.records == []
+    assert np.array_equal(last.layers[0].weight, bare_last.layers[0].weight)
+
+
+def test_price_of_robustness_never_builds_step_records(monkeypatch):
+    # a small sweep whose budgets bind, so both penalized modes bisect
+    env = mirror_env()
+    cfg = mirror_cfg("nominal", batch=2, steps=6)
+    kwargs = dict(seeds=[0, 1, 2], policy_dims=[4, 6, 4], eval_samples=16, achieved_samples=3, bisect_iters=2, max_doublings=2)
+    expected = price_of_robustness(env, cfg, **kwargs).to_json()
+    assert any(entry[mode]["lambda"] > 0 for entry in expected["per_seed"] for mode in ("robust_global", "robust_aajr"))
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("step record built inside the sweep")
+
+    monkeypatch.setattr(trainer, "_step_record", no_records)
+    assert price_of_robustness(env, cfg, **kwargs).to_json() == expected
