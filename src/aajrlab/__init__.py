@@ -8,7 +8,7 @@ stability properties that separate the two.
 
 from .environments import Environment, loss, loss_grad, loss_hessian, loss_hessian_bound, sample
 from .errors import ConfigError, NumericError
-from .inner import InnerLoopConfig, PerturbationSet, Trajectory, ascent_direction, pga_batch, pga_run, project
+from .inner import Ascent, InnerLoopConfig, PerturbationSet, Trajectory, ascent_direction, pga_batch, pga_run, project
 from .policy import (
     PolicyParams,
     forward,
@@ -43,6 +43,7 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Ascent",
     "ConfigError",
     "Environment",
     "GapReport",

@@ -54,19 +54,17 @@ class RunConfig:
 # -- strict schema walking ---------------------------------------------------
 
 
-def _require_mapping(obj, path):
+def _object(obj, path: str, allowed, required=()) -> dict:
+    """A JSON object with no key outside ``allowed`` and every key in ``required``."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    return obj
-
-
-def _check_keys(obj: dict, path: str, allowed, required=()):
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{path}: unknown key '{key}'")
     for key in required:
         if key not in obj:
             raise ConfigError(f"{path}: missing required key '{key}'")
+    return obj
 
 
 def _finite(x, path) -> float:
@@ -81,11 +79,20 @@ def _finite(x, path) -> float:
     return val
 
 
-def _number(obj, path, *, positive=False, nonnegative=False, default=None):
-    key = path.split(".")[-1]
-    if key not in obj:
-        return default
-    val = obj[key]
+def _field(check):
+    """A schema reader from a check of one value: ``reader(obj, path, ...)``
+    checks the value under the last key of ``path``, or returns ``default``
+    when that key is absent."""
+
+    def read(obj, path, *args, default=None, **kwargs):
+        key = path.split(".")[-1]
+        return default if key not in obj else check(obj[key], path, *args, **kwargs)
+
+    return read
+
+
+@_field
+def _number(val, path, *, positive=False, nonnegative=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}: expected a number")
     val = _finite(val, path)
@@ -96,11 +103,8 @@ def _number(obj, path, *, positive=False, nonnegative=False, default=None):
     return val
 
 
-def _integer(obj, path, *, minimum=None, default=None):
-    key = path.split(".")[-1]
-    if key not in obj:
-        return default
-    val = obj[key]
+@_field
+def _integer(val, path, *, minimum=None):
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{path}: expected an integer")
     if minimum is not None and val < minimum:
@@ -108,11 +112,8 @@ def _integer(obj, path, *, minimum=None, default=None):
     return int(val)
 
 
-def _string(obj, path, choices=None, default=None):
-    key = path.split(".")[-1]
-    if key not in obj:
-        return default
-    val = obj[key]
+@_field
+def _string(val, path, choices=None):
     if not isinstance(val, str):
         raise ConfigError(f"{path}: expected a string")
     if choices is not None and val not in choices:
@@ -124,21 +125,15 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _float_list(obj, path, default=None):
-    key = path.split(".")[-1]
-    if key not in obj:
-        return default
-    val = obj[key]
+@_field
+def _float_list(val, path):
     if not isinstance(val, list) or not all(_is_number(x) for x in val):
         raise ConfigError(f"{path}: expected a list of numbers")
     return [_finite(x, path) for x in val]
 
 
-def _matrix(obj, path, default=None):
-    key = path.split(".")[-1]
-    if key not in obj:
-        return default
-    val = obj[key]
+@_field
+def _matrix(val, path):
     if not isinstance(val, list) or not all(isinstance(row, list) and all(_is_number(x) for x in row) for row in val):
         raise ConfigError(f"{path}: expected a list of lists of numbers")
     widths = {len(row) for row in val}
@@ -147,11 +142,8 @@ def _matrix(obj, path, default=None):
     return [[_finite(x, path) for x in row] for row in val]
 
 
-def _int_list(obj, path, default=None, minimum=None, maximum=None):
-    key = path.split(".")[-1]
-    if key not in obj:
-        return default
-    val = obj[key]
+@_field
+def _int_list(val, path, minimum=None, maximum=None):
     if not isinstance(val, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in val):
         raise ConfigError(f"{path}: expected a list of integers")
     if minimum is not None and any(x < minimum for x in val):
@@ -161,24 +153,16 @@ def _int_list(obj, path, default=None, minimum=None, maximum=None):
     return list(val)
 
 
-def _bool(obj, path, default=None):
-    key = path.split(".")[-1]
-    if key not in obj:
-        return default
-    val = obj[key]
+@_field
+def _bool(val, path):
     if not isinstance(val, bool):
         raise ConfigError(f"{path}: expected a boolean")
     return val
 
 
 def _parse_environment(raw) -> dict:
-    raw = _require_mapping(raw, "environment")
-    _check_keys(
-        raw,
-        "environment",
-        {"kind", "state_dim", "c", "A", "beta", "seed", "peer_mode", "projector"},
-        required=("kind", "state_dim", "c"),
-    )
+    keys = {"kind", "state_dim", "c", "A", "beta", "seed", "peer_mode", "projector"}
+    raw = _object(raw, "environment", keys, required=("kind", "state_dim", "c"))
     kind = _string(raw, "environment.kind", {"quadratic_congestion", "softplus_congestion"})
     state_dim = _integer(raw, "environment.state_dim", minimum=1)
     c = _float_list(raw, "environment.c")
@@ -210,8 +194,7 @@ def _parse_environment(raw) -> dict:
 
 
 def _parse_policy(raw, state_dim: int, action_dim: int) -> dict:
-    raw = _require_mapping(raw, "policy")
-    _check_keys(raw, "policy", {"dims", "activations", "init_seed"}, required=("dims",))
+    raw = _object(raw, "policy", {"dims", "activations", "init_seed"}, required=("dims",))
     dims = _int_list(raw, "policy.dims", minimum=1)
     if dims is None or len(dims) < 2:
         raise ConfigError("policy.dims: expected at least [input, output]")
@@ -243,23 +226,16 @@ def _parse_policy(raw, state_dim: int, action_dim: int) -> dict:
 
 
 def _parse_train(raw) -> dict:
-    raw = _require_mapping(raw, "train")
-    _check_keys(
-        raw,
-        "train",
-        {"mode", "outer_lr", "outer_steps", "batch_size", "seed", "inner", "set", "reg"},
-        required=("mode", "outer_lr", "set", "inner"),
-    )
+    keys = {"mode", "outer_lr", "outer_steps", "batch_size", "seed", "inner", "set", "reg"}
+    raw = _object(raw, "train", keys, required=("mode", "outer_lr", "set", "inner"))
     mode = _string(raw, "train.mode", {"nominal", "robust_aajr", "robust_global", "robust_plain"})
-    inner_raw = _require_mapping(raw["inner"], "train.inner")
-    _check_keys(inner_raw, "train.inner", {"eta", "steps", "eps0"}, required=("eta",))
+    inner_raw = _object(raw["inner"], "train.inner", {"eta", "steps", "eps0"}, required=("eta",))
     inner = {
         "eta": _number(inner_raw, "train.inner.eta", positive=True),
         "steps": _integer(inner_raw, "train.inner.steps", minimum=0, default=5),
         "eps0": _number(inner_raw, "train.inner.eps0", positive=True, default=1e-8),
     }
-    set_raw = _require_mapping(raw["set"], "train.set")
-    _check_keys(set_raw, "train.set", {"p", "epsilon"}, required=("p", "epsilon"))
+    set_raw = _object(raw["set"], "train.set", {"p", "epsilon"}, required=("p", "epsilon"))
     p = set_raw["p"]
     if p == "inf":
         p_val = math.inf
@@ -268,9 +244,9 @@ def _parse_train(raw) -> dict:
     else:
         raise ConfigError("train.set.p: must be 2 or \"inf\"")
     pset = {"p": "inf" if p_val == math.inf else 2, "epsilon": _number(set_raw, "train.set.epsilon", positive=True)}
-    reg_raw = _require_mapping(raw.get("reg", {}), "train.reg")
     # power_iters and power_tol are accepted from older configs and ignored: spectral norms are exact
-    _check_keys(reg_raw, "train.reg", {"lambda", "gamma", "gamma_adv", "power_iters", "power_tol", "aajr_hinge"})
+    keys = {"lambda", "gamma", "gamma_adv", "power_iters", "power_tol", "aajr_hinge"}
+    reg_raw = _object(raw.get("reg", {}), "train.reg", keys)
     gamma = _number(reg_raw, "train.reg.gamma", positive=True, default=1.0)
     reg = {
         "lambda": _number(reg_raw, "train.reg.lambda", nonnegative=True, default=0.0),
@@ -291,12 +267,7 @@ def _parse_train(raw) -> dict:
 
 
 def _parse_verify(raw) -> dict:
-    raw = _require_mapping(raw, "verify")
-    _check_keys(
-        raw,
-        "verify",
-        {"seeds", "grid", "n_samples", "eta_safety", "tol_curv_scale", "witness_dims"},
-    )
+    raw = _object(raw, "verify", {"seeds", "grid", "n_samples", "eta_safety", "tol_curv_scale", "witness_dims"})
     eta_safety = _number(raw, "verify.eta_safety", positive=True, default=0.9)
     if eta_safety > 1.0:
         raise ConfigError("verify.eta_safety: must be in (0, 1]")
@@ -311,33 +282,27 @@ def _parse_verify(raw) -> dict:
 
 
 def _parse_sweep(raw) -> dict:
-    raw = _require_mapping(raw, "sweep")
-    _check_keys(
-        raw,
-        "sweep",
-        {"seeds", "eval_samples", "eval_seed", "achieved_samples", "bisect_iters", "match_tol"},
-    )
+    keys = {"seeds", "eval_samples", "eval_seed", "achieved_samples", "bisect_iters", "match_tol"}
+    raw = _object(raw, "sweep", keys)
     seeds = _int_list(raw, "sweep.seeds", default=[0, 1, 2, 3, 4], minimum=0)
     if len(seeds) < 3:
         raise ConfigError("sweep.seeds: need at least 3 seeds")
+    match_tol = _number(raw, "sweep.match_tol", positive=True, default=0.05)
+    if match_tol >= 1.0:
+        raise ConfigError("sweep.match_tol: must be in (0, 1)")
     return {
         "seeds": seeds,
         "eval_samples": _integer(raw, "sweep.eval_samples", minimum=1, default=200),
         "eval_seed": _integer(raw, "sweep.eval_seed", minimum=0, default=10000),
         "achieved_samples": _integer(raw, "sweep.achieved_samples", minimum=1, default=20),
         "bisect_iters": _integer(raw, "sweep.bisect_iters", minimum=1, default=12),
-        "match_tol": _number(raw, "sweep.match_tol", positive=True, default=0.05),
+        "match_tol": match_tol,
     }
 
 
 def parse_config_dict(raw: dict) -> RunConfig:
-    raw = _require_mapping(raw, "config")
-    _check_keys(
-        raw,
-        "config",
-        {"environment", "policy", "train", "verify", "sweep", "output_dir"},
-        required=("environment", "policy"),
-    )
+    keys = {"environment", "policy", "train", "verify", "sweep", "output_dir"}
+    raw = _object(raw, "config", keys, required=("environment", "policy"))
     environment = _parse_environment(raw["environment"])
     policy = _parse_policy(raw["policy"], environment["state_dim"], len(environment["c"]))
     train_block = _parse_train(raw["train"]) if "train" in raw else None
@@ -367,19 +332,6 @@ def parse_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config_dict(raw)
-
-
-def serialize_config(cfg: RunConfig) -> dict:
-    out = {
-        "environment": dict(cfg.environment),
-        "policy": dict(cfg.policy),
-        "verify": dict(cfg.verify),
-        "sweep": dict(cfg.sweep),
-        "output_dir": cfg.output_dir,
-    }
-    if cfg.train is not None:
-        out["train"] = json.loads(json.dumps(cfg.train))
-    return out
 
 
 # -- builders ----------------------------------------------------------------

@@ -68,8 +68,8 @@ class Environment:
                 raise ConfigError("projector is only supported with quadratic_congestion")
             P = np.asarray(P, dtype=np.float64)
             m = c.shape[0]
-            if P.shape != (m, m):
-                raise ConfigError(f"projector must be ({m}, {m}), got {P.shape}")
+            if P.shape != (m, m) or not np.all(np.isfinite(P)):
+                raise ConfigError(f"projector must be a finite ({m}, {m}) matrix, got {P.shape}")
             if np.max(np.abs(P - P.T)) > 1e-9 or np.max(np.abs(P @ P - P)) > 1e-9:
                 raise ConfigError("projector must be symmetric and idempotent")
             if np.max(np.abs(P)) == 0.0:
@@ -103,12 +103,12 @@ def sample(env: Environment, seed: int):
 
 
 def _check_pair(env: Environment, z, a, rows: bool = True):
-    """An action and a peer context, or (B, m) and (B, q) stacks of them."""
+    """An action and a peer context, or (..., B, m) and (..., B, q) stacks of them."""
     z = np.asarray(z, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     m = env.action_dim
-    if z.ndim not in ((1, 2) if rows else (1,)) or z.shape[-1] != m:
-        raise ConfigError(f"action has shape {z.shape}, expected ({m},)" + (f" or (B, {m})" if rows else ""))
+    if z.ndim not in ((1, 2, 3) if rows else (1,)) or z.shape[-1] != m:
+        raise ConfigError(f"action has shape {z.shape}, expected ({m},)" + (f" or (..., B, {m})" if rows else ""))
     if a.shape != z.shape[:-1] + (env.peer_dim,):
         raise ConfigError(f"peer context has shape {a.shape}, expected {z.shape[:-1] + (env.peer_dim,)}")
     return z, a
@@ -125,11 +125,13 @@ def _residual(env: Environment, z, a):
 
 def loss_term(env: Environment, z, a):
     """Loss summed over every row of z, as a tape-generic expression; z may
-    be an ndarray or a Node."""
+    be an ndarray or a Node. (M, B, m) actions of a model stack give one sum
+    per model."""
     r = _residual(env, z, np.asarray(a, dtype=np.float64))
+    axis = (-2, -1) if len(r.shape) == 3 else None
     if env.kind == "quadratic_congestion":
-        return 0.5 * dot(r, r)
-    return vsum(softplus(env.beta * r))
+        return 0.5 * dot(r, r, axis)
+    return vsum(softplus(env.beta * r), axis)
 
 
 def loss(env: Environment, z, a):

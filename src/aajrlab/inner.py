@@ -1,22 +1,25 @@
 """Projected gradient ascent over a norm-ball perturbation set.
 
 The ascent runs on a whole minibatch at once, with states stacked as
-(B, d) rows: each step takes the policy outputs and dense Jacobians of all
-iterates in one pass, then projects and normalizes row by row. A single
-run is the same computation on one row.
+(B, d) rows, or as (M, B, d) rows for a stack of M models: each step takes
+the policy outputs and dense Jacobians of all iterates in one pass, then
+projects and normalizes row by row. A single run is the same computation
+on one row.
 
 The run records everything later checks need: iterates, normalized ascent
 directions, unit update directions, objective values, exact inner
 gradients, and the directional amplification ||J(s + delta_t) u_t||_2 at
-every step. Trajectories are immutable after construction (arrays are
-marked read-only) and safe to share across threads.
+every step. A batch keeps them as one ``Ascent`` of stacked arrays; a
+single run returns its row as a ``Trajectory`` of per-step entries. Both
+are immutable after construction (arrays are marked read-only) and safe
+to share across threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,6 +82,23 @@ class InnerLoopConfig:
         object.__setattr__(self, "eta", float(self.eta))
         object.__setattr__(self, "steps", int(self.steps))
         object.__setattr__(self, "eps0", float(self.eps0))
+
+
+@dataclass(frozen=True, eq=False)
+class Ascent:
+    """The ascents of a batch as read-only stacked arrays; the leading axes
+    are those of the states (B, or M and B), and indexing takes along them."""
+
+    deltas: Array  # (..., K + 1, d) iterates, deltas[..., 0, :] == 0
+    ascent: Array  # (..., K, d) normalized ascent directions
+    update: Array  # (..., K, d) unit steps; zero where the iterate did not move
+    moved: Array  # (..., K) whether the iterate moved
+    values: Array  # (..., K + 1) objective values
+    grads: Array  # (..., K + 1, d) exact inner gradients
+    amps: Array  # (..., K) directional amplifications ||J u_t||
+
+    def __getitem__(self, index) -> Ascent:
+        return Ascent(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,54 +167,47 @@ def _check_rows(ok: Array, what: str, step: int) -> None:
 
 def pga_batch(
     params: PolicyParams, states, contexts, env: Environment, pset: PerturbationSet, cfg: InnerLoopConfig
-) -> list[Trajectory]:
-    """``pga_run`` on every row of (B, d) states and (B, q) peer contexts.
+) -> Ascent:
+    """``pga_run`` on every row of (B, d) states and (B, q) peer contexts,
+    or of (M, B, d) and (M, B, q) ones for a stack of M models.
 
-    Each step evaluates the policy, its vjp and its jvp once for all B
-    iterates; a row's trajectory never depends on the rows batched with it.
-    Raises NumericError naming the step and the sample if an iterate, the
-    objective or its gradient turns non-finite.
+    Each step evaluates the policy, its vjp and its jvp once for all
+    iterates; a row's ascent never depends on the rows batched with it.
+    Raises NumericError naming the step and the (flat) sample if an iterate,
+    the objective or its gradient turns non-finite.
     """
     S = np.asarray(states, dtype=np.float64)
     A = np.asarray(contexts, dtype=np.float64)
-    if pset.dim != params.in_dim or S.ndim != 2 or S.shape[1] != params.in_dim:
+    if pset.dim != params.in_dim or S.ndim != 2 + (params.models > 0) or S.shape[-1] != params.in_dim:
         raise ConfigError(f"states {S.shape}, policy input {params.in_dim} and perturbation dim {pset.dim} disagree")
-    (B, d), K = S.shape, cfg.steps
-    deltas, grads, values = np.zeros((B, K + 1, d)), np.empty((B, K + 1, d)), np.empty((B, K + 1))
-    ascent, update, amps, moved = np.empty((B, K, d)), np.empty((B, K, d)), np.empty((B, K)), np.empty((B, K), bool)
+    rows, d, K = S.shape[:-1], S.shape[-1], cfg.steps
+    deltas, grads, values = np.zeros(rows + (K + 1, d)), np.empty(rows + (K + 1, d)), np.empty(rows + (K + 1,))
+    ascent, update = np.empty(rows + (K, d)), np.empty(rows + (K, d))
+    amps, moved = np.empty(rows + (K,)), np.empty(rows + (K,), bool)
     for t in range(K + 1):
-        delta = deltas[:, t]
+        delta = deltas[..., t, :]
         X = S + delta
-        _check_rows(np.isfinite(X).all(axis=1), "non-finite iterate", t)
+        _check_rows(np.isfinite(X).all(axis=-1), "non-finite iterate", t)
         Z = forward(params, X)
-        values[:, t] = loss(env, Z, A)
-        _check_rows(np.isfinite(values[:, t]), "non-finite inner objective", t)
+        values[..., t] = loss(env, Z, A)
+        _check_rows(np.isfinite(values[..., t]), "non-finite inner objective", t)
         grad = vjp(params, X, loss_grad(env, Z, A))  # J(X)^T grad L, one Jacobian per row
-        _check_rows(np.isfinite(grad).all(axis=1), "non-finite inner gradient", t)
-        grads[:, t] = grad
+        _check_rows(np.isfinite(grad).all(axis=-1), "non-finite inner gradient", t)
+        grads[..., t, :] = grad
         if t == K:
             break
         u = ascent_direction(grad, cfg.eps0)
-        ascent[:, t] = u
-        amps[:, t] = _row_norms(jvp(params, X, u))
-        deltas[:, t + 1] = project(delta + cfg.eta * grad, pset)
-        step = deltas[:, t + 1] - delta
-        moved[:, t] = np.any(step != 0.0, axis=1)
+        ascent[..., t, :] = u
+        amps[..., t] = _row_norms(jvp(params, X, u))
+        deltas[..., t + 1, :] = project(delta + cfg.eta * grad, pset)
+        step = deltas[..., t + 1, :] - delta
+        moved[..., t] = np.any(step != 0.0, axis=-1)
         norms = _row_norms(step, keepdims=True)
-        update[:, t] = step / np.where(moved[:, t, None], norms, 1.0)
-    for arr in (deltas, grads, ascent, update):
-        arr.setflags(write=False)
-    return [
-        Trajectory(
-            deltas=tuple(deltas[i]),
-            ascent_dirs=tuple(ascent[i]),
-            update_dirs=tuple(v if m else None for v, m in zip(update[i], moved[i])),
-            inner_values=tuple(values[i].tolist()),
-            inner_grads=tuple(grads[i]),
-            dir_amps=tuple(amps[i].tolist()),
-        )
-        for i in range(B)
-    ]
+        update[..., t, :] = step / np.where(moved[..., t, None], norms, 1.0)
+    record = Ascent(deltas, ascent, update, moved, values, grads, amps)
+    for f in fields(record):
+        getattr(record, f.name).setflags(write=False)
+    return record
 
 
 def pga_run(
@@ -209,9 +222,17 @@ def pga_run(
 
     delta_0 = 0 and delta_{t+1} = project(delta_t + eta * grad g(delta_t)).
     Deterministic; raises NumericError naming the step if the objective or
-    its gradient turns non-finite.
+    its gradient turns non-finite. The trajectory is ``pga_batch``'s one row.
     """
-    return pga_batch(params, np.asarray(s)[None], np.asarray(context)[None], env, pset, cfg)[0]
+    row = pga_batch(params, np.asarray(s)[None], np.asarray(context)[None], env, pset, cfg)[0]
+    return Trajectory(
+        deltas=tuple(row.deltas),
+        ascent_dirs=tuple(row.ascent),
+        update_dirs=tuple(v if m else None for v, m in zip(row.update, row.moved)),
+        inner_values=tuple(row.values.tolist()),
+        inner_grads=tuple(row.grads),
+        dir_amps=tuple(row.amps.tolist()),
+    )
 
 
 def trajectory_records(traj: Trajectory) -> list[dict]:

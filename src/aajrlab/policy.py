@@ -9,6 +9,11 @@ most a handful of entries), so ``jacobian`` takes it in one forward pass
 per state that carries all ``in_dim`` identity tangents, and ``vjp`` is its
 transpose applied to the cotangent. Public functions validate a state or a
 stack once per call; internal paths call the recursion directly.
+
+A model stack keeps M policies of one shape as one: weights (M, out, in),
+biases (M, out) and states (M, B, d). Every model's rows go through the
+same calls as a single model's, so a model never depends on the models
+stacked with it.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ ACTIVATIONS = ("tanh", "identity")
 
 @dataclass(frozen=True, eq=False)
 class Layer:
-    weight: Array  # (out, in)
-    bias: Array  # (out,)
+    weight: Array  # (out, in), or (M, out, in) in a model stack
+    bias: Array  # (out,), or (M, out)
     activation: str
 
 
@@ -55,40 +60,69 @@ class PolicyParams:
         for k, layer in enumerate(self.layers):
             W = np.asarray(layer.weight, dtype=np.float64)
             b = np.asarray(layer.bias, dtype=np.float64)
-            if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
+            other_stack = W.shape[:-2] != (fixed[0].weight.shape[:-2] if fixed else W.shape[:-2])
+            if W.ndim not in (2, 3) or W.shape[:-1] != b.shape or other_stack:
                 raise ConfigError(f"layer {k}: weight {W.shape} and bias {b.shape} do not agree")
             if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
                 raise ConfigError(f"layer {k}: non-finite parameter entries")
             if layer.activation not in ACTIVATIONS:
                 raise ConfigError(f"layer {k}: unknown activation '{layer.activation}'")
-            if k > 0 and W.shape[1] != fixed[-1].weight.shape[0]:
+            if k > 0 and W.shape[-1] != fixed[-1].weight.shape[-2]:
                 raise ConfigError(
-                    f"layer {k}: input size {W.shape[1]} does not chain with "
-                    f"previous output size {fixed[-1].weight.shape[0]}"
+                    f"layer {k}: input size {W.shape[-1]} does not chain with "
+                    f"previous output size {fixed[-1].weight.shape[-2]}"
                 )
             fixed.append(Layer(W, b, layer.activation))
         if fixed[-1].activation != "identity":
             raise ConfigError("final layer activation must be identity")
         object.__setattr__(self, "layers", tuple(fixed))
-        object.__setattr__(
-            self,
-            "handle",
-            PolicyHandle(tuple((layer.weight, layer.bias) for layer in fixed), tuple(self.activations())),
-        )
+        # a stack's (M, out) biases enter the handle as (M, 1, out), to broadcast over its rows
+        handle = tuple((layer.weight, layer.bias[:, None] if self.models else layer.bias) for layer in fixed)
+        object.__setattr__(self, "handle", PolicyHandle(handle, tuple(self.activations())))
+
+    @property
+    def models(self) -> int:
+        """M for a stack of M models; 0 for a single model."""
+        W = self.layers[0].weight
+        return W.shape[0] if W.ndim == 3 else 0
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        return self.layers[0].weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
+        return self.layers[-1].weight.shape[-2]
 
     def dims(self) -> list[int]:
-        return [self.in_dim] + [layer.weight.shape[0] for layer in self.layers]
+        return [self.in_dim] + [layer.weight.shape[-2] for layer in self.layers]
 
     def activations(self) -> list[str]:
         return [layer.activation for layer in self.layers]
+
+
+def stack_policies(members) -> PolicyParams:
+    """One model stack from policies of one shape, in order; a stack of one
+    is that policy itself, which runs without the model axis."""
+    if len(members) == 1:
+        return members[0]
+    layers = [m.layers for m in members]
+    return PolicyParams(
+        tuple(
+            Layer(np.stack([ls[k].weight for ls in layers]), np.stack([ls[k].bias for ls in layers]), layer.activation)
+            for k, layer in enumerate(layers[0])
+        )
+    )
+
+
+def unstack_policies(params: PolicyParams) -> list[PolicyParams]:
+    """The models of a stack, in order; a single policy is a stack of one."""
+    if not params.models:
+        return [params]
+    return [
+        PolicyParams(tuple(Layer(layer.weight[i], layer.bias[i], layer.activation) for layer in params.layers))
+        for i in range(params.models)
+    ]
 
 
 def init_policy(dims: Sequence[int], activations: Sequence[str] | None = None, seed: int = 0) -> PolicyParams:
@@ -176,12 +210,17 @@ def _jacobian(params: PolicyParams, S: Array) -> Array:
     return np.swapaxes(t, -1, -2)
 
 
-def _check_states(x, dim: int, what: str, rows: tuple | None = None) -> Array:
-    """A (dim,) vector or a (B, dim) stack of rows, all finite; ``rows``, if
-    given, fixes the leading shape."""
+def _check_states(x, dim: int, what: str, rows: tuple | None = None, models: int = 0) -> Array:
+    """A (dim,) vector or a (B, dim) stack of rows, all finite, or (M, B, dim)
+    rows for a stack of M models; ``rows``, if given, fixes the leading shape."""
     x = np.asarray(x, dtype=np.float64)
-    expected = f"({dim},) or (B, {dim})" if rows is None else str(rows + (dim,))
-    if x.ndim not in (1, 2) or x.shape[-1] != dim or (rows is not None and x.shape[:-1] != rows):
+    if rows is not None:
+        ok, expected = x.shape[:-1] == rows, str(rows + (dim,))
+    elif models:
+        ok, expected = x.ndim == 3 and x.shape[0] == models, f"({models}, B, {dim})"
+    else:
+        ok, expected = x.ndim in (1, 2), f"({dim},) or (B, {dim})"
+    if not ok or x.ndim == 0 or x.shape[-1] != dim:
         raise ConfigError(f"{what} has shape {x.shape}, expected {expected}")
     if not np.isfinite(x).all():
         raise NumericError(f"{what} contains non-finite entries")
@@ -190,25 +229,25 @@ def _check_states(x, dim: int, what: str, rows: tuple | None = None) -> Array:
 
 def forward(params: PolicyParams, s) -> Array:
     """Evaluate the policy at a state, or at every row of a (B, in_dim) stack."""
-    return params.handle.forward(_check_states(s, params.in_dim, "state"))
+    return params.handle.forward(_check_states(s, params.in_dim, "state", models=params.models))
 
 
 def jvp(params: PolicyParams, s, v) -> Array:
     """Directional derivative of the policy output along v (forward mode);
     row by row when s and v are stacked."""
-    s = _check_states(s, params.in_dim, "state")
+    s = _check_states(s, params.in_dim, "state", models=params.models)
     return params.handle.jvp(s, _check_states(v, params.in_dim, "tangent", s.shape[:-1]))
 
 
 def jacobian(params: PolicyParams, s) -> Array:
     """Dense (out_dim, in_dim) Jacobian of the action with respect to the
     state; (B, out_dim, in_dim) for a (B, in_dim) stack of states."""
-    return _jacobian(params, _check_states(s, params.in_dim, "state"))
+    return _jacobian(params, _check_states(s, params.in_dim, "state", models=params.models))
 
 
 def vjp(params: PolicyParams, s, w) -> Array:
     """Pull a cotangent on the action back to the state: J(s).T @ w."""
-    s = _check_states(s, params.in_dim, "state")
+    s = _check_states(s, params.in_dim, "state", models=params.models)
     w = _check_states(w, params.out_dim, "cotangent", s.shape[:-1])
     return matvec(np.swapaxes(_jacobian(params, s), -1, -2), w)
 
@@ -216,26 +255,23 @@ def vjp(params: PolicyParams, s, w) -> Array:
 Objective = Callable[[PolicyHandle], object]
 
 
-def eval_objective(params: PolicyParams, objective: Objective) -> float:
-    """Evaluate an objective on plain ndarrays (no tape)."""
-    return float(objective(params.handle))
-
-
 def param_gradient(params: PolicyParams, objective: Objective):
     """Gradient of a scalar objective with respect to all weights and biases.
 
     The objective receives a ``PolicyHandle`` whose ``forward``/``jvp`` build
-    the tape; it must combine their outputs into a scalar. Returns the
-    objective value and one (dweight, dbias) pair per layer. An objective
-    that never touches the handle has an exactly zero gradient.
+    the tape; it must combine their outputs into a scalar, or for a stack
+    of M models into one value per model. Their sum is differentiated, which
+    gives each model exactly its own gradient. Returns the objective value
+    (summed over the models) and one (dweight, dbias) pair per layer. An
+    objective that never touches the handle has an exactly zero gradient.
     """
-    leaves = tuple(
-        (Node(layer.weight, op="weight"), Node(layer.bias, op="bias")) for layer in params.layers
-    )
+    leaves = tuple((Node(W, op="weight"), Node(b, op="bias")) for W, b in params.handle.layers)
     handle = PolicyHandle(leaves, tuple(params.activations()))
     out = objective(handle)
+    if params.models and isinstance(out, Node) and out.value.shape == (params.models,):
+        out = out.vsum()
     if not isinstance(out, Node):
-        value = float(out)
+        value = float(np.sum(out))
         if not np.isfinite(value):
             raise NumericError("objective value is non-finite")
         zeros = [
@@ -248,7 +284,7 @@ def param_gradient(params: PolicyParams, objective: Objective):
     grads = []
     for (wn, bn), layer in zip(leaves, params.layers):
         dW = wn.grad if wn.grad is not None else np.zeros_like(layer.weight)
-        db = bn.grad if bn.grad is not None else np.zeros_like(layer.bias)
+        db = bn.grad.reshape(layer.bias.shape) if bn.grad is not None else np.zeros_like(layer.bias)
         grads.append((np.asarray(dW, dtype=np.float64), np.asarray(db, dtype=np.float64)))
     return float(out.value), grads
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .inner import Trajectory
+from .inner import Ascent, Trajectory
 from .policy import PolicyHandle, PolicyParams, jacobian, numpy_handle
 from .tape import dot, relu, sqrt
 
@@ -41,33 +41,31 @@ class RegularizerConfig:
 
 
 def _hinge_sq(w, budget: float):
-    """Mean over the rows of w of max(0, ||row||_2 - budget)^2, tape-generic."""
+    """Mean over the rows of w of max(0, ||row||_2 - budget)^2, tape-generic;
+    one mean per model for (M, N, m) rows of a model stack."""
     excess = relu(sqrt((w * w) @ np.ones(w.shape[-1])) - budget)
-    return dot(excess, excess) * (1.0 / w.shape[0])
+    return dot(excess, excess, -1 if len(w.shape) == 3 else None) * (1.0 / w.shape[-2])
 
 
-def aajr_batch_term(handle: PolicyHandle, states, trajs, cfg: RegularizerConfig | None = None):
-    """Mean penalty over every ascent step of a batch, as a tape-generic
-    expression: one policy pass over the stacked rows (s + delta_t, u_t).
-    Every trajectory must have the same number of steps; 0.0 when it is 0.
-    """
-    trajs = list(trajs)
-    steps = {traj.steps for traj in trajs}
-    if len(steps) != 1:
-        raise ConfigError(f"penalty needs trajectories with one common step count, got {sorted(steps)}")
-    if steps == {0}:
-        return 0.0
-    X = np.concatenate([np.asarray(s, dtype=np.float64) + traj.deltas[:-1] for s, traj in zip(states, trajs)])
-    amp = handle.jvp(X, np.concatenate([traj.ascent_dirs for traj in trajs]))
+def _aajr_mean(handle: PolicyHandle, X, U, cfg: RegularizerConfig | None):
+    """Mean penalty over rows (s + delta_t, u_t), from one policy pass; one
+    mean per model for (M, N, d) rows of a model stack."""
+    amp = handle.jvp(X, U)
     if cfg is not None and cfg.aajr_hinge:
         return _hinge_sq(amp, cfg.gamma_adv)
-    return dot(amp, amp) * (1.0 / len(X))
+    return dot(amp, amp, (-2, -1) if len(amp.shape) == 3 else None) * (1.0 / amp.shape[-2])
 
 
-def aajr_term(handle: PolicyHandle, s, traj: Trajectory, cfg: RegularizerConfig | None = None):
-    """Penalty of one trajectory as a tape-generic expression; 0.0 when the
-    trajectory is empty."""
-    return aajr_batch_term(handle, [s], [traj], cfg)
+def aajr_batch_term(handle: PolicyHandle, states, record: Ascent, cfg: RegularizerConfig | None = None):
+    """Mean penalty over every ascent step of a batch, as a tape-generic
+    expression, for the (B, d) or (M, B, d) states the ascents in ``record``
+    started from; 0.0 when the ascents have no steps."""
+    S = np.asarray(states, dtype=np.float64)
+    if record.ascent.shape[-2] == 0:
+        return 0.0
+    rows = S.shape[:-2] + (-1, S.shape[-1])  # every step of every sample, per model
+    X = S[..., None, :] + record.deltas[..., :-1, :]
+    return _aajr_mean(handle, X.reshape(rows), record.ascent.reshape(rows), cfg)
 
 
 def aajr_penalty(params: PolicyParams, s, traj: Trajectory, cfg: RegularizerConfig | None = None) -> float:
@@ -75,7 +73,8 @@ def aajr_penalty(params: PolicyParams, s, traj: Trajectory, cfg: RegularizerConf
     if traj.steps == 0:
         warnings.warn("trajectory has no ascent steps; directional penalty is 0", stacklevel=2)
         return 0.0
-    return float(aajr_term(numpy_handle(params), np.asarray(s, dtype=np.float64), traj, cfg))
+    X = np.asarray(s, dtype=np.float64) + np.array(traj.deltas[:-1])
+    return float(_aajr_mean(numpy_handle(params), X, np.array(traj.ascent_dirs), cfg))
 
 
 def top_singular(params: PolicyParams, states):

@@ -4,8 +4,9 @@ A ``Node`` wraps a value together with links to its parents; each link
 carries the local vector-Jacobian product. ``backward`` walks the graph
 once in reverse topological order and accumulates adjoints into ``.grad``.
 
-Matrix products take 1-D and 2-D operands, so a whole minibatch of states
-stacked as rows flows through one node per operation.
+Matrix products take 1-D to 3-D operands, so a whole minibatch of states
+stacked as rows flows through one node per operation, and so does a stack
+of models: a 3-D operand is one matrix per model, with its own adjoint.
 
 The module-level helpers (``tanh``, ``softplus``, ``dot``, ``matvec``, ...)
 accept both ``Node`` and plain ndarray arguments, so the same objective
@@ -107,7 +108,8 @@ class Node:
 
     @property
     def T(self):
-        return Node(self.value.T, [(self, lambda g: g.T)], "transpose")
+        """Transpose of the last two axes (of every model's matrix)."""
+        return Node(_mT(self.value), [(self, _mT)], "transpose")
 
     # -- elementwise functions --------------------------------------------
 
@@ -133,9 +135,9 @@ class Node:
 
         return Node(y, [(self, back)], "sqrt")
 
-    def vsum(self):
-        shape = self.value.shape
-        return Node(self.value.sum(), [(self, lambda g: g * np.ones(shape))], "sum")
+    def vsum(self, axis=None):
+        shape, kept = self.value.shape, () if axis is None else axis
+        return Node(self.value.sum(axis=axis), [(self, lambda g: np.expand_dims(g, kept) * np.ones(shape))], "sum")
 
     def __repr__(self):
         return f"Node(op={self.op!r}, value={self.value!r})"
@@ -149,19 +151,27 @@ def _split(x):
 
 
 def _matmul(x, y):
-    """x @ y for 1-D or 2-D operands, either of which may be a constant; for
-    the adjoints a 1-D left operand is one row and a 1-D right one a column."""
+    """x @ y for 1-D to 3-D operands, either of which may be a constant; for
+    the adjoints a 1-D left operand is one row, a 1-D right one a column and
+    a 3-D operand a stack of matrices, one per model."""
     xv, xn = _split(x)
     yv, yn = _split(y)
-    if xv.ndim not in (1, 2) or yv.ndim not in (1, 2):
-        raise TypeError("matmul supports 1-D and 2-D operands only")
-    x2, y2 = xv.reshape(-1, xv.shape[-1]), yv.reshape(yv.shape[0], -1)
+    if not (0 < xv.ndim < 4 and 0 < yv.ndim < 4):
+        raise TypeError("matmul supports 1-D to 3-D operands only")
+    x2 = xv[None] if xv.ndim == 1 else xv
+    y2 = yv[:, None] if yv.ndim == 1 else yv
+    out = xv @ yv
+    shape = out.shape[: out.ndim - (xv.ndim > 1) - (yv.ndim > 1)] + (x2.shape[-2], y2.shape[-1])  # of x2 @ y2
     links = []
     if xn is not None:
-        links.append((xn, lambda g: (np.reshape(g, (len(x2), -1)) @ y2.T).reshape(xv.shape)))
+        links.append((xn, lambda g: _unbroadcast(np.reshape(g, shape) @ _mT(y2), x2.shape).reshape(xv.shape)))
     if yn is not None:
-        links.append((yn, lambda g: (x2.T @ np.reshape(g, (len(x2), -1))).reshape(yv.shape)))
-    return Node(xv @ yv, links, "matmul")
+        links.append((yn, lambda g: _unbroadcast(_mT(x2) @ np.reshape(g, shape), y2.shape).reshape(yv.shape)))
+    return Node(out, links, "matmul")
+
+
+def _mT(x: Array) -> Array:
+    return np.swapaxes(x, -1, -2)
 
 
 def _sigmoid(x: Array) -> Array:
@@ -221,21 +231,25 @@ def sqrt(x):
     return x.sqrt() if isinstance(x, Node) else np.sqrt(x)
 
 
-def vsum(x):
-    return x.vsum() if isinstance(x, Node) else np.sum(x)
+def vsum(x, axis=None):
+    return x.vsum(axis) if isinstance(x, Node) else np.sum(x, axis=axis)
 
 
-def dot(a, b):
-    return vsum(a * b)
+def dot(a, b, axis=None):
+    return vsum(a * b, axis)
 
 
 def matvec(W, x):
     """W @ x for a 1-D x or for every row of a stacked x. On plain arrays
-    each row is its own matrix-vector product (W may be stacked too), so a
-    row never depends on the rows batched with it."""
+    each row is its own matrix-vector product, so a row never depends on the
+    rows batched with it; the leading axes of a stacked W index the leading
+    axes of x (one matrix per row, or per model of (M, ..., in) rows)."""
     if isinstance(W, Node) or isinstance(x, Node):
         return x @ W.T
-    return np.matmul(W, np.asarray(x, dtype=np.float64)[..., None])[..., 0]
+    x = np.asarray(x, dtype=np.float64)
+    if W.ndim > 2:
+        W = W.reshape(W.shape[:-2] + (1,) * (x.ndim + 1 - W.ndim) + W.shape[-2:])
+    return np.matmul(W, x[..., None])[..., 0]
 
 
 def sigmoid(x):

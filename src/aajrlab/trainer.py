@@ -6,20 +6,23 @@ inner maximizer on all rows at once for robust modes, builds the chosen
 objective over the tape with one policy pass per term, and applies one
 plain gradient-descent update. The worst-case perturbation and the
 ascent directions are treated as constants during the outer update, which
-is what makes the surrogate a stable first-order method.
+is what makes the surrogate a stable first-order method. The loop runs a
+stack of M models that differ only in seed, penalty weight and initial
+parameters in lockstep, as (M, B, d) rows; ``train`` is its one-model case.
 
 The sweep trains nominal, globally-penalized, and directionally-penalized
 models at matched budgets: the penalty weight for each penalized mode is
 tuned by bisection until the achieved constraint level (max sampled
 spectral norm for the global mode, max directional amplification for the
-directional mode) lands within a tolerance of the shared budget gamma. The
-reported gaps are trained-optimum estimates, not exact infima.
+directional mode) lands within a tolerance of the shared budget gamma.
+All seeds of a mode are trained together, one stack per bisection round.
+The reported gaps are trained-optimum estimates, not exact infima.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +36,8 @@ from .policy import (
     init_policy,
     numpy_handle,
     param_gradient,
+    stack_policies,
+    unstack_policies,
 )
 from .regularizers import (
     RegularizerConfig,
@@ -112,19 +117,84 @@ def _draws(env: Environment, rng: np.random.Generator, n: int):
     return rows[:, :d].copy(), rows[:, d:].copy()
 
 
-def _objective_builder(env, S, A, trajs, cfg: TrainConfig, params: PolicyParams, v_hat):
-    reg = cfg.reg
-    X = S if trajs is None else S + np.array([t.delta_star for t in trajs])
+def _objective_builder(env, S, A, record, cfg: TrainConfig, lam, params: PolicyParams, v_hat):
+    """The stack's objective, one value per model; ``lam`` holds each
+    model's penalty weight (one model's objective and weight are scalars)."""
+    X = S if record is None else S + record.deltas[..., -1, :]
 
     def build(handle):
-        obj = loss_term(env, handle.forward(X), A) * (1.0 / len(S))
-        if cfg.mode == "robust_aajr" and reg.lam != 0.0:
-            obj = obj + reg.lam * aajr_batch_term(handle, S, trajs, reg)
-        elif cfg.mode == "robust_global" and reg.lam != 0.0:
-            obj = obj + reg.lam * global_term(handle, params, S, reg, v_hat=v_hat)
+        obj = loss_term(env, handle.forward(X), A) * (1.0 / S.shape[-2])
+        if cfg.mode == "robust_aajr" and np.any(lam):
+            obj = obj + lam * aajr_batch_term(handle, S, record, cfg.reg)
+        elif cfg.mode == "robust_global" and np.any(lam):
+            obj = obj + lam * global_term(handle, params, S, cfg.reg, v_hat=v_hat)
         return obj
 
     return build
+
+
+def _outer_step(cfgs, env: Environment, params: PolicyParams, step: int, diagnostics: bool):
+    """One outer step of every model of a stack; returns the updated stack
+    and, with diagnostics, one record per model."""
+    cfg, stacked = cfgs[0], params.models > 0
+    draws = [_draws(env, np.random.default_rng([env.seed, c.seed, step]), cfg.batch_size) for c in cfgs]
+    S, A = (np.stack(rows) if stacked else rows[0] for rows in zip(*draws))
+    record = pga_batch(params, S, A, env, cfg.pset, cfg.inner) if cfg.mode != "nominal" else None
+    lam = np.array([c.reg.lam for c in cfgs]) if stacked else cfg.reg.lam
+    sigmas, v_hat = top_singular(params, S)
+    value, grads = param_gradient(params, _objective_builder(env, S, A, record, cfg, lam, params, v_hat))
+    if not np.isfinite(value):
+        raise NumericError(f"non-finite objective at outer step {step}")
+    records = [None] * len(cfgs)
+    if diagnostics:
+        models = [(S, A, record, sigmas, grads)]
+        if stacked:
+            models = [(S[i], A[i], record and record[i], sigmas[i], [(w[i], b[i]) for w, b in grads])
+                      for i in range(len(cfgs))]
+        records = [_step_record(step, env, p, *model, c) for p, model, c in zip(unstack_policies(params), models, cfgs)]
+    return apply_gradient_step(params, grads, cfg.outer_lr), records
+
+
+def _train_stack(cfgs, env: Environment, params0s, diagnostics: bool = True):
+    """Train M models in lockstep as one stack; returns (params, metrics) per
+    model, each bit for bit what training it alone gives.
+
+    The models share the environment and every hyperparameter but their
+    seed, their penalty weight (zero for all or for none) and ``params0``.
+    A step that raises NumericError is re-run model by model: a model that
+    fails it aborts with its last finite parameters and leaves the stack,
+    and the others go on.
+    """
+    if len({replace(c, seed=0, reg=replace(c.reg, lam=float(c.reg.lam != 0.0))) for c in cfgs}) > 1:
+        raise ConfigError("stacked models must share every setting but seed and lambda, and lambda = 0")
+    params = stack_policies(params0s)
+    if params.in_dim != env.state_dim or params.out_dim != env.action_dim:
+        raise ConfigError(
+            f"policy ({params.in_dim} -> {params.out_dim}) does not match environment "
+            f"({env.state_dim} -> {env.action_dim})"
+        )
+    final, metrics, live = list(params0s), [RunMetrics() for _ in cfgs], list(range(len(cfgs)))
+    for step in range(cfgs[0].outer_steps):
+        try:
+            params, records = _outer_step([cfgs[i] for i in live], env, params, step, diagnostics)
+        except NumericError:
+            alone = {}
+            for i, member in zip(live, unstack_policies(params)):
+                try:
+                    alone[i] = _outer_step([cfgs[i]], env, member, step, diagnostics)
+                except NumericError:
+                    final[i], metrics[i].aborted_step = member, step
+            live = list(alone)
+            if not live:
+                break
+            params = stack_policies([p for p, _ in alone.values()])
+            records = [r for _, (r,) in alone.values()]
+        for i, record in zip(live, records):
+            if record is not None:
+                metrics[i].records.append(record)
+    for i, member in zip(live, unstack_policies(params)):
+        final[i] = member
+    return list(zip(final, metrics))
 
 
 def train(cfg: TrainConfig, env: Environment, params0: PolicyParams, *, diagnostics: bool = True):
@@ -135,52 +205,25 @@ def train(cfg: TrainConfig, env: Environment, params0: PolicyParams, *, diagnost
     recorded in the metrics instead of raised; the returned parameters are
     the last finite ones. With ``diagnostics=False`` no per-step record is
     built and ``metrics.records`` stays empty; the diagnostics never feed
-    the update, so the parameters and the aborted step are the same.
+    the update, so the parameters and the aborted step are the same. This
+    is the one-model case of the stacked loop that trains a sweep's seeds.
     """
-    if params0.in_dim != env.state_dim or params0.out_dim != env.action_dim:
-        raise ConfigError(
-            f"policy ({params0.in_dim} -> {params0.out_dim}) does not match environment "
-            f"({env.state_dim} -> {env.action_dim})"
-        )
-    params = params0
-    metrics = RunMetrics()
-    robust = cfg.mode != "nominal"
-    for step in range(cfg.outer_steps):
-        S, A = _draws(env, np.random.default_rng([env.seed, cfg.seed, step]), cfg.batch_size)
-        try:
-            trajs = pga_batch(params, S, A, env, cfg.pset, cfg.inner) if robust else None
-            sigmas, v_hat = top_singular(params, S)
-            build = _objective_builder(env, S, A, trajs, cfg, params, v_hat)
-            value, grads = param_gradient(params, build)
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite objective at outer step {step}")
-            record = _step_record(step, env, params, S, A, trajs, sigmas, grads, cfg) if diagnostics else None
-            new_params = apply_gradient_step(params, grads, cfg.outer_lr)
-        except NumericError:
-            metrics.aborted_step = step
-            break
-        if record is not None:
-            metrics.records.append(record)
-        params = new_params
-    return params, metrics
+    return _train_stack([cfg], env, [params0], diagnostics)[0]
 
 
-def _step_record(step, env, params, S, A, trajs, sigmas, grads, cfg: TrainConfig) -> StepRecord:
-    """Per-step diagnostics, each computed once for the whole batch; the
-    spectral norms are those of the objective's global hinge."""
+def _step_record(step, env, params, S, A, record, sigmas, grads, cfg: TrainConfig) -> StepRecord:
+    """Per-step diagnostics of one model, each computed once for the whole
+    batch; the spectral norms are those of the objective's global hinge."""
     handle = numpy_handle(params)
     nominal_loss = float(np.mean(loss(env, handle.forward(S), A)))
-    robust = trajs is not None
-    robust_loss = float(np.mean([t.inner_values[-1] for t in trajs])) if robust else nominal_loss
-    aajr_val = float(aajr_batch_term(handle, S, trajs, cfg.reg)) if robust else 0.0
-    amps = [amp for t in trajs for amp in t.dir_amps] if robust else []
+    robust = record is not None
     return StepRecord(
         step=step,
-        robust_loss=robust_loss,
+        robust_loss=float(np.mean(record.values[:, -1])) if robust else nominal_loss,
         nominal_loss=nominal_loss,
-        aajr_penalty=aajr_val,
+        aajr_penalty=float(aajr_batch_term(handle, S, record, cfg.reg)) if robust else 0.0,
         global_penalty=global_penalty(params, S, cfg.reg, sigmas=sigmas),
-        max_dir_amp=float(np.max(amps)) if amps else 0.0,
+        max_dir_amp=float(np.max(record.amps, initial=0.0)) if robust else 0.0,
         mean_spectral=float(np.mean(sigmas)),
         grad_norm=gradient_norm(grads),
     )
@@ -216,7 +259,7 @@ def evaluate_robust_risk(
 ) -> float:
     """Monte-Carlo mean of the inner objective at the final PGA iterate."""
     S, A = _eval_draws(env, n_samples, seed)
-    return float(np.mean([t.inner_values[-1] for t in pga_batch(params, S, A, env, pset, inner)]))
+    return float(np.mean(pga_batch(params, S, A, env, pset, inner).values[:, -1]))
 
 
 def measure_achieved_levels(
@@ -233,9 +276,9 @@ def measure_achieved_levels(
     norm over every visited state s + delta_t).
     """
     S, A = _eval_draws(env, n_samples, seed)
-    trajs = pga_batch(params, S, A, env, pset, inner)
-    visited = np.concatenate([s + np.array(t.deltas) for s, t in zip(S, trajs)])
-    max_amp = max([0.0] + [amp for t in trajs for amp in t.dir_amps])
+    record = pga_batch(params, S, A, env, pset, inner)
+    visited = (S[:, None] + record.deltas).reshape(-1, S.shape[-1])
+    max_amp = float(np.max(record.amps, initial=0.0))
     return max_amp, max(0.0, float(np.max(spectral_norm(params, visited))))
 
 
@@ -252,15 +295,7 @@ class GapReport:
     excluded: list[dict]
 
     def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "t_hat": self.t_hat,
-            "t_hat_ad": self.t_hat_ad,
-            "pooled_se": self.pooled_se,
-            "per_seed": self.per_seed,
-            "aggregate": self.aggregate,
-            "excluded": self.excluded,
-        }
+        return asdict(self)
 
     def dump(self, path) -> None:
         with open(path, "w") as fp:
@@ -268,8 +303,8 @@ class GapReport:
             fp.write("\n")
 
 
-def _achieved_level(mode: str, dir_amp: float, spec: float) -> float:
-    return dir_amp if mode == "robust_aajr" else spec
+def _achieved_level(mode: str, result: dict) -> float:
+    return result["achieved_dir_amp" if mode == "robust_aajr" else "achieved_spectral"]
 
 
 def price_of_robustness(
@@ -287,100 +322,115 @@ def price_of_robustness(
     lambda_init: float = 1.0,
     max_doublings: int = 10,
 ) -> GapReport:
-    """Train all three modes per seed with bisection-matched budgets."""
+    """Train all three modes per seed with bisection-matched budgets.
+
+    Each (seed, mode) search is a generator that yields the penalty weights
+    it wants trained and receives their results. The searches of one mode
+    advance in lockstep: every round trains the pending weight of every
+    seed still searching as one model stack.
+    """
     seeds = [int(s) for s in seeds]
     if len(seeds) < 3:
         raise ConfigError("price_of_robustness needs at least 3 seeds")
     if int(eval_samples) < 1 or int(achieved_samples) < 1:
         raise ConfigError("n_samples must be >= 1")
+    if not lambda_init > 0:
+        raise ConfigError("lambda_init must be > 0")
+    if not 0 < match_tol < 1:
+        raise ConfigError("match_tol must be in (0, 1)")
+    if int(bisect_iters) < 0 or int(max_doublings) < 0:
+        raise ConfigError("bisect_iters and max_doublings must be >= 0")
     gamma = base_cfg.reg.gamma
 
-    def run_once(mode: str, lam: float, seed: int):
-        cfg = replace(base_cfg, mode=mode, seed=seed, reg=replace(base_cfg.reg, lam=lam))
-        params0 = init_policy(policy_dims, activations, seed=seed)
-        params, metrics = train(cfg, env, params0, diagnostics=False)
-        if metrics.aborted_step is not None:
-            return None
-        risk, se = _nominal_risk_samples(params, env, eval_samples, eval_seed)
-        amp, spec = measure_achieved_levels(params, env, base_cfg.pset, base_cfg.inner, achieved_samples, eval_seed)
-        return {
-            "mode": mode,
-            "seed": seed,
-            "lambda": lam,
-            "nominal_risk": risk,
-            "nominal_risk_se": se,
-            "achieved_dir_amp": amp,
-            "achieved_spectral": spec,
-        }
+    def run_round(mode: str, pending: dict) -> dict:
+        """Train the pending (seed index -> lambda) runs as one stack and
+        evaluate each; None for a run that aborted."""
+        reg = base_cfg.reg
+        cfgs = [replace(base_cfg, mode=mode, seed=seeds[k], reg=replace(reg, lam=lam)) for k, lam in pending.items()]
+        params0s = [init_policy(policy_dims, activations, seed=cfg.seed) for cfg in cfgs]
+        results = dict.fromkeys(pending)
+        for k, cfg, (params, metrics) in zip(pending, cfgs, _train_stack(cfgs, env, params0s, diagnostics=False)):
+            if metrics.aborted_step is None:
+                risk, se = _nominal_risk_samples(params, env, eval_samples, eval_seed)
+                amp, spec = measure_achieved_levels(params, env, cfg.pset, cfg.inner, achieved_samples, eval_seed)
+                results[k] = {
+                    "mode": mode,
+                    "seed": cfg.seed,
+                    "lambda": cfg.reg.lam,
+                    "nominal_risk": risk,
+                    "nominal_risk_se": se,
+                    "achieved_dir_amp": amp,
+                    "achieved_spectral": spec,
+                }
+        return results
 
-    def match_budget(mode: str, seed: int, unpenalized):
+    def lockstep(mode: str, searches: dict) -> dict:
+        """Drive one search per seed index to its end; returns what each returned."""
+        results, done = dict.fromkeys(searches), {}
+        while results:
+            pending = {}
+            for k, result in results.items():
+                try:
+                    pending[k] = searches[k].send(result)
+                except StopIteration as stop:
+                    done[k] = stop.value
+            results = run_round(mode, pending) if pending else {}
+        return done
+
+    def match_budget(mode: str, unpenalized):
         """Bisect the penalty weight until the achieved level is near gamma,
-        starting from this seed's lambda = 0 run."""
+        starting from this seed's lambda = 0 run; yields each weight to train."""
         lo_band, hi_band = (1.0 - match_tol) * gamma, (1.0 + match_tol) * gamma
         if unpenalized is None:
             return None
-        result = dict(unpenalized, mode=mode)
-        if _achieved_level(mode, result["achieved_dir_amp"], result["achieved_spectral"]) <= hi_band:
-            return result  # budget not binding (or already matched) at lambda = 0
-        lo_lam = 0.0
-        hi_lam = lambda_init
-        hi_result = run_once(mode, hi_lam, seed)
-        doublings = 0
-        while hi_result is not None and doublings < max_doublings:
-            level = _achieved_level(mode, hi_result["achieved_dir_amp"], hi_result["achieved_spectral"])
-            if level <= hi_band:
+        if _achieved_level(mode, unpenalized) <= hi_band:
+            return dict(unpenalized, mode=mode)  # budget not binding (or already matched) at lambda = 0
+        lo_lam, hi_lam = 0.0, lambda_init
+        hi_result = yield hi_lam
+        for _ in range(max_doublings):
+            if hi_result is None or _achieved_level(mode, hi_result) <= hi_band:
                 break
-            lo_lam = hi_lam
-            hi_lam *= 2.0
-            hi_result = run_once(mode, hi_lam, seed)
-            doublings += 1
+            lo_lam, hi_lam = hi_lam, hi_lam * 2.0
+            hi_result = yield hi_lam
         if hi_result is None:
             return None
-        best = hi_result
-        best_err = abs(
-            _achieved_level(mode, best["achieved_dir_amp"], best["achieved_spectral"]) - gamma
-        )
+        best, best_err = hi_result, abs(_achieved_level(mode, hi_result) - gamma)
         for _ in range(bisect_iters):
-            level = _achieved_level(mode, best["achieved_dir_amp"], best["achieved_spectral"])
-            if lo_band <= level <= hi_band:
+            if lo_band <= _achieved_level(mode, best) <= hi_band:
                 return best
             mid = 0.5 * (lo_lam + hi_lam)
-            mid_result = run_once(mode, mid, seed)
+            mid_result = yield mid
             if mid_result is None:
                 return best
-            mid_level = _achieved_level(
-                mode, mid_result["achieved_dir_amp"], mid_result["achieved_spectral"]
-            )
-            if mid_level > hi_band:
-                lo_lam = mid
-            else:
-                hi_lam = mid
-            err = abs(mid_level - gamma)
-            if err < best_err:
-                best, best_err = mid_result, err
+            level = _achieved_level(mode, mid_result)
+            lo_lam, hi_lam = (mid, hi_lam) if level > hi_band else (lo_lam, mid)
+            if abs(level - gamma) < best_err:
+                best, best_err = mid_result, abs(level - gamma)
         return best
+
+    nominal = run_round("nominal", dict.fromkeys(range(len(seeds)), 0.0))
+    kept = [k for k, result in nominal.items() if result is not None]
+    # at lambda = 0 no penalty is built and diagnostics never feed the
+    # gradients, so both penalized modes start from the same training run
+    unpenalized = run_round("robust_plain", dict.fromkeys(kept, 0.0))
+    matched = {}
+    for mode in ("robust_global", "robust_aajr"):  # a seed whose global run aborted trains no AAJR model
+        matched[mode] = lockstep(mode, {k: match_budget(mode, unpenalized[k]) for k in kept})
+        kept = [k for k in kept if matched[mode][k] is not None]
 
     per_seed: list[dict] = []
     excluded: list[dict] = []
-    for seed in seeds:
-        entry: dict = {"seed": seed}
-        nominal = run_once("nominal", 0.0, seed)
-        if nominal is None:
+    for k, seed in enumerate(seeds):
+        if nominal[k] is None:
             excluded.append({"seed": seed, "mode": "nominal", "reason": "aborted"})
             continue
-        entry["nominal"] = nominal
-        # at lambda = 0 no penalty is built and diagnostics never feed the
-        # gradients, so both penalized modes start from the same training run
-        unpenalized = run_once("robust_plain", 0.0, seed)
-        ok = True
+        entry: dict = {"seed": seed, "nominal": nominal[k]}
         for mode in ("robust_global", "robust_aajr"):
-            matched = match_budget(mode, seed, unpenalized)
-            if matched is None:
+            if matched[mode][k] is None:
                 excluded.append({"seed": seed, "mode": mode, "reason": "aborted"})
-                ok = False
                 break
-            entry[mode] = matched
-        if ok:
+            entry[mode] = matched[mode][k]
+        else:
             per_seed.append(entry)
     if not per_seed:
         raise NumericError("every sweep run aborted; no gap estimate available")

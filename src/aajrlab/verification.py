@@ -355,11 +355,11 @@ def check_inclusion(
     sup_proxy, max_amp, violations = 0.0, 0.0, []
     if pairs:
         S, A = (np.array(rows) for rows in zip(*pairs))
-        trajs = pga_batch(params, S, A, env, pset, inner)
-        visited = np.concatenate([s + np.array(traj.deltas) for s, traj in zip(S, trajs)])
+        record = pga_batch(params, S, A, env, pset, inner)
+        visited = (S[:, None] + record.deltas).reshape(-1, S.shape[-1])
         sup_proxy = float(np.max(spectral_norm(params, visited)))
-        for k, traj in enumerate(trajs):
-            for t, amp in enumerate(traj.dir_amps):
+        for k, amps in enumerate(record.amps.tolist()):
+            for t, amp in enumerate(amps):
                 max_amp = max(max_amp, amp)
                 if amp > gamma + DIRECTIONAL_TOL:
                     violations.append({"sample": k, "step": t, "dir_amp": amp})

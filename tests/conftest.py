@@ -61,10 +61,13 @@ def flatten_grads(grads) -> np.ndarray:
     return np.concatenate([np.concatenate([dW.ravel(), db]) for dW, db in grads])
 
 
+def eval_objective(params: PolicyParams, objective) -> float:
+    """Evaluate an objective on plain ndarrays (no tape)."""
+    return float(objective(params.handle))
+
+
 def fd_param_gradient(params: PolicyParams, objective, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of eval_objective over every parameter."""
-    from aajrlab.policy import eval_objective
-
     x0 = flatten_params(params)
     grad = np.zeros_like(x0)
     for i in range(len(x0)):

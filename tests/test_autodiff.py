@@ -12,7 +12,6 @@ from aajrlab.policy import (
     Layer,
     PolicyParams,
     apply_gradient_step,
-    eval_objective,
     forward,
     init_policy,
     jacobian,
@@ -26,6 +25,7 @@ from aajrlab.tape import Node, backward, dot, vsum
 
 from conftest import (
     assemble_jacobian,
+    eval_objective,
     fd_param_gradient,
     flatten_grads,
     linear_policy,

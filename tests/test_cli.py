@@ -17,7 +17,6 @@ from aajrlab.cli import (
     main,
     parse_config,
     parse_config_dict,
-    serialize_config,
 )
 from aajrlab.errors import ConfigError
 from aajrlab.policy import load_checkpoint
@@ -25,6 +24,20 @@ from aajrlab.policy import load_checkpoint
 REPO = Path(__file__).resolve().parents[1]
 QUAD_CONFIG = REPO / "configs" / "quadratic_small.json"
 VERIFY_CONFIG = REPO / "configs" / "verify_linear.json"
+
+
+def serialize_config(cfg) -> dict:
+    """A parsed config back as a JSON-able dict."""
+    out = {
+        "environment": dict(cfg.environment),
+        "policy": dict(cfg.policy),
+        "verify": dict(cfg.verify),
+        "sweep": dict(cfg.sweep),
+        "output_dir": cfg.output_dir,
+    }
+    if cfg.train is not None:
+        out["train"] = json.loads(json.dumps(cfg.train))
+    return out
 
 
 def minimal_config(**overrides):
@@ -193,6 +206,18 @@ def test_cmd_sweep_smoke(tmp_path):
     report = json.loads((out / "gap_report.json").read_text())
     assert report["t_hat"] == report["t_hat_ad"]  # identical runs when budget never binds
     assert len(report["per_seed"]) == 3
+
+
+@pytest.mark.parametrize("tol", [1.0, 2.5])
+def test_sweep_match_tol_at_or_above_one_is_config_error(tmp_path, capsys, tol):
+    cfg = minimal_config()
+    cfg["sweep"] = {"seeds": [0, 1, 2], "match_tol": tol}
+    with pytest.raises(ConfigError, match=r"sweep.match_tol: must be in \(0, 1\)"):
+        parse_config_dict(cfg)
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "sweep.match_tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_report_aggregates(tmp_path, capsys):

@@ -194,6 +194,14 @@ def test_environment_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_projector_rejected_by_the_library(bad):
+    # every symmetry, idempotence and nonzero check compares against NaN and would pass
+    P = np.array([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(ConfigError, match="projector must be a finite"):
+        Environment(kind="quadratic_congestion", c=np.zeros(2), A=np.zeros((2, 2)), state_dim=2, projector=P)
+
+
 def test_loss_dimension_mismatch():
     env = quad_env()
     with pytest.raises(ConfigError):

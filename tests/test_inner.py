@@ -6,6 +6,7 @@ import io
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from aajrlab.environments import Environment, sample
 from aajrlab.errors import ConfigError, NumericError
 from aajrlab.inner import (
+    Ascent,
     InnerLoopConfig,
     PerturbationSet,
     ascent_direction,
@@ -22,7 +24,7 @@ from aajrlab.inner import (
     project,
     trajectory_records,
 )
-from aajrlab.policy import init_policy
+from aajrlab.policy import init_policy, stack_policies
 
 from conftest import linear_policy
 
@@ -273,18 +275,29 @@ def test_pga_batch_rows_equal_pga_run_bit_for_bit(dims, p_norm, kind):
         )
     pset = PerturbationSet(p=p_norm, epsilon=0.3, dim=d)
     cfg = InnerLoopConfig(eta=0.4, steps=5)
+    stack, batches = [], []
     for seed in range(3):
         params = init_policy(dims, seed=seed)
         pairs = [sample(env, 10 * seed + k) for k in range(6)]
-        batch = pga_batch(params, np.array([s for s, _ in pairs]), np.array([a for _, a in pairs]), env, pset, cfg)
+        S, A = np.array([s for s, _ in pairs]), np.array([a for _, a in pairs])
+        batch = pga_batch(params, S, A, env, pset, cfg)
+        stack.append((params, S, A))
+        batches.append(batch)
         for (s, a), got in zip(pairs, batch):
             one = pga_run(params, s, a, env, pset, cfg)
-            for field in ("deltas", "ascent_dirs", "inner_grads"):
-                assert all(np.array_equal(x, y) for x, y in zip(getattr(one, field), getattr(got, field)))
-            assert [v is None for v in one.update_dirs] == [v is None for v in got.update_dirs]
-            assert all(x is None or np.array_equal(x, y) for x, y in zip(one.update_dirs, got.update_dirs))
-            assert one.inner_values == got.inner_values
-            assert one.dir_amps == got.dir_amps
+            assert np.array_equal(np.array(one.deltas), got.deltas)
+            assert np.array_equal(np.array(one.ascent_dirs), got.ascent)
+            assert np.array_equal(np.array(one.inner_grads), got.grads)
+            assert [v is not None for v in one.update_dirs] == got.moved.tolist()
+            assert all(v is None or np.array_equal(v, w) for v, w in zip(one.update_dirs, got.update))
+            assert one.inner_values == tuple(got.values.tolist())
+            assert one.dir_amps == tuple(got.amps.tolist())
+    # the three models stacked as one: each model's rows are its own batch's, bit for bit
+    params, S, A = stack_policies([p for p, _, _ in stack]), *(np.stack(x) for x in list(zip(*stack))[1:])
+    stacked = pga_batch(params, S, A, env, pset, cfg)
+    for m, batch in enumerate(batches):
+        for f in fields(Ascent):
+            assert np.array_equal(getattr(stacked[m], f.name), getattr(batch, f.name))
 
 
 def test_pga_batch_numeric_error_names_step_and_sample():

@@ -7,12 +7,12 @@ import pytest
 
 from aajrlab.environments import Environment, sample
 from aajrlab.errors import ConfigError, NumericError
-from aajrlab.inner import InnerLoopConfig, PerturbationSet, Trajectory, pga_run
+from aajrlab.inner import InnerLoopConfig, PerturbationSet, Trajectory, pga_batch, pga_run
 from aajrlab.policy import Layer, PolicyParams, init_policy, numpy_handle, scale_policy
 from aajrlab.regularizers import (
     RegularizerConfig,
+    aajr_batch_term,
     aajr_penalty,
-    aajr_term,
     global_penalty,
     global_term,
     spectral_norm,
@@ -236,8 +236,9 @@ def test_aajr_term_taped_matches_value():
     params = init_policy([2, 4, 2], seed=14)
     pset = PerturbationSet(p=2, epsilon=0.3, dim=2)
     s, a = sample(env, 6)
-    traj = pga_run(params, s, a, env, pset, InnerLoopConfig(eta=0.3, steps=2))
-    val = float(aajr_term(numpy_handle(params), s, traj))
+    inner = InnerLoopConfig(eta=0.3, steps=2)
+    traj = pga_run(params, s, a, env, pset, inner)
+    val = float(aajr_batch_term(numpy_handle(params), s[None], pga_batch(params, s[None], a[None], env, pset, inner)))
     assert val == pytest.approx(aajr_penalty(params, s, traj), rel=0, abs=0)
 
 

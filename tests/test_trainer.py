@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -446,3 +447,106 @@ def test_price_of_robustness_never_builds_step_records(monkeypatch):
 
     monkeypatch.setattr(trainer, "_step_record", no_records)
     assert price_of_robustness(env, cfg, **kwargs).to_json() == expected
+
+
+def stack_cfgs(mode, lams, steps=5):
+    cfg = mirror_cfg(mode, batch=3, steps=steps)
+    return [replace(cfg, seed=seed, reg=replace(cfg.reg, lam=lam)) for seed, lam in zip((3, 0, 7, 1, 4), lams)]
+
+
+def assert_same_run(got, want):
+    (params, metrics), (params_alone, metrics_alone) = got, want
+    for a, b in zip(params.layers, params_alone.layers):
+        assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+    assert metrics.aborted_step == metrics_alone.aborted_step
+    assert metrics.to_csv() == metrics_alone.to_csv()
+
+
+@pytest.mark.parametrize("mode,lams", [("nominal", [0.0] * 5), ("robust_aajr", [0.5, 1.0, 2.0, 4.0, 8.0]),
+                                       ("robust_global", [30.0, 0.7, 120.0, 2.0, 9.0])])
+def test_stacked_training_equals_training_each_model_alone(mode, lams):
+    env = mirror_env()
+    cfgs = stack_cfgs(mode, lams)
+    params0s = [init_policy([4, 6, 4], seed=s) for s in (5, 1, 2, 8, 3)]
+    stacked = trainer._train_stack(cfgs, env, params0s)
+    for cfg, params0, got in zip(cfgs, params0s, stacked):
+        assert_same_run(got, train(cfg, env, params0))
+
+
+def test_stack_member_that_diverges_leaves_the_others_unchanged():
+    env = mirror_env()
+    cfgs = stack_cfgs("robust_aajr", [1.0, 2.0, 100.0, 4.0, 8.0], steps=12)
+    params0s = [init_policy([4, 6, 4], ["identity", "identity"], seed=s) for s in (5, 1, 1, 8, 3)]
+    with np.errstate(all="ignore"):
+        stacked = trainer._train_stack(cfgs, env, params0s)
+        alone = [train(cfg, env, params0) for cfg, params0 in zip(cfgs, params0s)]
+    assert [m.aborted_step for _, m in stacked] == [None, None, 5, None, None]
+    for got, want in zip(stacked, alone):
+        assert_same_run(got, want)
+    # the diverged model keeps what its five finite steps made
+    last_finite, _ = train(replace(cfgs[2], outer_steps=5), env, params0s[2])
+    for a, b in zip(stacked[2][0].layers, last_finite.layers):
+        assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+
+
+def test_stack_rejects_models_that_differ_beyond_seed_and_lambda():
+    env = mirror_env()
+    params0s = [init_policy([4, 6, 4], seed=s) for s in (0, 1)]
+    cfgs = stack_cfgs("robust_aajr", [1.0, 2.0])
+    for other in (replace(cfgs[1], outer_lr=0.2), replace(cfgs[1], reg=replace(cfgs[1].reg, lam=0.0))):
+        with pytest.raises(ConfigError, match="share"):
+            trainer._train_stack([cfgs[0], other], env, params0s)
+
+
+@pytest.mark.parametrize("mode", ["nominal", "robust_aajr", "robust_global"])
+def test_objective_tape_size_does_not_grow_with_models(mode, monkeypatch):
+    counts = []
+    original = tape.Node.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts[-1] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(tape.Node, "__init__", counting_init)
+    lams = [0.0] * 5 if mode == "nominal" else [0.5, 1.0, 2.0, 4.0, 8.0]
+    for models in (1, 2, 5):
+        counts.append(0)
+        cfgs = stack_cfgs(mode, lams[:models], steps=3)
+        trainer._train_stack(cfgs, mirror_env(), [init_policy([4, 6, 4], seed=s) for s in range(models)], False)
+    # a stack adds one node per step, the sum of its models' objectives; one model runs without the model axis
+    assert counts[1] == counts[2] == counts[0] + 3 > 3
+
+
+def test_price_of_robustness_in_lockstep_equals_one_model_at_a_time(monkeypatch):
+    env = mirror_env()
+    cfg = mirror_cfg("nominal", batch=2, steps=6)
+    kwargs = dict(seeds=[0, 1, 2], policy_dims=[4, 6, 4], eval_samples=16, achieved_samples=3, bisect_iters=2, max_doublings=2)
+    stack, rounds = trainer._train_stack, []
+
+    def spy(cfgs, *args, **kw):
+        rounds.append(len(cfgs))
+        return stack(cfgs, *args, **kw)
+
+    monkeypatch.setattr(trainer, "_train_stack", spy)
+    lockstep = price_of_robustness(env, cfg, **kwargs).to_json()
+    assert max(rounds) == 3 and len(rounds) < sum(rounds)
+    for entry in lockstep["per_seed"]:
+        assert [entry[mode]["seed"] for mode in ("nominal", "robust_global", "robust_aajr")] == [entry["seed"]] * 3
+
+    def one_at_a_time(cfgs, env, params0s, diagnostics=True):
+        return [stack([c], env, [p], diagnostics)[0] for c, p in zip(cfgs, params0s)]
+
+    monkeypatch.setattr(trainer, "_train_stack", one_at_a_time)
+    assert price_of_robustness(env, cfg, **kwargs).to_json() == lockstep
+    # a seed's search never sees another seed's runs: reordering the seeds reorders the entries only
+    reordered = price_of_robustness(env, cfg, **dict(kwargs, seeds=[2, 0, 1])).to_json()
+    assert sorted(reordered["per_seed"], key=lambda e: e["seed"]) == lockstep["per_seed"]
+
+
+@pytest.mark.parametrize(
+    "bad", [{"lambda_init": 0.0}, {"lambda_init": -1.0}, {"match_tol": 0.0}, {"match_tol": 1.0}, {"match_tol": 1.5},
+            {"bisect_iters": -1}, {"max_doublings": -1}],
+)
+def test_price_of_robustness_rejects_bad_bracketing_arguments(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad)).split("_")[0]):
+        price_of_robustness(quad_env([0.5, -0.5]), make_cfg(), seeds=[0, 1, 2], policy_dims=[2, 4, 2], **bad)
