@@ -42,38 +42,41 @@ class Environment:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown environment kind '{self.kind}'")
+            raise ConfigError(f"unknown environment kind '{self.kind}'", field="kind")
         c = np.asarray(self.c, dtype=np.float64)
         A = np.asarray(self.A, dtype=np.float64)
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise ConfigError("target c must be a finite vector")
+        if c.ndim != 1 or not c.size or not np.all(np.isfinite(c)):
+            raise ConfigError("target c must be a finite non-empty vector", field="c")
         if A.ndim != 2 or A.shape[0] != c.shape[0] or not np.all(np.isfinite(A)):
-            raise ConfigError(f"coupling A must be a finite ({c.shape[0]}, q) matrix, got {A.shape}")
+            raise ConfigError(f"coupling A must be a finite ({c.shape[0]}, q) matrix, got {A.shape}", field="A")
         if int(self.state_dim) < 1:
-            raise ConfigError("state_dim must be >= 1")
+            raise ConfigError("must be >= 1", field="state_dim")
         if self.kind == "softplus_congestion":
             if self.beta is None or not self.beta > 0:
-                raise ConfigError("softplus_congestion needs beta > 0")
+                raise ConfigError("softplus_congestion needs beta > 0", field="beta")
         elif self.beta is not None:
-            raise ConfigError("beta is only meaningful for softplus_congestion")
+            raise ConfigError("beta is only meaningful for softplus_congestion", field="beta")
         if self.peer_mode not in PEER_MODES:
-            raise ConfigError(f"unknown peer_mode '{self.peer_mode}'")
+            raise ConfigError(f"unknown peer_mode '{self.peer_mode}'", field="peer_mode")
         if self.peer_mode == "mirror" and A.shape[1] != int(self.state_dim):
-            raise ConfigError("mirror peer_mode requires the peer dimension to equal state_dim")
+            raise ConfigError(
+                f"mirror peer_mode requires the peer dimension, A's {A.shape[1]} columns, to equal state_dim",
+                field="A",
+            )
         if int(self.seed) < 0:
-            raise ConfigError("environment seed must be >= 0")
+            raise ConfigError("environment seed must be >= 0", field="seed")
         P = self.projector
         if P is not None:
             if self.kind != "quadratic_congestion":
-                raise ConfigError("projector is only supported with quadratic_congestion")
+                raise ConfigError("projector is only supported with quadratic_congestion", field="projector")
             P = np.asarray(P, dtype=np.float64)
             m = c.shape[0]
             if P.shape != (m, m) or not np.all(np.isfinite(P)):
-                raise ConfigError(f"projector must be a finite ({m}, {m}) matrix, got {P.shape}")
+                raise ConfigError(f"projector must be a finite ({m}, {m}) matrix, got {P.shape}", field="projector")
             if np.max(np.abs(P - P.T)) > 1e-9 or np.max(np.abs(P @ P - P)) > 1e-9:
-                raise ConfigError("projector must be symmetric and idempotent")
+                raise ConfigError("projector must be symmetric and idempotent", field="projector")
             if np.max(np.abs(P)) == 0.0:
-                raise ConfigError("projector must be nonzero")
+                raise ConfigError("projector must be nonzero", field="projector")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "state_dim", int(self.state_dim))
@@ -100,6 +103,19 @@ def sample(env: Environment, seed: int):
     if int(seed) < 0:
         raise ConfigError("sample seed must be >= 0")
     return _draw(env, np.random.default_rng([env.seed, int(seed)]))
+
+
+def check_seeds(seeds, minimum: int = 1) -> list[int]:
+    """Run seeds as a list of at least ``minimum`` distinct non-negative
+    integers; a repeated seed would run one seed twice."""
+    seeds = [int(s) for s in seeds]
+    if len(seeds) < minimum:
+        raise ConfigError(f"need at least {minimum} seed" + "s" * (minimum > 1), field="seeds")
+    if any(s < 0 for s in seeds):
+        raise ConfigError("entries must be >= 0", field="seeds")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"entries must be distinct, got {seeds}", field="seeds")
+    return seeds
 
 
 def _check_pair(env: Environment, z, a, rows: bool = True):
@@ -160,8 +176,4 @@ def loss_hessian(env: Environment, z, a) -> Array:
 
 def loss_hessian_bound(env: Environment) -> float:
     """Exact Lipschitz constant of the loss gradient in the action."""
-    if env.kind == "quadratic_congestion":
-        return 1.0
-    if env.kind == "softplus_congestion":
-        return env.beta**2 / 4.0
-    raise ConfigError(f"unknown environment kind '{env.kind}'")
+    return 1.0 if env.kind == "quadratic_congestion" else env.beta**2 / 4.0

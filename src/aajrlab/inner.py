@@ -34,7 +34,7 @@ _EPS = np.finfo(np.float64).eps
 
 @dataclass(frozen=True, eq=False)
 class PerturbationSet:
-    """Norm ball {delta : ||delta||_p <= epsilon}, p in {2, inf}.
+    """Norm ball {delta : ||delta||_p <= epsilon}, p in {2, inf} (or "inf", as configs spell it).
 
     epsilon = 0 degenerates to the singleton {0}; the command-line config
     rejects that, but the API keeps it legal so vacuous cases stay testable.
@@ -45,14 +45,13 @@ class PerturbationSet:
     dim: int
 
     def __post_init__(self):
-        p = float(self.p)
-        if p not in (2.0, math.inf):
-            raise ConfigError(f"norm order must be 2 or inf, got {self.p}")
+        if self.p not in (2, math.inf, "inf"):
+            raise ConfigError(f"norm order must be 2 or \"inf\", got {self.p!r}", field="p")
         if not self.epsilon >= 0:
-            raise ConfigError("epsilon must be >= 0")
+            raise ConfigError("epsilon must be >= 0", field="epsilon")
         if int(self.dim) < 1:
-            raise ConfigError("perturbation dimension must be >= 1")
-        object.__setattr__(self, "p", p)
+            raise ConfigError("perturbation dimension must be >= 1", field="dim")
+        object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "dim", int(self.dim))
 
@@ -74,11 +73,11 @@ class InnerLoopConfig:
 
     def __post_init__(self):
         if not self.eta > 0:
-            raise ConfigError("inner step size eta must be > 0")
+            raise ConfigError("inner step size eta must be > 0", field="eta")
         if int(self.steps) < 0:
-            raise ConfigError("inner step count must be >= 0")
+            raise ConfigError("inner step count must be >= 0", field="steps")
         if not self.eps0 > 0:
-            raise ConfigError("direction floor eps0 must be > 0")
+            raise ConfigError("direction floor eps0 must be > 0", field="eps0")
         object.__setattr__(self, "eta", float(self.eta))
         object.__setattr__(self, "steps", int(self.steps))
         object.__setattr__(self, "eps0", float(self.eps0))

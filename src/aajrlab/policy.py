@@ -65,17 +65,14 @@ class PolicyParams:
                 raise ConfigError(f"layer {k}: weight {W.shape} and bias {b.shape} do not agree")
             if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
                 raise ConfigError(f"layer {k}: non-finite parameter entries")
-            if layer.activation not in ACTIVATIONS:
-                raise ConfigError(f"layer {k}: unknown activation '{layer.activation}'")
             if k > 0 and W.shape[-1] != fixed[-1].weight.shape[-2]:
                 raise ConfigError(
                     f"layer {k}: input size {W.shape[-1]} does not chain with "
                     f"previous output size {fixed[-1].weight.shape[-2]}"
                 )
             fixed.append(Layer(W, b, layer.activation))
-        if fixed[-1].activation != "identity":
-            raise ConfigError("final layer activation must be identity")
         object.__setattr__(self, "layers", tuple(fixed))
+        policy_spec(self.dims(), self.activations())
         # a stack's (M, out) biases enter the handle as (M, 1, out), to broadcast over its rows
         handle = tuple((layer.weight, layer.bias[:, None] if self.models else layer.bias) for layer in fixed)
         object.__setattr__(self, "handle", PolicyHandle(handle, tuple(self.activations())))
@@ -125,16 +122,31 @@ def unstack_policies(params: PolicyParams) -> list[PolicyParams]:
     ]
 
 
-def init_policy(dims: Sequence[int], activations: Sequence[str] | None = None, seed: int = 0) -> PolicyParams:
-    """Seeded uniform init in [-a, a] with a = 1/sqrt(fan_in)."""
+def policy_spec(dims: Sequence[int], activations: Sequence[str] | None = None, init_seed: int = 0) -> tuple[list, list]:
+    """The layer sizes and activations of a policy, checked without building
+    its weights; activations default to tanh hidden layers and an identity
+    output."""
     dims = [int(d) for d in dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ConfigError(f"policy dims must be >= 2 positive sizes, got {dims}")
+        raise ConfigError(f"policy dims must be >= 2 positive sizes, got {dims}", field="dims")
     if activations is None:
         activations = ["tanh"] * (len(dims) - 2) + ["identity"]
     activations = list(activations)
     if len(activations) != len(dims) - 1:
-        raise ConfigError(f"expected {len(dims) - 1} activations, got {len(activations)}")
+        raise ConfigError(f"expected {len(dims) - 1} activations, got {len(activations)}", field="activations")
+    for k, act in enumerate(activations):
+        if act not in ACTIVATIONS:
+            raise ConfigError(f"layer {k}: unknown activation '{act}'", field="activations")
+    if activations[-1] != "identity":
+        raise ConfigError("final layer activation must be identity", field="activations")
+    if int(init_seed) < 0:
+        raise ConfigError("must be >= 0", field="init_seed")
+    return dims, activations
+
+
+def init_policy(dims: Sequence[int], activations: Sequence[str] | None = None, seed: int = 0) -> PolicyParams:
+    """Seeded uniform init in [-a, a] with a = 1/sqrt(fan_in)."""
+    dims, activations = policy_spec(dims, activations, seed)
     rng = np.random.default_rng(seed)
     layers = []
     for k in range(len(dims) - 1):

@@ -26,18 +26,18 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class RegularizerConfig:
-    lam: float  # penalty weight
+    lam: float  # penalty weight; the config key is "lambda"
     gamma: float  # global sensitivity budget
     gamma_adv: float  # directional budget (hinge form only)
     aajr_hinge: bool = False
 
     def __post_init__(self):
         if not self.lam >= 0:
-            raise ConfigError("penalty weight lambda must be >= 0")
+            raise ConfigError("penalty weight lambda must be >= 0", field="lambda")
         if not self.gamma > 0:
-            raise ConfigError("global budget gamma must be > 0")
+            raise ConfigError("global budget gamma must be > 0", field="gamma")
         if not self.gamma_adv > 0:
-            raise ConfigError("directional budget gamma_adv must be > 0")
+            raise ConfigError("directional budget gamma_adv must be > 0", field="gamma_adv")
 
 
 def _hinge_sq(w, budget: float):

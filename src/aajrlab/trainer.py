@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .environments import Environment, loss, loss_term
+from .environments import Environment, check_seeds, loss, loss_term
 from .errors import ConfigError, NumericError
 from .inner import InnerLoopConfig, PerturbationSet, pga_batch
 from .policy import (
@@ -66,15 +66,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigError(f"unknown training mode '{self.mode}'")
+            raise ConfigError(f"unknown training mode '{self.mode}'", field="mode")
         if not self.outer_lr > 0:
-            raise ConfigError("outer_lr must be > 0")
+            raise ConfigError("must be > 0", field="outer_lr")
         if int(self.outer_steps) < 0:
-            raise ConfigError("outer_steps must be >= 0")
+            raise ConfigError("must be >= 0", field="outer_steps")
         if int(self.batch_size) < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise ConfigError("must be >= 1", field="batch_size")
         if int(self.seed) < 0:
-            raise ConfigError("training seed must be >= 0")
+            raise ConfigError("training seed must be >= 0", field="seed")
 
 
 @dataclass(frozen=True)
@@ -307,6 +307,24 @@ def _achieved_level(mode: str, result: dict) -> float:
     return result["achieved_dir_amp" if mode == "robust_aajr" else "achieved_spectral"]
 
 
+def check_sweep(
+    seeds, eval_samples, eval_seed, achieved_samples, bisect_iters, match_tol, lambda_init=1.0, max_doublings=10
+) -> list[int]:
+    """The entry checks of ``price_of_robustness``, on its arguments; returns
+    the seeds as a list."""
+    for name, n in (("eval_samples", eval_samples), ("achieved_samples", achieved_samples)):
+        if int(n) < 1:
+            raise ConfigError("n_samples must be >= 1", field=name)
+    for name, n in (("eval_seed", eval_seed), ("bisect_iters", bisect_iters), ("max_doublings", max_doublings)):
+        if int(n) < 0:
+            raise ConfigError("must be >= 0", field=name)
+    if not lambda_init > 0:
+        raise ConfigError("must be > 0", field="lambda_init")
+    if not 0 < match_tol < 1:
+        raise ConfigError("must be in (0, 1)", field="match_tol")
+    return check_seeds(seeds, minimum=3)
+
+
 def price_of_robustness(
     env: Environment,
     base_cfg: TrainConfig,
@@ -329,17 +347,9 @@ def price_of_robustness(
     advance in lockstep: every round trains the pending weight of every
     seed still searching as one model stack.
     """
-    seeds = [int(s) for s in seeds]
-    if len(seeds) < 3:
-        raise ConfigError("price_of_robustness needs at least 3 seeds")
-    if int(eval_samples) < 1 or int(achieved_samples) < 1:
-        raise ConfigError("n_samples must be >= 1")
-    if not lambda_init > 0:
-        raise ConfigError("lambda_init must be > 0")
-    if not 0 < match_tol < 1:
-        raise ConfigError("match_tol must be in (0, 1)")
-    if int(bisect_iters) < 0 or int(max_doublings) < 0:
-        raise ConfigError("bisect_iters and max_doublings must be >= 0")
+    seeds = check_sweep(
+        seeds, eval_samples, eval_seed, achieved_samples, bisect_iters, match_tol, lambda_init, max_doublings
+    )
     gamma = base_cfg.reg.gamma
 
     def run_round(mode: str, pending: dict) -> dict:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environments import Environment, loss, loss_hessian, loss_hessian_bound, sample
+from .environments import Environment, check_seeds, loss, loss_hessian, loss_hessian_bound, sample
 from .errors import ConfigError
 from .inner import InnerLoopConfig, PerturbationSet, Trajectory, pga_batch, pga_run
 from .policy import Layer, PolicyParams, forward, init_policy, jvp
@@ -536,6 +536,7 @@ def verify_suite(
     (one more per round that shrinks eta), and the returned trajectory is
     the one measured at the stabilised step size.
     """
+    seeds = check_seeds(seeds)
     checks: list[dict] = []
     trajectories: dict[int, Trajectory] = {}
 
@@ -552,7 +553,6 @@ def verify_suite(
         )
 
     for seed in seeds:
-        seed = int(seed)
         params = init_policy(policy_dims, activations, seed=seed)
         pair = sample(env, seed)
         smooth = check_effective_smoothness(

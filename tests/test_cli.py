@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aajrlab import cli
 from aajrlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -346,6 +347,117 @@ def test_witness_dims_at_bound_parses():
     cfg = json.loads(VERIFY_CONFIG.read_text())
     cfg["verify"] = dict(cfg.get("verify", {}), witness_dims=[2, 64])
     assert parse_config_dict(cfg).verify["witness_dims"] == [2, 64]
+
+
+def _setting(cfg, dotted, value):
+    """cfg with the value at a dotted key path, making any missing block."""
+    *blocks, key = dotted.split(".")
+    node = cfg
+    for block in blocks:
+        node = node.setdefault(block, {})
+    node[key] = value
+    return cfg
+
+
+MIRROR_A = {"environment.peer_mode": "mirror", "environment.A": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+SOFTPLUS = {"environment.kind": "softplus_congestion", "environment.beta": 2.0}
+
+
+# one bad value per rule reached through the config: (field path, {dotted key: value})
+FIELD_RULES = [
+    ("train.outer_lr", {"train.outer_lr": 0}),
+    ("train.outer_steps", {"train.outer_steps": -1}),
+    ("train.batch_size", {"train.batch_size": 0}),
+    ("train.seed", {"train.seed": -1}),
+    ("train.mode", {"train.mode": "adversarial"}),
+    ("train.inner.eta", {"train.inner.eta": 0}),
+    ("train.inner.steps", {"train.inner.steps": -1}),
+    ("train.inner.eps0", {"train.inner.eps0": 0}),
+    ("train.set.p", {"train.set.p": 3}),
+    ("train.set.epsilon", {"train.set.epsilon": 0}),
+    ("train.set.epsilon", {"train.set.epsilon": -0.5}),
+    ("train.reg.lambda", {"train.reg.lambda": -1}),
+    ("train.reg.gamma", {"train.reg.gamma": 0}),
+    ("train.reg.gamma_adv", {"train.reg.gamma_adv": 0}),
+    ("environment.kind", {"environment.kind": "linear_congestion"}),
+    ("environment.state_dim", {"environment.state_dim": 0}),
+    ("environment.seed", {"environment.seed": -1}),
+    ("environment.c", {"environment.c": []}),
+    ("environment.A", {"environment.A": [[0.0, 0.0]]}),
+    ("environment.beta", {"environment.beta": 2.0}),
+    ("environment.beta", {**SOFTPLUS, "environment.beta": 0}),
+    ("environment.peer_mode", {"environment.peer_mode": "shared"}),
+    ("environment.A", MIRROR_A),  # the mirror peer dimension
+    ("environment.projector", {"environment.projector": [[0.5, 0.1], [0.3, 0.5]]}),
+    ("environment.projector", {"environment.projector": [[1.0]]}),
+    ("environment.projector", {**SOFTPLUS, "environment.projector": [[1.0, 0.0], [0.0, 0.0]]}),
+    ("policy.dims", {"policy.dims": [2, 0, 2]}),
+    ("policy.dims", {"policy.dims": [2, 4, 3]}),
+    ("policy.activations", {"policy.activations": ["relu", "identity"]}),
+    ("policy.activations", {"policy.activations": ["tanh", "tanh"]}),
+    ("policy.activations", {"policy.activations": ["identity"]}),
+    ("policy.init_seed", {"policy.init_seed": -1}),
+    ("verify.seeds", {"verify.seeds": []}),
+    ("verify.seeds", {"verify.seeds": [0, 0]}),
+    ("verify.seeds", {"verify.seeds": [-1]}),
+    ("verify.grid", {"verify.grid": 0}),
+    ("verify.n_samples", {"verify.n_samples": 0}),
+    ("verify.eta_safety", {"verify.eta_safety": 1.5}),
+    ("verify.eta_safety", {"verify.eta_safety": 0}),
+    ("verify.tol_curv_scale", {"verify.tol_curv_scale": 0}),
+    ("verify.witness_dims", {"verify.witness_dims": [1]}),
+    ("sweep.seeds", {"sweep.seeds": [0, 1]}),
+    ("sweep.seeds", {"sweep.seeds": [0, 0, 0]}),
+    ("sweep.seeds", {"sweep.seeds": [0, 1, -2]}),
+    ("sweep.eval_samples", {"sweep.eval_samples": 0}),
+    ("sweep.achieved_samples", {"sweep.achieved_samples": 0}),
+    ("sweep.eval_seed", {"sweep.eval_seed": -1}),
+    ("sweep.bisect_iters", {"sweep.bisect_iters": -1}),
+    ("sweep.match_tol", {"sweep.match_tol": 0}),
+]
+
+
+@pytest.mark.parametrize("path, values", FIELD_RULES, ids=[f"{p}-{i}" for i, (p, _) in enumerate(FIELD_RULES)])
+def test_config_error_starts_with_field_path(tmp_path, capsys, path, values):
+    cfg = minimal_config()
+    for dotted, value in values.items():
+        _setting(cfg, dotted, value)
+    with pytest.raises(ConfigError) as info:
+        parse_config_dict(cfg)
+    assert str(info.value).startswith(f"{path}: ")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("verify_report.json", '{"checks": [{"name": "inclusion", "pass": tr'),
+        ("metrics.csv", "step,nominal_loss\n0,0.5\n"),
+        ("gap_report.json", '{"gamma": 1.0, "t_hat": 0.5}\n'),
+    ],
+)
+def test_report_on_malformed_artifact_is_config_error_naming_the_file(tmp_path, capsys, name, text):
+    path = tmp_path / "run" / name
+    path.parent.mkdir()
+    path.write_text(text)
+    assert main(["report", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"configuration error: {path}: malformed artifact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["init_policy", "train"])
+def test_allocation_failure_is_runtime_error(tmp_path, capsys, monkeypatch, where):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cli, where, out_of_memory)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(QUAD_CONFIG), "--out", str(out)]) == EXIT_RUNTIME
+    assert "runtime error: Unable to allocate" in capsys.readouterr().err
+    # weights are built before the output directory; a failure inside the run leaves it marked
+    assert (out / ".incomplete").exists() == (where == "train")
 
 
 def test_legacy_power_iteration_keys_are_accepted_and_ignored():

@@ -550,3 +550,9 @@ def test_price_of_robustness_in_lockstep_equals_one_model_at_a_time(monkeypatch)
 def test_price_of_robustness_rejects_bad_bracketing_arguments(bad):
     with pytest.raises(ConfigError, match=next(iter(bad)).split("_")[0]):
         price_of_robustness(quad_env([0.5, -0.5]), make_cfg(), seeds=[0, 1, 2], policy_dims=[2, 4, 2], **bad)
+
+
+@pytest.mark.parametrize("seeds", [[0, 1], [0, 0, 0], [0, 1, 1], [0, 1, -1]])
+def test_price_of_robustness_needs_three_distinct_nonnegative_seeds(seeds):
+    with pytest.raises(ConfigError, match="seeds: "):
+        price_of_robustness(quad_env([0.5, -0.5]), make_cfg(), seeds=seeds, policy_dims=[2, 4, 2])

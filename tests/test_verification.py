@@ -474,3 +474,13 @@ def test_witness_validation_errors():
         class_witness(spec, [np.array([0.0, 1.0])], run_e2e=False)  # outside the subspace
     with pytest.raises(ConfigError):
         class_witness(spec, [np.array([2.0, 0.0])], run_e2e=False)  # too long
+
+
+@pytest.mark.parametrize("seeds", [[], [0, 0], [1, 0, 1], [-1]])
+def test_verify_suite_needs_distinct_nonnegative_seeds(seeds):
+    env = quad_env([0.6, -0.8])
+    with pytest.raises(ConfigError, match="seeds: "):
+        verify_suite(
+            env, [2, 2], ["identity"], PerturbationSet(p=2, epsilon=0.5, dim=2), InnerLoopConfig(eta=0.1, steps=2),
+            RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0), seeds=seeds,
+        )
