@@ -352,6 +352,8 @@ def load_checkpoint(path) -> PolicyParams:
         raise ConfigError(f"checkpoint {path}: dims/activations/layers do not agree")
     layers = []
     for k, raw in enumerate(raw_layers):
+        if not isinstance(raw, dict) or not {"weight", "bias"} <= raw.keys():
+            raise ConfigError(f"checkpoint {path}: layer {k} must be an object with 'weight' and 'bias'")
         out_dim, in_dim = int(dims[k + 1]), int(dims[k])
         W = np.asarray(raw["weight"], dtype=np.float64)
         if W.size != out_dim * in_dim:

@@ -15,8 +15,10 @@ models at matched budgets: the penalty weight for each penalized mode is
 tuned by bisection until the achieved constraint level (max sampled
 spectral norm for the global mode, max directional amplification for the
 directional mode) lands within a tolerance of the shared budget gamma.
-All seeds of a mode are trained together, one stack per bisection round.
-The reported gaps are trained-optimum estimates, not exact infima.
+All seeds are trained together, and the two penalized modes share their
+bisection rounds: every round is one model stack, and its models are
+evaluated as one stack too. The reported gaps are trained-optimum
+estimates, not exact infima.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .regularizers import (
 )
 
 MODES = ("nominal", "robust_aajr", "robust_global", "robust_plain")
+PENALIZED = ("robust_aajr", "robust_global")
 
 CSV_HEADER = "step,robust_loss,nominal_loss,aajr_penalty,global_penalty,max_dir_amp,mean_spectral,grad_norm"
 
@@ -117,17 +120,23 @@ def _draws(env: Environment, rng: np.random.Generator, n: int):
     return rows[:, :d].copy(), rows[:, d:].copy()
 
 
-def _objective_builder(env, S, A, record, cfg: TrainConfig, lam, params: PolicyParams, v_hat):
-    """The stack's objective, one value per model; ``lam`` holds each
-    model's penalty weight (one model's objective and weight are scalars)."""
+def _objective_builder(env, S, A, record, cfgs, params: PolicyParams, v_hat):
+    """The stack's objective, one value per model. Each penalty enters with
+    a per-model weight, the model's lambda under its own mode's penalty and
+    0 under the other's, and a penalty no model uses is not built. A masked
+    penalty adds exact zeros to its model's value and gradient. One model's
+    objective and weights are scalars."""
     X = S if record is None else S + record.deltas[..., -1, :]
+    weights = {mode: [c.reg.lam * (c.mode == mode) for c in cfgs] for mode in PENALIZED}
+    lam = {mode: np.array(w) if params.models else w[0] for mode, w in weights.items() if any(w)}
+    reg = cfgs[0].reg
 
     def build(handle):
         obj = loss_term(env, handle.forward(X), A) * (1.0 / S.shape[-2])
-        if cfg.mode == "robust_aajr" and np.any(lam):
-            obj = obj + lam * aajr_batch_term(handle, S, record, cfg.reg)
-        elif cfg.mode == "robust_global" and np.any(lam):
-            obj = obj + lam * global_term(handle, params, S, cfg.reg, v_hat=v_hat)
+        if "robust_aajr" in lam:
+            obj = obj + lam["robust_aajr"] * aajr_batch_term(handle, S, record, reg)
+        if "robust_global" in lam:
+            obj = obj + lam["robust_global"] * global_term(handle, params, S, reg, v_hat=v_hat)
         return obj
 
     return build
@@ -140,9 +149,8 @@ def _outer_step(cfgs, env: Environment, params: PolicyParams, step: int, diagnos
     draws = [_draws(env, np.random.default_rng([env.seed, c.seed, step]), cfg.batch_size) for c in cfgs]
     S, A = (np.stack(rows) if stacked else rows[0] for rows in zip(*draws))
     record = pga_batch(params, S, A, env, cfg.pset, cfg.inner) if cfg.mode != "nominal" else None
-    lam = np.array([c.reg.lam for c in cfgs]) if stacked else cfg.reg.lam
     sigmas, v_hat = top_singular(params, S)
-    value, grads = param_gradient(params, _objective_builder(env, S, A, record, cfg, lam, params, v_hat))
+    value, grads = param_gradient(params, _objective_builder(env, S, A, record, cfgs, params, v_hat))
     if not np.isfinite(value):
         raise NumericError(f"non-finite objective at outer step {step}")
     records = [None] * len(cfgs)
@@ -160,13 +168,22 @@ def _train_stack(cfgs, env: Environment, params0s, diagnostics: bool = True):
     model, each bit for bit what training it alone gives.
 
     The models share the environment and every hyperparameter but their
-    seed, their penalty weight (zero for all or for none) and ``params0``.
-    A step that raises NumericError is re-run model by model: a model that
-    fails it aborts with its last finite parameters and leaves the stack,
-    and the others go on.
+    seed, their penalty weight (zero for all or for none) and ``params0``;
+    ``robust_global`` and ``robust_aajr`` models may share a stack, since
+    both run the same ascent. A step that raises NumericError is re-run
+    model by model: a model that fails it aborts with its last finite
+    parameters and leaves the stack, and the others go on.
     """
-    if len({replace(c, seed=0, reg=replace(c.reg, lam=float(c.reg.lam != 0.0))) for c in cfgs}) > 1:
-        raise ConfigError("stacked models must share every setting but seed and lambda, and lambda = 0")
+
+    def shared(c: TrainConfig) -> TrainConfig:
+        """What stacked models have in common; the two penalized modes count as one."""
+        mode = PENALIZED[0] if c.mode in PENALIZED else c.mode
+        return replace(c, mode=mode, seed=0, reg=replace(c.reg, lam=float(c.reg.lam != 0.0)))
+
+    if len(set(map(shared, cfgs))) > 1:
+        raise ConfigError(
+            "stacked models must share every setting but seed, lambda and the penalized mode, and whether lambda = 0"
+        )
     params = stack_policies(params0s)
     if params.in_dim != env.state_dim or params.out_dim != env.action_dim:
         raise ConfigError(
@@ -231,7 +248,7 @@ def _step_record(step, env, params, S, A, record, sigmas, grads, cfg: TrainConfi
 
 def evaluate_nominal_risk(params: PolicyParams, env: Environment, n_samples: int, seed: int) -> float:
     """Monte-Carlo mean of L(pi(s), a) over seeded draws."""
-    mean, _ = _nominal_risk_samples(params, env, n_samples, seed)
+    mean, _ = _nominal_risk_samples(params, env, n_samples, seed)[0]
     return mean
 
 
@@ -242,11 +259,25 @@ def _eval_draws(env: Environment, n_samples: int, seed: int):
     return _draws(env, np.random.default_rng([env.seed, int(seed)]), int(n_samples))
 
 
+def _per_model(params: PolicyParams, *rows):
+    """Rows shared by every model of a stack, repeated as (M, N, ...) rows;
+    one model's rows as they are."""
+    return rows if not params.models else tuple(np.stack([x] * params.models) for x in rows)
+
+
+def _models(params: PolicyParams, x):
+    """The per-model slices of a stacked result; one model's result alone."""
+    return list(x) if params.models else [x]
+
+
 def _nominal_risk_samples(params, env, n_samples, seed):
-    S, A = _eval_draws(env, n_samples, seed)
-    vals = loss(env, numpy_handle(params).forward(S), A)
-    se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return float(np.mean(vals)), se
+    """(mean, se) of the nominal loss over the evaluation sample, per model."""
+    S, A = _per_model(params, *_eval_draws(env, n_samples, seed))
+    pairs = []
+    for vals in _models(params, loss(env, numpy_handle(params).forward(S), A)):
+        se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        pairs.append((float(np.mean(vals)), se))
+    return pairs
 
 
 def evaluate_robust_risk(
@@ -275,11 +306,19 @@ def measure_achieved_levels(
     Returns (max directional amplification over ascent steps, max spectral
     norm over every visited state s + delta_t).
     """
-    S, A = _eval_draws(env, n_samples, seed)
+    return _achieved_levels(params, env, pset, inner, n_samples, seed)[0]
+
+
+def _achieved_levels(params, env, pset, inner, n_samples, seed):
+    """``measure_achieved_levels`` per model, from one stacked ascent and one
+    stacked spectral norm over the evaluation sample."""
+    S, A = _per_model(params, *_eval_draws(env, n_samples, seed))
     record = pga_batch(params, S, A, env, pset, inner)
-    visited = (S[:, None] + record.deltas).reshape(-1, S.shape[-1])
-    max_amp = float(np.max(record.amps, initial=0.0))
-    return max_amp, max(0.0, float(np.max(spectral_norm(params, visited))))
+    visited = (S[..., None, :] + record.deltas).reshape(S.shape[:-2] + (-1, S.shape[-1]))
+    return [
+        (float(np.max(amps, initial=0.0)), max(0.0, float(np.max(sigmas))))
+        for amps, sigmas in zip(_models(params, record.amps), _models(params, spectral_norm(params, visited)))
+    ]
 
 
 @dataclass
@@ -343,48 +382,61 @@ def price_of_robustness(
     """Train all three modes per seed with bisection-matched budgets.
 
     Each (seed, mode) search is a generator that yields the penalty weights
-    it wants trained and receives their results. The searches of one mode
-    advance in lockstep: every round trains the pending weight of every
-    seed still searching as one model stack.
+    it wants trained and receives their results. The searches advance in
+    lockstep, the global and the directional ones in the same rounds: every
+    round trains the pending weight of every search still running as one
+    model stack, and evaluates the runs that did not abort as one stack.
     """
     seeds = check_sweep(
         seeds, eval_samples, eval_seed, achieved_samples, bisect_iters, match_tol, lambda_init, max_doublings
     )
     gamma = base_cfg.reg.gamma
 
-    def run_round(mode: str, pending: dict) -> dict:
-        """Train the pending (seed index -> lambda) runs as one stack and
-        evaluate each; None for a run that aborted."""
-        reg = base_cfg.reg
-        cfgs = [replace(base_cfg, mode=mode, seed=seeds[k], reg=replace(reg, lam=lam)) for k, lam in pending.items()]
+    def run_round(pending: dict) -> dict:
+        """Train the pending ((seed index, mode) -> lambda) runs as one stack
+        and evaluate them; None for a run that aborted."""
+        cfgs = [
+            replace(base_cfg, mode=mode, seed=seeds[k], reg=replace(base_cfg.reg, lam=lam))
+            for (k, mode), lam in pending.items()
+        ]
         params0s = [init_policy(policy_dims, activations, seed=cfg.seed) for cfg in cfgs]
+        runs = zip(pending, cfgs, _train_stack(cfgs, env, params0s, diagnostics=False))
+        trained = [(key, cfg, params) for key, cfg, (params, metrics) in runs if metrics.aborted_step is None]
         results = dict.fromkeys(pending)
-        for k, cfg, (params, metrics) in zip(pending, cfgs, _train_stack(cfgs, env, params0s, diagnostics=False)):
-            if metrics.aborted_step is None:
-                risk, se = _nominal_risk_samples(params, env, eval_samples, eval_seed)
-                amp, spec = measure_achieved_levels(params, env, cfg.pset, cfg.inner, achieved_samples, eval_seed)
-                results[k] = {
-                    "mode": mode,
-                    "seed": cfg.seed,
-                    "lambda": cfg.reg.lam,
-                    "nominal_risk": risk,
-                    "nominal_risk_se": se,
-                    "achieved_dir_amp": amp,
-                    "achieved_spectral": spec,
-                }
+        if not trained:
+            return results
+        stack = stack_policies([params for _, _, params in trained])
+        risks = _nominal_risk_samples(stack, env, eval_samples, eval_seed)
+        levels = _achieved_levels(stack, env, base_cfg.pset, base_cfg.inner, achieved_samples, eval_seed)
+        for (key, cfg, _), (risk, se), (amp, spec) in zip(trained, risks, levels):
+            results[key] = {
+                "mode": cfg.mode,
+                "seed": cfg.seed,
+                "lambda": cfg.reg.lam,
+                "nominal_risk": risk,
+                "nominal_risk_se": se,
+                "achieved_dir_amp": amp,
+                "achieved_spectral": spec,
+            }
         return results
 
-    def lockstep(mode: str, searches: dict) -> dict:
-        """Drive one search per seed index to its end; returns what each returned."""
+    def lockstep(searches: dict) -> dict:
+        """Drive every (seed index, mode) search to its end; returns what each
+        returned. A seed whose global search returns None trains no further
+        AAJR model: its AAJR search is closed."""
         results, done = dict.fromkeys(searches), {}
         while results:
             pending = {}
-            for k, result in results.items():
+            for key, result in results.items():
                 try:
-                    pending[k] = searches[k].send(result)
+                    pending[key] = searches[key].send(result)
                 except StopIteration as stop:
-                    done[k] = stop.value
-            results = run_round(mode, pending) if pending else {}
+                    done[key] = stop.value
+            for k, mode in done:
+                if mode == "robust_global" and done[k, mode] is None and (k, "robust_aajr") in pending:
+                    del pending[k, "robust_aajr"]
+                    searches[k, "robust_aajr"].close()
+            results = run_round(pending) if pending else {}
         return done
 
     def match_budget(mode: str, unpenalized):
@@ -418,28 +470,27 @@ def price_of_robustness(
                 best, best_err = mid_result, abs(level - gamma)
         return best
 
-    nominal = run_round("nominal", dict.fromkeys(range(len(seeds)), 0.0))
-    kept = [k for k, result in nominal.items() if result is not None]
+    nominal = run_round({(k, "nominal"): 0.0 for k in range(len(seeds))})
+    kept = [k for k in range(len(seeds)) if nominal[k, "nominal"] is not None]
     # at lambda = 0 no penalty is built and diagnostics never feed the
     # gradients, so both penalized modes start from the same training run
-    unpenalized = run_round("robust_plain", dict.fromkeys(kept, 0.0))
-    matched = {}
-    for mode in ("robust_global", "robust_aajr"):  # a seed whose global run aborted trains no AAJR model
-        matched[mode] = lockstep(mode, {k: match_budget(mode, unpenalized[k]) for k in kept})
-        kept = [k for k in kept if matched[mode][k] is not None]
+    unpenalized = run_round({(k, "robust_plain"): 0.0 for k in kept})
+    matched = lockstep(
+        {(k, mode): match_budget(mode, unpenalized[k, "robust_plain"]) for k in kept for mode in PENALIZED}
+    )
 
     per_seed: list[dict] = []
     excluded: list[dict] = []
     for k, seed in enumerate(seeds):
-        if nominal[k] is None:
+        if nominal[k, "nominal"] is None:
             excluded.append({"seed": seed, "mode": "nominal", "reason": "aborted"})
             continue
-        entry: dict = {"seed": seed, "nominal": nominal[k]}
-        for mode in ("robust_global", "robust_aajr"):
-            if matched[mode][k] is None:
+        entry: dict = {"seed": seed, "nominal": nominal[k, "nominal"]}
+        for mode in ("robust_global", "robust_aajr"):  # a seed whose global run aborted reports no AAJR model
+            if matched[k, mode] is None:
                 excluded.append({"seed": seed, "mode": mode, "reason": "aborted"})
                 break
-            entry[mode] = matched[mode][k]
+            entry[mode] = matched[k, mode]
         else:
             per_seed.append(entry)
     if not per_seed:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -306,6 +307,14 @@ def test_checkpoint_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dims": [2, 2], "activations": ["identity"], "layers": [{"weight": [1.0], "bias": [0.0, 0.0]}]}')
     with pytest.raises(ConfigError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("layer", [{"weight": [1, 0, 0, 1]}, {"bias": [0, 0]}, [[1, 0, 0, 1], [0, 0]]])
+def test_checkpoint_rejects_malformed_layer_naming_it(tmp_path, layer):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dims": [2, 2], "activations": ["identity"], "layers": [layer]}))
+    with pytest.raises(ConfigError, match=f"checkpoint {path}: layer 0 "):
         load_checkpoint(path)
 
 

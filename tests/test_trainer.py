@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -20,11 +21,13 @@ from aajrlab.policy import (
     init_policy,
     jacobian,
     param_gradient,
+    stack_policies,
 )
 from aajrlab.regularizers import RegularizerConfig
 from aajrlab.tape import dot, relu, sqrt
 from aajrlab.trainer import (
     CSV_HEADER,
+    RunMetrics,
     TrainConfig,
     evaluate_nominal_risk,
     evaluate_robust_risk,
@@ -449,9 +452,17 @@ def test_price_of_robustness_never_builds_step_records(monkeypatch):
     assert price_of_robustness(env, cfg, **kwargs).to_json() == expected
 
 
-def stack_cfgs(mode, lams, steps=5):
-    cfg = mirror_cfg(mode, batch=3, steps=steps)
-    return [replace(cfg, seed=seed, reg=replace(cfg.reg, lam=lam)) for seed, lam in zip((3, 0, 7, 1, 4), lams)]
+def stack_cfgs(modes, lams, steps=5):
+    """One config per model; ``modes`` is one mode for every model, or one per model."""
+    modes = [modes] * len(lams) if isinstance(modes, str) else modes
+    cfg = mirror_cfg(modes[0], batch=3, steps=steps)
+    return [
+        replace(cfg, mode=mode, seed=seed, reg=replace(cfg.reg, lam=lam))
+        for mode, seed, lam in zip(modes, (3, 0, 7, 1, 4), lams)
+    ]
+
+
+MIXED = ["robust_global", "robust_aajr", "robust_aajr", "robust_global", "robust_aajr"]
 
 
 def assert_same_run(got, want):
@@ -463,7 +474,8 @@ def assert_same_run(got, want):
 
 
 @pytest.mark.parametrize("mode,lams", [("nominal", [0.0] * 5), ("robust_aajr", [0.5, 1.0, 2.0, 4.0, 8.0]),
-                                       ("robust_global", [30.0, 0.7, 120.0, 2.0, 9.0])])
+                                       ("robust_global", [30.0, 0.7, 120.0, 2.0, 9.0]),
+                                       (MIXED, [30.0, 0.5, 2.0, 120.0, 8.0])])
 def test_stacked_training_equals_training_each_model_alone(mode, lams):
     env = mirror_env()
     cfgs = stack_cfgs(mode, lams)
@@ -489,13 +501,35 @@ def test_stack_member_that_diverges_leaves_the_others_unchanged():
         assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
 
 
+def test_mixed_stack_member_that_diverges_leaves_the_others_unchanged():
+    env = mirror_env()
+    cfgs = stack_cfgs(MIXED, [30.0, 1.0, 100.0, 2.0, 8.0], steps=12)
+    params0s = [init_policy([4, 6, 4], ["identity", "identity"], seed=s) for s in (5, 1, 1, 8, 3)]
+    with np.errstate(all="ignore"):
+        stacked = trainer._train_stack(cfgs, env, params0s)
+        alone = [train(cfg, env, params0) for cfg, params0 in zip(cfgs, params0s)]
+    assert [m.aborted_step for _, m in stacked] == [None, None, 5, None, None]
+    for got, want in zip(stacked, alone):
+        assert_same_run(got, want)
+
+
 def test_stack_rejects_models_that_differ_beyond_seed_and_lambda():
     env = mirror_env()
     params0s = [init_policy([4, 6, 4], seed=s) for s in (0, 1)]
     cfgs = stack_cfgs("robust_aajr", [1.0, 2.0])
-    for other in (replace(cfgs[1], outer_lr=0.2), replace(cfgs[1], reg=replace(cfgs[1].reg, lam=0.0))):
+    for other in (
+        replace(cfgs[1], outer_lr=0.2),
+        replace(cfgs[1], reg=replace(cfgs[1].reg, lam=0.0)),
+        replace(cfgs[1], mode="robust_global", reg=replace(cfgs[1].reg, lam=0.0)),
+        replace(cfgs[1], mode="robust_plain", reg=replace(cfgs[1].reg, lam=0.0)),
+        replace(cfgs[1], mode="nominal"),
+    ):
         with pytest.raises(ConfigError, match="share"):
             trainer._train_stack([cfgs[0], other], env, params0s)
+    # nominal never shares a stack with a penalized mode, whatever its lambda
+    nominal = replace(cfgs[0], mode="nominal", reg=replace(cfgs[0].reg, lam=0.0))
+    with pytest.raises(ConfigError, match="share"):
+        trainer._train_stack([nominal, replace(cfgs[1], mode="robust_global")], env, params0s)
 
 
 @pytest.mark.parametrize("mode", ["nominal", "robust_aajr", "robust_global"])
@@ -521,26 +555,86 @@ def test_price_of_robustness_in_lockstep_equals_one_model_at_a_time(monkeypatch)
     env = mirror_env()
     cfg = mirror_cfg("nominal", batch=2, steps=6)
     kwargs = dict(seeds=[0, 1, 2], policy_dims=[4, 6, 4], eval_samples=16, achieved_samples=3, bisect_iters=2, max_doublings=2)
-    stack, rounds = trainer._train_stack, []
+    stack, rounds, alone = trainer._train_stack, [], []
 
     def spy(cfgs, *args, **kw):
-        rounds.append(len(cfgs))
+        rounds.append({c.mode for c in cfgs})
         return stack(cfgs, *args, **kw)
 
     monkeypatch.setattr(trainer, "_train_stack", spy)
     lockstep = price_of_robustness(env, cfg, **kwargs).to_json()
-    assert max(rounds) == 3 and len(rounds) < sum(rounds)
     for entry in lockstep["per_seed"]:
         assert [entry[mode]["seed"] for mode in ("nominal", "robust_global", "robust_aajr")] == [entry["seed"]] * 3
 
     def one_at_a_time(cfgs, env, params0s, diagnostics=True):
+        alone.extend((c.seed, c.mode) for c in cfgs)
         return [stack([c], env, [p], diagnostics)[0] for c, p in zip(cfgs, params0s)]
 
     monkeypatch.setattr(trainer, "_train_stack", one_at_a_time)
     assert price_of_robustness(env, cfg, **kwargs).to_json() == lockstep
+    # a (seed, mode) search trains one run per round; the penalized modes share their rounds, so while
+    # both search every round holds both, and the sweep takes 2 rounds plus the longer mode's search
+    runs = Counter(run for run in alone if run[1] in trainer.PENALIZED)
+    longest = {mode: max(n for (_, m), n in runs.items() if m == mode) for mode in trainer.PENALIZED}
+    assert min(longest.values()) >= 2
+    assert rounds[:2] == [{"nominal"}, {"robust_plain"}]
+    assert rounds[2 : 2 + min(longest.values())] == [set(trainer.PENALIZED)] * min(longest.values())
+    assert len(rounds) == 2 + max(longest.values())
     # a seed's search never sees another seed's runs: reordering the seeds reorders the entries only
     reordered = price_of_robustness(env, cfg, **dict(kwargs, seeds=[2, 0, 1])).to_json()
     assert sorted(reordered["per_seed"], key=lambda e: e["seed"]) == lockstep["per_seed"]
+
+
+def test_sweep_excludes_a_seed_whose_global_search_aborts(monkeypatch):
+    env = mirror_env()
+    cfg = mirror_cfg("nominal", batch=2, steps=6)
+    kwargs = dict(seeds=[0, 1, 2], policy_dims=[4, 6, 4], eval_samples=16, achieved_samples=3, bisect_iters=2, max_doublings=2)
+    stack, rounds = trainer._train_stack, []
+
+    def recording(train_stack, aborted=()):
+        """``train_stack`` that records each round's (seed, mode) runs and
+        reports the runs of the ``aborted`` (seed, mode) pairs as aborted."""
+
+        def run(cfgs, env, params0s, diagnostics=True):
+            rounds.append([(c.seed, c.mode) for c in cfgs])
+            results = train_stack(cfgs, env, params0s, diagnostics)
+            return [
+                (params, RunMetrics(aborted_step=0) if (c.seed, c.mode) in aborted else metrics)
+                for c, (params, metrics) in zip(cfgs, results)
+            ]
+
+        return run
+
+    def one_at_a_time(cfgs, env, params0s, diagnostics=True):
+        return [stack([c], env, [p], diagnostics)[0] for c, p in zip(cfgs, params0s)]
+
+    monkeypatch.setattr(trainer, "_train_stack", recording(stack))
+    price_of_robustness(env, cfg, **kwargs)
+    assert sum((1, "robust_aajr") in r for r in rounds) >= 2  # seed 1's AAJR search runs past its first round
+    rounds.clear()
+    monkeypatch.setattr(trainer, "_train_stack", recording(stack, aborted={(1, "robust_global")}))
+    report = price_of_robustness(env, cfg, **kwargs).to_json()
+    assert [entry["seed"] for entry in report["per_seed"]] == [0, 2]
+    assert report["excluded"] == [{"seed": 1, "mode": "robust_global", "reason": "aborted"}]
+    # the global search returns None on its first run's result; the AAJR search trained beside it, then stops
+    trained = [i for i, r in enumerate(rounds) if (1, "robust_global") in r]
+    assert trained == [2] and (1, "robust_aajr") in rounds[2]
+    assert not any((1, "robust_aajr") in r for r in rounds[3:])
+    monkeypatch.setattr(trainer, "_train_stack", recording(one_at_a_time, aborted={(1, "robust_global")}))
+    assert price_of_robustness(env, cfg, **kwargs).to_json() == report
+
+
+def test_stacked_evaluation_equals_evaluating_each_model_alone():
+    env = mirror_env()
+    cfg = mirror_cfg("robust_aajr", batch=2)
+    members = [init_policy([4, 6, 4], seed=s) for s in (3, 0, 7)]
+    stack = stack_policies(members)
+    risks = trainer._nominal_risk_samples(stack, env, 16, seed=4)
+    levels = trainer._achieved_levels(stack, env, cfg.pset, cfg.inner, 3, seed=4)
+    for params, (risk, se), level in zip(members, risks, levels):
+        assert (risk, se) == trainer._nominal_risk_samples(params, env, 16, seed=4)[0]
+        assert risk == evaluate_nominal_risk(params, env, 16, seed=4) and se > 0.0
+        assert level == measure_achieved_levels(params, env, cfg.pset, cfg.inner, 3, seed=4)
 
 
 @pytest.mark.parametrize(
