@@ -20,7 +20,7 @@ from .policy import (
     save_checkpoint,
     vjp,
 )
-from .regularizers import RegularizerConfig, aajr_penalty, global_penalty, spectral_norm
+from .regularizers import RegularizerConfig, global_penalty, spectral_norm
 from .trainer import (
     GapReport,
     RunMetrics,
@@ -56,7 +56,6 @@ __all__ = [
     "TrainConfig",
     "Trajectory",
     "WitnessSpec",
-    "aajr_penalty",
     "ascent_direction",
     "check_effective_smoothness",
     "check_inclusion",

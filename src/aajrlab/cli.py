@@ -24,13 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .environments import Environment, check_seeds
+from .environments import Environment
 from .errors import ConfigError, NumericError
 from .inner import InnerLoopConfig, PerturbationSet, dump_trajectory
 from .policy import PolicyParams, init_policy, policy_spec, save_checkpoint
 from .regularizers import RegularizerConfig
 from .trainer import TrainConfig, check_sweep, price_of_robustness, train
-from .verification import verify_suite
+from .verification import check_verify, verify_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -38,9 +38,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 INCOMPLETE_MARKER = ".incomplete"
-
-# largest ambient dimension of a class-witness construction
-MAX_WITNESS_DIM = 64
 
 
 @dataclass
@@ -193,21 +190,10 @@ def parse_config_dict(raw: dict) -> RunConfig:
         train_block["reg"].setdefault("gamma_adv", train_block["reg"]["gamma"])
         pset = build_train_config(train_block, state_dim).pset
         train_block["set"]["p"] = "inf" if pset.p == math.inf else 2
-    # rules of the command line alone: the library allows epsilon = 0 and checks these verify ranges mid-run if at all
-    witness_dims = verify["witness_dims"]
-    for path, ok, rule in (
-        ("train.set.epsilon", train_block is None or train_block["set"]["epsilon"] > 0, "must be > 0"),
-        ("verify.grid", verify["grid"] >= 1, "must be >= 1"),
-        ("verify.n_samples", verify["n_samples"] >= 1, "must be >= 1"),
-        ("verify.eta_safety", 0 < verify["eta_safety"] <= 1, "must be in (0, 1]"),
-        ("verify.tol_curv_scale", verify["tol_curv_scale"] > 0, "must be > 0"),
-        ("verify.witness_dims", all(d >= 2 for d in witness_dims), "entries must be >= 2"),
-        ("verify.witness_dims", all(d <= MAX_WITNESS_DIM for d in witness_dims),
-         f"entries must be <= {MAX_WITNESS_DIM}"),
-    ):
-        if not ok:
-            raise ConfigError(f"{path}: {rule}")
-    _built("verify", check_seeds, verify["seeds"])
+    # a rule of the command line alone: the library allows epsilon = 0
+    if train_block is not None and not train_block["set"]["epsilon"] > 0:
+        raise ConfigError("train.set.epsilon: must be > 0")
+    _built("verify", check_verify, **verify)
     _built("sweep", check_sweep, **cfg["sweep"])
     return RunConfig(**cfg)
 

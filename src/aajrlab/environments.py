@@ -9,9 +9,10 @@ Two loss families over the action z and the observable peer demand a:
 
 An optional orthogonal projector replaces the quadratic residual with its
 projection, which confines loss gradients to a chosen subspace (used by the
-expressivity witness checks). Samplers are seeded and deterministic; in
-``mirror`` mode the peer demand equals the drawn state, which makes the
-task state-dependent and lets sensitivity budgets actually bind.
+expressivity witness checks). The one sampler, ``draws``, is seeded and
+deterministic, and ``sample`` is its one-row case. In ``mirror`` mode the
+peer demand equals the drawn state, which makes the task state-dependent
+and lets sensitivity budgets actually bind.
 """
 
 from __future__ import annotations
@@ -92,17 +93,25 @@ class Environment:
         return self.A.shape[1]
 
 
-def _draw(env: Environment, rng: np.random.Generator):
-    s = rng.uniform(-1.0, 1.0, env.state_dim)
-    a = s.copy() if env.peer_mode == "mirror" else rng.uniform(-1.0, 1.0, env.peer_dim)
-    return s, a
+def draws(env: Environment, rng: np.random.Generator, n: int):
+    """n seeded (state, peer context) draws, stacked as (n, d) and (n, q)
+    rows: one uniform draw of n rows, each row a state followed by its peer
+    context, or a state alone that is also its context in ``mirror`` mode."""
+    d = env.state_dim
+    if env.peer_mode == "mirror":
+        S = rng.uniform(-1.0, 1.0, (n, d))
+        return S, S.copy()
+    rows = rng.uniform(-1.0, 1.0, (n, d + env.peer_dim))
+    return rows[:, :d].copy(), rows[:, d:].copy()
 
 
 def sample(env: Environment, seed: int):
-    """Deterministic draw of (state, peer context) for a non-negative seed."""
+    """Deterministic draw of (state, peer context) for a non-negative seed:
+    the one row of ``draws`` seeded by (env.seed, seed)."""
     if int(seed) < 0:
         raise ConfigError("sample seed must be >= 0")
-    return _draw(env, np.random.default_rng([env.seed, int(seed)]))
+    S, A = draws(env, np.random.default_rng([env.seed, int(seed)]), 1)
+    return S[0], A[0]
 
 
 def check_seeds(seeds, minimum: int = 1) -> list[int]:

@@ -207,10 +207,6 @@ class PolicyHandle:
         return _mlp(self.layers, self.activations, x, v)[1]
 
 
-def numpy_handle(params: PolicyParams) -> PolicyHandle:
-    return params.handle
-
-
 def _jacobian(params: PolicyParams, S: Array) -> Array:
     """Dense Jacobians at a state or at every row of S, from one forward
     pass per state carrying the ``in_dim`` identity tangents."""

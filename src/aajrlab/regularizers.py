@@ -1,24 +1,28 @@
 """Sensitivity penalties: the trajectory-aligned directional penalty, a
-global spectral-norm hinge baseline, and exact spectral norms.
+global spectral-norm hinge baseline, exact spectral norms, and the two
+constraint levels a batch's ascents reach.
 
 The directional penalty averages ||J(s + delta_t) u_t||_2^2 over the
-recorded ascent steps with the directions held constant: trajectories are
-computed before the penalty is differentiated, so no gradient ever flows
+recorded ascent steps with the directions held constant: the ascents are
+run before the penalty is differentiated, so no gradient ever flows
 through u_t. Spectral norms come from a dense SVD of the small state-action
 Jacobian; when differentiated, the top right singular vector is held fixed
-and the gradient flows only through the product J v.
+and the gradient flows only through the product J v. ``constraint_levels``
+is the one measurement of the directional amplifications along the ascents
+and of the spectral norm at every visited state, which the inclusion
+certificate and the sweep's budget matching both read.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .environments import Environment
 from .errors import ConfigError, NumericError
-from .inner import Ascent, Trajectory
-from .policy import PolicyHandle, PolicyParams, jacobian, numpy_handle
+from .inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch
+from .policy import PolicyHandle, PolicyParams, jacobian
 from .tape import dot, relu, sqrt
 
 Array = np.ndarray
@@ -47,34 +51,21 @@ def _hinge_sq(w, budget: float):
     return dot(excess, excess, -1 if len(w.shape) == 3 else None) * (1.0 / w.shape[-2])
 
 
-def _aajr_mean(handle: PolicyHandle, X, U, cfg: RegularizerConfig | None):
-    """Mean penalty over rows (s + delta_t, u_t), from one policy pass; one
-    mean per model for (M, N, d) rows of a model stack."""
-    amp = handle.jvp(X, U)
-    if cfg is not None and cfg.aajr_hinge:
-        return _hinge_sq(amp, cfg.gamma_adv)
-    return dot(amp, amp, (-2, -1) if len(amp.shape) == 3 else None) * (1.0 / amp.shape[-2])
-
-
 def aajr_batch_term(handle: PolicyHandle, states, record: Ascent, cfg: RegularizerConfig | None = None):
     """Mean penalty over every ascent step of a batch, as a tape-generic
     expression, for the (B, d) or (M, B, d) states the ascents in ``record``
-    started from; 0.0 when the ascents have no steps."""
+    started from; one mean per model for a model stack, from one policy
+    pass over the rows (s + delta_t, u_t). 0.0 when the ascents have no
+    steps."""
     S = np.asarray(states, dtype=np.float64)
     if record.ascent.shape[-2] == 0:
         return 0.0
     rows = S.shape[:-2] + (-1, S.shape[-1])  # every step of every sample, per model
     X = S[..., None, :] + record.deltas[..., :-1, :]
-    return _aajr_mean(handle, X.reshape(rows), record.ascent.reshape(rows), cfg)
-
-
-def aajr_penalty(params: PolicyParams, s, traj: Trajectory, cfg: RegularizerConfig | None = None) -> float:
-    """Mean squared directional amplification along the recorded trajectory."""
-    if traj.steps == 0:
-        warnings.warn("trajectory has no ascent steps; directional penalty is 0", stacklevel=2)
-        return 0.0
-    X = np.asarray(s, dtype=np.float64) + np.array(traj.deltas[:-1])
-    return float(_aajr_mean(numpy_handle(params), X, np.array(traj.ascent_dirs), cfg))
+    amp = handle.jvp(X.reshape(rows), record.ascent.reshape(rows))
+    if cfg is not None and cfg.aajr_hinge:
+        return _hinge_sq(amp, cfg.gamma_adv)
+    return dot(amp, amp, (-2, -1) if len(amp.shape) == 3 else None) * (1.0 / amp.shape[-2])
 
 
 def top_singular(params: PolicyParams, states):
@@ -93,24 +84,28 @@ def spectral_norm(params: PolicyParams, s):
     return float(sigma) if sigma.ndim == 0 else sigma
 
 
-def _stacked(states) -> Array:
-    states = np.asarray(list(states), dtype=np.float64)
-    if not len(states):
-        raise ConfigError("global penalty needs at least one state")
-    return states
+def constraint_levels(
+    params: PolicyParams, states, contexts, env: Environment, pset: PerturbationSet, inner: InnerLoopConfig
+):
+    """The constraint levels of the ascents from (B, d) states, or from the
+    (M, B, d) states of a model stack: the directional amplification
+    ||J(s + delta_t) u_t|| of every step, (..., B, K), and the exact
+    spectral norm at every visited state s + delta_t, (..., B, K + 1)."""
+    S = np.asarray(states, dtype=np.float64)
+    record = pga_batch(params, S, contexts, env, pset, inner)
+    visited = S[..., None, :] + record.deltas
+    sigmas = spectral_norm(params, visited.reshape(S.shape[:-2] + (-1, S.shape[-1])))
+    return record.amps, sigmas.reshape(record.deltas.shape[:-1])
 
 
-def global_term(handle: PolicyHandle, params: PolicyParams, states, cfg: RegularizerConfig, v_hat=None):
+def global_term(handle: PolicyHandle, states, v_hat, cfg: RegularizerConfig):
     """Mean hinge^2 above gamma as a tape-generic expression.
 
-    The top right singular vectors v_hat come from an untaped SVD, unless
-    the caller already has them from ``top_singular``; the differentiable
-    part is ||J v_hat|| with v_hat fixed, which by Danskin's theorem has the
-    gradient of ||J||_2 wherever the top singular value is simple.
+    The top right singular vectors v_hat come from ``top_singular``; the
+    differentiable part is ||J v_hat|| with v_hat fixed, which by Danskin's
+    theorem has the gradient of ||J||_2 wherever the top singular value is
+    simple.
     """
-    states = _stacked(states)
-    if v_hat is None:
-        v_hat = top_singular(params, states)[1]
     return _hinge_sq(handle.jvp(states, v_hat), cfg.gamma)
 
 
@@ -118,5 +113,8 @@ def global_penalty(params: PolicyParams, states, cfg: RegularizerConfig, sigmas=
     """Mean over states of max(0, ||J(s)||_2 - gamma)^2; ``sigmas``, if
     given, are those spectral norms already taken by ``top_singular``."""
     if sigmas is None:
-        sigmas = top_singular(params, _stacked(states))[0]
+        states = np.asarray(list(states), dtype=np.float64)
+        if not len(states):
+            raise ConfigError("global penalty needs at least one state")
+        sigmas = spectral_norm(params, states)
     return float(np.mean(np.maximum(sigmas - cfg.gamma, 0.0) ** 2))

@@ -6,9 +6,13 @@ inner maximizer on all rows at once for robust modes, builds the chosen
 objective over the tape with one policy pass per term, and applies one
 plain gradient-descent update. The worst-case perturbation and the
 ascent directions are treated as constants during the outer update, which
-is what makes the surrogate a stable first-order method. The loop runs a
-stack of M models that differ only in seed, penalty weight and initial
-parameters in lockstep, as (M, B, d) rows; ``train`` is its one-model case.
+is what makes the surrogate a stable first-order method. The batch comes
+from ``environments.draws``, the one sampler. Spectral norms are taken once
+per step, and only when a global hinge or the diagnostics read them. In
+robust modes the diagnostics read the ascent's own losses instead of
+evaluating the policy again. The loop runs a stack of M models that differ
+only in seed, penalty weight and initial parameters in lockstep, as
+(M, B, d) rows; ``train`` is its one-model case.
 
 The sweep trains nominal, globally-penalized, and directionally-penalized
 models at matched budgets: the penalty weight for each penalized mode is
@@ -17,18 +21,20 @@ spectral norm for the global mode, max directional amplification for the
 directional mode) lands within a tolerance of the shared budget gamma.
 All seeds are trained together, and the two penalized modes share their
 bisection rounds: every round is one model stack, and its models are
-evaluated as one stack too. The reported gaps are trained-optimum
-estimates, not exact infima.
+evaluated as one stack too; the achieved levels are
+``regularizers.constraint_levels``, the measurement the inclusion
+certificate reads. The reported gaps are trained-optimum estimates, not
+exact infima.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .environments import Environment, check_seeds, loss, loss_term
+from .environments import Environment, check_seeds, draws, loss, loss_term
 from .errors import ConfigError, NumericError
 from .inner import InnerLoopConfig, PerturbationSet, pga_batch
 from .policy import (
@@ -36,7 +42,6 @@ from .policy import (
     apply_gradient_step,
     gradient_norm,
     init_policy,
-    numpy_handle,
     param_gradient,
     stack_policies,
     unstack_policies,
@@ -44,16 +49,14 @@ from .policy import (
 from .regularizers import (
     RegularizerConfig,
     aajr_batch_term,
+    constraint_levels,
     global_penalty,
     global_term,
-    spectral_norm,
     top_singular,
 )
 
 MODES = ("nominal", "robust_aajr", "robust_global", "robust_plain")
 PENALIZED = ("robust_aajr", "robust_global")
-
-CSV_HEADER = "step,robust_loss,nominal_loss,aajr_penalty,global_penalty,max_dir_amp,mean_spectral,grad_norm"
 
 
 @dataclass(frozen=True)
@@ -92,32 +95,21 @@ class StepRecord:
     grad_norm: float
 
 
+COLUMNS = tuple(f.name for f in fields(StepRecord))
+CSV_HEADER = ",".join(COLUMNS)
+
+
 @dataclass
 class RunMetrics:
     records: list[StepRecord] = field(default_factory=list)
     aborted_step: int | None = None
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.records:
-            lines.append(
-                f"{r.step},{float(r.robust_loss)!r},{float(r.nominal_loss)!r},"
-                f"{float(r.aajr_penalty)!r},{float(r.global_penalty)!r},"
-                f"{float(r.max_dir_amp)!r},{float(r.mean_spectral)!r},{float(r.grad_norm)!r}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def _draws(env: Environment, rng: np.random.Generator, n: int):
-    """n seeded (state, peer context) draws, stacked as (n, d) and (n, q)
-    rows: one uniform draw of n rows, each the values of one per-sample
-    draw (state, then peer context unless it mirrors the state)."""
-    d = env.state_dim
-    if env.peer_mode == "mirror":
-        S = rng.uniform(-1.0, 1.0, (n, d))
-        return S, S.copy()
-    rows = rng.uniform(-1.0, 1.0, (n, d + env.peer_dim))
-    return rows[:, :d].copy(), rows[:, d:].copy()
+        """One line per record: the step, then every other field as a float's repr."""
+        rows = [
+            ",".join([str(r.step)] + [repr(float(getattr(r, name))) for name in COLUMNS[1:]]) for r in self.records
+        ]
+        return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def _objective_builder(env, S, A, record, cfgs, params: PolicyParams, v_hat):
@@ -136,7 +128,7 @@ def _objective_builder(env, S, A, record, cfgs, params: PolicyParams, v_hat):
         if "robust_aajr" in lam:
             obj = obj + lam["robust_aajr"] * aajr_batch_term(handle, S, record, reg)
         if "robust_global" in lam:
-            obj = obj + lam["robust_global"] * global_term(handle, params, S, reg, v_hat=v_hat)
+            obj = obj + lam["robust_global"] * global_term(handle, S, v_hat, reg)
         return obj
 
     return build
@@ -144,15 +136,15 @@ def _objective_builder(env, S, A, record, cfgs, params: PolicyParams, v_hat):
 
 def _outer_step(cfgs, env: Environment, params: PolicyParams, step: int, diagnostics: bool):
     """One outer step of every model of a stack; returns the updated stack
-    and, with diagnostics, one record per model."""
+    and, with diagnostics, one record per model. The SVD is taken only for
+    a global hinge or for the diagnostics, the two readers of it."""
     cfg, stacked = cfgs[0], params.models > 0
-    draws = [_draws(env, np.random.default_rng([env.seed, c.seed, step]), cfg.batch_size) for c in cfgs]
-    S, A = (np.stack(rows) if stacked else rows[0] for rows in zip(*draws))
+    batches = [draws(env, np.random.default_rng([env.seed, c.seed, step]), cfg.batch_size) for c in cfgs]
+    S, A = (np.stack(rows) if stacked else rows[0] for rows in zip(*batches))
     record = pga_batch(params, S, A, env, cfg.pset, cfg.inner) if cfg.mode != "nominal" else None
-    sigmas, v_hat = top_singular(params, S)
-    value, grads = param_gradient(params, _objective_builder(env, S, A, record, cfgs, params, v_hat))
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite objective at outer step {step}")
+    hinged = any(c.mode == "robust_global" and c.reg.lam for c in cfgs)
+    sigmas, v_hat = top_singular(params, S) if hinged or diagnostics else (None, None)
+    _, grads = param_gradient(params, _objective_builder(env, S, A, record, cfgs, params, v_hat))
     records = [None] * len(cfgs)
     if diagnostics:
         models = [(S, A, record, sigmas, grads)]
@@ -230,15 +222,17 @@ def train(cfg: TrainConfig, env: Environment, params0: PolicyParams, *, diagnost
 
 def _step_record(step, env, params, S, A, record, sigmas, grads, cfg: TrainConfig) -> StepRecord:
     """Per-step diagnostics of one model, each computed once for the whole
-    batch; the spectral norms are those of the objective's global hinge."""
-    handle = numpy_handle(params)
-    nominal_loss = float(np.mean(loss(env, handle.forward(S), A)))
+    batch; the spectral norms are those of the objective's global hinge,
+    and in robust modes the losses are the ascent's own values at delta_0 = 0
+    and at its last iterate."""
     robust = record is not None
+    values = record.values[:, 0] if robust else loss(env, params.handle.forward(S), A)
+    nominal_loss = float(np.mean(values))
     return StepRecord(
         step=step,
         robust_loss=float(np.mean(record.values[:, -1])) if robust else nominal_loss,
         nominal_loss=nominal_loss,
-        aajr_penalty=float(aajr_batch_term(handle, S, record, cfg.reg)) if robust else 0.0,
+        aajr_penalty=float(aajr_batch_term(params.handle, S, record, cfg.reg)) if robust else 0.0,
         global_penalty=global_penalty(params, S, cfg.reg, sigmas=sigmas),
         max_dir_amp=float(np.max(record.amps, initial=0.0)) if robust else 0.0,
         mean_spectral=float(np.mean(sigmas)),
@@ -256,7 +250,7 @@ def _eval_draws(env: Environment, n_samples: int, seed: int):
     """The seeded evaluation sample, drawn in full before any evaluation."""
     if int(n_samples) < 1:
         raise ConfigError("n_samples must be >= 1")
-    return _draws(env, np.random.default_rng([env.seed, int(seed)]), int(n_samples))
+    return draws(env, np.random.default_rng([env.seed, int(seed)]), int(n_samples))
 
 
 def _per_model(params: PolicyParams, *rows):
@@ -274,7 +268,7 @@ def _nominal_risk_samples(params, env, n_samples, seed):
     """(mean, se) of the nominal loss over the evaluation sample, per model."""
     S, A = _per_model(params, *_eval_draws(env, n_samples, seed))
     pairs = []
-    for vals in _models(params, loss(env, numpy_handle(params).forward(S), A)):
+    for vals in _models(params, loss(env, params.handle.forward(S), A)):
         se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
         pairs.append((float(np.mean(vals)), se))
     return pairs
@@ -310,14 +304,13 @@ def measure_achieved_levels(
 
 
 def _achieved_levels(params, env, pset, inner, n_samples, seed):
-    """``measure_achieved_levels`` per model, from one stacked ascent and one
-    stacked spectral norm over the evaluation sample."""
+    """``measure_achieved_levels`` per model, from the constraint levels of
+    one stacked ascent over the evaluation sample."""
     S, A = _per_model(params, *_eval_draws(env, n_samples, seed))
-    record = pga_batch(params, S, A, env, pset, inner)
-    visited = (S[..., None, :] + record.deltas).reshape(S.shape[:-2] + (-1, S.shape[-1]))
+    amps, sigmas = constraint_levels(params, S, A, env, pset, inner)
     return [
-        (float(np.max(amps, initial=0.0)), max(0.0, float(np.max(sigmas))))
-        for amps, sigmas in zip(_models(params, record.amps), _models(params, spectral_norm(params, visited)))
+        (float(np.max(a, initial=0.0)), max(0.0, float(np.max(s))))
+        for a, s in zip(_models(params, amps), _models(params, sigmas))
     ]
 
 

@@ -31,9 +31,9 @@ import numpy as np
 
 from .environments import Environment, check_seeds, loss, loss_hessian, loss_hessian_bound, sample
 from .errors import ConfigError
-from .inner import InnerLoopConfig, PerturbationSet, Trajectory, pga_batch, pga_run
+from .inner import InnerLoopConfig, PerturbationSet, Trajectory, pga_run
 from .policy import Layer, PolicyParams, forward, init_policy, jvp
-from .regularizers import RegularizerConfig, spectral_norm
+from .regularizers import RegularizerConfig, constraint_levels, spectral_norm
 
 Array = np.ndarray
 
@@ -41,6 +41,9 @@ INTERIOR_MARGIN = 1e-9
 FEASIBILITY_TOL = 1e-12
 ASCENT_TOL = 1e-8
 DIRECTIONAL_TOL = 1e-9
+
+# largest ambient dimension of a class-witness construction
+MAX_WITNESS_DIM = 64
 
 
 def directional_curvature(g, delta, v, h):
@@ -351,27 +354,20 @@ def check_inclusion(
     """A global budget that holds on every visited state must bound every
     directional amplification. Reported as skipped when the budget itself
     is violated."""
-    pairs = [sample(env, seed + k) for k in range(int(n_samples))]
-    sup_proxy, max_amp, violations = 0.0, 0.0, []
-    if pairs:
-        S, A = (np.array(rows) for rows in zip(*pairs))
-        record = pga_batch(params, S, A, env, pset, inner)
-        visited = (S[:, None] + record.deltas).reshape(-1, S.shape[-1])
-        sup_proxy = float(np.max(spectral_norm(params, visited)))
-        for k, amps in enumerate(record.amps.tolist()):
-            for t, amp in enumerate(amps):
-                max_amp = max(max_amp, amp)
-                if amp > gamma + DIRECTIONAL_TOL:
-                    violations.append({"sample": k, "step": t, "dir_amp": amp})
-    if sup_proxy > gamma:
-        status = "premise_not_met"
-    else:
-        status = "pass" if not violations else "fail"
+    if int(n_samples) < 1:
+        raise ConfigError("must be >= 1", field="n_samples")
+    S, A = (np.array(rows) for rows in zip(*(sample(env, seed + k) for k in range(int(n_samples)))))
+    amps, sigmas = constraint_levels(params, S, A, env, pset, inner)
+    sup_proxy = float(np.max(sigmas))
+    violations = [
+        {"sample": int(k), "step": int(t), "dir_amp": float(amps[k, t])}
+        for k, t in np.argwhere(amps > gamma + DIRECTIONAL_TOL)
+    ]
     return InclusionReport(
         gamma=float(gamma),
-        sup_proxy=float(sup_proxy),
-        max_dir_amp=float(max_amp),
-        status=status,
+        sup_proxy=sup_proxy,
+        max_dir_amp=float(np.max(amps, initial=0.0)),
+        status="premise_not_met" if sup_proxy > gamma else "fail" if violations else "pass",
         n_samples=int(n_samples),
         violations=violations,
     )
@@ -515,6 +511,23 @@ def subspace_directions(basis: Array, count: int, seed: int = 0) -> list[Array]:
 # -- suite runner (backs the verify subcommand) -----------------------------
 
 
+def check_verify(seeds, grid=5, tol_curv_scale=1e-4, n_samples=10, eta_safety=0.9, witness_dims=(2, 4)) -> list[int]:
+    """The entry checks of ``verify_suite``, on its arguments; returns the
+    seeds as a list."""
+    for name, n in (("grid", grid), ("n_samples", n_samples)):
+        if int(n) < 1:
+            raise ConfigError("must be >= 1", field=name)
+    if not 0 < eta_safety <= 1:
+        raise ConfigError("must be in (0, 1]", field="eta_safety")
+    if not tol_curv_scale > 0:
+        raise ConfigError("must be > 0", field="tol_curv_scale")
+    if any(int(d) < 2 for d in witness_dims):
+        raise ConfigError("entries must be >= 2", field="witness_dims")
+    if any(int(d) > MAX_WITNESS_DIM for d in witness_dims):
+        raise ConfigError(f"entries must be <= {MAX_WITNESS_DIM}", field="witness_dims")
+    return check_seeds(seeds)
+
+
 def verify_suite(
     env: Environment,
     policy_dims,
@@ -534,9 +547,10 @@ def verify_suite(
 
     Each seed's smoothness, step-size and stability checks share one ascent
     (one more per round that shrinks eta), and the returned trajectory is
-    the one measured at the stabilised step size.
+    the one measured at the stabilised step size. Every argument is checked
+    by ``check_verify`` before any ascent runs.
     """
-    seeds = check_seeds(seeds)
+    seeds = check_verify(seeds, grid, tol_curv_scale, n_samples, eta_safety, witness_dims)
     checks: list[dict] = []
     trajectories: dict[int, Trajectory] = {}
 

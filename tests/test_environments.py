@@ -7,6 +7,7 @@ import pytest
 
 from aajrlab.environments import (
     Environment,
+    draws,
     loss,
     loss_grad,
     loss_hessian,
@@ -54,6 +55,20 @@ def fd_hessian(env, z, a, h=1e-5):
         e[i] = h
         H[:, i] = (fd_grad(env, z + e, a) - fd_grad(env, z - e, a)) / (2 * h)
     return 0.5 * (H + H.T)
+
+
+@pytest.mark.parametrize("peer_mode, A", [("independent", np.ones((3, 2))), ("mirror", np.eye(3))])
+def test_sample_is_row_zero_of_draws(peer_mode, A):
+    env = quad_env(3, A=A, peer_mode=peer_mode, seed=7)
+    for seed in (0, 1, 12345):
+        s, a = sample(env, seed)
+        S, P = draws(env, np.random.default_rng([7, seed]), 1)
+        assert np.array_equal(s, S[0]) and np.array_equal(a, P[0])
+        # per sample: a uniform state, then a uniform peer context unless it mirrors the state
+        rng = np.random.default_rng([7, seed])
+        s_ref = rng.uniform(-1.0, 1.0, 3)
+        a_ref = s_ref if peer_mode == "mirror" else rng.uniform(-1.0, 1.0, 2)
+        assert np.array_equal(s, s_ref) and np.array_equal(a, a_ref)
 
 
 def test_sample_deterministic_per_seed():

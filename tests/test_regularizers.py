@@ -7,12 +7,12 @@ import pytest
 
 from aajrlab.environments import Environment, sample
 from aajrlab.errors import ConfigError, NumericError
-from aajrlab.inner import InnerLoopConfig, PerturbationSet, Trajectory, pga_batch, pga_run
-from aajrlab.policy import Layer, PolicyParams, init_policy, numpy_handle, scale_policy
+from aajrlab.inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run
+from aajrlab.policy import Layer, PolicyParams, init_policy, param_gradient, scale_policy, stack_policies
 from aajrlab.regularizers import (
     RegularizerConfig,
     aajr_batch_term,
-    aajr_penalty,
+    constraint_levels,
     global_penalty,
     global_term,
     spectral_norm,
@@ -29,66 +29,62 @@ def reg(lam=0.0, gamma=1.0, gamma_adv=1.0, **kw):
 SHIPPED_SHAPES = [(2, 6, 2), (3, 6, 3), (4, 8, 4)]
 
 
-def fixed_trajectory(deltas, us):
-    """Trajectory stub with explicit iterates and ascent directions."""
-    deltas = [np.asarray(d, dtype=float) for d in deltas]
-    us = [np.asarray(u, dtype=float) for u in us]
-    K = len(us)
-    d = len(deltas[0])
-    return Trajectory(
-        deltas=tuple(deltas),
-        ascent_dirs=tuple(us),
-        update_dirs=tuple([None] * K),
-        inner_values=tuple([0.0] * (K + 1)),
-        inner_grads=tuple([np.zeros(d)] * (K + 1)),
-        dir_amps=tuple([0.0] * K),
-    )
+def fixed_record(deltas, us):
+    """One-sample ascent record with explicit iterates and ascent directions;
+    the fields the penalty does not read are zeros."""
+    deltas = np.array(deltas, dtype=float).reshape(1, len(deltas), -1)
+    K, d = len(us), deltas.shape[-1]
+    us = np.array(us, dtype=float).reshape(1, K, d)
+    zeros = np.zeros((1, K))
+    return Ascent(deltas, us, 0 * us, zeros.astype(bool), np.zeros((1, K + 1)), 0 * deltas, zeros)
+
+
+def oracle_aajr(params, s, record):
+    """Mean of ||J(s + delta_t) u_t||^2 over one sample's steps, from the
+    dense row-by-row Jacobian."""
+    steps = zip(record.deltas[:-1], record.ascent)
+    return np.mean([np.linalg.norm(assemble_jacobian(params, s + delta) @ u) ** 2 for delta, u in steps])
 
 
 def test_aajr_linear_single_step():
     p = linear_policy(np.array([[2.0, 0.0], [0.0, 1.0]]))
-    traj = fixed_trajectory([np.zeros(2), np.zeros(2)], [np.array([1.0, 0.0])])
-    assert aajr_penalty(p, np.zeros(2), traj) == pytest.approx(4.0, abs=0.0)
+    record = fixed_record([np.zeros(2), np.zeros(2)], [np.array([1.0, 0.0])])
+    assert float(aajr_batch_term(p.handle, np.zeros((1, 2)), record)) == pytest.approx(4.0, abs=0.0)
 
 
 def test_aajr_zero_policy():
     p = linear_policy(np.zeros((2, 2)))
-    traj = fixed_trajectory([np.zeros(2), np.zeros(2)], [np.array([0.6, 0.8])])
-    assert aajr_penalty(p, np.zeros(2), traj) == 0.0
+    record = fixed_record([np.zeros(2), np.zeros(2)], [np.array([0.6, 0.8])])
+    assert float(aajr_batch_term(p.handle, np.zeros((1, 2)), record)) == 0.0
 
 
 def test_aajr_matches_assembled_jacobian_oracle():
     env = Environment(kind="quadratic_congestion", c=np.array([0.4, -0.9, 0.1]), A=np.zeros((3, 3)), state_dim=3)
     params = init_policy([3, 6, 3], seed=2)
     pset = PerturbationSet(p=2, epsilon=0.5, dim=3)
-    s, a = sample(env, 4)
-    traj = pga_run(params, s, a, env, pset, InnerLoopConfig(eta=0.4, steps=3))
-    expected = np.mean(
-        [
-            np.linalg.norm(assemble_jacobian(params, s + delta) @ u) ** 2
-            for delta, u in zip(traj.deltas[:-1], traj.ascent_dirs)
-        ]
-    )
-    assert aajr_penalty(params, s, traj) == pytest.approx(expected, rel=1e-12)
+    pairs = [sample(env, seed) for seed in (4, 5, 6)]
+    S, A = (np.array(rows) for rows in zip(*pairs))
+    record = pga_batch(params, S, A, env, pset, InnerLoopConfig(eta=0.4, steps=3))
+    expected = np.mean([oracle_aajr(params, s, record[k]) for k, s in enumerate(S)])
+    assert float(aajr_batch_term(params.handle, S, record)) == pytest.approx(expected, rel=1e-12)
 
 
-def test_aajr_empty_trajectory_warns_and_returns_zero():
+def test_aajr_no_ascent_steps_returns_zero():
     p = linear_policy(np.eye(2))
-    traj = fixed_trajectory([np.zeros(2)], [])
-    with pytest.warns(UserWarning):
-        assert aajr_penalty(p, np.zeros(2), traj) == 0.0
+    record = fixed_record([np.zeros(2)], [])
+    assert aajr_batch_term(p.handle, np.zeros((1, 2)), record) == 0.0
 
 
 def test_aajr_hinge_form():
     p = linear_policy(np.array([[2.0, 0.0], [0.0, 1.0]]))
-    traj = fixed_trajectory(
+    record = fixed_record(
         [np.zeros(2), np.zeros(2), np.zeros(2)],
         [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
     )
     cfg = reg(gamma_adv=1.5, aajr_hinge=True)
     # amplifications are 2 and 1: hinge terms (2-1.5)^2 and 0
     expected = 0.5 * (0.5**2 + 0.0)
-    assert aajr_penalty(p, np.zeros(2), traj, cfg) == pytest.approx(expected, abs=1e-15)
+    assert float(aajr_batch_term(p.handle, np.zeros((1, 2)), record, cfg)) == pytest.approx(expected, abs=1e-15)
 
 
 def test_aajr_bounded_by_max_operator_norm():
@@ -97,13 +93,9 @@ def test_aajr_bounded_by_max_operator_norm():
         params = init_policy([2, 5, 2], seed=seed)
         pset = PerturbationSet(p=2, epsilon=0.6, dim=2)
         s, a = sample(env, seed)
-        traj = pga_run(params, s, a, env, pset, InnerLoopConfig(eta=0.5, steps=4))
-        if traj.steps == 0:
-            continue
-        worst = max(
-            np.linalg.norm(assemble_jacobian(params, s + delta), 2) for delta in traj.deltas[:-1]
-        )
-        assert aajr_penalty(params, s, traj) <= worst**2 + 1e-9
+        record = pga_batch(params, s[None], a[None], env, pset, InnerLoopConfig(eta=0.5, steps=4))
+        worst = max(np.linalg.norm(assemble_jacobian(params, s + delta), 2) for delta in record.deltas[0, :-1])
+        assert float(aajr_batch_term(params.handle, s[None], record)) <= worst**2 + 1e-9
 
 
 def test_spectral_norm_diagonal():
@@ -214,10 +206,11 @@ def test_global_hinge_reuses_precomputed_singular_pairs():
     cfg = reg(gamma=0.4)
     sigmas, v_hat = top_singular(params, states)
     np.testing.assert_array_equal(sigmas, spectral_norm(params, states))
-    handle = numpy_handle(params)
-    term = float(global_term(handle, params, states, cfg, v_hat=v_hat))
-    assert term == float(global_term(handle, params, states, cfg))
-    assert float(global_term(handle, params, states, cfg, v_hat=np.tile(np.eye(4)[0], (6, 1)))) < term
+    for s, sigma, v in zip(states, sigmas, v_hat):
+        dense = np.linalg.svd(assemble_jacobian(params, s))
+        assert abs(sigma - dense[1][0]) <= 1e-12 and abs(abs(v @ dense[2][0]) - 1.0) <= 1e-12
+    term = float(global_term(params.handle, states, v_hat, cfg))
+    assert float(global_term(params.handle, states, np.tile(np.eye(4)[0], (6, 1)), cfg)) < term
     penalty = global_penalty(params, states, cfg, sigmas=sigmas)
     assert penalty == global_penalty(params, states, cfg) > 0.0
     assert global_penalty(params, states, cfg, sigmas=np.zeros(6)) == 0.0
@@ -231,15 +224,33 @@ def test_global_penalty_empty_states_rejected():
 
 
 def test_aajr_term_taped_matches_value():
-    # the taped expression evaluated over ndarrays must equal the public value
+    # the taped expression must equal the same term over ndarrays, and the dense oracle
     env = Environment(kind="quadratic_congestion", c=np.array([0.5, 0.1]), A=np.zeros((2, 2)), state_dim=2)
     params = init_policy([2, 4, 2], seed=14)
     pset = PerturbationSet(p=2, epsilon=0.3, dim=2)
     s, a = sample(env, 6)
-    inner = InnerLoopConfig(eta=0.3, steps=2)
-    traj = pga_run(params, s, a, env, pset, inner)
-    val = float(aajr_batch_term(numpy_handle(params), s[None], pga_batch(params, s[None], a[None], env, pset, inner)))
-    assert val == pytest.approx(aajr_penalty(params, s, traj), rel=0, abs=0)
+    record = pga_batch(params, s[None], a[None], env, pset, InnerLoopConfig(eta=0.3, steps=2))
+    taped, _ = param_gradient(params, lambda handle: aajr_batch_term(handle, s[None], record))
+    assert taped == pytest.approx(float(aajr_batch_term(params.handle, s[None], record)), rel=1e-14)
+    assert taped == pytest.approx(oracle_aajr(params, s, record[0]), rel=1e-12)
+
+
+def test_constraint_levels_match_dense_oracle_at_every_visited_state():
+    env = Environment(kind="quadratic_congestion", c=np.array([0.4, 0.1, -0.3]), A=np.zeros((3, 3)), state_dim=3)
+    pset, inner = PerturbationSet(p=2, epsilon=0.4, dim=3), InnerLoopConfig(eta=0.4, steps=4)
+    members = [init_policy([3, 5, 3], seed=seed) for seed in (3, 4)]
+    S, A = (np.array(rows) for rows in zip(*(sample(env, k) for k in range(5))))
+    stacked = constraint_levels(stack_policies(members), np.stack([S, S]), np.stack([A, A]), env, pset, inner)
+    for i, params in enumerate(members):
+        for amps, sigmas in (constraint_levels(params, S, A, env, pset, inner), (stacked[0][i], stacked[1][i])):
+            assert amps.shape == (5, 4) and sigmas.shape == (5, 5)
+            for k, (s, a) in enumerate(zip(S, A)):
+                traj = pga_run(params, s, a, env, pset, inner)
+                jacobians = [assemble_jacobian(params, s + delta) for delta in traj.deltas]
+                dense_sigmas = [np.linalg.svd(J, compute_uv=False)[0] for J in jacobians]
+                dense_amps = [np.linalg.norm(J @ u) for J, u in zip(jacobians, traj.ascent_dirs)]
+                np.testing.assert_allclose(sigmas[k], dense_sigmas, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(amps[k], dense_amps, rtol=1e-12, atol=0)
 
 
 def test_regularizer_config_validation():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from aajrlab import tape, trainer
-from aajrlab.environments import Environment, _draw, loss_term
+from aajrlab.environments import Environment, draws, loss_term
 from aajrlab.errors import ConfigError
 from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_run
 from aajrlab.policy import (
@@ -21,6 +21,7 @@ from aajrlab.policy import (
     init_policy,
     jacobian,
     param_gradient,
+    scale_policy,
     stack_policies,
 )
 from aajrlab.regularizers import RegularizerConfig
@@ -28,11 +29,11 @@ from aajrlab.tape import dot, relu, sqrt
 from aajrlab.trainer import (
     CSV_HEADER,
     RunMetrics,
+    StepRecord,
     TrainConfig,
     evaluate_nominal_risk,
     evaluate_robust_risk,
     measure_achieved_levels,
-    _draws,
     price_of_robustness,
     train,
 )
@@ -404,9 +405,8 @@ def test_price_of_robustness_rejects_nonpositive_sample_counts():
 def test_batched_draws_equal_per_sample_draws(peer_mode, A):
     env = quad_env([0.3, -0.2, 0.5], A=A, state_dim=3, seed=4, peer_mode=peer_mode)
     for n in (1, 7):
-        S, A = _draws(env, np.random.default_rng([4, 1, n]), n)
-        rng = np.random.default_rng([4, 1, n])
-        pairs = [_draw(env, rng) for _ in range(n)]
+        S, A = draws(env, np.random.default_rng([4, 1, n]), n)
+        pairs = replicate_batch(env, 1, n, n)  # the generator seeded by [4, 1, n], sample by sample
         assert np.array_equal(S, np.array([s for s, _ in pairs]))
         assert np.array_equal(A, np.array([a for _, a in pairs]))
         assert S.flags.c_contiguous and A.flags.c_contiguous and not np.shares_memory(S, A)
@@ -511,6 +511,57 @@ def test_mixed_stack_member_that_diverges_leaves_the_others_unchanged():
     assert [m.aborted_step for _, m in stacked] == [None, None, 5, None, None]
     for got, want in zip(stacked, alone):
         assert_same_run(got, want)
+
+
+def test_outer_step_takes_the_svd_only_where_it_is_read(monkeypatch):
+    calls = []
+    top_singular = trainer.top_singular
+
+    def spy(params, states):
+        calls.append(params.models)
+        return top_singular(params, states)
+
+    monkeypatch.setattr(trainer, "top_singular", spy)
+    env, params0s = mirror_env(), [init_policy([4, 6, 4], seed=s) for s in range(3)]
+    for modes, lams, diagnostics, expected in (
+        ("nominal", [0.0] * 3, False, 0),
+        ("robust_plain", [0.0] * 3, False, 0),
+        ("robust_global", [0.0] * 3, False, 0),
+        ("robust_aajr", [0.5, 1.0, 2.0], False, 0),
+        ("robust_global", [30.0, 0.7, 2.0], False, 4),
+        ("robust_global", [2.0], False, 4),
+        (MIXED[:3], [30.0, 0.5, 2.0], False, 4),
+        ("nominal", [0.0] * 3, True, 4),
+        ("robust_aajr", [0.5, 1.0, 2.0], True, 4),
+    ):
+        calls.clear()
+        cfgs = stack_cfgs(modes, lams, steps=4)
+        trainer._train_stack(cfgs, env, params0s[: len(cfgs)], diagnostics)
+        assert calls == [len(cfgs) if len(cfgs) > 1 else 0] * expected, (modes, lams, diagnostics)
+
+
+def test_diverging_stack_member_aborts_at_the_same_step_without_the_svd():
+    # the SVD, taken here only with diagnostics, also rejected a non-finite Jacobian;
+    # without it the tape and the update stop the diverging model at the same step
+    env = mirror_env()
+    cfgs = stack_cfgs("nominal", [0.0] * 3, steps=12)
+    params0s = [init_policy([4, 6, 4], ["identity", "identity"], seed=s) for s in (5, 1, 2)]
+    params0s[1] = scale_policy(params0s[1], 10.0)
+    with np.errstate(all="ignore"):
+        bare = trainer._train_stack(cfgs, env, params0s, False)
+        with_svd = trainer._train_stack(cfgs, env, params0s, True)
+    assert [m.aborted_step for _, m in bare] == [m.aborted_step for _, m in with_svd] == [None, 6, None]
+    for (params, _), (params_svd, _) in zip(bare, with_svd):
+        for a, b in zip(params.layers, params_svd.layers):
+            assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+
+
+def test_csv_columns_are_the_step_record_fields():
+    record = StepRecord(3, 0.5, 0.25, 0.1, 0.0, 1.5, 2.0, 1e-300)
+    assert RunMetrics([record]).to_csv() == (
+        "step,robust_loss,nominal_loss,aajr_penalty,global_penalty,max_dir_amp,mean_spectral,grad_norm\n"
+        "3,0.5,0.25,0.1,0.0,1.5,2.0,1e-300\n"
+    )
 
 
 def test_stack_rejects_models_that_differ_beyond_seed_and_lambda():

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from aajrlab import verification
+from aajrlab import inner as inner_module
+from aajrlab import regularizers, verification
 from aajrlab.environments import Environment, loss_hessian, sample
 from aajrlab.errors import ConfigError
 from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_run, trajectory_records
@@ -29,7 +30,7 @@ from aajrlab.verification import (
     witness_matrix,
 )
 
-from conftest import linear_policy
+from conftest import assemble_jacobian, linear_policy
 
 
 def quad_env(c, A=None, state_dim=None, projector=None):
@@ -419,6 +420,36 @@ def test_inclusion_on_trained_global_model_at_achieved_budget():
     assert not report.violations
 
 
+def test_inclusion_levels_match_dense_oracle_at_every_visited_state():
+    env = quad_env([0.4, 0.1, -0.3])
+    pset = PerturbationSet(p=2, epsilon=0.4, dim=3)
+    inner = InnerLoopConfig(eta=0.4, steps=4)
+    params = init_policy([3, 5, 3], seed=3)
+    sigmas, amps = [], []
+    for k in range(4):
+        s, a = sample(env, 20 + k)
+        traj = pga_run(params, s, a, env, pset, inner)
+        jacobians = [assemble_jacobian(params, s + delta) for delta in traj.deltas]
+        sigmas += [np.linalg.svd(J, compute_uv=False)[0] for J in jacobians]
+        amps += [(k, t, np.linalg.norm(J @ u)) for t, (J, u) in enumerate(zip(jacobians, traj.ascent_dirs))]
+    assert len(sigmas) == 4 * 5 and len(amps) == 4 * 4
+    # gamma = 0 reports every step with a nonzero amplification as a violation, with its amplification
+    report = check_inclusion(params, env, pset, inner, gamma=0.0, n_samples=4, seed=20)
+    assert report.sup_proxy == pytest.approx(max(sigmas), rel=1e-12, abs=0.0)
+    assert report.max_dir_amp == pytest.approx(max(amp for _, _, amp in amps), rel=1e-12, abs=0.0)
+    assert [(v["sample"], v["step"]) for v in report.violations] == [(k, t) for k, t, _ in amps]
+    for v, (_, _, amp) in zip(report.violations, amps):
+        assert v["dir_amp"] == pytest.approx(amp, rel=1e-12, abs=0.0)
+
+
+def test_inclusion_rejects_an_empty_sample():
+    env = quad_env([0.5, -0.5])
+    pset, inner = PerturbationSet(p=2, epsilon=0.4, dim=2), InnerLoopConfig(eta=0.3, steps=2)
+    for n in (0, -1):
+        with pytest.raises(ConfigError, match="^n_samples: "):
+            check_inclusion(linear_policy(np.eye(2)), env, pset, inner, gamma=1.0, n_samples=n)
+
+
 def test_inclusion_random_nets_never_violate_when_premise_met():
     env = quad_env([0.4, 0.1, -0.3])
     pset = PerturbationSet(p=2, epsilon=0.4, dim=3)
@@ -483,4 +514,33 @@ def test_verify_suite_needs_distinct_nonnegative_seeds(seeds):
         verify_suite(
             env, [2, 2], ["identity"], PerturbationSet(p=2, epsilon=0.5, dim=2), InnerLoopConfig(eta=0.1, steps=2),
             RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0), seeds=seeds,
+        )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"n_samples": 0},
+        {"grid": 0},
+        {"eta_safety": 0.0},
+        {"eta_safety": 1.5},
+        {"tol_curv_scale": -1.0},
+        {"tol_curv_scale": 0.0},
+        {"witness_dims": (1, 0)},
+        {"witness_dims": (2, 65)},
+        {"seeds": [0, 0]},
+    ],
+)
+def test_verify_suite_rejects_bad_arguments_before_any_ascent(monkeypatch, bad):
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("an ascent ran before the arguments were checked")
+
+    for module, name in ((inner_module, "pga_batch"), (regularizers, "pga_batch"), (verification, "pga_run")):
+        monkeypatch.setattr(module, name, no_ascent)
+    (field,) = bad
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        verify_suite(
+            quad_env([0.6, -0.8]), [2, 2], ["identity"], PerturbationSet(p=2, epsilon=0.5, dim=2),
+            InnerLoopConfig(eta=0.1, steps=2), RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0),
+            **{"seeds": [0], "n_samples": 2, "witness_dims": (2,), **bad},
         )
