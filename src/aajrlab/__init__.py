@@ -8,7 +8,7 @@ stability properties that separate the two.
 
 from .environments import Environment, loss, loss_grad, loss_hessian, loss_hessian_bound, sample
 from .errors import ConfigError, NumericError
-from .inner import Ascent, InnerLoopConfig, PerturbationSet, Trajectory, ascent_direction, pga_batch, pga_run, project
+from .inner import Ascent, InnerLoopConfig, PerturbationSet, ascent_direction, pga_batch, pga_run, project
 from .policy import (
     PolicyParams,
     forward,
@@ -54,7 +54,6 @@ __all__ = [
     "RegularizerConfig",
     "RunMetrics",
     "TrainConfig",
-    "Trajectory",
     "WitnessSpec",
     "ascent_direction",
     "check_effective_smoothness",

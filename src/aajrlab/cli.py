@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .environments import Environment
+from .environments import Environment, check_dims
 from .errors import ConfigError, NumericError
 from .inner import InnerLoopConfig, PerturbationSet, dump_trajectory
 from .policy import PolicyParams, init_policy, policy_spec, save_checkpoint
@@ -176,19 +176,16 @@ def parse_config_dict(raw: dict) -> RunConfig:
     env, policy, train_block, verify = cfg["environment"], cfg["policy"], cfg.get("train"), cfg["verify"]
     m = len(env["c"])
     env.setdefault("A", [[0.0] * m for _ in range(m)])
-    state_dim = build_environment(env).state_dim
+    environment = build_environment(env)
     dims, policy["activations"] = _built("policy", policy_spec, **policy)
     for i, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
         # numpy refuses arrays whose byte size does not fit its index type
         if n_in * n_out * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
             raise ConfigError(f"policy.dims: layer {i} ({n_out}x{n_in} weights) is larger than numpy can index")
-    if dims[0] != state_dim:
-        raise ConfigError(f"policy.dims: first entry {dims[0]} must equal environment.state_dim {state_dim}")
-    if dims[-1] != m:
-        raise ConfigError(f"policy.dims: last entry {dims[-1]} must equal len(environment.c) {m}")
+    _built("policy", check_dims, environment, dims)
     if train_block is not None:
         train_block["reg"].setdefault("gamma_adv", train_block["reg"]["gamma"])
-        pset = build_train_config(train_block, state_dim).pset
+        pset = build_train_config(train_block, environment.state_dim).pset
         train_block["set"]["p"] = "inf" if pset.p == math.inf else 2
     # a rule of the command line alone: the library allows epsilon = 0
     if train_block is not None and not train_block["set"]["epsilon"] > 0:
@@ -272,18 +269,13 @@ def cmd_train(cfg: RunConfig, out_override: str | None = None) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out_override: str | None = None) -> int:
-    env = build_environment(cfg.environment)
-    if cfg.train is not None:
-        tcfg = build_train_config(cfg.train, env.state_dim)
-        pset, inner, reg = tcfg.pset, tcfg.inner, tcfg.reg
-    else:
-        pset = PerturbationSet(p=2.0, epsilon=0.5, dim=env.state_dim)
-        inner = InnerLoopConfig(eta=0.1, steps=5)
-        reg = RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0)
+    env, tcfg = _train_setup(cfg, "verify")
 
     def work(out: Path) -> int:
         policy = cfg.policy
-        report, trajectories = verify_suite(env, policy["dims"], policy["activations"], pset, inner, reg, **cfg.verify)
+        report, trajectories = verify_suite(
+            env, policy["dims"], policy["activations"], tcfg.pset, tcfg.inner, tcfg.reg, **cfg.verify
+        )
         with open(out / "verify_report.json", "w") as fp:
             json.dump(report, fp, indent=2)
             fp.write("\n")

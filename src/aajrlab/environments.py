@@ -127,6 +127,18 @@ def check_seeds(seeds, minimum: int = 1) -> list[int]:
     return seeds
 
 
+def check_dims(env: Environment, dims, pset=None) -> None:
+    """Policy layer sizes that map the environment's states to its actions,
+    and a perturbation ball ``pset``, if given, over its states."""
+    d, m = env.state_dim, env.action_dim
+    if dims[0] != d:
+        raise ConfigError(f"first entry {dims[0]} must equal environment.state_dim {d}", field="dims")
+    if dims[-1] != m:
+        raise ConfigError(f"last entry {dims[-1]} must equal len(environment.c) {m}", field="dims")
+    if pset is not None and pset.dim != d:
+        raise ConfigError(f"perturbation dim {pset.dim} must equal environment.state_dim {d}", field="pset.dim")
+
+
 def _check_pair(env: Environment, z, a, rows: bool = True):
     """An action and a peer context, or (..., B, m) and (..., B, q) stacks of them."""
     z = np.asarray(z, dtype=np.float64)
@@ -149,14 +161,13 @@ def _residual(env: Environment, z, a):
 
 
 def loss_term(env: Environment, z, a):
-    """Loss summed over every row of z, as a tape-generic expression; z may
-    be an ndarray or a Node. (M, B, m) actions of a model stack give one sum
-    per model."""
+    """Loss summed over the (B, m) rows of z, as a tape-generic expression;
+    z may be an ndarray or a Node. (M, B, m) actions of a model stack give
+    one sum per model."""
     r = _residual(env, z, np.asarray(a, dtype=np.float64))
-    axis = (-2, -1) if len(r.shape) == 3 else None
     if env.kind == "quadratic_congestion":
-        return 0.5 * dot(r, r, axis)
-    return vsum(softplus(env.beta * r), axis)
+        return 0.5 * dot(r, r, (-2, -1))
+    return vsum(softplus(env.beta * r), (-2, -1))
 
 
 def loss(env: Environment, z, a):

@@ -9,10 +9,9 @@ on one row.
 The run records everything later checks need: iterates, normalized ascent
 directions, unit update directions, objective values, exact inner
 gradients, and the directional amplification ||J(s + delta_t) u_t||_2 at
-every step. A batch keeps them as one ``Ascent`` of stacked arrays; a
-single run returns its row as a ``Trajectory`` of per-step entries. Both
-are immutable after construction (arrays are marked read-only) and safe
-to share across threads.
+every step, as one ``Ascent`` of stacked arrays; a single run is that
+record's one row. The arrays are marked read-only, so a record is immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -86,7 +85,8 @@ class InnerLoopConfig:
 @dataclass(frozen=True, eq=False)
 class Ascent:
     """The ascents of a batch as read-only stacked arrays; the leading axes
-    are those of the states (B, or M and B), and indexing takes along them."""
+    are those of the states (B, or M and B), and indexing takes along them.
+    One row is one run, which is what ``pga_run`` returns."""
 
     deltas: Array  # (..., K + 1, d) iterates, deltas[..., 0, :] == 0
     ascent: Array  # (..., K, d) normalized ascent directions
@@ -99,23 +99,22 @@ class Ascent:
     def __getitem__(self, index) -> Ascent:
         return Ascent(*(getattr(self, f.name)[index] for f in fields(self)))
 
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    deltas: tuple[Array, ...]  # K + 1 iterates, deltas[0] == 0
-    ascent_dirs: tuple[Array, ...]  # K normalized ascent directions
-    update_dirs: tuple[Array | None, ...]  # K unit steps; None when the iterate did not move
-    inner_values: tuple[float, ...]  # K + 1 objective values
-    inner_grads: tuple[Array, ...]  # K + 1 exact inner gradients
-    dir_amps: tuple[float, ...]  # K directional amplifications ||J u_t||
-
     @property
     def steps(self) -> int:
-        return len(self.ascent_dirs)
+        return self.ascent.shape[-2]
+
+    # Per-step views of one run, for two readers outside the library: the
+    # acceptance tests compare ``inner_values`` with a tuple of floats, and the
+    # benchmark's ``pga_run`` observer counts stalled steps in ``update_dirs``.
+    # No module of the package reads them.
+    @property
+    def inner_values(self) -> tuple[float, ...]:
+        return tuple(self.values.tolist())
 
     @property
-    def delta_star(self) -> Array:
-        return self.deltas[-1]
+    def update_dirs(self) -> tuple[Array | None, ...]:
+        """The unit steps, None where the iterate did not move."""
+        return tuple(v if m else None for v, m in zip(self.update, self.moved))
 
 
 def _row_norms(x: Array, keepdims: bool = False) -> Array:
@@ -216,46 +215,35 @@ def pga_run(
     env: Environment,
     pset: PerturbationSet,
     cfg: InnerLoopConfig,
-) -> Trajectory:
+) -> Ascent:
     """Run K projected gradient ascent steps on delta -> L(pi(s + delta), a).
 
     delta_0 = 0 and delta_{t+1} = project(delta_t + eta * grad g(delta_t)).
     Deterministic; raises NumericError naming the step if the objective or
-    its gradient turns non-finite. The trajectory is ``pga_batch``'s one row.
+    its gradient turns non-finite. The record is ``pga_batch``'s one row.
     """
-    row = pga_batch(params, np.asarray(s)[None], np.asarray(context)[None], env, pset, cfg)[0]
-    return Trajectory(
-        deltas=tuple(row.deltas),
-        ascent_dirs=tuple(row.ascent),
-        update_dirs=tuple(v if m else None for v, m in zip(row.update, row.moved)),
-        inner_values=tuple(row.values.tolist()),
-        inner_grads=tuple(row.grads),
-        dir_amps=tuple(row.amps.tolist()),
-    )
+    return pga_batch(params, np.asarray(s)[None], np.asarray(context)[None], env, pset, cfg)[0]
 
 
-def trajectory_records(traj: Trajectory) -> list[dict]:
-    """One JSON-able record per iterate; direction fields are null at the end."""
-    records = []
-    for t, delta in enumerate(traj.deltas):
-        last = t == len(traj.deltas) - 1
-        records.append(
-            {
-                "t": t,
-                "delta": [float(x) for x in delta],
-                "u": None if last else [float(x) for x in traj.ascent_dirs[t]],
-                "v": None
-                if last or traj.update_dirs[t] is None
-                else [float(x) for x in traj.update_dirs[t]],
-                "g": float(traj.inner_values[t]),
-                "grad_norm": float(np.linalg.norm(traj.inner_grads[t])),
-                "dir_amp": None if last else float(traj.dir_amps[t]),
-            }
-        )
-    return records
+def trajectory_records(record: Ascent) -> list[dict]:
+    """One JSON-able record per iterate of one run; direction fields are
+    null at the end, and ``v`` is null where the iterate did not move."""
+    K = record.steps
+    return [
+        {
+            "t": t,
+            "delta": record.deltas[t].tolist(),
+            "u": None if t == K else record.ascent[t].tolist(),
+            "v": None if t == K or not record.moved[t] else record.update[t].tolist(),
+            "g": float(record.values[t]),
+            "grad_norm": float(np.linalg.norm(record.grads[t])),
+            "dir_amp": None if t == K else float(record.amps[t]),
+        }
+        for t in range(K + 1)
+    ]
 
 
-def dump_trajectory(traj: Trajectory, fp) -> None:
-    """Write the trajectory as JSON lines."""
-    for record in trajectory_records(traj):
-        fp.write(json.dumps(record) + "\n")
+def dump_trajectory(record: Ascent, fp) -> None:
+    """Write one run's ascent as JSON lines."""
+    for line in trajectory_records(record):
+        fp.write(json.dumps(line) + "\n")

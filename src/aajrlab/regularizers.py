@@ -45,10 +45,10 @@ class RegularizerConfig:
 
 
 def _hinge_sq(w, budget: float):
-    """Mean over the rows of w of max(0, ||row||_2 - budget)^2, tape-generic;
-    one mean per model for (M, N, m) rows of a model stack."""
+    """Mean over the (N, m) rows of w of max(0, ||row||_2 - budget)^2,
+    tape-generic; one mean per model for (M, N, m) rows of a model stack."""
     excess = relu(sqrt((w * w) @ np.ones(w.shape[-1])) - budget)
-    return dot(excess, excess, -1 if len(w.shape) == 3 else None) * (1.0 / w.shape[-2])
+    return dot(excess, excess, -1) * (1.0 / w.shape[-2])
 
 
 def aajr_batch_term(handle: PolicyHandle, states, record: Ascent, cfg: RegularizerConfig | None = None):
@@ -65,7 +65,7 @@ def aajr_batch_term(handle: PolicyHandle, states, record: Ascent, cfg: Regulariz
     amp = handle.jvp(X.reshape(rows), record.ascent.reshape(rows))
     if cfg is not None and cfg.aajr_hinge:
         return _hinge_sq(amp, cfg.gamma_adv)
-    return dot(amp, amp, (-2, -1) if len(amp.shape) == 3 else None) * (1.0 / amp.shape[-2])
+    return dot(amp, amp, (-2, -1)) * (1.0 / amp.shape[-2])
 
 
 def top_singular(params: PolicyParams, states):

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .environments import Environment, check_seeds, draws, loss, loss_term
+from .environments import Environment, check_dims, check_seeds, draws, loss, loss_term
 from .errors import ConfigError, NumericError
 from .inner import InnerLoopConfig, PerturbationSet, pga_batch
 from .policy import (
@@ -162,9 +162,11 @@ def _train_stack(cfgs, env: Environment, params0s, diagnostics: bool = True):
     The models share the environment and every hyperparameter but their
     seed, their penalty weight (zero for all or for none) and ``params0``;
     ``robust_global`` and ``robust_aajr`` models may share a stack, since
-    both run the same ascent. A step that raises NumericError is re-run
-    model by model: a model that fails it aborts with its last finite
-    parameters and leaves the stack, and the others go on.
+    both run the same ascent. The policy dims and the perturbation ball are
+    checked against the environment before the first step. A step that
+    raises NumericError is re-run model by model: a model that fails it
+    aborts with its last finite parameters and leaves the stack, and the
+    others go on.
     """
 
     def shared(c: TrainConfig) -> TrainConfig:
@@ -177,11 +179,7 @@ def _train_stack(cfgs, env: Environment, params0s, diagnostics: bool = True):
             "stacked models must share every setting but seed, lambda and the penalized mode, and whether lambda = 0"
         )
     params = stack_policies(params0s)
-    if params.in_dim != env.state_dim or params.out_dim != env.action_dim:
-        raise ConfigError(
-            f"policy ({params.in_dim} -> {params.out_dim}) does not match environment "
-            f"({env.state_dim} -> {env.action_dim})"
-        )
+    check_dims(env, params.dims(), cfgs[0].pset)
     final, metrics, live = list(params0s), [RunMetrics() for _ in cfgs], list(range(len(cfgs)))
     for step in range(cfgs[0].outer_steps):
         try:

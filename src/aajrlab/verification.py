@@ -18,9 +18,10 @@ Checks implemented here:
   update direction below L_eff * ||step||, and stay feasible.
 
 The last three share one projected gradient ascent per (sample, eta): the
-smoothness report keeps the trajectory it measured and the inner-loop
-config it ran at, the step-size search measures again only when eta
-shrinks, and the stability check reads its iterates from that report.
+smoothness report keeps the ``Ascent`` record it measured and the
+inner-loop config it ran at, the step-size search measures again only when
+eta shrinks, and the stability check reads its iterates, values, gradients
+and ``moved`` steps from that record's arrays.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environments import Environment, check_seeds, loss, loss_hessian, loss_hessian_bound, sample
+from .environments import Environment, check_dims, check_seeds, loss, loss_hessian, loss_hessian_bound, sample
 from .errors import ConfigError
-from .inner import InnerLoopConfig, PerturbationSet, Trajectory, pga_run
+from .inner import Ascent, InnerLoopConfig, PerturbationSet, pga_run
 from .policy import Layer, PolicyParams, forward, init_policy, jvp
 from .regularizers import RegularizerConfig, constraint_levels, spectral_norm
 
@@ -90,7 +91,7 @@ def _segment_scan(
     env: Environment,
     s,
     a,
-    traj: Trajectory,
+    traj: Ascent,
     grid: int = 5,
     h_scale: float = 1e-4,
     h: float | None = None,
@@ -99,14 +100,13 @@ def _segment_scan(
     all of them in one batched pass."""
     if int(grid) < 1:
         raise ConfigError("segment grid must be >= 1")
-    moved = [t for t, v in enumerate(traj.update_dirs) if v is not None]
-    if not moved:
+    moved = np.flatnonzero(traj.moved)
+    if not moved.size:
         return []
     seg = np.repeat(moved, int(grid))
-    tau = np.tile(np.arange(1, int(grid) + 1) / (grid + 1), len(moved))
-    deltas = np.array(traj.deltas)
-    delta = (1.0 - tau[:, None]) * deltas[seg] + tau[:, None] * deltas[seg + 1]
-    V = np.array([traj.update_dirs[t] for t in seg])
+    tau = np.tile(np.arange(1, int(grid) + 1) / (grid + 1), moved.size)
+    delta = (1.0 - tau[:, None]) * traj.deltas[seg] + tau[:, None] * traj.deltas[seg + 1]
+    V = traj.update[seg]
     step = np.full(len(seg), h) if h is not None else h_scale * np.maximum(1.0, np.linalg.norm(delta, axis=1))
     curv = directional_curvature(inner_objective(params, env, s, a), delta, V, step)
     X = np.asarray(s, dtype=np.float64) + delta
@@ -123,7 +123,7 @@ def estimate_C(
     env: Environment,
     s,
     a,
-    traj: Trajectory,
+    traj: Ascent,
     grid: int = 5,
     h: float | None = None,
 ) -> float:
@@ -146,7 +146,7 @@ class SmoothnessReport:
     l_eff_bound: float  # l_loss * gamma_adv_hat^2 + c_hat
     tol: float
     inner: InnerLoopConfig  # the inner-loop config the ascent ran at
-    trajectory: Trajectory  # the ascent whose segments were measured
+    trajectory: Ascent  # the one-row ascent whose segments were measured
     points: list[SegmentPoint] = field(default_factory=list)
     violations: list[dict] = field(default_factory=list)
     passed: bool = True
@@ -174,7 +174,7 @@ def check_effective_smoothness(
     """Directional curvature along every recorded segment must stay below
     L_loss * gamma_hat^2 + C_hat. Vacuously true when no iterate moved.
 
-    Runs the ascent once; the report keeps that trajectory and ``inner`` so
+    Runs the ascent once; the report keeps that record and ``inner`` so
     the step-size and stability checks can reuse them.
     """
     s, a = sample_pair
@@ -278,7 +278,7 @@ def check_pga_stability(
 ) -> StabilityReport:
     """Per-step ascent, gradient-control, and feasibility inequalities.
 
-    The iterates are the trajectory of ``smoothness``, which must have been
+    The iterates are the ascent record of ``smoothness``, which must have been
     measured at ``inner`` (ConfigError otherwise); without a report one is
     measured here, from one ascent.
     """
@@ -301,8 +301,9 @@ def check_pga_stability(
         if not pset.contains(delta, FEASIBILITY_TOL):
             violate(t, "feasibility", pset.norm(np.asarray(delta)) - pset.epsilon)
 
+    values = traj.values.tolist()
     for t in range(traj.steps):
-        g0, g1 = traj.inner_values[t], traj.inner_values[t + 1]
+        g0, g1 = values[t], values[t + 1]
         d = traj.deltas[t + 1] - traj.deltas[t]
         dn = float(np.linalg.norm(d))
         entry = {"step": t, "gain": g1 - g0, "step_norm": dn}
@@ -313,14 +314,13 @@ def check_pga_stability(
             violate(t, "projected_ascent", g1 - g0 - projected_rhs)
         # interior steps: gain at least eta/2 * ||grad||^2
         if pset.norm(np.asarray(traj.deltas[t + 1])) <= pset.epsilon - INTERIOR_MARGIN:
-            interior_rhs = 0.5 * eta * float(np.dot(traj.inner_grads[t], traj.inner_grads[t]))
+            interior_rhs = 0.5 * eta * float(np.dot(traj.grads[t], traj.grads[t]))
             entry["interior_slack"] = g1 - g0 - interior_rhs
             if g1 - g0 < interior_rhs - tol:
                 violate(t, "interior_ascent", g1 - g0 - interior_rhs)
         # moved steps: gradient change along the update direction is bounded
-        v = traj.update_dirs[t]
-        if v is not None:
-            change = float(v @ (traj.inner_grads[t + 1] - traj.inner_grads[t]))
+        if traj.moved[t]:
+            change = float(traj.update[t] @ (traj.grads[t + 1] - traj.grads[t]))
             bound = l_eff * dn
             tol_c = 1e-6 * max(1.0, bound)
             entry["gradient_control_slack"] = bound - change
@@ -476,10 +476,10 @@ def class_witness(spec: WitnessSpec, directions, *, run_e2e: bool = True, e2e_se
         inner = InnerLoopConfig(eta=0.5 / max(1.0, spec.gamma**2), steps=4)
         s, a = sample(env, e2e_seed)
         traj = pga_run(params, s, a, env, pset, inner)
-        offspace = [float(np.linalg.norm(u - P @ u)) for u in traj.ascent_dirs]
+        offspace = [float(np.linalg.norm(u - P @ u)) for u in traj.ascent]
         report.e2e_max_offspace = max(offspace) if offspace else 0.0
         report.e2e_u_in_subspace = report.e2e_max_offspace <= 1e-9
-        report.e2e_directional_ok = all(amp <= spec.gamma + DIRECTIONAL_TOL for amp in traj.dir_amps)
+        report.e2e_directional_ok = bool(np.all(traj.amps <= spec.gamma + DIRECTIONAL_TOL))
         report.e2e_global_violated = sigma > spec.gamma + DIRECTIONAL_TOL
     checks = [report.membership_ok, report.exclusion_ok]
     if run_e2e:
@@ -542,17 +542,19 @@ def verify_suite(
     n_samples: int = 10,
     eta_safety: float = 0.9,
     witness_dims=(2, 4),
-) -> tuple[dict, dict[int, Trajectory]]:
-    """Run every check per seed; returns the JSON report and trajectories.
+) -> tuple[dict, dict[int, Ascent]]:
+    """Run every check per seed; returns the JSON report and, per seed, a
+    one-row ``Ascent``.
 
     Each seed's smoothness, step-size and stability checks share one ascent
-    (one more per round that shrinks eta), and the returned trajectory is
-    the one measured at the stabilised step size. Every argument is checked
-    by ``check_verify`` before any ascent runs.
+    (one more per round that shrinks eta), and the returned record is the
+    one measured at the stabilised step size. Every argument is checked
+    by ``check_verify`` and ``check_dims`` before any ascent runs.
     """
     seeds = check_verify(seeds, grid, tol_curv_scale, n_samples, eta_safety, witness_dims)
+    check_dims(env, policy_dims, pset)
     checks: list[dict] = []
-    trajectories: dict[int, Trajectory] = {}
+    trajectories: dict[int, Ascent] = {}
 
     def add(name, seed, passed, margins, constants=None, status=None):
         checks.append(

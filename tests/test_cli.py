@@ -101,6 +101,30 @@ def test_dimension_conflicts_named():
         parse_config_dict(cfg)
 
 
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ([3, 4, 2], "policy.dims: first entry 3 must equal environment.state_dim 2"),
+        ([2, 4, 3], "policy.dims: last entry 3 must equal len(environment.c) 2"),
+    ],
+)
+def test_dimension_conflict_messages(dims, message):
+    cfg = minimal_config()
+    cfg["policy"]["dims"] = dims
+    with pytest.raises(ConfigError) as info:
+        parse_config_dict(cfg)
+    assert str(info.value) == message
+
+
+def test_verify_without_train_block_is_config_error(tmp_path, capsys):
+    cfg = minimal_config()
+    del cfg["train"]
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: config: 'verify' requires a train block\n"
+    assert not out.exists()
+
+
 def test_negative_epsilon_rejected():
     cfg = minimal_config()
     cfg["train"]["set"]["epsilon"] = 0

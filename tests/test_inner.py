@@ -79,8 +79,9 @@ def test_pga_zero_steps():
     p = linear_policy(np.eye(2))
     traj = pga_run(p, np.zeros(2), np.zeros(2), env, PerturbationSet(2, 1.0, 2), InnerLoopConfig(eta=0.5, steps=0))
     assert traj.steps == 0
-    assert np.array_equal(traj.delta_star, np.zeros(2))
-    assert len(traj.deltas) == 1 and len(traj.inner_values) == 1 and len(traj.inner_grads) == 1
+    assert np.array_equal(traj.deltas[-1], np.zeros(2))
+    assert len(traj.deltas) == 1 and len(traj.values) == 1 and len(traj.grads) == 1
+    assert traj.ascent.shape == (0, 2) and traj.moved.shape == (0,) and traj.amps.shape == (0,)
 
 
 def test_pga_single_step_closed_form():
@@ -89,7 +90,7 @@ def test_pga_single_step_closed_form():
     p = linear_policy(np.eye(2))
     pset = PerturbationSet(p=math.inf, epsilon=2.0, dim=2)
     traj = pga_run(p, np.zeros(2), np.zeros(2), env, pset, InnerLoopConfig(eta=0.5, steps=1))
-    assert np.array_equal(traj.inner_grads[0], np.array([-1.0, 0.0]))
+    assert np.array_equal(traj.grads[0], np.array([-1.0, 0.0]))
     assert np.array_equal(traj.deltas[1], np.array([-0.5, 0.0]))
 
 
@@ -122,16 +123,15 @@ def test_trajectory_invariants_random_net(p_norm):
     assert np.array_equal(traj.deltas[0], np.zeros(3))
     for delta in traj.deltas:
         assert pset.contains(delta, tol=1e-12)
-    for u in traj.ascent_dirs:
+    for u in traj.ascent:
         assert np.linalg.norm(u) < 1.0
-    for t, v in enumerate(traj.update_dirs):
+    for t, v in enumerate(traj.update):
         moved = not np.array_equal(traj.deltas[t + 1], traj.deltas[t])
-        assert (v is not None) == moved
-        if v is not None:
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-    assert len(traj.inner_values) == cfg.steps + 1
-    assert len(traj.inner_grads) == cfg.steps + 1
-    assert len(traj.dir_amps) == cfg.steps
+        assert traj.moved[t] == moved
+        assert np.linalg.norm(v) == (pytest.approx(1.0, abs=1e-12) if moved else 0.0)
+    assert traj.values.shape == (cfg.steps + 1,)
+    assert traj.grads.shape == (cfg.steps + 1, 3)
+    assert traj.amps.shape == (cfg.steps,)
 
 
 def test_projection_optimality_inner_product():
@@ -145,7 +145,7 @@ def test_projection_optimality_inner_product():
         traj = pga_run(params, s, a, env, pset, cfg)
         for t in range(traj.steps):
             lhs = np.dot(
-                traj.deltas[t] + cfg.eta * traj.inner_grads[t] - traj.deltas[t + 1],
+                traj.deltas[t] + cfg.eta * traj.grads[t] - traj.deltas[t + 1],
                 traj.deltas[t] - traj.deltas[t + 1],
             )
             assert lhs <= 1e-12
@@ -159,9 +159,8 @@ def test_pga_deterministic_bit_identical():
     s, a = sample(env, 11)
     t1 = pga_run(params, s, a, env, pset, cfg)
     t2 = pga_run(params, s, a, env, pset, cfg)
-    for d1, d2 in zip(t1.deltas, t2.deltas):
-        assert np.array_equal(d1, d2)
-    assert t1.inner_values == t2.inner_values
+    for f in fields(Ascent):
+        assert np.array_equal(getattr(t1, f.name), getattr(t2, f.name))
 
 
 def test_pga_epsilon_zero_stays_at_origin():
@@ -171,7 +170,7 @@ def test_pga_epsilon_zero_stays_at_origin():
     traj = pga_run(p, np.zeros(2), np.zeros(2), env, pset, InnerLoopConfig(eta=1.0, steps=3))
     for delta in traj.deltas:
         assert np.array_equal(delta, np.zeros(2))
-    assert all(v is None for v in traj.update_dirs)
+    assert not traj.moved.any() and np.array_equal(traj.update, np.zeros((3, 2)))
 
 
 def test_pga_numeric_error_names_step():
@@ -203,6 +202,69 @@ def test_trajectory_records_schema():
     assert parsed["t"] == 1
 
 
+def _stalling_runs():
+    """One-row ascents with stalled steps: on the sup-norm ball the iterate
+    reaches the corner at step 3 and stays (steps 3 and 4 do not move); with
+    epsilon = 0 no step moves."""
+    env = quad_env([1.0, 0.0])
+    p = linear_policy(np.eye(2))
+    cases = [(PerturbationSet(p=math.inf, epsilon=2.0, dim=2), InnerLoopConfig(eta=0.5, steps=5))]
+    cases.append((PerturbationSet(p=2, epsilon=0.0, dim=2), InnerLoopConfig(eta=1.0, steps=3)))
+    return [pga_run(p, np.zeros(2), np.zeros(2), env, pset, cfg) for pset, cfg in cases]
+
+
+def _tuple_records(row):
+    """The JSON records as the per-step tuples of a run used to give them,
+    with None for the direction of a step that did not move."""
+    deltas, ascent_dirs, inner_grads = tuple(row.deltas), tuple(row.ascent), tuple(row.grads)
+    update_dirs = tuple(v if m else None for v, m in zip(row.update, row.moved))
+    inner_values, dir_amps = tuple(row.values.tolist()), tuple(row.amps.tolist())
+    records = []
+    for t, delta in enumerate(deltas):
+        last = t == len(deltas) - 1
+        records.append(
+            {
+                "t": t,
+                "delta": [float(x) for x in delta],
+                "u": None if last else [float(x) for x in ascent_dirs[t]],
+                "v": None if last or update_dirs[t] is None else [float(x) for x in update_dirs[t]],
+                "g": float(inner_values[t]),
+                "grad_norm": float(np.linalg.norm(inner_grads[t])),
+                "dir_amp": None if last else float(dir_amps[t]),
+            }
+        )
+    return records
+
+
+def test_trajectory_records_of_stalled_steps_have_null_v():
+    corner, frozen = _stalling_runs()
+    assert corner.moved.tolist() == [True, True, True, False, False]
+    assert not frozen.moved.any()
+    for traj in (corner, frozen):
+        records = trajectory_records(traj)
+        assert [r["v"] is None for r in records] == [not m for m in traj.moved.tolist()] + [True]
+        assert records == _tuple_records(traj)
+        buf = io.StringIO()
+        dump_trajectory(traj, buf)
+        assert buf.getvalue() == "".join(json.dumps(r) + "\n" for r in _tuple_records(traj))
+
+
+def test_per_step_views_agree_with_the_arrays():
+    env = quad_env([0.7, -0.4, 0.2], state_dim=3)
+    params = init_policy([3, 6, 3], seed=31)
+    s, a = sample(env, 3)
+    moving = pga_run(params, s, a, env, PerturbationSet(p=2, epsilon=0.4, dim=3), InnerLoopConfig(eta=0.3, steps=6))
+    for traj in (moving, *_stalling_runs()):
+        K = len(traj.moved)
+        assert traj.steps == K == len(traj.values) - 1
+        assert traj.inner_values == tuple(traj.values.tolist())
+        assert all(type(g) is float for g in traj.inner_values)
+        assert len(traj.update_dirs) == K
+        for t, v in enumerate(traj.update_dirs):
+            assert (v is None) == (not traj.moved[t])
+            assert v is None or np.array_equal(v, traj.update[t])
+
+
 def test_project_idempotent_and_optimal():
     rng = np.random.default_rng(9)
     for p_norm in (2, math.inf):
@@ -232,7 +294,7 @@ def test_trajectory_arrays_read_only():
     with pytest.raises(ValueError):
         traj.deltas[1][0] = 99.0
     with pytest.raises(ValueError):
-        traj.inner_grads[0][0] = 99.0
+        traj.grads[0][0] = 99.0
 
 
 def test_config_validation():
@@ -285,13 +347,8 @@ def test_pga_batch_rows_equal_pga_run_bit_for_bit(dims, p_norm, kind):
         batches.append(batch)
         for (s, a), got in zip(pairs, batch):
             one = pga_run(params, s, a, env, pset, cfg)
-            assert np.array_equal(np.array(one.deltas), got.deltas)
-            assert np.array_equal(np.array(one.ascent_dirs), got.ascent)
-            assert np.array_equal(np.array(one.inner_grads), got.grads)
-            assert [v is not None for v in one.update_dirs] == got.moved.tolist()
-            assert all(v is None or np.array_equal(v, w) for v, w in zip(one.update_dirs, got.update))
-            assert one.inner_values == tuple(got.values.tolist())
-            assert one.dir_amps == tuple(got.amps.tolist())
+            for f in fields(Ascent):
+                assert np.array_equal(getattr(one, f.name), getattr(got, f.name))
     # the three models stacked as one: each model's rows are its own batch's, bit for bit
     params, S, A = stack_policies([p for p, _, _ in stack]), *(np.stack(x) for x in list(zip(*stack))[1:])
     stacked = pga_batch(params, S, A, env, pset, cfg)

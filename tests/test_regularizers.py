@@ -173,7 +173,7 @@ def test_spectral_norm_bounds_every_directional_amplification(dims):
         params = scale_policy(init_policy(dims, seed=seed), 2.0)
         s, a = sample(env, seed)
         traj = pga_run(params, s, a, env, pset, InnerLoopConfig(eta=0.3, steps=5))
-        for delta, amp in zip(traj.deltas[:-1], traj.dir_amps):
+        for delta, amp in zip(traj.deltas[:-1], traj.amps):
             assert spectral_norm(params, s + delta) >= amp
             checked += 1
     assert checked == 50
@@ -248,7 +248,7 @@ def test_constraint_levels_match_dense_oracle_at_every_visited_state():
                 traj = pga_run(params, s, a, env, pset, inner)
                 jacobians = [assemble_jacobian(params, s + delta) for delta in traj.deltas]
                 dense_sigmas = [np.linalg.svd(J, compute_uv=False)[0] for J in jacobians]
-                dense_amps = [np.linalg.norm(J @ u) for J, u in zip(jacobians, traj.ascent_dirs)]
+                dense_amps = [np.linalg.norm(J @ u) for J, u in zip(jacobians, traj.ascent)]
                 np.testing.assert_allclose(sigmas[k], dense_sigmas, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(amps[k], dense_amps, rtol=1e-12, atol=0)
 

@@ -351,14 +351,15 @@ def test_train_step_matches_sum_of_per_sample_objectives(mode, hinge):
         for (s, a), traj in zip(batch, trajs):
             if mode == "robust_aajr":
                 pen = 0.0
-                for delta, u in zip(traj.deltas[:-1], traj.ascent_dirs):
+                for delta, u in zip(traj.deltas[:-1], traj.ascent):
                     amp = handle.jvp(s + delta, u)
                     pen = pen + (hinge_sq(amp, cfg.reg.gamma_adv) if hinge else dot(amp, amp))
                 pen = pen * (1.0 / traj.steps)
             else:
                 v_hat = np.linalg.svd(jacobian(params0, s))[2][0]
                 pen = hinge_sq(handle.jvp(s, v_hat), cfg.reg.gamma)
-            total = total + loss_term(env, handle.forward(s + traj.delta_star), a) + cfg.reg.lam * pen
+            worst = handle.forward((s + traj.deltas[-1])[None])  # loss_term sums over rows
+            total = total + loss_term(env, worst, a[None]) + cfg.reg.lam * pen
         return total * (1.0 / len(batch))
 
     _, grads = param_gradient(params0, per_sample)
@@ -701,3 +702,24 @@ def test_price_of_robustness_rejects_bad_bracketing_arguments(bad):
 def test_price_of_robustness_needs_three_distinct_nonnegative_seeds(seeds):
     with pytest.raises(ConfigError, match="seeds: "):
         price_of_robustness(quad_env([0.5, -0.5]), make_cfg(), seeds=seeds, policy_dims=[2, 4, 2])
+
+
+@pytest.mark.parametrize(
+    "dims, pset, field",
+    [
+        ([3, 6, 2], None, "dims"),
+        ([2, 6, 3], None, "dims"),
+        ([2, 4, 2], PerturbationSet(p=2, epsilon=0.5, dim=3), "pset.dim"),
+    ],
+)
+def test_mismatched_policy_or_ball_is_rejected_before_any_training(monkeypatch, dims, pset, field):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a model trained before its shapes were checked")
+
+    monkeypatch.setattr(trainer, "_outer_step", no_step)
+    cfg = make_cfg() if pset is None else replace(make_cfg(), pset=pset)
+    env = quad_env([0.5, -0.5])
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        price_of_robustness(env, cfg, seeds=[0, 1, 2], policy_dims=dims)
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        train(replace(cfg, mode="robust_plain"), env, init_policy(dims, seed=0))

@@ -161,7 +161,7 @@ def test_estimate_c_stationary_trajectory_is_zero():
     pset = PerturbationSet(p=2, epsilon=0.5, dim=2)
     s, a = sample(env, 0)
     traj = pga_run(params, s, a, env, pset, InnerLoopConfig(eta=0.3, steps=3))
-    assert all(v is None for v in traj.update_dirs)
+    assert not traj.moved.any()
     assert estimate_C(params, env, s, a, traj) == 0.0
 
 
@@ -224,7 +224,7 @@ def test_stability_hand_case_exact():
     inner = InnerLoopConfig(eta=1.0, steps=1)
     pair = (np.zeros(2), np.zeros(2))
     traj = pga_run(params, pair[0], pair[1], env, pset, inner)
-    assert traj.inner_values == (0.5, 2.0)
+    assert traj.values.tolist() == [0.5, 2.0]
     assert np.array_equal(traj.deltas[1], np.array([-1.0, 0.0]))
     smooth = check_effective_smoothness(params, env, pair, pset, inner, h=0.25)
     report = check_pga_stability(params, env, pair, pset, inner, smoothness=smooth)
@@ -431,7 +431,7 @@ def test_inclusion_levels_match_dense_oracle_at_every_visited_state():
         traj = pga_run(params, s, a, env, pset, inner)
         jacobians = [assemble_jacobian(params, s + delta) for delta in traj.deltas]
         sigmas += [np.linalg.svd(J, compute_uv=False)[0] for J in jacobians]
-        amps += [(k, t, np.linalg.norm(J @ u)) for t, (J, u) in enumerate(zip(jacobians, traj.ascent_dirs))]
+        amps += [(k, t, np.linalg.norm(J @ u)) for t, (J, u) in enumerate(zip(jacobians, traj.ascent))]
     assert len(sigmas) == 4 * 5 and len(amps) == 4 * 4
     # gamma = 0 reports every step with a nonzero amplification as a violation, with its amplification
     report = check_inclusion(params, env, pset, inner, gamma=0.0, n_samples=4, seed=20)
@@ -529,6 +529,10 @@ def test_verify_suite_needs_distinct_nonnegative_seeds(seeds):
         {"witness_dims": (1, 0)},
         {"witness_dims": (2, 65)},
         {"seeds": [0, 0]},
+        # policy dims that do not map the 2-d states to the 2-d actions, and a 3-d ball
+        {"policy_dims": [3, 6, 2], "activations": None},
+        {"policy_dims": [2, 6, 3], "activations": None},
+        {"pset": PerturbationSet(p=2, epsilon=0.5, dim=3)},
     ],
 )
 def test_verify_suite_rejects_bad_arguments_before_any_ascent(monkeypatch, bad):
@@ -537,10 +541,19 @@ def test_verify_suite_rejects_bad_arguments_before_any_ascent(monkeypatch, bad):
 
     for module, name in ((inner_module, "pga_batch"), (regularizers, "pga_batch"), (verification, "pga_run")):
         monkeypatch.setattr(module, name, no_ascent)
-    (field,) = bad
+    field = {"policy_dims": "dims", "pset": "pset.dim"}.get(next(iter(bad)), next(iter(bad)))
     with pytest.raises(ConfigError, match=f"^{field}: "):
         verify_suite(
-            quad_env([0.6, -0.8]), [2, 2], ["identity"], PerturbationSet(p=2, epsilon=0.5, dim=2),
-            InnerLoopConfig(eta=0.1, steps=2), RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0),
-            **{"seeds": [0], "n_samples": 2, "witness_dims": (2,), **bad},
+            **{
+                "env": quad_env([0.6, -0.8]),
+                "policy_dims": [2, 2],
+                "activations": ["identity"],
+                "pset": PerturbationSet(p=2, epsilon=0.5, dim=2),
+                "inner": InnerLoopConfig(eta=0.1, steps=2),
+                "reg": RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0),
+                "seeds": [0],
+                "n_samples": 2,
+                "witness_dims": (2,),
+                **bad,
+            }
         )
