@@ -187,11 +187,13 @@ def loss_grad(env: Environment, z, a) -> Array:
 
 
 def loss_hessian(env: Environment, z, a) -> Array:
-    z, a = _check_pair(env, z, a, rows=False)
+    """Hessian of the loss in the action, (m, m); one per row, (..., m, m),
+    for stacked input, save the quadratic loss's, which is one for all."""
+    z, a = _check_pair(env, z, a)
     if env.kind == "quadratic_congestion":
         return np.eye(env.action_dim) if env.projector is None else env.projector.copy()
     sig = sigmoid(env.beta * _residual(env, z, a))
-    return np.diag(env.beta**2 * sig * (1.0 - sig))
+    return (env.beta**2 * sig * (1.0 - sig))[..., None] * np.eye(env.action_dim)
 
 
 def loss_hessian_bound(env: Environment) -> float:

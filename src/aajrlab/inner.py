@@ -54,14 +54,11 @@ class PerturbationSet:
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "dim", int(self.dim))
 
-    def norm(self, delta: Array) -> float:
+    def norm(self, delta: Array):
+        """||delta||_p; one norm per row for stacked deltas."""
         delta = np.asarray(delta, dtype=np.float64)
-        if self.p == 2.0:
-            return float(_safe_l2(delta))
-        return float(np.max(np.abs(delta), initial=0.0))
-
-    def contains(self, delta: Array, tol: float = 0.0) -> bool:
-        return self.norm(np.asarray(delta, dtype=np.float64)) <= self.epsilon + tol
+        n = _safe_l2(delta) if self.p == 2.0 else np.max(np.abs(delta), axis=-1, initial=0.0)
+        return float(n) if n.ndim == 0 else n
 
 
 @dataclass(frozen=True)

@@ -93,9 +93,9 @@ def constraint_levels(
     spectral norm at every visited state s + delta_t, (..., B, K + 1)."""
     S = np.asarray(states, dtype=np.float64)
     record = pga_batch(params, S, contexts, env, pset, inner)
-    visited = S[..., None, :] + record.deltas
-    sigmas = spectral_norm(params, visited.reshape(S.shape[:-2] + (-1, S.shape[-1])))
-    return record.amps, sigmas.reshape(record.deltas.shape[:-1])
+    # one iterate at a time: the Jacobians of every visited state at once would hold K + 1 times the memory
+    sigmas = [spectral_norm(params, S + record.deltas[..., t, :]) for t in range(record.steps + 1)]
+    return record.amps, np.stack(sigmas, axis=-1)
 
 
 def global_term(handle: PolicyHandle, states, v_hat, cfg: RegularizerConfig):

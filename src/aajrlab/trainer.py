@@ -281,6 +281,7 @@ def evaluate_robust_risk(
     seed: int,
 ) -> float:
     """Monte-Carlo mean of the inner objective at the final PGA iterate."""
+    check_dims(env, params.dims(), pset)
     S, A = _eval_draws(env, n_samples, seed)
     return float(np.mean(pga_batch(params, S, A, env, pset, inner).values[:, -1]))
 
@@ -298,6 +299,7 @@ def measure_achieved_levels(
     Returns (max directional amplification over ascent steps, max spectral
     norm over every visited state s + delta_t).
     """
+    check_dims(env, params.dims(), pset)
     return _achieved_levels(params, env, pset, inner, n_samples, seed)[0]
 
 

@@ -17,23 +17,24 @@ Checks implemented here:
   least ||step||^2 / (2 eta) on every step, keep gradient changes along the
   update direction below L_eff * ||step||, and stay feasible.
 
-The last three share one projected gradient ascent per (sample, eta): the
-smoothness report keeps the ``Ascent`` record it measured and the
-inner-loop config it ran at, the step-size search measures again only when
-eta shrinks, and the stability check reads its iterates, values, gradients
-and ``moved`` steps from that record's arrays.
+The suite checks every seed's policy in one model stack: one projected
+gradient ascent gives each seed's smoothness report and the ``Ascent`` row
+its stability inequalities read, in array passes over all seeds; a seed's
+own ascent runs only in a round that shrinks eta, and one more stacked
+ascent gives the inclusion levels. The public checks run this code on one row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .environments import Environment, check_dims, check_seeds, loss, loss_hessian, loss_hessian_bound, sample
 from .errors import ConfigError
-from .inner import Ascent, InnerLoopConfig, PerturbationSet, pga_run
-from .policy import Layer, PolicyParams, forward, init_policy, jvp
+from .inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run
+from .policy import Layer, PolicyParams, forward, init_policy, jvp, stack_policies
 from .regularizers import RegularizerConfig, constraint_levels, spectral_norm
 
 Array = np.ndarray
@@ -66,13 +67,14 @@ def directional_curvature(g, delta, v, h):
 
 
 def inner_objective(params: PolicyParams, env: Environment, s, a):
-    """delta -> L(pi(s + delta), a); one value per row for stacked deltas."""
+    """delta -> L(pi(s + delta), a); one value per row for stacked deltas,
+    against one state and context or one of each per row."""
     s = np.asarray(s, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
 
     def g(delta):
         z = forward(params, s + np.asarray(delta, dtype=np.float64))
-        return loss(env, z, np.broadcast_to(a, z.shape[:-1] + a.shape))
+        return loss(env, z, np.broadcast_to(a, z.shape[:-1] + a.shape[-1:]))
 
     return g
 
@@ -86,36 +88,48 @@ class SegmentPoint:
     residual: float  # curvature minus the loss-Hessian quadratic form
 
 
-def _segment_scan(
-    params: PolicyParams,
-    env: Environment,
-    s,
-    a,
-    traj: Ascent,
-    grid: int = 5,
-    h_scale: float = 1e-4,
-    h: float | None = None,
-) -> list[SegmentPoint]:
-    """Probe interior grid points of every segment the iterates moved along,
-    all of them in one batched pass."""
+def _dots(x, y):
+    """Dot product of each row pair, with the arithmetic of ``x_i @ y_i``."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _stacked(params: PolicyParams, rows):
+    """(M, ...) rows, one per model of a stack, as the stack takes them;
+    a single policy takes its one model's rows without the model axis."""
+    return rows if params.models else rows[0]
+
+
+def _one_row(sample_pair):
+    return tuple(np.asarray(x, dtype=np.float64)[None] for x in sample_pair)
+
+
+def _segment_scan(params: PolicyParams, env: Environment, S, A, record: Ascent, grid: int = 5, h_scale=1e-4, h=None):
+    """Probe ``grid`` interior points of every step of the ascents in
+    ``record`` from (..., B, d) states S and contexts A, in one batched pass.
+
+    Returns the positions tau, (grid,), and the curvature, amplification and
+    residual at every point, (..., B, K, grid). A step whose iterate did not
+    move has no segment: it is probed along a unit placeholder direction,
+    and its points are masked out by ``record.moved``.
+    """
     if int(grid) < 1:
         raise ConfigError("segment grid must be >= 1")
-    moved = np.flatnonzero(traj.moved)
-    if not moved.size:
-        return []
-    seg = np.repeat(moved, int(grid))
-    tau = np.tile(np.arange(1, int(grid) + 1) / (grid + 1), moved.size)
-    delta = (1.0 - tau[:, None]) * traj.deltas[seg] + tau[:, None] * traj.deltas[seg + 1]
-    V = traj.update[seg]
-    step = np.full(len(seg), h) if h is not None else h_scale * np.maximum(1.0, np.linalg.norm(delta, axis=1))
+    g, d = int(grid), S.shape[-1]
+    tau = np.arange(1, g + 1) / (g + 1)
+    shape = record.moved.shape + (g, d)
+    delta = (1.0 - tau[:, None]) * record.deltas[..., :-1, None, :] + tau[:, None] * record.deltas[..., 1:, None, :]
+    V = np.where(record.moved[..., None], record.update, np.eye(d)[0])[..., None, :]
+    rows = S.shape[:-2] + (-1, d)  # every point of every sample, per model
+    delta, V = delta.reshape(rows), np.broadcast_to(V, shape).reshape(rows)
+    s = np.broadcast_to(S[..., None, None, :], shape).reshape(rows)
+    a = np.broadcast_to(A[..., None, None, :], shape[:-1] + A.shape[-1:]).reshape(rows[:-1] + A.shape[-1:])
+    step = np.full(delta.shape[:-1], h) if h is not None else h_scale * np.maximum(1.0, np.linalg.norm(delta, axis=-1))
     curv = directional_curvature(inner_objective(params, env, s, a), delta, V, step)
-    X = np.asarray(s, dtype=np.float64) + delta
+    X = s + delta
     Jv = jvp(params, X, V)
-    quad = [float(jv @ loss_hessian(env, z, a) @ jv) for z, jv in zip(forward(params, X), Jv)]
-    return [
-        SegmentPoint(int(t), float(x), float(c), float(np.linalg.norm(jv)), float(c - q))
-        for t, x, c, jv, q in zip(seg, tau, curv, Jv, quad)
-    ]
+    HJv = (Jv[..., None, :] @ loss_hessian(env, forward(params, X), a))[..., 0, :]
+    out = shape[:-1]
+    return tau, curv.reshape(out), np.sqrt(_dots(Jv, Jv)).reshape(out), (curv - _dots(HJv, Jv)).reshape(out)
 
 
 def estimate_C(
@@ -132,10 +146,7 @@ def estimate_C(
     The residual isolates the policy's own second-order contribution: for a
     linear policy it vanishes up to finite-difference noise.
     """
-    points = _segment_scan(params, env, s, a, traj, grid=grid, h=h)
-    if not points:
-        return 0.0
-    return max(0.0, max(p.residual for p in points))
+    return _smoothness(params, env, *_one_row((s, a)), traj[None], None, grid, h=h)[0].c_hat
 
 
 @dataclass
@@ -160,6 +171,37 @@ class SmoothnessReport:
         }
 
 
+def _smoothness(params, env, S, A, record: Ascent, inner, grid=5, tol_scale=1e-4, h=None) -> list[SmoothnessReport]:
+    """``check_effective_smoothness`` on every row of the ascents ``record``
+    ran at ``inner`` from (..., B, d) states S and contexts A, from one
+    segment scan over all of them; one report per row, in row order."""
+    tau, curv, amp, residual = _segment_scan(params, env, S, A, record, grid, h=h)
+    tau, l_loss = tau.tolist(), loss_hessian_bound(env)
+    reports = []
+    for idx in np.ndindex(record.moved.shape[:-1]):
+        traj = record[idx]
+        per_step = zip(traj.moved.tolist(), curv[idx].tolist(), amp[idx].tolist(), residual[idx].tolist())
+        points = [SegmentPoint(t, *p) for t, (moved, *at) in enumerate(per_step) if moved for p in zip(tau, *at)]
+        gamma_hat = max((p.amplification for p in points), default=0.0)
+        c_hat = max([0.0] + [p.residual for p in points])
+        bound = l_loss * gamma_hat**2 + c_hat
+        tol = tol_scale * max(1.0, bound) if points else 0.0
+        violations = [
+            {"segment": p.segment, "tau": p.tau, "curvature": p.curvature, "bound": bound, "slack": p.curvature - bound}
+            for p in points
+            if p.curvature > bound + tol
+        ]
+        report = SmoothnessReport(l_loss, c_hat, gamma_hat, bound, tol, inner, traj, points, violations, not violations)
+        reports.append(report)
+    return reports
+
+
+def _one_sample(params, env, sample_pair, pset, inner, grid=5, tol_scale=1e-4, h=None) -> SmoothnessReport:
+    """``check_effective_smoothness`` without its entry check."""
+    record = pga_run(params, *sample_pair, env, pset, inner)
+    return _smoothness(params, env, *_one_row(sample_pair), record[None], inner, grid, tol_scale, h)[0]
+
+
 def check_effective_smoothness(
     params: PolicyParams,
     env: Environment,
@@ -177,35 +219,8 @@ def check_effective_smoothness(
     Runs the ascent once; the report keeps that record and ``inner`` so
     the step-size and stability checks can reuse them.
     """
-    s, a = sample_pair
-    traj = pga_run(params, s, a, env, pset, inner)
-    points = _segment_scan(params, env, s, a, traj, grid=grid, h=h)
-    l_loss = loss_hessian_bound(env)
-    if not points:
-        return SmoothnessReport(
-            l_loss=l_loss, c_hat=0.0, gamma_adv_hat=0.0, l_eff_bound=0.0, tol=0.0, inner=inner, trajectory=traj
-        )
-    gamma_hat = max(p.amplification for p in points)
-    c_hat = max(0.0, max(p.residual for p in points))
-    bound = l_loss * gamma_hat**2 + c_hat
-    tol = tol_scale * max(1.0, bound)
-    violations = [
-        {"segment": p.segment, "tau": p.tau, "curvature": p.curvature, "bound": bound, "slack": p.curvature - bound}
-        for p in points
-        if p.curvature > bound + tol
-    ]
-    return SmoothnessReport(
-        l_loss=l_loss,
-        c_hat=c_hat,
-        gamma_adv_hat=gamma_hat,
-        l_eff_bound=bound,
-        tol=tol,
-        inner=inner,
-        trajectory=traj,
-        points=points,
-        violations=violations,
-        passed=not violations,
-    )
+    check_dims(env, params.dims(), pset)
+    return _one_sample(params, env, sample_pair, pset, inner, grid, tol_scale, h)
 
 
 def stable_step_size(
@@ -234,17 +249,15 @@ def stable_step_size(
     """
     if not 0 < safety <= 1:
         raise ConfigError("safety factor must be in (0, 1]")
+    check_dims(env, params.dims(), pset)
     cfg = inner
-    if smoothness is None:
-        smooth = check_effective_smoothness(params, env, sample_pair, pset, cfg, grid=grid)
-    else:
-        smooth = _measured_at(smoothness, cfg)
+    smooth = _measured_at(smoothness, cfg) if smoothness else _one_sample(params, env, sample_pair, pset, cfg, grid)
     for _ in range(rounds):
         bound = smooth.l_eff_bound
         if bound == 0.0 or cfg.eta <= safety / bound:
             break
         cfg = InnerLoopConfig(eta=safety / bound, steps=cfg.steps, eps0=cfg.eps0)
-        smooth = check_effective_smoothness(params, env, sample_pair, pset, cfg, grid=grid)
+        smooth = _one_sample(params, env, sample_pair, pset, cfg, grid)
     return cfg, smooth
 
 
@@ -283,52 +296,58 @@ def check_pga_stability(
     measured here, from one ascent.
     """
     if smoothness is None:
-        smoothness = check_effective_smoothness(params, env, sample_pair, pset, inner, grid=grid)
-    else:
-        smoothness = _measured_at(smoothness, inner)
-    l_eff = smoothness.l_eff_bound
-    # the measured bound carries finite-difference noise; allow 1e-9 relative
-    # slack so eta == 1/L_eff exactly still counts as meeting the premise
-    premise_ok = l_eff == 0.0 or inner.eta <= (1.0 + 1e-9) / l_eff
-    traj = smoothness.trajectory
-    eta = inner.eta
-    report = StabilityReport(eta=eta, l_eff_bound=l_eff, premise_ok=premise_ok)
+        check_dims(env, params.dims(), pset)
+        smoothness = _one_sample(params, env, sample_pair, pset, inner, grid)
+    return _stability(pset, [_measured_at(smoothness, inner)], tol)[0]
 
-    def violate(step, name, slack):
-        report.violations.append({"step": step, "inequality": name, "slack": float(slack)})
 
-    for t, delta in enumerate(traj.deltas):
-        if not pset.contains(delta, FEASIBILITY_TOL):
-            violate(t, "feasibility", pset.norm(np.asarray(delta)) - pset.epsilon)
-
-    values = traj.values.tolist()
-    for t in range(traj.steps):
-        g0, g1 = values[t], values[t + 1]
-        d = traj.deltas[t + 1] - traj.deltas[t]
-        dn = float(np.linalg.norm(d))
-        entry = {"step": t, "gain": g1 - g0, "step_norm": dn}
-        # every step: gain at least ||step||^2 / (2 eta)
-        projected_rhs = dn**2 / (2.0 * eta)
-        entry["projected_slack"] = g1 - g0 - projected_rhs
-        if g1 - g0 < projected_rhs - tol:
-            violate(t, "projected_ascent", g1 - g0 - projected_rhs)
-        # interior steps: gain at least eta/2 * ||grad||^2
-        if pset.norm(np.asarray(traj.deltas[t + 1])) <= pset.epsilon - INTERIOR_MARGIN:
-            interior_rhs = 0.5 * eta * float(np.dot(traj.grads[t], traj.grads[t]))
-            entry["interior_slack"] = g1 - g0 - interior_rhs
-            if g1 - g0 < interior_rhs - tol:
-                violate(t, "interior_ascent", g1 - g0 - interior_rhs)
-        # moved steps: gradient change along the update direction is bounded
-        if traj.moved[t]:
-            change = float(traj.update[t] @ (traj.grads[t + 1] - traj.grads[t]))
-            bound = l_eff * dn
-            tol_c = 1e-6 * max(1.0, bound)
-            entry["gradient_control_slack"] = bound - change
-            if change > bound + tol_c:
-                violate(t, "gradient_control", change - bound)
-        report.steps.append(entry)
-    report.passed = not report.violations
-    return report
+def _stability(pset: PerturbationSet, reports: list[SmoothnessReport], tol=ASCENT_TOL) -> list[StabilityReport]:
+    """``check_pga_stability`` on the ascent of each smoothness report, at
+    the config it was measured at: each inequality is one array expression
+    over every step of every ascent."""
+    rec = Ascent(*(np.stack([getattr(r.trajectory, f.name) for r in reports]) for f in fields(Ascent)))
+    eta = np.array([[r.inner.eta] for r in reports])
+    norm, gain, step = pset.norm(rec.deltas), np.diff(rec.values), np.diff(rec.deltas, axis=-2)
+    dn = np.sqrt(_dots(step, step))
+    # every step: gain at least ||step||^2 / (2 eta); float_power squares as ** does on a Python float
+    projected_rhs = np.float_power(dn, 2) / (2.0 * eta)
+    # interior steps: gain at least eta/2 * ||grad||^2
+    interior = norm[:, 1:] <= pset.epsilon - INTERIOR_MARGIN
+    interior_rhs = 0.5 * eta * _dots(rec.grads[:, :-1], rec.grads[:, :-1])
+    # moved steps: gradient change along the update direction is bounded
+    change = _dots(rec.update, np.diff(rec.grads, axis=-2))
+    bound = np.array([[r.l_eff_bound] for r in reports]) * dn
+    columns = {  # per step; NaN where the inequality does not apply
+        "gain": gain,
+        "step_norm": dn,
+        "projected_slack": gain - projected_rhs,
+        "interior_slack": np.where(interior, gain - interior_rhs, np.nan),
+        "gradient_control_slack": np.where(rec.moved, bound - change, np.nan),
+    }
+    violated = {  # inequality: (where it fails, its slack)
+        "feasibility": (~(norm <= pset.epsilon + FEASIBILITY_TOL), norm - pset.epsilon),
+        "projected_ascent": (gain < projected_rhs - tol, gain - projected_rhs),
+        "interior_ascent": (interior & (gain < interior_rhs - tol), gain - interior_rhs),
+        "gradient_control": (rec.moved & (change > bound + 1e-6 * np.maximum(1.0, bound)), change - bound),
+    }
+    # (row, not feasibility, step, inequality): feasibility first, then step by step
+    found = sorted(
+        (r, k > 0, t, k, name, float(slack[r, t]))
+        for k, (name, (bad, slack)) in enumerate(violated.items())
+        for r, t in np.argwhere(bad).tolist()
+    )
+    out = []
+    for r, report in enumerate(reports):
+        # the measured bound carries finite-difference noise; allow 1e-9 relative
+        # slack so eta == 1/L_eff exactly still counts as meeting the premise
+        l_eff, eta_r = report.l_eff_bound, report.inner.eta
+        rep = StabilityReport(eta=eta_r, l_eff_bound=l_eff, premise_ok=l_eff == 0.0 or eta_r <= (1.0 + 1e-9) / l_eff)
+        row = {name: col[r].tolist() for name, col in columns.items()}
+        rep.steps = [{"step": t, **{k: v[t] for k, v in row.items() if not math.isnan(v[t])}} for t in range(rec.steps)]
+        rep.violations = [{"step": t, "inequality": name, "slack": x} for q, _, t, _, name, x in found if q == r]
+        rep.passed = not rep.violations
+        out.append(rep)
+    return out
 
 
 @dataclass
@@ -356,21 +375,27 @@ def check_inclusion(
     is violated."""
     if int(n_samples) < 1:
         raise ConfigError("must be >= 1", field="n_samples")
-    S, A = (np.array(rows) for rows in zip(*(sample(env, seed + k) for k in range(int(n_samples)))))
-    amps, sigmas = constraint_levels(params, S, A, env, pset, inner)
-    sup_proxy = float(np.max(sigmas))
-    violations = [
-        {"sample": int(k), "step": int(t), "dir_amp": float(amps[k, t])}
-        for k, t in np.argwhere(amps > gamma + DIRECTIONAL_TOL)
-    ]
-    return InclusionReport(
-        gamma=float(gamma),
-        sup_proxy=sup_proxy,
-        max_dir_amp=float(np.max(amps, initial=0.0)),
-        status="premise_not_met" if sup_proxy > gamma else "fail" if violations else "pass",
-        n_samples=int(n_samples),
-        violations=violations,
-    )
+    check_dims(env, params.dims(), pset)
+    return _inclusion(params, env, pset, inner, gamma, n_samples, [seed])[0]
+
+
+def _inclusion(params, env, pset, inner, gamma, n_samples, seeds) -> list[InclusionReport]:
+    """``check_inclusion`` for each model of a stack, model i on the samples
+    drawn from seeds[i], seeds[i] + 1, ...: one ascent and one constraint
+    measurement over every model's samples."""
+    n, m = int(n_samples), len(seeds)
+    S, A = (np.array(x).reshape(m, n, -1) for x in zip(*(sample(env, seed + k) for seed in seeds for k in range(n))))
+    amps, sigmas = constraint_levels(params, _stacked(params, S), _stacked(params, A), env, pset, inner)
+    reports = []
+    for amp, sigma in zip(amps.reshape((m,) + amps.shape[-2:]), sigmas.reshape((m,) + sigmas.shape[-2:])):
+        sup_proxy = float(np.max(sigma))
+        violations = [
+            {"sample": int(k), "step": int(t), "dir_amp": float(amp[k, t])}
+            for k, t in np.argwhere(amp > gamma + DIRECTIONAL_TOL)
+        ]
+        status = "premise_not_met" if sup_proxy > gamma else "fail" if violations else "pass"
+        reports.append(InclusionReport(float(gamma), sup_proxy, float(np.max(amp, initial=0.0)), status, n, violations))
+    return reports
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,76 +571,47 @@ def verify_suite(
     """Run every check per seed; returns the JSON report and, per seed, a
     one-row ``Ascent``.
 
-    Each seed's smoothness, step-size and stability checks share one ascent
-    (one more per round that shrinks eta), and the returned record is the
-    one measured at the stabilised step size. Every argument is checked
-    by ``check_verify`` and ``check_dims`` before any ascent runs.
+    The seeds' policies run as one model stack: one ascent and one segment
+    scan give every seed's smoothness report, one array pass checks every
+    seed's stability inequalities, and one more ascent over every seed's
+    samples gives the inclusion levels. A seed whose step-size search
+    shrinks eta runs one ascent of its own per round that shrinks it, and
+    the returned record is the one measured at the stabilised step size.
+    Every argument is checked by ``check_verify`` and ``check_dims`` before
+    any ascent runs.
     """
     seeds = check_verify(seeds, grid, tol_curv_scale, n_samples, eta_safety, witness_dims)
     check_dims(env, policy_dims, pset)
     checks: list[dict] = []
-    trajectories: dict[int, Ascent] = {}
 
     def add(name, seed, passed, margins, constants=None, status=None):
-        checks.append(
-            {
-                "name": name,
-                "seed": seed,
-                "pass": bool(passed),
-                "margins": margins,
-                "constants": constants or {},
-                "status": status or ("pass" if passed else "fail"),
-            }
-        )
+        check = {"name": name, "seed": seed, "pass": bool(passed), "margins": margins, "constants": constants or {}}
+        checks.append({**check, "status": status or ("pass" if passed else "fail")})
 
-    for seed in seeds:
-        params = init_policy(policy_dims, activations, seed=seed)
-        pair = sample(env, seed)
-        smooth = check_effective_smoothness(
-            params, env, pair, pset, inner, grid=grid, tol_scale=tol_curv_scale
-        )
-        add(
-            "effective_smoothness",
-            seed,
-            smooth.passed,
-            {
-                "violations": smooth.violations,
-                "max_curvature": max((p.curvature for p in smooth.points), default=0.0),
-                "tol": smooth.tol,
-            },
-            smooth.constants(),
-        )
-        inner_stab, smooth_stab = stable_step_size(
-            params, env, pair, pset, inner, safety=eta_safety, grid=grid, smoothness=smooth
-        )
-        stability = check_pga_stability(
-            params, env, pair, pset, inner_stab, grid=grid, smoothness=smooth_stab
-        )
+    members = [init_policy(policy_dims, activations, seed=seed) for seed in seeds]
+    stack = stack_policies(members)
+    pairs = [sample(env, seed) for seed in seeds]
+    S, A = (_stacked(stack, np.array(x)[:, None]) for x in zip(*pairs))
+    # the inclusion ascent, the largest, runs first, while no other report is held
+    inclusions = _inclusion(stack, env, pset, inner, reg.gamma, n_samples, [seed * 1000 for seed in seeds])
+    smooths = _smoothness(stack, env, S, A, pga_batch(stack, S, A, env, pset, inner), inner, grid, tol_curv_scale)
+    settled = [
+        stable_step_size(m, env, pair, pset, inner, safety=eta_safety, grid=grid, smoothness=smooth)
+        for m, pair, smooth in zip(members, pairs, smooths)
+    ]
+    stabilities = _stability(pset, [smooth_stab for _, smooth_stab in settled])
+    for seed, smooth, (_, smooth_stab), stability, inclusion in zip(seeds, smooths, settled, stabilities, inclusions):
+        max_curvature = max((p.curvature for p in smooth.points), default=0.0)
+        margins = {"violations": smooth.violations, "max_curvature": max_curvature, "tol": smooth.tol}
+        add("effective_smoothness", seed, smooth.passed, margins, smooth.constants())
+        margins = {"violations": stability.violations, "eta": stability.eta, "premise_ok": stability.premise_ok}
         status = None if stability.premise_ok else "premise_not_met"
-        add(
-            "pga_stability",
-            seed,
-            stability.passed or not stability.premise_ok,
-            {"violations": stability.violations, "eta": stability.eta, "premise_ok": stability.premise_ok},
-            smooth_stab.constants(),
-            status if status else ("pass" if stability.passed else "fail"),
-        )
-        trajectories[seed] = smooth_stab.trajectory
-        inclusion = check_inclusion(
-            params, env, pset, inner, reg.gamma, n_samples, seed=seed * 1000
-        )
-        add(
-            "inclusion",
-            seed,
-            inclusion.status != "fail",
-            {
-                "sup_proxy": inclusion.sup_proxy,
-                "max_dir_amp": inclusion.max_dir_amp,
-                "violations": inclusion.violations,
-            },
-            {"gamma": inclusion.gamma},
-            inclusion.status if inclusion.status == "premise_not_met" else None,
-        )
+        passed = stability.passed or not stability.premise_ok
+        add("pga_stability", seed, passed, margins, smooth_stab.constants(), status)
+        margins = {"sup_proxy": inclusion.sup_proxy, "max_dir_amp": inclusion.max_dir_amp}
+        margins["violations"] = inclusion.violations
+        status = inclusion.status if inclusion.status == "premise_not_met" else None
+        add("inclusion", seed, inclusion.status != "fail", margins, {"gamma": inclusion.gamma}, status)
 
     witness_gamma = 1.0
     for d in witness_dims:
@@ -640,5 +636,5 @@ def verify_suite(
                     {"gamma": rep.gamma},
                 )
 
-    all_pass = all(c["pass"] for c in checks)
-    return {"checks": checks, "all_pass": all_pass}, trajectories
+    trajectories = {seed: smooth.trajectory for seed, (_, smooth) in zip(seeds, settled)}
+    return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}, trajectories

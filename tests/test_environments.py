@@ -139,6 +139,11 @@ def test_softplus_hessian_matches_finite_differences_and_bound():
     H_fd = fd_hessian(env, z, a)
     assert np.max(np.abs(H - H_fd)) <= 1e-4
     assert np.linalg.norm(H, 2) <= loss_hessian_bound(env) + 1e-12
+    # stacked actions and contexts give one Hessian per row, each that row's own
+    Z, A = np.vstack([z, rng.uniform(-1, 1, (3, 3))]), np.vstack([a, rng.uniform(-1, 1, (3, 3))])
+    rows = loss_hessian(env, Z, A)
+    assert rows.shape == (4, 3, 3) and np.array_equal(rows[0], H)
+    assert all(np.array_equal(rows[k], loss_hessian(env, Z[k], A[k])) for k in range(4))
 
 
 def test_hessian_bounds_exact():

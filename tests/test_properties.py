@@ -43,6 +43,8 @@ def test_project_rows_are_feasible_and_independent(rows, p, epsilon):
         # the last place, or a few subnormal steps for a subnormal epsilon
         assert pset.norm(row) <= epsilon * (1.0 + 4 * EPS) + 4 * TINY
         assert np.array_equal(row, project(original, pset))
+    # the norm of stacked rows is the norm of each row
+    assert np.array_equal(pset.norm(rows), [pset.norm(row) for row in rows])
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from aajrlab import inner as inner_module
-from aajrlab import regularizers, verification
+from aajrlab import regularizers, trainer, verification
 from aajrlab.environments import Environment, loss_hessian, sample
 from aajrlab.errors import ConfigError
-from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_run, trajectory_records
-from aajrlab.policy import forward, init_policy, scale_policy
+from aajrlab.inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run, trajectory_records
+from aajrlab.policy import forward, init_policy, scale_policy, stack_policies
 from aajrlab.regularizers import RegularizerConfig
+from aajrlab.trainer import evaluate_robust_risk, measure_achieved_levels
 from aajrlab.verification import (
     WitnessSpec,
     check_effective_smoothness,
@@ -305,17 +307,24 @@ def test_stability_rejects_report_from_another_step_size(monkeypatch):
 
 
 def _counted_suite(monkeypatch, eta):
-    """verify_suite on a [3,6,3] net with every pga_run call recorded."""
+    """verify_suite on a [3,6,3] net with every ascent recorded: the stacked
+    ``pga_batch`` and the one-row ``pga_run`` of ``verification``, and the
+    inclusion check's ``pga_batch``."""
     env = quad_env([0.6, -0.8, 0.3])
     pset = PerturbationSet(p=2, epsilon=2.0, dim=3)
     inner = InnerLoopConfig(eta=eta, steps=4)
     calls = []
 
-    def counting(params, s, a, env_, pset_, cfg):
-        calls.append((env_ is env, tuple(np.asarray(s, dtype=float)), cfg))
-        return pga_run(params, s, a, env_, pset_, cfg)
+    def counting(entry, ascent):
+        def spy(params, s, a, env_, pset_, cfg):
+            calls.append((entry, env_ is env, np.array(s, dtype=float), cfg))
+            return ascent(params, s, a, env_, pset_, cfg)
 
-    monkeypatch.setattr(verification, "pga_run", counting)
+        return spy
+
+    for module, name in ((verification, "pga_batch"), (verification, "pga_run"), (regularizers, "pga_batch")):
+        entry = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+        monkeypatch.setattr(module, name, counting(entry, getattr(module, name)))
     report, trajectories = verify_suite(
         env,
         [3, 6, 3],
@@ -335,14 +344,25 @@ def test_verify_suite_runs_one_ascent_per_seed_and_step_size(monkeypatch, eta):
     env, _, inner, report, _, calls = _counted_suite(monkeypatch, eta)
     stability = {c["seed"]: c["margins"]["eta"] for c in report["checks"] if c["name"] == "pga_stability"}
     witnesses = sum(c["name"] == "class_witness" for c in report["checks"])
+    states = np.array([sample(env, seed)[0] for seed in stability])
+    # one stacked ascent covers every seed at the configured eta, one row per seed
+    stacked = [c for c in calls if c[0] == "verification.pga_batch"]
+    assert len(stacked) == 1
+    _, own, S, cfg = stacked[0]
+    assert own and cfg == inner and np.array_equal(S, states[:, None])
+    # and one more covers every seed's inclusion samples
+    inclusion = [c for c in calls if c[0] == "regularizers.pga_batch"]
+    assert len(inclusion) == 1 and inclusion[0][2].shape == (3, 2, 3) and inclusion[0][3] == inner
     rounds = 0
-    for seed, eta_stab in stability.items():
-        etas = [cfg.eta for own, s, cfg in calls if own and s == tuple(sample(env, seed)[0])]
-        # one ascent at the configured eta, then one per round that shrinks it
-        assert etas[0] == inner.eta and etas[-1] == eta_stab
+    for s, eta_stab in zip(states, stability.values()):
+        # then the seed runs one ascent of its own per round that shrinks eta
+        runs = [(cfg, own and np.array_equal(s_, s)) for entry, own, s_, cfg in calls if entry == "verification.pga_run"]
+        own_rows = [cfg.eta for cfg, seeds_own in runs if seeds_own]
+        etas = [inner.eta] + own_rows
+        assert etas[-1] == eta_stab
         assert all(later < earlier for earlier, later in zip(etas, etas[1:]))
-        rounds += len(etas) - 1
-    assert len(calls) == len(stability) + rounds + witnesses
+        rounds += len(own_rows)
+    assert len(calls) == 2 + rounds + witnesses
     assert (rounds > 0) == (eta == 8.0)
 
 
@@ -369,6 +389,113 @@ def test_verify_suite_after_shrinking_eta_matches_fresh_run(monkeypatch):
         assert check["constants"] == smooth.constants()
         assert check["pass"] == (stability.passed or not stability.premise_ok)
     assert shrunk  # at least one seed ran at a shrunk eta
+
+
+def _report_fields(report) -> dict:
+    """Every field of a certificate report; an ascent record as its trajectory
+    records and its arrays, which compare by value."""
+    out = {}
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, Ascent):
+            arrays = [getattr(value, g.name).tolist() for g in dataclasses.fields(Ascent)]
+            value = (trajectory_records(value), arrays)
+        out[f.name] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, epsilon, eta, seeds",
+    [
+        (2, 0.5, 0.3, [0, 1, 2, 5]),
+        (math.inf, 0.25, 0.3, [0, 1, 2, 5]),
+        (2, 0.0, 0.3, [0, 1, 2]),  # no ascent ever moves
+        (2, 2.0, 8.0, [0, 1, 2]),  # a seed whose step-size search shrinks eta, beside seeds whose does not
+        (math.inf, 0.25, 0.3, [4]),  # a stack of one is the policy itself
+    ],
+)
+def test_stacked_certificates_equal_one_sample_calls_row_by_row(p, epsilon, eta, seeds):
+    env = quad_env([0.6, -0.8, 0.3]) if p == 2 else soft_env([0.2, -0.5, 0.7])
+    pset = PerturbationSet(p=p, epsilon=epsilon, dim=3)
+    inner = InnerLoopConfig(eta=eta, steps=4)
+    members = [init_policy([3, 6, 3], seed=seed) for seed in seeds]
+    stack = stack_policies(members)
+    pairs = [sample(env, seed) for seed in seeds]
+    S, A = (np.array(x)[:, None] if stack.models else np.array(x) for x in zip(*pairs))
+    smooths = verification._smoothness(stack, env, S, A, pga_batch(stack, S, A, env, pset, inner), inner)
+    inclusions = verification._inclusion(stack, env, pset, inner, 1.0, 3, [seed * 1000 for seed in seeds])
+    settled, shrunk = [], 0
+    for params, pair, smooth, inclusion, seed in zip(members, pairs, smooths, inclusions, seeds):
+        one = check_effective_smoothness(params, env, pair, pset, inner)
+        assert _report_fields(smooth) == _report_fields(one)
+        one_inclusion = check_inclusion(params, env, pset, inner, 1.0, 3, seed=seed * 1000)
+        assert _report_fields(inclusion) == _report_fields(one_inclusion)
+        cfg, smooth_stab = stable_step_size(params, env, pair, pset, inner, smoothness=one)
+        assert cfg == smooth_stab.inner
+        shrunk += cfg.eta < inner.eta
+        settled.append((params, pair, cfg, smooth_stab))
+        if epsilon == 0.0:
+            assert not smooth.points and smooth.l_eff_bound == 0.0 and not smooth.trajectory.moved.any()
+    assert (0 < shrunk < len(seeds)) == (eta == 8.0)
+    stabilities = verification._stability(pset, [smooth_stab for *_, smooth_stab in settled])
+    for (params, pair, cfg, smooth_stab), stability in zip(settled, stabilities):
+        one = check_pga_stability(params, env, pair, pset, cfg, smoothness=smooth_stab)
+        assert _report_fields(stability) == _report_fields(one)
+        assert _report_fields(one) == _report_fields(check_pga_stability(params, env, pair, pset, cfg))
+    # the suite reports exactly these certificates, and the trajectories they were measured on
+    reg = RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0)
+    report, trajectories = verify_suite(
+        env, [3, 6, 3], None, pset, inner, reg, seeds=seeds, n_samples=3, witness_dims=(2,)
+    )
+    checks = {(c["name"], c["seed"]): c for c in report["checks"]}
+    for seed, smooth, inclusion, (*_, smooth_stab), stability in zip(seeds, smooths, inclusions, settled, stabilities):
+        assert checks["effective_smoothness", seed]["constants"] == smooth.constants()
+        assert checks["effective_smoothness", seed]["margins"]["violations"] == smooth.violations
+        assert checks["pga_stability", seed]["constants"] == smooth_stab.constants()
+        assert checks["pga_stability", seed]["margins"]["violations"] == stability.violations
+        assert checks["pga_stability", seed]["margins"]["eta"] == smooth_stab.inner.eta
+        assert checks["inclusion", seed]["margins"]["sup_proxy"] == inclusion.sup_proxy
+        assert checks["inclusion", seed]["margins"]["violations"] == inclusion.violations
+        assert trajectory_records(trajectories[seed]) == trajectory_records(smooth_stab.trajectory)
+
+
+@pytest.mark.parametrize(
+    "dims, ball_dim, field",
+    [([3, 4, 2], 2, "dims"), ([2, 4, 3], 2, "dims"), ([2, 4, 2], 3, "pset.dim")],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "check_inclusion",
+        "check_effective_smoothness",
+        "stable_step_size",
+        "check_pga_stability",
+        "measure_achieved_levels",
+        "evaluate_robust_risk",
+    ],
+)
+def test_public_entries_check_shapes_before_any_ascent(monkeypatch, entry, dims, ball_dim, field):
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("an ascent ran before the shapes were checked")
+
+    for module in (inner_module, regularizers, trainer, verification):
+        monkeypatch.setattr(module, "pga_batch", no_ascent)
+    monkeypatch.setattr(verification, "pga_run", no_ascent)
+    env = quad_env([0.5, -0.5])
+    params = init_policy(dims, seed=0)
+    pset = PerturbationSet(p=2, epsilon=0.3, dim=ball_dim)
+    inner = InnerLoopConfig(eta=0.3, steps=2)
+    pair = sample(env, 0)
+    call = {
+        "check_inclusion": lambda: check_inclusion(params, env, pset, inner, 1.0, 2),
+        "check_effective_smoothness": lambda: check_effective_smoothness(params, env, pair, pset, inner),
+        "stable_step_size": lambda: stable_step_size(params, env, pair, pset, inner),
+        "check_pga_stability": lambda: check_pga_stability(params, env, pair, pset, inner),
+        "measure_achieved_levels": lambda: measure_achieved_levels(params, env, pset, inner, 2, seed=0),
+        "evaluate_robust_risk": lambda: evaluate_robust_risk(params, env, pset, inner, 2, seed=0),
+    }[entry]
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        call()
 
 
 # -- inclusion ----------------------------------------------------------------
@@ -539,7 +666,12 @@ def test_verify_suite_rejects_bad_arguments_before_any_ascent(monkeypatch, bad):
     def no_ascent(*args, **kwargs):
         raise AssertionError("an ascent ran before the arguments were checked")
 
-    for module, name in ((inner_module, "pga_batch"), (regularizers, "pga_batch"), (verification, "pga_run")):
+    for module, name in (
+        (inner_module, "pga_batch"),
+        (regularizers, "pga_batch"),
+        (verification, "pga_batch"),
+        (verification, "pga_run"),
+    ):
         monkeypatch.setattr(module, name, no_ascent)
     field = {"policy_dims": "dims", "pset": "pset.dim"}.get(next(iter(bad)), next(iter(bad)))
     with pytest.raises(ConfigError, match=f"^{field}: "):
