@@ -25,7 +25,6 @@ from .trainer import (
     GapReport,
     RunMetrics,
     TrainConfig,
-    evaluate_nominal_risk,
     evaluate_robust_risk,
     price_of_robustness,
     train,
@@ -62,7 +61,6 @@ __all__ = [
     "class_witness",
     "directional_curvature",
     "estimate_C",
-    "evaluate_nominal_risk",
     "evaluate_robust_risk",
     "forward",
     "global_penalty",

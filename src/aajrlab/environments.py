@@ -139,13 +139,13 @@ def check_dims(env: Environment, dims, pset=None) -> None:
         raise ConfigError(f"perturbation dim {pset.dim} must equal environment.state_dim {d}", field="pset.dim")
 
 
-def _check_pair(env: Environment, z, a, rows: bool = True):
+def _check_pair(env: Environment, z, a):
     """An action and a peer context, or (..., B, m) and (..., B, q) stacks of them."""
     z = np.asarray(z, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     m = env.action_dim
-    if z.ndim not in ((1, 2, 3) if rows else (1,)) or z.shape[-1] != m:
-        raise ConfigError(f"action has shape {z.shape}, expected ({m},)" + (f" or (..., B, {m})" if rows else ""))
+    if z.ndim not in (1, 2, 3) or z.shape[-1] != m:
+        raise ConfigError(f"action has shape {z.shape}, expected ({m},) or (..., B, {m})")
     if a.shape != z.shape[:-1] + (env.peer_dim,):
         raise ConfigError(f"peer context has shape {a.shape}, expected {z.shape[:-1] + (env.peer_dim,)}")
     return z, a
@@ -160,23 +160,24 @@ def _residual(env: Environment, z, a):
     return r
 
 
+def _summed(env: Environment, r, axis):
+    """The loss of the residuals r summed over ``axis``, as a tape-generic
+    expression: the one loss formula."""
+    if env.kind == "quadratic_congestion":
+        return 0.5 * dot(r, r, axis)
+    return vsum(softplus(env.beta * r), axis)
+
+
 def loss_term(env: Environment, z, a):
     """Loss summed over the (B, m) rows of z, as a tape-generic expression;
     z may be an ndarray or a Node. (M, B, m) actions of a model stack give
     one sum per model."""
-    r = _residual(env, z, np.asarray(a, dtype=np.float64))
-    if env.kind == "quadratic_congestion":
-        return 0.5 * dot(r, r, (-2, -1))
-    return vsum(softplus(env.beta * r), (-2, -1))
+    return _summed(env, _residual(env, z, np.asarray(a, dtype=np.float64)), (-2, -1))
 
 
 def loss(env: Environment, z, a):
     """Loss at an action; one value per row for stacked actions and contexts."""
-    r = _residual(env, *_check_pair(env, z, a))
-    if env.kind == "quadratic_congestion":
-        values = 0.5 * np.sum(r * r, axis=-1)
-    else:
-        values = np.sum(np.logaddexp(0.0, env.beta * r), axis=-1)
+    values = _summed(env, _residual(env, *_check_pair(env, z, a)), -1)
     return float(values) if values.ndim == 0 else values
 
 

@@ -238,12 +238,6 @@ def _step_record(step, env, params, S, A, record, sigmas, grads, cfg: TrainConfi
     )
 
 
-def evaluate_nominal_risk(params: PolicyParams, env: Environment, n_samples: int, seed: int) -> float:
-    """Monte-Carlo mean of L(pi(s), a) over seeded draws."""
-    mean, _ = _nominal_risk_samples(params, env, n_samples, seed)[0]
-    return mean
-
-
 def _eval_draws(env: Environment, n_samples: int, seed: int):
     """The seeded evaluation sample, drawn in full before any evaluation."""
     if int(n_samples) < 1:

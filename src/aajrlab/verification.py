@@ -7,7 +7,10 @@ Checks implemented here:
   never amplify more than the operator norm);
 * witness: the linear map gamma * P_U + M * P_perp is directionally bounded
   on a proper subspace U while its spectral norm is M, separating the
-  trajectory-adaptive class from the globally constrained one;
+  trajectory-adaptive class from the globally constrained one; both are
+  read from the map itself (one product with the directions, one dense
+  SVD), and one projected gradient ascent on it confirms that the ascent
+  directions it generates stay in U;
 * effective smoothness: finite-difference directional curvature of the
   inner objective along recorded update segments stays below
   L_loss * gamma_hat^2 + C_hat, with the residual curvature C_hat measured
@@ -35,7 +38,8 @@ from .environments import Environment, check_dims, check_seeds, loss, loss_hessi
 from .errors import ConfigError
 from .inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run
 from .policy import Layer, PolicyParams, forward, init_policy, jvp, stack_policies
-from .regularizers import RegularizerConfig, constraint_levels, spectral_norm
+from .regularizers import RegularizerConfig, constraint_levels
+from .tape import matvec
 
 Array = np.ndarray
 
@@ -103,14 +107,16 @@ def _one_row(sample_pair):
     return tuple(np.asarray(x, dtype=np.float64)[None] for x in sample_pair)
 
 
-def _segment_scan(params: PolicyParams, env: Environment, S, A, record: Ascent, grid: int = 5, h_scale=1e-4, h=None):
+def _segment_scan(params: PolicyParams, env: Environment, S, A, record: Ascent, grid: int = 5, h=None):
     """Probe ``grid`` interior points of every step of the ascents in
     ``record`` from (..., B, d) states S and contexts A, in one batched pass.
 
     Returns the positions tau, (grid,), and the curvature, amplification and
-    residual at every point, (..., B, K, grid). A step whose iterate did not
-    move has no segment: it is probed along a unit placeholder direction,
-    and its points are masked out by ``record.moved``.
+    residual at every point, (..., B, K, grid), with the finite-difference
+    step ``h`` or, without it, 1e-4 * max(1, ||delta||) at each point. A
+    step whose iterate did not move has no segment: it is probed along a
+    unit placeholder direction, and its points are masked out by
+    ``record.moved``.
     """
     if int(grid) < 1:
         raise ConfigError("segment grid must be >= 1")
@@ -123,7 +129,7 @@ def _segment_scan(params: PolicyParams, env: Environment, S, A, record: Ascent, 
     delta, V = delta.reshape(rows), np.broadcast_to(V, shape).reshape(rows)
     s = np.broadcast_to(S[..., None, None, :], shape).reshape(rows)
     a = np.broadcast_to(A[..., None, None, :], shape[:-1] + A.shape[-1:]).reshape(rows[:-1] + A.shape[-1:])
-    step = np.full(delta.shape[:-1], h) if h is not None else h_scale * np.maximum(1.0, np.linalg.norm(delta, axis=-1))
+    step = np.full(delta.shape[:-1], h) if h is not None else 1e-4 * np.maximum(1.0, np.linalg.norm(delta, axis=-1))
     curv = directional_curvature(inner_objective(params, env, s, a), delta, V, step)
     X = s + delta
     Jv = jvp(params, X, V)
@@ -132,21 +138,13 @@ def _segment_scan(params: PolicyParams, env: Environment, S, A, record: Ascent, 
     return tau, curv.reshape(out), np.sqrt(_dots(Jv, Jv)).reshape(out), (curv - _dots(HJv, Jv)).reshape(out)
 
 
-def estimate_C(
-    params: PolicyParams,
-    env: Environment,
-    s,
-    a,
-    traj: Ascent,
-    grid: int = 5,
-    h: float | None = None,
-) -> float:
+def estimate_C(params: PolicyParams, env: Environment, s, a, traj: Ascent, grid: int = 5) -> float:
     """Max sampled residual curvature along the trajectory, floored at 0.
 
     The residual isolates the policy's own second-order contribution: for a
     linear policy it vanishes up to finite-difference noise.
     """
-    return _smoothness(params, env, *_one_row((s, a)), traj[None], None, grid, h=h)[0].c_hat
+    return _smoothness(params, env, *_one_row((s, a)), traj[None], None, grid)[0].c_hat
 
 
 @dataclass
@@ -231,7 +229,6 @@ def stable_step_size(
     inner: InnerLoopConfig,
     *,
     safety: float = 0.9,
-    rounds: int = 8,
     grid: int = 5,
     smoothness: SmoothnessReport | None = None,
 ) -> tuple[InnerLoopConfig, SmoothnessReport]:
@@ -239,8 +236,8 @@ def stable_step_size(
 
     The effective-smoothness bound depends on the trajectory, which depends
     on eta, so a single division is not self-consistent. Iterating
-    eta <- safety / bound(eta) settles after a few rounds; eta only ever
-    shrinks, which keeps the loop monotone.
+    eta <- safety / bound(eta) settles after a few rounds (at most 8 run);
+    eta only ever shrinks, which keeps the loop monotone.
 
     ``smoothness``, when given, is the report already measured at ``inner``
     (ConfigError otherwise) and saves measuring it again; a new ascent runs
@@ -252,7 +249,7 @@ def stable_step_size(
     check_dims(env, params.dims(), pset)
     cfg = inner
     smooth = _measured_at(smoothness, cfg) if smoothness else _one_sample(params, env, sample_pair, pset, cfg, grid)
-    for _ in range(rounds):
+    for _ in range(8):
         bound = smooth.l_eff_bound
         if bound == 0.0 or cfg.eta <= safety / bound:
             break
@@ -286,7 +283,6 @@ def check_pga_stability(
     inner: InnerLoopConfig,
     *,
     grid: int = 5,
-    tol: float = ASCENT_TOL,
     smoothness: SmoothnessReport | None = None,
 ) -> StabilityReport:
     """Per-step ascent, gradient-control, and feasibility inequalities.
@@ -298,10 +294,10 @@ def check_pga_stability(
     if smoothness is None:
         check_dims(env, params.dims(), pset)
         smoothness = _one_sample(params, env, sample_pair, pset, inner, grid)
-    return _stability(pset, [_measured_at(smoothness, inner)], tol)[0]
+    return _stability(pset, [_measured_at(smoothness, inner)])[0]
 
 
-def _stability(pset: PerturbationSet, reports: list[SmoothnessReport], tol=ASCENT_TOL) -> list[StabilityReport]:
+def _stability(pset: PerturbationSet, reports: list[SmoothnessReport]) -> list[StabilityReport]:
     """``check_pga_stability`` on the ascent of each smoothness report, at
     the config it was measured at: each inequality is one array expression
     over every step of every ascent."""
@@ -326,8 +322,8 @@ def _stability(pset: PerturbationSet, reports: list[SmoothnessReport], tol=ASCEN
     }
     violated = {  # inequality: (where it fails, its slack)
         "feasibility": (~(norm <= pset.epsilon + FEASIBILITY_TOL), norm - pset.epsilon),
-        "projected_ascent": (gain < projected_rhs - tol, gain - projected_rhs),
-        "interior_ascent": (interior & (gain < interior_rhs - tol), gain - interior_rhs),
+        "projected_ascent": (gain < projected_rhs - ASCENT_TOL, gain - projected_rhs),
+        "interior_ascent": (interior & (gain < interior_rhs - ASCENT_TOL), gain - interior_rhs),
         "gradient_control": (rec.moved & (change > bound + 1e-6 * np.maximum(1.0, bound)), change - bound),
     }
     # (row, not feasibility, step, inequality): feasibility first, then step by step
@@ -446,71 +442,63 @@ class WitnessReport:
     sigma: float  # exact spectral norm of the constructed map (dense SVD)
     exclusion_ok: bool  # sigma exceeds gamma
     max_direction_amp: float
-    e2e_u_in_subspace: bool | None = None
-    e2e_directional_ok: bool | None = None
-    e2e_global_violated: bool | None = None
-    e2e_max_offspace: float | None = None
-    passed: bool = True
+    e2e_u_in_subspace: bool  # every ascent direction of the end-to-end run lies in U
+    e2e_directional_ok: bool  # and is amplified at most gamma
+    e2e_global_violated: bool  # the map the ascent ran on exceeds gamma: exclusion_ok
+    e2e_max_offspace: float
+    passed: bool
 
 
-def class_witness(spec: WitnessSpec, directions, *, run_e2e: bool = True, e2e_seed: int = 0) -> WitnessReport:
+def class_witness(spec: WitnessSpec, directions, *, e2e_seed: int = 0) -> WitnessReport:
     """Check the constructed map separates directional from global budgets.
 
-    Every supplied direction must lie in the subspace; the end-to-end
-    variant drives projected gradient ascent against a loss whose gradient
-    is confined to the subspace and confirms the generated ascent
-    directions stay there.
+    Every supplied direction must lie in the subspace; their amplifications
+    come from one product with the map W and its spectral norm from one
+    dense SVD of W. The end-to-end part drives projected gradient ascent on
+    the policy x -> W x against a loss whose gradient is confined to the
+    subspace and confirms the generated ascent directions stay there.
     """
     params = witness_policy(spec)
-    P = spec.projector()
-    zero_state = np.zeros(spec.dim)
-    max_amp = 0.0
-    for u in directions:
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (spec.dim,):
-            raise ConfigError(f"direction has shape {u.shape}, expected ({spec.dim},)")
-        if np.linalg.norm(u) > 1.0 + 1e-9:
-            raise ConfigError("directions must have norm at most 1")
-        if np.linalg.norm(u - P @ u) > 1e-9:
-            raise ConfigError("directions must lie in the witness subspace")
-        max_amp = max(max_amp, float(np.linalg.norm(jvp(params, zero_state, u))))
-    membership_ok = max_amp <= spec.gamma + DIRECTIONAL_TOL
-    sigma = spectral_norm(params, zero_state)
+    W, P, d = params.layers[0].weight, spec.projector(), spec.dim
+    U = [np.asarray(u, dtype=np.float64) for u in directions]
+    for u in U:
+        if u.shape != (d,):
+            raise ConfigError(f"direction has shape {u.shape}, expected ({d},)")
+    U = np.reshape(U, (-1, d))
+    if not np.all(np.sqrt(_dots(U, U)) <= 1.0 + 1e-9):
+        raise ConfigError("directions must have norm at most 1")
+    off = U - matvec(P, U)
+    if np.any(np.sqrt(_dots(off, off)) > 1e-9):
+        raise ConfigError("directions must lie in the witness subspace")
+    amps = matvec(W, U)
+    max_amp = float(np.max(np.sqrt(_dots(amps, amps)), initial=0.0))
+    sigma = float(np.linalg.svd(W)[1][0])
     exclusion_ok = sigma > spec.gamma + DIRECTIONAL_TOL
-    report = WitnessReport(
+    c = np.random.default_rng(e2e_seed).uniform(-1.0, 1.0, d)
+    env = Environment(kind="quadratic_congestion", c=c, A=np.zeros((d, d)), state_dim=d, projector=P)
+    pset = PerturbationSet(p=2.0, epsilon=0.5, dim=d)
+    inner = InnerLoopConfig(eta=0.5 / max(1.0, spec.gamma**2), steps=4)
+    traj = pga_run(params, *sample(env, e2e_seed), env, pset, inner)
+    off = traj.ascent - matvec(P, traj.ascent)
+    max_off = float(np.max(np.sqrt(_dots(off, off)), initial=0.0))
+    membership_ok = max_amp <= spec.gamma + DIRECTIONAL_TOL
+    in_subspace = max_off <= 1e-9
+    directional_ok = bool(np.all(traj.amps <= spec.gamma + DIRECTIONAL_TOL))
+    return WitnessReport(
         gamma=spec.gamma,
         offspace_gain=spec.offspace_gain,
-        dim=spec.dim,
+        dim=d,
         subspace_dim=spec.u_basis.shape[1],
         membership_ok=membership_ok,
-        sigma=float(sigma),
+        sigma=sigma,
         exclusion_ok=exclusion_ok,
         max_direction_amp=max_amp,
+        e2e_u_in_subspace=in_subspace,
+        e2e_directional_ok=directional_ok,
+        e2e_global_violated=exclusion_ok,
+        e2e_max_offspace=max_off,
+        passed=membership_ok and exclusion_ok and in_subspace and directional_ok,
     )
-    if run_e2e:
-        rng = np.random.default_rng(e2e_seed)
-        env = Environment(
-            kind="quadratic_congestion",
-            c=rng.uniform(-1.0, 1.0, spec.dim),
-            A=np.zeros((spec.dim, spec.dim)),
-            state_dim=spec.dim,
-            seed=0,
-            projector=P,
-        )
-        pset = PerturbationSet(p=2.0, epsilon=0.5, dim=spec.dim)
-        inner = InnerLoopConfig(eta=0.5 / max(1.0, spec.gamma**2), steps=4)
-        s, a = sample(env, e2e_seed)
-        traj = pga_run(params, s, a, env, pset, inner)
-        offspace = [float(np.linalg.norm(u - P @ u)) for u in traj.ascent]
-        report.e2e_max_offspace = max(offspace) if offspace else 0.0
-        report.e2e_u_in_subspace = report.e2e_max_offspace <= 1e-9
-        report.e2e_directional_ok = bool(np.all(traj.amps <= spec.gamma + DIRECTIONAL_TOL))
-        report.e2e_global_violated = sigma > spec.gamma + DIRECTIONAL_TOL
-    checks = [report.membership_ok, report.exclusion_ok]
-    if run_e2e:
-        checks += [report.e2e_u_in_subspace, report.e2e_directional_ok, report.e2e_global_violated]
-    report.passed = all(checks)
-    return report
 
 
 def random_orthonormal_basis(dim: int, k: int, seed: int = 0) -> Array:
@@ -616,10 +604,10 @@ def verify_suite(
     witness_gamma = 1.0
     for d in witness_dims:
         for k in range(1, int(d)):
+            basis = random_orthonormal_basis(int(d), k, seed=int(d) * 100 + k)
+            directions = subspace_directions(basis, 3, seed=k)
             for factor in (2.0, 10.0):
-                basis = random_orthonormal_basis(int(d), k, seed=int(d) * 100 + k)
                 spec = WitnessSpec(gamma=witness_gamma, offspace_gain=factor * witness_gamma, u_basis=basis)
-                directions = subspace_directions(basis, 3, seed=k)
                 rep = class_witness(spec, directions, e2e_seed=k)
                 add(
                     "class_witness",

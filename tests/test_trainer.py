@@ -31,7 +31,6 @@ from aajrlab.trainer import (
     RunMetrics,
     StepRecord,
     TrainConfig,
-    evaluate_nominal_risk,
     evaluate_robust_risk,
     measure_achieved_levels,
     price_of_robustness,
@@ -39,6 +38,11 @@ from aajrlab.trainer import (
 )
 
 from conftest import linear_policy
+
+
+def nominal_risk(params, env, n_samples, seed):
+    """The mean of the sweep's nominal-risk evaluation."""
+    return trainer._nominal_risk_samples(params, env, n_samples, seed)[0][0]
 
 
 def quad_env(c, A=None, state_dim=None, seed=0, peer_mode="independent"):
@@ -151,13 +155,13 @@ def test_robust_plain_scalar_pencil_and_paper():
     assert params.layers[0].bias[0] == pytest.approx(b1, abs=1e-14)
 
 
-def test_evaluate_nominal_risk_zero_policy():
+def test_nominal_risk_zero_policy():
     env = quad_env([0.0, 0.0])
     params = linear_policy(np.zeros((2, 2)))
-    assert evaluate_nominal_risk(params, env, 16, seed=0) == 0.0
+    assert trainer._nominal_risk_samples(params, env, 16, seed=0) == [(0.0, 0.0)]
 
 
-def test_evaluate_nominal_risk_single_sample_is_one_loss():
+def test_nominal_risk_single_sample_is_one_loss():
     from aajrlab.environments import loss
     from aajrlab.policy import forward
 
@@ -166,12 +170,12 @@ def test_evaluate_nominal_risk_single_sample_is_one_loss():
     rng = np.random.default_rng([env.seed, 123])
     s = rng.uniform(-1, 1, 2)
     a = rng.uniform(-1, 1, 2)
-    assert evaluate_nominal_risk(params, env, 1, seed=123) == pytest.approx(
+    assert nominal_risk(params, env, 1, seed=123) == pytest.approx(
         loss(env, forward(params, s), a), rel=0, abs=0
     )
 
 
-def test_evaluate_nominal_risk_matches_streaming_second_pass():
+def test_nominal_risk_matches_streaming_second_pass():
     from aajrlab.environments import loss
     from aajrlab.policy import forward
 
@@ -184,13 +188,13 @@ def test_evaluate_nominal_risk_matches_streaming_second_pass():
         s = rng.uniform(-1, 1, 2)
         a = rng.uniform(-1, 1, 2)
         total += loss(env, forward(params, s), a)
-    assert evaluate_nominal_risk(params, env, n, seed) == pytest.approx(total / n, rel=1e-15)
+    assert nominal_risk(params, env, n, seed) == pytest.approx(total / n, rel=1e-15)
 
 
 def test_evaluate_robust_risk_trivial_cases():
     env = quad_env([0.5, 0.5])
     params = init_policy([2, 4, 2], seed=1)
-    nominal = evaluate_nominal_risk(params, env, 10, seed=3)
+    nominal = nominal_risk(params, env, 10, seed=3)
     # K = 0: no ascent steps
     r0 = evaluate_robust_risk(params, env, PerturbationSet(2, 0.4, 2), InnerLoopConfig(eta=0.3, steps=0), 10, 3)
     assert r0 == pytest.approx(nominal, rel=0, abs=0)
@@ -224,7 +228,7 @@ def test_evaluate_robust_risk_matches_closed_form_recursion():
 def test_robust_risk_at_least_nominal_when_ascending():
     env = quad_env([0.7, 0.2])
     params = init_policy([2, 4, 2], seed=13)
-    nominal = evaluate_nominal_risk(params, env, 20, seed=5)
+    nominal = nominal_risk(params, env, 20, seed=5)
     robust = evaluate_robust_risk(
         params, env, PerturbationSet(2, 0.3, 2), InnerLoopConfig(eta=0.1, steps=5), 20, 5
     )
@@ -247,7 +251,7 @@ def test_train_objective_nonincreasing_convex_case():
     params0 = linear_policy(np.array([[0.8, -0.2], [0.3, 0.1]]), np.array([0.1, -0.1]))
     cfg = make_cfg(mode="nominal", lr=1e-3, steps=30, batch=32, seed=2)
     params = params0
-    risks = [evaluate_nominal_risk(params, env, 256, seed=999)]
+    risks = [nominal_risk(params, env, 256, seed=999)]
     for step in range(cfg.outer_steps):
         one = TrainConfig(
             mode=cfg.mode,
@@ -260,7 +264,7 @@ def test_train_objective_nonincreasing_convex_case():
             seed=cfg.seed + step,
         )
         params, _ = train(one, env, params)
-        risks.append(evaluate_nominal_risk(params, env, 256, seed=999))
+        risks.append(nominal_risk(params, env, 256, seed=999))
     for before, after in zip(risks, risks[1:]):
         assert after <= before + 1e-9
 
@@ -685,7 +689,7 @@ def test_stacked_evaluation_equals_evaluating_each_model_alone():
     levels = trainer._achieved_levels(stack, env, cfg.pset, cfg.inner, 3, seed=4)
     for params, (risk, se), level in zip(members, risks, levels):
         assert (risk, se) == trainer._nominal_risk_samples(params, env, 16, seed=4)[0]
-        assert risk == evaluate_nominal_risk(params, env, 16, seed=4) and se > 0.0
+        assert se > 0.0
         assert level == measure_achieved_levels(params, env, cfg.pset, cfg.inner, 3, seed=4)
 
 

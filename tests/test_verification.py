@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from aajrlab import inner as inner_module
+from aajrlab import policy as policy_module
 from aajrlab import regularizers, trainer, verification
 from aajrlab.environments import Environment, loss_hessian, sample
 from aajrlab.errors import ConfigError
 from aajrlab.inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run, trajectory_records
-from aajrlab.policy import forward, init_policy, scale_policy, stack_policies
-from aajrlab.regularizers import RegularizerConfig
+from aajrlab.policy import forward, init_policy, jvp, scale_policy, stack_policies
+from aajrlab.regularizers import RegularizerConfig, spectral_norm
 from aajrlab.trainer import evaluate_robust_risk, measure_achieved_levels
 from aajrlab.verification import (
+    WitnessReport,
     WitnessSpec,
     check_effective_smoothness,
     check_inclusion,
@@ -30,6 +32,7 @@ from aajrlab.verification import (
     subspace_directions,
     verify_suite,
     witness_matrix,
+    witness_policy,
 )
 
 from conftest import assemble_jacobian, linear_policy
@@ -605,10 +608,12 @@ def test_witness_axis_aligned_case():
 
 def test_witness_degenerate_equal_gains():
     spec = WitnessSpec(gamma=1.0, offspace_gain=1.0, u_basis=np.array([[1.0], [0.0]]))
-    report = class_witness(spec, [np.array([1.0, 0.0])], run_e2e=False)
+    report = class_witness(spec, [np.array([1.0, 0.0])])
     assert report.membership_ok
     assert report.sigma == pytest.approx(1.0, abs=1e-12)
     assert not report.exclusion_ok  # strict expansion needs a strictly larger gain
+    assert not report.e2e_global_violated
+    assert not report.passed
 
 
 def test_witness_random_subspace_matches_dense_svd():
@@ -623,15 +628,91 @@ def test_witness_random_subspace_matches_dense_svd():
     assert report.passed
 
 
-def test_witness_validation_errors():
+def test_witness_validation_errors(monkeypatch):
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("an ascent ran before the directions were checked")
+
+    for module, name in ((inner_module, "pga_batch"), (verification, "pga_run")):
+        monkeypatch.setattr(module, name, no_ascent)
     bad_basis = np.array([[1.0], [1.0]])  # not orthonormal
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="orthonormal"):
         WitnessSpec(gamma=1.0, offspace_gain=2.0, u_basis=bad_basis)
     spec = WitnessSpec(gamma=1.0, offspace_gain=2.0, u_basis=np.array([[1.0], [0.0]]))
-    with pytest.raises(ConfigError):
-        class_witness(spec, [np.array([0.0, 1.0])], run_e2e=False)  # outside the subspace
-    with pytest.raises(ConfigError):
-        class_witness(spec, [np.array([2.0, 0.0])], run_e2e=False)  # too long
+    inside = np.array([1.0, 0.0])
+    with pytest.raises(ConfigError, match=r"direction has shape \(3,\), expected \(2,\)"):
+        class_witness(spec, [inside, np.zeros(3)])
+    with pytest.raises(ConfigError, match="subspace"):
+        class_witness(spec, [inside, np.array([0.0, 1.0])])
+    with pytest.raises(ConfigError, match="norm at most 1"):
+        class_witness(spec, [inside, np.array([2.0, 0.0])])
+    with pytest.raises(ConfigError, match="norm at most 1"):
+        class_witness(spec, [np.array([np.nan, 0.0])])
+
+
+def witness_by_policy(spec, directions, e2e_seed):
+    """The class witness read back through its policy: one validated ``jvp``
+    per direction, ``spectral_norm`` at the origin, and the distance of each
+    ascent direction to the subspace by ``np.linalg.norm``."""
+    params, P, d = witness_policy(spec), spec.projector(), spec.dim
+    zero = np.zeros(d)
+    max_amp = max([0.0] + [float(np.linalg.norm(jvp(params, zero, u))) for u in directions])
+    sigma = float(spectral_norm(params, zero))
+    rng = np.random.default_rng(e2e_seed)
+    env = Environment("quadratic_congestion", rng.uniform(-1.0, 1.0, d), np.zeros((d, d)), d, projector=P)
+    pset, inner = PerturbationSet(p=2, epsilon=0.5, dim=d), InnerLoopConfig(eta=0.5 / max(1.0, spec.gamma**2), steps=4)
+    traj = pga_run(params, *sample(env, e2e_seed), env, pset, inner)
+    max_off = max([0.0] + [float(np.linalg.norm(u - P @ u)) for u in traj.ascent])
+    checks = [max_amp <= spec.gamma + 1e-9, sigma > spec.gamma + 1e-9, max_off <= 1e-9]
+    checks.append(bool(np.all(traj.amps <= spec.gamma + 1e-9)))
+    return WitnessReport(
+        spec.gamma, spec.offspace_gain, d, spec.u_basis.shape[1], checks[0], sigma, checks[1], max_amp,
+        checks[2], checks[3], checks[1], max_off, all(checks),
+    )
+
+
+def test_class_witness_equals_policy_oracle():
+    # acceptance criterion 3's grid
+    gamma = 0.7
+    for d in (2, 4, 8):
+        for k in range(1, d):
+            basis = random_orthonormal_basis(d, k, seed=d * 100 + k)
+            directions = subspace_directions(basis, 5, seed=k)
+            for factor in (2.0, 10.0):
+                spec = WitnessSpec(gamma=gamma, offspace_gain=factor * gamma, u_basis=basis)
+                got, want = class_witness(spec, directions, e2e_seed=d + k), witness_by_policy(spec, directions, d + k)
+                for f in dataclasses.fields(WitnessReport):
+                    assert getattr(got, f.name) == getattr(want, f.name), (d, k, factor, f.name)
+                    assert getattr(got, f.name) is not None
+
+
+def test_class_witness_reads_its_map_once(monkeypatch):
+    calls, depth = [], []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, bool(depth)))
+            depth.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+    monkeypatch.setattr(regularizers, "spectral_norm", spy("spectral_norm", regularizers.spectral_norm))
+    monkeypatch.setattr(verification, "pga_run", spy("pga_run", verification.pga_run))
+    for module in (policy_module, inner_module, verification):
+        monkeypatch.setattr(module, "jvp", spy("jvp", module.jvp))
+    for d in (2, 4, 8):
+        basis = random_orthonormal_basis(d, d // 2, seed=d)
+        spec = WitnessSpec(gamma=1.0, offspace_gain=3.0, u_basis=basis)
+        calls.clear()
+        assert class_witness(spec, subspace_directions(basis, 3, seed=d), e2e_seed=d).passed
+        outside = [name for name, nested in calls if not nested]
+        assert sorted(outside) == ["pga_run", "svd"]
+        # the ascent's own amplifications, one jvp per step
+        assert [name for name, nested in calls if nested] == ["jvp"] * 4
 
 
 @pytest.mark.parametrize("seeds", [[], [0, 0], [1, 0, 1], [-1]])
