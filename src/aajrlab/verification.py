@@ -10,7 +10,9 @@ Checks implemented here:
   trajectory-adaptive class from the globally constrained one; both are
   read from the map itself (one product with the directions, one dense
   SVD), and one projected gradient ascent on it confirms that the ascent
-  directions it generates stay in U;
+  directions it generates stay in U. The maps of one basis and one budget
+  (the suite's two gains per grid point) share that setup and run as one
+  model stack: one product, one SVD and one ascent for all of them;
 * effective smoothness: finite-difference directional curvature of the
   inner objective along recorded update segments stays below
   L_loss * gamma_hat^2 + C_hat, with the residual curvature C_hat measured
@@ -24,12 +26,14 @@ The suite checks every seed's policy in one model stack: one projected
 gradient ascent gives each seed's smoothness report and the ``Ascent`` row
 its stability inequalities read, in array passes over all seeds; a seed's
 own ascent runs only in a round that shrinks eta, and one more stacked
-ascent gives the inclusion levels. The public checks run this code on one row.
+ascent gives the inclusion levels. The public checks run this code on one row,
+and ``class_witness`` is the one-map case of the stacked witness.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -456,10 +460,24 @@ def class_witness(spec: WitnessSpec, directions, *, e2e_seed: int = 0) -> Witnes
     come from one product with the map W and its spectral norm from one
     dense SVD of W. The end-to-end part drives projected gradient ascent on
     the policy x -> W x against a loss whose gradient is confined to the
-    subspace and confirms the generated ascent directions stay there.
+    subspace and confirms the generated ascent directions stay there. The
+    seed ``e2e_seed``, a non-negative integer, draws that loss and the start
+    state. This is the one-map case of the stacked check that ``verify``
+    runs on both gains of a grid point.
     """
-    params = witness_policy(spec)
-    W, P, d = params.layers[0].weight, spec.projector(), spec.dim
+    return _class_witnesses([spec], directions, e2e_seed)[0]
+
+
+def _class_witnesses(specs, directions, e2e_seed) -> list[WitnessReport]:
+    """``class_witness`` for each of ``specs``, which share one basis and one
+    gamma, and with them the directions, the end-to-end environment, start
+    state and inner config. The directions and the seed are checked once;
+    the maps run as one model stack, with one product with the directions,
+    one SVD of the (M, d, d) maps and one ascent over one row per map."""
+    if not (isinstance(e2e_seed, numbers.Integral) and e2e_seed >= 0):
+        raise ConfigError(f"witness e2e_seed must be an integer >= 0, got {e2e_seed!r}")
+    seed = int(e2e_seed)
+    gamma, P, d, m = specs[0].gamma, specs[0].projector(), specs[0].dim, len(specs)
     U = [np.asarray(u, dtype=np.float64) for u in directions]
     for u in U:
         if u.shape != (d,):
@@ -470,35 +488,43 @@ def class_witness(spec: WitnessSpec, directions, *, e2e_seed: int = 0) -> Witnes
     off = U - matvec(P, U)
     if np.any(np.sqrt(_dots(off, off)) > 1e-9):
         raise ConfigError("directions must lie in the witness subspace")
-    amps = matvec(W, U)
-    max_amp = float(np.max(np.sqrt(_dots(amps, amps)), initial=0.0))
-    sigma = float(np.linalg.svd(W)[1][0])
-    exclusion_ok = sigma > spec.gamma + DIRECTIONAL_TOL
-    c = np.random.default_rng(e2e_seed).uniform(-1.0, 1.0, d)
+    params = stack_policies([witness_policy(spec) for spec in specs])
+    W = params.layers[0].weight.reshape(m, d, d)
+    amps = matvec(W, np.broadcast_to(U, (m,) + U.shape))
+    max_amps = np.max(np.sqrt(_dots(amps, amps)), axis=-1, initial=0.0)
+    sigmas = np.linalg.svd(W)[1][:, 0]
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, d)
     env = Environment(kind="quadratic_congestion", c=c, A=np.zeros((d, d)), state_dim=d, projector=P)
     pset = PerturbationSet(p=2.0, epsilon=0.5, dim=d)
-    inner = InnerLoopConfig(eta=0.5 / max(1.0, spec.gamma**2), steps=4)
-    traj = pga_run(params, *sample(env, e2e_seed), env, pset, inner)
-    off = traj.ascent - matvec(P, traj.ascent)
-    max_off = float(np.max(np.sqrt(_dots(off, off)), initial=0.0))
-    membership_ok = max_amp <= spec.gamma + DIRECTIONAL_TOL
-    in_subspace = max_off <= 1e-9
-    directional_ok = bool(np.all(traj.amps <= spec.gamma + DIRECTIONAL_TOL))
-    return WitnessReport(
-        gamma=spec.gamma,
-        offspace_gain=spec.offspace_gain,
-        dim=d,
-        subspace_dim=spec.u_basis.shape[1],
-        membership_ok=membership_ok,
-        sigma=sigma,
-        exclusion_ok=exclusion_ok,
-        max_direction_amp=max_amp,
-        e2e_u_in_subspace=in_subspace,
-        e2e_directional_ok=directional_ok,
-        e2e_global_violated=exclusion_ok,
-        e2e_max_offspace=max_off,
-        passed=membership_ok and exclusion_ok and in_subspace and directional_ok,
-    )
+    inner = InnerLoopConfig(eta=0.5 / max(1.0, gamma**2), steps=4)
+    S, A = (_stacked(params, np.broadcast_to(x, (m, 1, d))) for x in sample(env, seed))
+    record = pga_batch(params, S, A, env, pset, inner)
+    off = record.ascent - matvec(P, record.ascent)
+    max_offs = np.max(np.sqrt(_dots(off, off)).reshape(m, -1), axis=-1, initial=0.0)
+    directional = np.all(record.amps.reshape(m, -1) <= gamma + DIRECTIONAL_TOL, axis=-1)
+    reports = []
+    per_map = zip(specs, max_amps.tolist(), sigmas.tolist(), max_offs.tolist(), directional.tolist())
+    for spec, max_amp, sigma, max_off, directional_ok in per_map:
+        membership_ok = max_amp <= gamma + DIRECTIONAL_TOL
+        exclusion_ok = sigma > gamma + DIRECTIONAL_TOL
+        in_subspace = max_off <= 1e-9
+        report = WitnessReport(
+            gamma=spec.gamma,
+            offspace_gain=spec.offspace_gain,
+            dim=d,
+            subspace_dim=spec.u_basis.shape[1],
+            membership_ok=membership_ok,
+            sigma=sigma,
+            exclusion_ok=exclusion_ok,
+            max_direction_amp=max_amp,
+            e2e_u_in_subspace=in_subspace,
+            e2e_directional_ok=directional_ok,
+            e2e_global_violated=exclusion_ok,
+            e2e_max_offspace=max_off,
+            passed=membership_ok and exclusion_ok and in_subspace and directional_ok,
+        )
+        reports.append(report)
+    return reports
 
 
 def random_orthonormal_basis(dim: int, k: int, seed: int = 0) -> Array:
@@ -565,6 +591,8 @@ def verify_suite(
     samples gives the inclusion levels. A seed whose step-size search
     shrinks eta runs one ascent of its own per round that shrinks it, and
     the returned record is the one measured at the stabilised step size.
+    Each class-witness grid point (a dimension and a subspace dimension)
+    checks both of its gains from one two-model witness ascent.
     Every argument is checked by ``check_verify`` and ``check_dims`` before
     any ascent runs.
     """
@@ -606,9 +634,8 @@ def verify_suite(
         for k in range(1, int(d)):
             basis = random_orthonormal_basis(int(d), k, seed=int(d) * 100 + k)
             directions = subspace_directions(basis, 3, seed=k)
-            for factor in (2.0, 10.0):
-                spec = WitnessSpec(gamma=witness_gamma, offspace_gain=factor * witness_gamma, u_basis=basis)
-                rep = class_witness(spec, directions, e2e_seed=k)
+            specs = [WitnessSpec(witness_gamma, factor * witness_gamma, basis) for factor in (2.0, 10.0)]
+            for rep in _class_witnesses(specs, directions, k):
                 add(
                     "class_witness",
                     None,

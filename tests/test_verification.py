@@ -309,7 +309,7 @@ def test_stability_rejects_report_from_another_step_size(monkeypatch):
 # -- verify suite -------------------------------------------------------------
 
 
-def _counted_suite(monkeypatch, eta):
+def _counted_suite(monkeypatch, eta, witness_dims=(2,)):
     """verify_suite on a [3,6,3] net with every ascent recorded: the stacked
     ``pga_batch`` and the one-row ``pga_run`` of ``verification``, and the
     inclusion check's ``pga_batch``."""
@@ -337,9 +337,16 @@ def _counted_suite(monkeypatch, eta):
         RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0),
         seeds=[0, 1, 2],
         n_samples=2,
-        witness_dims=(2,),
+        witness_dims=witness_dims,
     )
     return env, pset, inner, report, trajectories, calls
+
+
+def _is_witness_ascent(call):
+    """A class-witness ascent: both gains of one grid point, (2, 1, d) rows
+    at the witness's inner config."""
+    _, _, S, cfg = call
+    return cfg == InnerLoopConfig(eta=0.5, steps=4) and S.shape[:2] == (2, 1)
 
 
 @pytest.mark.parametrize("eta", [0.1, 8.0])
@@ -348,8 +355,12 @@ def test_verify_suite_runs_one_ascent_per_seed_and_step_size(monkeypatch, eta):
     stability = {c["seed"]: c["margins"]["eta"] for c in report["checks"] if c["name"] == "pga_stability"}
     witnesses = sum(c["name"] == "class_witness" for c in report["checks"])
     states = np.array([sample(env, seed)[0] for seed in stability])
-    # one stacked ascent covers every seed at the configured eta, one row per seed
     stacked = [c for c in calls if c[0] == "verification.pga_batch"]
+    # each class-witness grid point runs its two gains as one ascent on an environment of its own
+    witness_runs = [c for c in stacked if _is_witness_ascent(c)]
+    assert len(witness_runs) == witnesses // 2 and not any(own for _, own, _, _ in witness_runs)
+    # one stacked ascent covers every seed at the configured eta, one row per seed
+    stacked = [c for c in stacked if not _is_witness_ascent(c)]
     assert len(stacked) == 1
     _, own, S, cfg = stacked[0]
     assert own and cfg == inner and np.array_equal(S, states[:, None])
@@ -365,8 +376,18 @@ def test_verify_suite_runs_one_ascent_per_seed_and_step_size(monkeypatch, eta):
         assert etas[-1] == eta_stab
         assert all(later < earlier for earlier, later in zip(etas, etas[1:]))
         rounds += len(own_rows)
-    assert len(calls) == 2 + rounds + witnesses
+    assert len(calls) == 2 + rounds + witnesses // 2
     assert (rounds > 0) == (eta == 8.0)
+
+
+def test_verify_suite_runs_one_witness_ascent_per_grid_point(monkeypatch):
+    *_, report, _, calls = _counted_suite(monkeypatch, 0.1, witness_dims=(2, 4))
+    witnesses = [c["margins"]["dim"] for c in report["checks"] if c["name"] == "class_witness"]
+    assert witnesses == [2, 2] + [4] * 6
+    runs = [c for c in calls if not c[1]]  # the ascents on an environment other than the suite's
+    # grid points (2, 1), (4, 1), (4, 2) and (4, 3): one ascent each, over both gains
+    assert len(runs) == 4 and all(_is_witness_ascent(c) and c[0] == "verification.pga_batch" for c in runs)
+    assert [c[2].shape for c in runs] == [(2, 1, 2)] + [(2, 1, 4)] * 3
 
 
 def test_verify_suite_after_shrinking_eta_matches_fresh_run(monkeypatch):
@@ -632,7 +653,7 @@ def test_witness_validation_errors(monkeypatch):
     def no_ascent(*args, **kwargs):
         raise AssertionError("an ascent ran before the directions were checked")
 
-    for module, name in ((inner_module, "pga_batch"), (verification, "pga_run")):
+    for module, name in ((inner_module, "pga_batch"), (verification, "pga_batch"), (verification, "pga_run")):
         monkeypatch.setattr(module, name, no_ascent)
     bad_basis = np.array([[1.0], [1.0]])  # not orthonormal
     with pytest.raises(ConfigError, match="orthonormal"):
@@ -647,6 +668,9 @@ def test_witness_validation_errors(monkeypatch):
         class_witness(spec, [inside, np.array([2.0, 0.0])])
     with pytest.raises(ConfigError, match="norm at most 1"):
         class_witness(spec, [np.array([np.nan, 0.0])])
+    for seed in (-1, 2.5):
+        with pytest.raises(ConfigError, match="e2e_seed must be an integer >= 0"):
+            class_witness(spec, [inside], e2e_seed=seed)
 
 
 def witness_by_policy(spec, directions, e2e_seed):
@@ -701,7 +725,7 @@ def test_class_witness_reads_its_map_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
     monkeypatch.setattr(regularizers, "spectral_norm", spy("spectral_norm", regularizers.spectral_norm))
-    monkeypatch.setattr(verification, "pga_run", spy("pga_run", verification.pga_run))
+    monkeypatch.setattr(verification, "pga_batch", spy("pga_batch", verification.pga_batch))
     for module in (policy_module, inner_module, verification):
         monkeypatch.setattr(module, "jvp", spy("jvp", module.jvp))
     for d in (2, 4, 8):
@@ -710,9 +734,35 @@ def test_class_witness_reads_its_map_once(monkeypatch):
         calls.clear()
         assert class_witness(spec, subspace_directions(basis, 3, seed=d), e2e_seed=d).passed
         outside = [name for name, nested in calls if not nested]
-        assert sorted(outside) == ["pga_run", "svd"]
+        assert sorted(outside) == ["pga_batch", "svd"]
         # the ascent's own amplifications, one jvp per step
         assert [name for name, nested in calls if nested] == ["jvp"] * 4
+
+
+def test_stacked_witnesses_equal_each_gain_alone(monkeypatch):
+    records = []
+    batch = verification.pga_batch
+    monkeypatch.setattr(verification, "pga_batch", lambda *args: records.append(batch(*args)) or records[-1])
+    # acceptance criterion 3's grid, at two budgets
+    for gamma in (0.7, 1.0):
+        for d in (2, 4, 8):
+            for k in range(1, d):
+                basis = random_orthonormal_basis(d, k, seed=d * 100 + k)
+                directions = subspace_directions(basis, 5, seed=k)
+                specs = [WitnessSpec(gamma, factor * gamma, basis) for factor in (2.0, 10.0)]
+                records.clear()
+                stacked = verification._class_witnesses(specs, directions, d + k)
+                assert len(records) == 1 and records[0].moved.shape == (2, 1, 4)
+                c = np.random.default_rng(d + k).uniform(-1.0, 1.0, d)
+                env = Environment("quadratic_congestion", c, np.zeros((d, d)), d, projector=specs[0].projector())
+                pset, inner = PerturbationSet(p=2, epsilon=0.5, dim=d), InnerLoopConfig(eta=0.5, steps=4)
+                for i, (spec, got) in enumerate(zip(specs, stacked)):
+                    want = class_witness(spec, directions, e2e_seed=d + k)
+                    for f in dataclasses.fields(WitnessReport):
+                        assert getattr(got, f.name) == getattr(want, f.name), (gamma, d, k, i, f.name)
+                    alone = pga_run(witness_policy(spec), *sample(env, d + k), env, pset, inner)
+                    for f in dataclasses.fields(Ascent):
+                        assert np.array_equal(getattr(records[0][i, 0], f.name), getattr(alone, f.name)), f.name
 
 
 @pytest.mark.parametrize("seeds", [[], [0, 0], [1, 0, 1], [-1]])
