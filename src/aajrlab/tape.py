@@ -88,14 +88,6 @@ class Node:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Node):
-            raise TypeError("division by a Node is not supported")
-        return self * (1.0 / float(other))
-
-    def __neg__(self):
-        return Node(-self.value, [(self, lambda g: -g)], "neg")
-
     def __matmul__(self, other):
         return _matmul(self, other)
 

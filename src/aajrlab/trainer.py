@@ -21,7 +21,9 @@ spectral norm for the global mode, max directional amplification for the
 directional mode) lands within a tolerance of the shared budget gamma.
 All seeds are trained together, and the two penalized modes share their
 bisection rounds: every round is one model stack, and its models are
-evaluated as one stack too; the achieved levels are
+evaluated as one stack too, from one draw of the evaluation sample. The
+nominal risk reads its first ``eval_samples`` rows and the achieved levels
+its first ``achieved_samples`` rows; the achieved levels are
 ``regularizers.constraint_levels``, the measurement the inclusion
 certificate reads. The reported gaps are trained-optimum estimates, not
 exact infima.
@@ -256,16 +258,6 @@ def _models(params: PolicyParams, x):
     return list(x) if params.models else [x]
 
 
-def _nominal_risk_samples(params, env, n_samples, seed):
-    """(mean, se) of the nominal loss over the evaluation sample, per model."""
-    S, A = _per_model(params, *_eval_draws(env, n_samples, seed))
-    pairs = []
-    for vals in _models(params, loss(env, params.handle.forward(S), A)):
-        se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        pairs.append((float(np.mean(vals)), se))
-    return pairs
-
-
 def evaluate_robust_risk(
     params: PolicyParams,
     env: Environment,
@@ -280,31 +272,27 @@ def evaluate_robust_risk(
     return float(np.mean(pga_batch(params, S, A, env, pset, inner).values[:, -1]))
 
 
-def measure_achieved_levels(
-    params: PolicyParams,
-    env: Environment,
-    pset: PerturbationSet,
-    inner: InnerLoopConfig,
-    n_samples: int,
-    seed: int,
-):
-    """Post-training constraint levels over fresh trajectories.
-
-    Returns (max directional amplification over ascent steps, max spectral
-    norm over every visited state s + delta_t).
-    """
-    check_dims(env, params.dims(), pset)
-    return _achieved_levels(params, env, pset, inner, n_samples, seed)[0]
-
-
-def _achieved_levels(params, env, pset, inner, n_samples, seed):
-    """``measure_achieved_levels`` per model, from the constraint levels of
-    one stacked ascent over the evaluation sample."""
-    S, A = _per_model(params, *_eval_draws(env, n_samples, seed))
-    amps, sigmas = constraint_levels(params, S, A, env, pset, inner)
+def _evaluate(params, env, pset, inner, eval_samples, achieved_samples, seed):
+    """The sweep's evaluation of every model of a stack, from one draw of
+    the evaluation sample: the nominal risk and its se over its first
+    ``eval_samples`` rows, and the achieved levels over its first
+    ``achieved_samples`` rows. The levels are the constraint levels of one
+    stacked ascent: the max directional amplification over ascent steps and
+    the max spectral norm over every visited state s + delta_t. Returns the
+    four result fields per model, in the report's key order."""
+    n_eval, n_achieved = int(eval_samples), int(achieved_samples)
+    S, A = _eval_draws(env, max(n_eval, n_achieved), seed)
+    S_eval, A_eval = _per_model(params, S[:n_eval], A[:n_eval])
+    values = _models(params, loss(env, params.handle.forward(S_eval), A_eval))
+    amps, sigmas = constraint_levels(params, *_per_model(params, S[:n_achieved], A[:n_achieved]), env, pset, inner)
     return [
-        (float(np.max(a, initial=0.0)), max(0.0, float(np.max(s))))
-        for a, s in zip(_models(params, amps), _models(params, sigmas))
+        {
+            "nominal_risk": float(np.mean(vals)),
+            "nominal_risk_se": float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0,
+            "achieved_dir_amp": float(np.max(amp, initial=0.0)),
+            "achieved_spectral": max(0.0, float(np.max(sigma))),
+        }
+        for vals, amp, sigma in zip(values, _models(params, amps), _models(params, sigmas))
     ]
 
 
@@ -393,18 +381,9 @@ def price_of_robustness(
         if not trained:
             return results
         stack = stack_policies([params for _, _, params in trained])
-        risks = _nominal_risk_samples(stack, env, eval_samples, eval_seed)
-        levels = _achieved_levels(stack, env, base_cfg.pset, base_cfg.inner, achieved_samples, eval_seed)
-        for (key, cfg, _), (risk, se), (amp, spec) in zip(trained, risks, levels):
-            results[key] = {
-                "mode": cfg.mode,
-                "seed": cfg.seed,
-                "lambda": cfg.reg.lam,
-                "nominal_risk": risk,
-                "nominal_risk_se": se,
-                "achieved_dir_amp": amp,
-                "achieved_spectral": spec,
-            }
+        evaluations = _evaluate(stack, env, base_cfg.pset, base_cfg.inner, eval_samples, achieved_samples, eval_seed)
+        for (key, cfg, _), evaluation in zip(trained, evaluations):
+            results[key] = {"mode": cfg.mode, "seed": cfg.seed, "lambda": cfg.reg.lam, **evaluation}
         return results
 
     def lockstep(searches: dict) -> dict:

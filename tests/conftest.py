@@ -4,14 +4,18 @@ The oracle Jacobian is assembled row by row by a hand-written reverse pass,
 so it is independent of the library's forward-mode layer recursion, from
 which ``jacobian``, ``jvp`` and ``vjp`` all come. ``repeat_tile_jacobian``
 is the earlier, bit-exact construction of ``jacobian`` from plain ``jvp``
-calls.
+calls. ``nominal_risks`` and ``achieved_levels`` are the sweep's earlier
+evaluation route, one evaluation draw per quantity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from aajrlab import trainer
+from aajrlab.environments import loss
 from aajrlab.policy import Layer, PolicyParams, jvp
+from aajrlab.regularizers import constraint_levels
 
 
 def assemble_jacobian(params: PolicyParams, s) -> np.ndarray:
@@ -38,6 +42,28 @@ def repeat_tile_jacobian(params: PolicyParams, s) -> np.ndarray:
     rows = np.repeat(np.atleast_2d(s), n, axis=0)
     t = jvp(params, rows, np.tile(np.eye(n), (len(rows) // n, 1)))
     return np.swapaxes(t.reshape(s.shape[:-1] + (n, -1)), -1, -2)
+
+
+def nominal_risks(params: PolicyParams, env, n_samples, seed):
+    """(mean, se) of the nominal loss over an ``n_samples``-row evaluation
+    draw, per model of a stack."""
+    S, A = trainer._per_model(params, *trainer._eval_draws(env, n_samples, seed))
+    pairs = []
+    for vals in trainer._models(params, loss(env, params.handle.forward(S), A)):
+        se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        pairs.append((float(np.mean(vals)), se))
+    return pairs
+
+
+def achieved_levels(params: PolicyParams, env, pset, inner, n_samples, seed):
+    """(max directional amplification, max spectral norm) of one ascent
+    over an ``n_samples``-row evaluation draw, per model of a stack."""
+    S, A = trainer._per_model(params, *trainer._eval_draws(env, n_samples, seed))
+    amps, sigmas = constraint_levels(params, S, A, env, pset, inner)
+    return [
+        (float(np.max(a, initial=0.0)), max(0.0, float(np.max(s))))
+        for a, s in zip(trainer._models(params, amps), trainer._models(params, sigmas))
+    ]
 
 
 def flatten_params(params: PolicyParams) -> np.ndarray:

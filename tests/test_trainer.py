@@ -32,17 +32,16 @@ from aajrlab.trainer import (
     StepRecord,
     TrainConfig,
     evaluate_robust_risk,
-    measure_achieved_levels,
     price_of_robustness,
     train,
 )
 
-from conftest import linear_policy
+from conftest import achieved_levels, linear_policy, nominal_risks
 
 
 def nominal_risk(params, env, n_samples, seed):
-    """The mean of the sweep's nominal-risk evaluation."""
-    return trainer._nominal_risk_samples(params, env, n_samples, seed)[0][0]
+    """The mean nominal loss over an evaluation draw."""
+    return nominal_risks(params, env, n_samples, seed)[0][0]
 
 
 def quad_env(c, A=None, state_dim=None, seed=0, peer_mode="independent"):
@@ -158,7 +157,7 @@ def test_robust_plain_scalar_pencil_and_paper():
 def test_nominal_risk_zero_policy():
     env = quad_env([0.0, 0.0])
     params = linear_policy(np.zeros((2, 2)))
-    assert trainer._nominal_risk_samples(params, env, 16, seed=0) == [(0.0, 0.0)]
+    assert nominal_risks(params, env, 16, seed=0) == [(0.0, 0.0)]
 
 
 def test_nominal_risk_single_sample_is_one_loss():
@@ -388,15 +387,6 @@ def test_objective_tape_size_does_not_grow_with_batch(mode, monkeypatch):
         counts.append(0)
         train(mirror_cfg(mode, batch), mirror_env(), init_policy([4, 8, 4], seed=1))
     assert counts[0] == counts[1] <= 60
-
-
-def test_measure_achieved_levels_rejects_nonpositive_sample_counts():
-    env = mirror_env()
-    cfg = mirror_cfg("robust_aajr", batch=2)
-    params = init_policy([4, 8, 4], seed=0)
-    for n in (0, -5):
-        with pytest.raises(ConfigError, match="n_samples"):
-            measure_achieved_levels(params, env, cfg.pset, cfg.inner, n, seed=0)
 
 
 def test_price_of_robustness_rejects_nonpositive_sample_counts():
@@ -684,13 +674,49 @@ def test_stacked_evaluation_equals_evaluating_each_model_alone():
     env = mirror_env()
     cfg = mirror_cfg("robust_aajr", batch=2)
     members = [init_policy([4, 6, 4], seed=s) for s in (3, 0, 7)]
-    stack = stack_policies(members)
-    risks = trainer._nominal_risk_samples(stack, env, 16, seed=4)
-    levels = trainer._achieved_levels(stack, env, cfg.pset, cfg.inner, 3, seed=4)
-    for params, (risk, se), level in zip(members, risks, levels):
-        assert (risk, se) == trainer._nominal_risk_samples(params, env, 16, seed=4)[0]
-        assert se > 0.0
-        assert level == measure_achieved_levels(params, env, cfg.pset, cfg.inner, 3, seed=4)
+    evaluations = trainer._evaluate(stack_policies(members), env, cfg.pset, cfg.inner, 16, 3, seed=4)
+    assert len(evaluations) == len(members)
+    for params, evaluation in zip(members, evaluations):
+        assert evaluation == trainer._evaluate(params, env, cfg.pset, cfg.inner, 16, 3, seed=4)[0]
+        assert evaluation["nominal_risk_se"] > 0.0
+
+
+@pytest.mark.parametrize("env", [mirror_env(), quad_env([0.3, -0.2, 0.5, 0.1], A=0.5 * np.eye(4), seed=2)])
+@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("eval_samples, achieved_samples", [(16, 3), (5, 5), (3, 16)])
+def test_one_evaluation_draw_equals_one_draw_per_quantity(env, stacked, eval_samples, achieved_samples):
+    # draws fills its rows in order, so the first n rows of the shared draw are an n-row draw
+    cfg = mirror_cfg("robust_aajr", batch=2)
+    members = [init_policy([4, 6, 4], seed=s) for s in (3, 0, 7)]
+    params = stack_policies(members) if stacked else members[0]
+    got = trainer._evaluate(params, env, cfg.pset, cfg.inner, eval_samples, achieved_samples, seed=4)
+    risks = nominal_risks(params, env, eval_samples, seed=4)
+    levels = achieved_levels(params, env, cfg.pset, cfg.inner, achieved_samples, seed=4)
+    assert len(got) == len(risks) == len(levels) == (3 if stacked else 1)
+    for evaluation, risk, level in zip(got, risks, levels):
+        assert list(evaluation) == ["nominal_risk", "nominal_risk_se", "achieved_dir_amp", "achieved_spectral"]
+        assert tuple(evaluation.values()) == (*risk, *level)
+
+
+def test_price_of_robustness_draws_one_evaluation_sample_per_round(monkeypatch):
+    env = mirror_env()
+    cfg = mirror_cfg("nominal", batch=2, steps=6)
+    kwargs = dict(seeds=[0, 1, 2], policy_dims=[4, 6, 4], eval_samples=16, achieved_samples=3, bisect_iters=2, max_doublings=2)
+    stack, eval_draws, rounds, evaluations = trainer._train_stack, trainer._eval_draws, [], []
+
+    def counting_stack(*args, **kw):
+        rounds.append(1)
+        return stack(*args, **kw)
+
+    def counting_draws(*args, **kw):
+        evaluations.append(1)
+        return eval_draws(*args, **kw)
+
+    monkeypatch.setattr(trainer, "_train_stack", counting_stack)
+    monkeypatch.setattr(trainer, "_eval_draws", counting_draws)
+    report = price_of_robustness(env, cfg, **kwargs)
+    assert not report.excluded  # no round lost every run, so every round is evaluated
+    assert len(rounds) > 2 and len(evaluations) == len(rounds)
 
 
 @pytest.mark.parametrize(

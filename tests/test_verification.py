@@ -16,7 +16,7 @@ from aajrlab.errors import ConfigError
 from aajrlab.inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run, trajectory_records
 from aajrlab.policy import forward, init_policy, jvp, scale_policy, stack_policies
 from aajrlab.regularizers import RegularizerConfig, spectral_norm
-from aajrlab.trainer import evaluate_robust_risk, measure_achieved_levels
+from aajrlab.trainer import evaluate_robust_risk
 from aajrlab.verification import (
     WitnessReport,
     WitnessSpec,
@@ -494,7 +494,6 @@ def test_stacked_certificates_equal_one_sample_calls_row_by_row(p, epsilon, eta,
         "check_effective_smoothness",
         "stable_step_size",
         "check_pga_stability",
-        "measure_achieved_levels",
         "evaluate_robust_risk",
     ],
 )
@@ -515,7 +514,6 @@ def test_public_entries_check_shapes_before_any_ascent(monkeypatch, entry, dims,
         "check_effective_smoothness": lambda: check_effective_smoothness(params, env, pair, pset, inner),
         "stable_step_size": lambda: stable_step_size(params, env, pair, pset, inner),
         "check_pga_stability": lambda: check_pga_stability(params, env, pair, pset, inner),
-        "measure_achieved_levels": lambda: measure_achieved_levels(params, env, pset, inner, 2, seed=0),
         "evaluate_robust_risk": lambda: evaluate_robust_risk(params, env, pset, inner, 2, seed=0),
     }[entry]
     with pytest.raises(ConfigError, match=f"^{field}: "):
@@ -547,7 +545,7 @@ def test_inclusion_premise_not_met_is_skipped():
 
 def test_inclusion_on_trained_global_model_at_achieved_budget():
     from aajrlab.regularizers import RegularizerConfig
-    from aajrlab.trainer import TrainConfig, measure_achieved_levels, train
+    from aajrlab.trainer import TrainConfig, train
 
     env = quad_env([0.5, -0.5])
     pset = PerturbationSet(p=2, epsilon=0.3, dim=2)
@@ -564,7 +562,7 @@ def test_inclusion_on_trained_global_model_at_achieved_budget():
     )
     params, metrics = train(cfg, env, init_policy([2, 4, 2], seed=0))
     assert metrics.aborted_step is None
-    _, achieved = measure_achieved_levels(params, env, pset, inner, 10, seed=500)
+    achieved = trainer._evaluate(params, env, pset, inner, 10, 10, seed=500)[0]["achieved_spectral"]
     # small headroom: the check draws its own sample set
     report = check_inclusion(params, env, pset, inner, gamma=achieved * 1.05, n_samples=10, seed=500)
     assert report.status == "pass"
