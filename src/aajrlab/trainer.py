@@ -12,19 +12,26 @@ per step, and only when a global hinge or the diagnostics read them. In
 robust modes the diagnostics read the ascent's own losses instead of
 evaluating the policy again. The loop runs a stack of M models that differ
 only in seed, penalty weight and initial parameters in lockstep, as
-(M, B, d) rows; ``train`` is its one-model case.
+(M, B, d) rows; ``train`` is its one-model case. The robust modes share a
+stack at any penalty weight, zero included; nominal models stack only with
+nominal models.
 
 The sweep trains nominal, globally-penalized, and directionally-penalized
 models at matched budgets: the penalty weight for each penalized mode is
-tuned by bisection until the achieved constraint level (max sampled
-spectral norm for the global mode, max directional amplification for the
-directional mode) lands within a tolerance of the shared budget gamma.
-All seeds are trained together, and the two penalized modes share their
-bisection rounds: every round is one model stack, and its models are
-evaluated as one stack too, from one draw of the evaluation sample. The
-nominal risk reads its first ``eval_samples`` rows and the achieved levels
-its first ``achieved_samples`` rows; the achieved levels are
-``regularizers.constraint_levels``, the measurement the inclusion
+doubled from ``lambda_init`` until the achieved constraint level (max
+sampled spectral norm for the global mode, max directional amplification
+for the directional mode) is at most the band's top, then bisected until
+it lands within a tolerance of the shared budget gamma. All seeds are
+trained together, and the two penalized modes share their rounds: every
+round is one model stack, trained on batches drawn once per sweep, and its
+models are evaluated as one stack too, from one draw of the evaluation
+sample. The first penalized round trains each seed's lambda = 0 run with
+every search's first two doubling rungs, and a search that is still
+doubling trains the rung after its current one in the same round; a
+speculative rung that its search never reads is dropped. The nominal risk
+reads its first ``eval_samples`` rows of the evaluation draw and the
+achieved levels its first ``achieved_samples`` rows; the achieved levels
+are ``regularizers.constraint_levels``, the measurement the inclusion
 certificate reads. The reported gaps are trained-optimum estimates, not
 exact infima.
 """
@@ -136,12 +143,17 @@ def _objective_builder(env, S, A, record, cfgs, params: PolicyParams, v_hat):
     return build
 
 
-def _outer_step(cfgs, env: Environment, params: PolicyParams, step: int, diagnostics: bool):
-    """One outer step of every model of a stack; returns the updated stack
-    and, with diagnostics, one record per model. The SVD is taken only for
-    a global hinge or for the diagnostics, the two readers of it."""
+def _training_batch(env: Environment, seed: int, step: int, size: int):
+    """The seeded batch of one outer step of a model trained with ``seed``."""
+    return draws(env, np.random.default_rng([env.seed, seed, step]), size)
+
+
+def _outer_step(cfgs, env: Environment, params: PolicyParams, step: int, batches, diagnostics: bool):
+    """One outer step of every model of a stack on its (states, peers)
+    batch, one per model; returns the updated stack and, with diagnostics,
+    one record per model. The SVD is taken only for a global hinge or for
+    the diagnostics, the two readers of it."""
     cfg, stacked = cfgs[0], params.models > 0
-    batches = [draws(env, np.random.default_rng([env.seed, c.seed, step]), cfg.batch_size) for c in cfgs]
     S, A = (np.stack(rows) if stacked else rows[0] for rows in zip(*batches))
     record = pga_batch(params, S, A, env, cfg.pset, cfg.inner) if cfg.mode != "nominal" else None
     hinged = any(c.mode == "robust_global" and c.reg.lam for c in cfgs)
@@ -157,40 +169,50 @@ def _outer_step(cfgs, env: Environment, params: PolicyParams, step: int, diagnos
     return apply_gradient_step(params, grads, cfg.outer_lr), records
 
 
-def _train_stack(cfgs, env: Environment, params0s, diagnostics: bool = True):
+def _train_stack(cfgs, env: Environment, params0s, diagnostics: bool = True, batches=None):
     """Train M models in lockstep as one stack; returns (params, metrics) per
     model, each bit for bit what training it alone gives.
 
     The models share the environment and every hyperparameter but their
-    seed, their penalty weight (zero for all or for none) and ``params0``;
-    ``robust_global`` and ``robust_aajr`` models may share a stack, since
-    both run the same ascent. The policy dims and the perturbation ball are
-    checked against the environment before the first step. A step that
+    seed, their penalty weight and ``params0``. ``robust_plain``,
+    ``robust_aajr`` and ``robust_global`` models may share a stack at any
+    lambda, lambda = 0 beside lambda > 0, since all of them run the same
+    ascent: each penalty enters with a per-model weight that is an exact
+    zero for a model of another mode or at lambda = 0. ``nominal`` models
+    stack only with ``nominal`` models. ``batches`` maps (seed, step) to
+    the batch drawn in advance for that outer step; without it each step
+    draws its models' batches. The policy dims and the perturbation ball
+    are checked against the environment before the first step. A step that
     raises NumericError is re-run model by model: a model that fails it
     aborts with its last finite parameters and leaves the stack, and the
     others go on.
     """
 
     def shared(c: TrainConfig) -> TrainConfig:
-        """What stacked models have in common; the two penalized modes count as one."""
-        mode = PENALIZED[0] if c.mode in PENALIZED else c.mode
-        return replace(c, mode=mode, seed=0, reg=replace(c.reg, lam=float(c.reg.lam != 0.0)))
+        """What stacked models have in common; every robust mode counts as one."""
+        mode = "nominal" if c.mode == "nominal" else "robust_plain"
+        return replace(c, mode=mode, seed=0, reg=replace(c.reg, lam=0.0))
 
     if len(set(map(shared, cfgs))) > 1:
         raise ConfigError(
-            "stacked models must share every setting but seed, lambda and the penalized mode, and whether lambda = 0"
+            "stacked models must share every setting but seed, lambda and the robust mode;"
+            " nominal models share a stack only with nominal models"
         )
     params = stack_policies(params0s)
     check_dims(env, params.dims(), cfgs[0].pset)
     final, metrics, live = list(params0s), [RunMetrics() for _ in cfgs], list(range(len(cfgs)))
     for step in range(cfgs[0].outer_steps):
+        batch = {
+            i: batches[cfgs[i].seed, step] if batches else _training_batch(env, cfgs[i].seed, step, cfgs[i].batch_size)
+            for i in live
+        }
         try:
-            params, records = _outer_step([cfgs[i] for i in live], env, params, step, diagnostics)
+            params, records = _outer_step([cfgs[i] for i in live], env, params, step, list(batch.values()), diagnostics)
         except NumericError:
             alone = {}
             for i, member in zip(live, unstack_policies(params)):
                 try:
-                    alone[i] = _outer_step([cfgs[i]], env, member, step, diagnostics)
+                    alone[i] = _outer_step([cfgs[i]], env, member, step, [batch[i]], diagnostics)
                 except NumericError:
                     final[i], metrics[i].aborted_step = member, step
             live = list(alone)
@@ -339,119 +361,48 @@ def check_sweep(
     return check_seeds(seeds, minimum=3)
 
 
-def price_of_robustness(
-    env: Environment,
-    base_cfg: TrainConfig,
-    seeds,
-    policy_dims,
-    activations=None,
-    *,
-    eval_samples: int = 200,
-    eval_seed: int = 10_000,
-    achieved_samples: int = 20,
-    bisect_iters: int = 12,
-    match_tol: float = 0.05,
-    lambda_init: float = 1.0,
-    max_doublings: int = 10,
-) -> GapReport:
-    """Train all three modes per seed with bisection-matched budgets.
+def _round_runner(env, base_cfg, seeds, policy_dims, activations, eval_samples, eval_seed, achieved_samples):
+    """The sweep's round: ``run_round(runs)`` trains the (seed index, mode,
+    lambda) runs as one stack and evaluates the runs that did not abort as
+    one stack; it returns each run's result, None for a run that aborted.
+    Every round stacks its models' batches from one table, so each (seed,
+    step) training batch is drawn once per sweep."""
+    batches = {
+        (seed, step): _training_batch(env, seed, step, base_cfg.batch_size)
+        for seed in seeds
+        for step in range(base_cfg.outer_steps)
+    }
 
-    Each (seed, mode) search is a generator that yields the penalty weights
-    it wants trained and receives their results. The searches advance in
-    lockstep, the global and the directional ones in the same rounds: every
-    round trains the pending weight of every search still running as one
-    model stack, and evaluates the runs that did not abort as one stack.
-    """
-    seeds = check_sweep(
-        seeds, eval_samples, eval_seed, achieved_samples, bisect_iters, match_tol, lambda_init, max_doublings
-    )
-    gamma = base_cfg.reg.gamma
-
-    def run_round(pending: dict) -> dict:
-        """Train the pending ((seed index, mode) -> lambda) runs as one stack
-        and evaluate them; None for a run that aborted."""
+    def run_round(runs) -> dict:
         cfgs = [
-            replace(base_cfg, mode=mode, seed=seeds[k], reg=replace(base_cfg.reg, lam=lam))
-            for (k, mode), lam in pending.items()
+            replace(base_cfg, mode=mode, seed=seeds[k], reg=replace(base_cfg.reg, lam=lam)) for k, mode, lam in runs
         ]
         params0s = [init_policy(policy_dims, activations, seed=cfg.seed) for cfg in cfgs]
-        runs = zip(pending, cfgs, _train_stack(cfgs, env, params0s, diagnostics=False))
-        trained = [(key, cfg, params) for key, cfg, (params, metrics) in runs if metrics.aborted_step is None]
-        results = dict.fromkeys(pending)
-        if not trained:
+        trained = zip(runs, cfgs, _train_stack(cfgs, env, params0s, diagnostics=False, batches=batches))
+        kept = [(run, cfg, params) for run, cfg, (params, metrics) in trained if metrics.aborted_step is None]
+        results = dict.fromkeys(runs)
+        if not kept:
             return results
-        stack = stack_policies([params for _, _, params in trained])
+        stack = stack_policies([params for _, _, params in kept])
         evaluations = _evaluate(stack, env, base_cfg.pset, base_cfg.inner, eval_samples, achieved_samples, eval_seed)
-        for (key, cfg, _), evaluation in zip(trained, evaluations):
-            results[key] = {"mode": cfg.mode, "seed": cfg.seed, "lambda": cfg.reg.lam, **evaluation}
+        for (run, cfg, _), evaluation in zip(kept, evaluations):
+            results[run] = {"mode": cfg.mode, "seed": cfg.seed, "lambda": cfg.reg.lam, **evaluation}
         return results
 
-    def lockstep(searches: dict) -> dict:
-        """Drive every (seed index, mode) search to its end; returns what each
-        returned. A seed whose global search returns None trains no further
-        AAJR model: its AAJR search is closed."""
-        results, done = dict.fromkeys(searches), {}
-        while results:
-            pending = {}
-            for key, result in results.items():
-                try:
-                    pending[key] = searches[key].send(result)
-                except StopIteration as stop:
-                    done[key] = stop.value
-            for k, mode in done:
-                if mode == "robust_global" and done[k, mode] is None and (k, "robust_aajr") in pending:
-                    del pending[k, "robust_aajr"]
-                    searches[k, "robust_aajr"].close()
-            results = run_round(pending) if pending else {}
-        return done
+    return run_round
 
-    def match_budget(mode: str, unpenalized):
-        """Bisect the penalty weight until the achieved level is near gamma,
-        starting from this seed's lambda = 0 run; yields each weight to train."""
-        lo_band, hi_band = (1.0 - match_tol) * gamma, (1.0 + match_tol) * gamma
-        if unpenalized is None:
-            return None
-        if _achieved_level(mode, unpenalized) <= hi_band:
-            return dict(unpenalized, mode=mode)  # budget not binding (or already matched) at lambda = 0
-        lo_lam, hi_lam = 0.0, lambda_init
-        hi_result = yield hi_lam
-        for _ in range(max_doublings):
-            if hi_result is None or _achieved_level(mode, hi_result) <= hi_band:
-                break
-            lo_lam, hi_lam = hi_lam, hi_lam * 2.0
-            hi_result = yield hi_lam
-        if hi_result is None:
-            return None
-        best, best_err = hi_result, abs(_achieved_level(mode, hi_result) - gamma)
-        for _ in range(bisect_iters):
-            if lo_band <= _achieved_level(mode, best) <= hi_band:
-                return best
-            mid = 0.5 * (lo_lam + hi_lam)
-            mid_result = yield mid
-            if mid_result is None:
-                return best
-            level = _achieved_level(mode, mid_result)
-            lo_lam, hi_lam = (mid, hi_lam) if level > hi_band else (lo_lam, mid)
-            if abs(level - gamma) < best_err:
-                best, best_err = mid_result, abs(level - gamma)
-        return best
 
-    nominal = run_round({(k, "nominal"): 0.0 for k in range(len(seeds))})
-    kept = [k for k in range(len(seeds)) if nominal[k, "nominal"] is not None]
-    # at lambda = 0 no penalty is built and diagnostics never feed the
-    # gradients, so both penalized modes start from the same training run
-    unpenalized = run_round({(k, "robust_plain"): 0.0 for k in kept})
-    matched = lockstep(
-        {(k, mode): match_budget(mode, unpenalized[k, "robust_plain"]) for k in kept for mode in PENALIZED}
-    )
-
+def _gap_report(gamma: float, seeds, nominal, matched) -> GapReport:
+    """The report of a sweep from each seed's nominal result (by seed index)
+    and the matched result of each (seed index, penalized mode) search,
+    None for an aborted run or search."""
     per_seed: list[dict] = []
     excluded: list[dict] = []
     for k, seed in enumerate(seeds):
-        if nominal[k, "nominal"] is None:
+        if nominal[k] is None:
             excluded.append({"seed": seed, "mode": "nominal", "reason": "aborted"})
             continue
-        entry: dict = {"seed": seed, "nominal": nominal[k, "nominal"]}
+        entry: dict = {"seed": seed, "nominal": nominal[k]}
         for mode in ("robust_global", "robust_aajr"):  # a seed whose global run aborted reports no AAJR model
             if matched[k, mode] is None:
                 excluded.append({"seed": seed, "mode": mode, "reason": "aborted"})
@@ -484,3 +435,127 @@ def price_of_robustness(
         aggregate=aggregate,
         excluded=excluded,
     )
+
+
+def price_of_robustness(
+    env: Environment,
+    base_cfg: TrainConfig,
+    seeds,
+    policy_dims,
+    activations=None,
+    *,
+    eval_samples: int = 200,
+    eval_seed: int = 10_000,
+    achieved_samples: int = 20,
+    bisect_iters: int = 12,
+    match_tol: float = 0.05,
+    lambda_init: float = 1.0,
+    max_doublings: int = 10,
+) -> GapReport:
+    """Train all three modes per seed with bisection-matched budgets.
+
+    The nominal runs train in a round of their own. Then each (seed, mode)
+    search is a generator that yields the penalty weights it wants trained
+    in one round and receives their results. The searches advance in
+    lockstep, the global and the directional ones in the same rounds: every
+    round trains the union of the weights that the searches still running
+    ask for as one model stack, and evaluates the runs that did not abort
+    as one stack. Lambda = 0 is a seed's one ``robust_plain`` run, which
+    both of its searches read.
+
+    A search's first round trains lambda = 0 with its first two doubling
+    rungs, ``lambda_init`` and ``2 * lambda_init``. While it is still
+    doubling, a search trains its current rung with the next one, 2 lambda,
+    if ``max_doublings`` can still reach it, and reads that rung without
+    another round. Those runs are speculative: a search that stops before
+    it reads one (the budget met at lambda = 0 or at the rung below) drops
+    it. A bisection step trains one weight per round. Every model trains
+    and evaluates bit for bit as it would alone, so each search reads
+    exactly the results that one weight per round would give.
+    """
+    seeds = check_sweep(
+        seeds, eval_samples, eval_seed, achieved_samples, bisect_iters, match_tol, lambda_init, max_doublings
+    )
+    gamma = base_cfg.reg.gamma
+    run_round = _round_runner(env, base_cfg, seeds, policy_dims, activations, eval_samples, eval_seed, achieved_samples)
+
+    def lockstep(searches: dict) -> dict:
+        """Drive every (seed index, mode) search to its end; returns what each
+        returned. A round trains the union of the weights that the searches
+        ask for, speculative rungs included, as one stack; a search's
+        lambda = 0 is its seed's ``robust_plain`` run, trained once for both
+        modes. A seed whose global search returns None trains no further
+        AAJR model: its AAJR search is closed."""
+
+        def run(key, lam):
+            k, mode = key
+            return k, mode if lam else "robust_plain", lam
+
+        replies, done = dict.fromkeys(searches), {}
+        while True:
+            asked = {}
+            for key, reply in replies.items():
+                try:
+                    asked[key] = searches[key].send(reply)
+                except StopIteration as stop:
+                    done[key] = stop.value
+            for k, mode in done:
+                if mode == "robust_global" and done[k, mode] is None and (k, "robust_aajr") in asked:
+                    del asked[k, "robust_aajr"]
+                    searches[k, "robust_aajr"].close()
+            if not asked:
+                return done
+            results = run_round(list(dict.fromkeys(run(key, lam) for key, lams in asked.items() for lam in lams)))
+            replies = {key: [results[run(key, lam)] for lam in lams] for key, lams in asked.items()}
+
+    def match_budget(mode: str):
+        """Bisect the penalty weight until the achieved level is near gamma,
+        starting from this seed's lambda = 0 run; yields the weights to train
+        in one round, the one it reads next first."""
+        lo_band, hi_band = (1.0 - match_tol) * gamma, (1.0 + match_tol) * gamma
+        known = {}
+
+        def result(lam, *speculative):
+            """The result at ``lam``, trained in one round with the speculative
+            weights unless an earlier round trained it."""
+            if lam not in known:
+                known.update(zip((lam, *speculative), (yield (lam, *speculative))))
+            return known[lam]
+
+        def next_rung(doublings: int, lam: float) -> tuple:
+            """The rung after ``lam``, the rung of ``doublings`` doublings, if
+            ``max_doublings`` reaches it."""
+            return (lam * 2.0,) if doublings < max_doublings else ()
+
+        lo_lam, hi_lam = 0.0, lambda_init
+        unpenalized = yield from result(0.0, hi_lam, *next_rung(0, hi_lam))
+        if unpenalized is None:
+            return None
+        if _achieved_level(mode, unpenalized) <= hi_band:
+            return dict(unpenalized, mode=mode)  # budget not binding (or already matched) at lambda = 0
+        hi_result = yield from result(hi_lam)
+        for doubling in range(max_doublings):
+            if hi_result is None or _achieved_level(mode, hi_result) <= hi_band:
+                break
+            lo_lam, hi_lam = hi_lam, hi_lam * 2.0
+            hi_result = yield from result(hi_lam, *next_rung(doubling + 1, hi_lam))
+        if hi_result is None:
+            return None
+        best, best_err = hi_result, abs(_achieved_level(mode, hi_result) - gamma)
+        for _ in range(bisect_iters):
+            if lo_band <= _achieved_level(mode, best) <= hi_band:
+                return best
+            mid = 0.5 * (lo_lam + hi_lam)
+            mid_result = yield from result(mid)
+            if mid_result is None:
+                return best
+            level = _achieved_level(mode, mid_result)
+            lo_lam, hi_lam = (mid, hi_lam) if level > hi_band else (lo_lam, mid)
+            if abs(level - gamma) < best_err:
+                best, best_err = mid_result, abs(level - gamma)
+        return best
+
+    nominal = list(run_round([(k, "nominal", 0.0) for k in range(len(seeds))]).values())
+    kept = [k for k in range(len(seeds)) if nominal[k] is not None]
+    searches = {(k, mode): match_budget(mode) for k in kept for mode in PENALIZED}
+    return _gap_report(gamma, seeds, nominal, lockstep(searches))

@@ -5,7 +5,8 @@ so it is independent of the library's forward-mode layer recursion, from
 which ``jacobian``, ``jvp`` and ``vjp`` all come. ``repeat_tile_jacobian``
 is the earlier, bit-exact construction of ``jacobian`` from plain ``jvp``
 calls. ``nominal_risks`` and ``achieved_levels`` are the sweep's earlier
-evaluation route, one evaluation draw per quantity.
+evaluation route, one evaluation draw per quantity. ``sweep_one_rung_per_round``
+is the sweep's earlier lockstep, one penalty weight per search and round.
 """
 
 from __future__ import annotations
@@ -64,6 +65,94 @@ def achieved_levels(params: PolicyParams, env, pset, inner, n_samples, seed):
         (float(np.max(a, initial=0.0)), max(0.0, float(np.max(s))))
         for a, s in zip(trainer._models(params, amps), trainer._models(params, sigmas))
     ]
+
+
+def sweep_one_rung_per_round(
+    env,
+    base_cfg,
+    seeds,
+    policy_dims,
+    activations=None,
+    *,
+    eval_samples=200,
+    eval_seed=10_000,
+    achieved_samples=20,
+    bisect_iters=12,
+    match_tol=0.05,
+    lambda_init=1.0,
+    max_doublings=10,
+):
+    """``price_of_robustness`` with the lambda = 0 runs in a round of their
+    own and every search asking for one weight per round, so no run is
+    speculative: the round's training, evaluation and report are the
+    sweep's own."""
+    seeds = trainer.check_sweep(
+        seeds, eval_samples, eval_seed, achieved_samples, bisect_iters, match_tol, lambda_init, max_doublings
+    )
+    gamma = base_cfg.reg.gamma
+    train_round = trainer._round_runner(
+        env, base_cfg, seeds, policy_dims, activations, eval_samples, eval_seed, achieved_samples
+    )
+
+    def run_round(pending: dict) -> dict:
+        """Train the pending ((seed index, mode) -> lambda) runs as one round."""
+        results = train_round([(k, mode, lam) for (k, mode), lam in pending.items()])
+        return {(k, mode): result for (k, mode, _), result in results.items()}
+
+    def lockstep(searches: dict) -> dict:
+        results, done = dict.fromkeys(searches), {}
+        while results:
+            pending = {}
+            for key, result in results.items():
+                try:
+                    pending[key] = searches[key].send(result)
+                except StopIteration as stop:
+                    done[key] = stop.value
+            for k, mode in done:
+                if mode == "robust_global" and done[k, mode] is None and (k, "robust_aajr") in pending:
+                    del pending[k, "robust_aajr"]
+                    searches[k, "robust_aajr"].close()
+            results = run_round(pending) if pending else {}
+        return done
+
+    def match_budget(mode, unpenalized):
+        def level(result):
+            return trainer._achieved_level(mode, result)
+
+        lo_band, hi_band = (1.0 - match_tol) * gamma, (1.0 + match_tol) * gamma
+        if unpenalized is None:
+            return None
+        if level(unpenalized) <= hi_band:
+            return dict(unpenalized, mode=mode)
+        lo_lam, hi_lam = 0.0, lambda_init
+        hi_result = yield hi_lam
+        for _ in range(max_doublings):
+            if hi_result is None or level(hi_result) <= hi_band:
+                break
+            lo_lam, hi_lam = hi_lam, hi_lam * 2.0
+            hi_result = yield hi_lam
+        if hi_result is None:
+            return None
+        best, best_err = hi_result, abs(level(hi_result) - gamma)
+        for _ in range(bisect_iters):
+            if lo_band <= level(best) <= hi_band:
+                return best
+            mid = 0.5 * (lo_lam + hi_lam)
+            mid_result = yield mid
+            if mid_result is None:
+                return best
+            lo_lam, hi_lam = (mid, hi_lam) if level(mid_result) > hi_band else (lo_lam, mid)
+            if abs(level(mid_result) - gamma) < best_err:
+                best, best_err = mid_result, abs(level(mid_result) - gamma)
+        return best
+
+    nominal = run_round({(k, "nominal"): 0.0 for k in range(len(seeds))})
+    kept = [k for k in range(len(seeds)) if nominal[k, "nominal"] is not None]
+    unpenalized = run_round({(k, "robust_plain"): 0.0 for k in kept})
+    matched = lockstep(
+        {(k, mode): match_budget(mode, unpenalized[k, "robust_plain"]) for k in kept for mode in trainer.PENALIZED}
+    )
+    return trainer._gap_report(gamma, seeds, [nominal[k, "nominal"] for k in range(len(seeds))], matched)
 
 
 def flatten_params(params: PolicyParams) -> np.ndarray:

@@ -36,7 +36,7 @@ from aajrlab.trainer import (
     train,
 )
 
-from conftest import achieved_levels, linear_policy, nominal_risks
+from conftest import achieved_levels, linear_policy, nominal_risks, sweep_one_rung_per_round
 
 
 def nominal_risk(params, env, n_samples, seed):
@@ -458,6 +458,7 @@ def stack_cfgs(modes, lams, steps=5):
 
 
 MIXED = ["robust_global", "robust_aajr", "robust_aajr", "robust_global", "robust_aajr"]
+ROBUST = ["robust_plain", "robust_aajr", "robust_global", "robust_aajr", "robust_global"]
 
 
 def assert_same_run(got, want):
@@ -470,7 +471,9 @@ def assert_same_run(got, want):
 
 @pytest.mark.parametrize("mode,lams", [("nominal", [0.0] * 5), ("robust_aajr", [0.5, 1.0, 2.0, 4.0, 8.0]),
                                        ("robust_global", [30.0, 0.7, 120.0, 2.0, 9.0]),
-                                       (MIXED, [30.0, 0.5, 2.0, 120.0, 8.0])])
+                                       (MIXED, [30.0, 0.5, 2.0, 120.0, 8.0]),
+                                       (ROBUST, [0.0, 0.5, 30.0, 2.0, 9.0]), (ROBUST, [0.0, 1.0, 30.0, 0.0, 0.0]),
+                                       (ROBUST[:2] * 2 + ["robust_plain"], [0.0, 0.5, 3.0, 2.0, 0.0])])
 def test_stacked_training_equals_training_each_model_alone(mode, lams):
     env = mirror_env()
     cfgs = stack_cfgs(mode, lams)
@@ -498,7 +501,7 @@ def test_stack_member_that_diverges_leaves_the_others_unchanged():
 
 def test_mixed_stack_member_that_diverges_leaves_the_others_unchanged():
     env = mirror_env()
-    cfgs = stack_cfgs(MIXED, [30.0, 1.0, 100.0, 2.0, 8.0], steps=12)
+    cfgs = stack_cfgs(MIXED[:4] + ["robust_plain"], [30.0, 1.0, 100.0, 2.0, 0.0], steps=12)
     params0s = [init_policy([4, 6, 4], ["identity", "identity"], seed=s) for s in (5, 1, 1, 8, 3)]
     with np.errstate(all="ignore"):
         stacked = trainer._train_stack(cfgs, env, params0s)
@@ -526,6 +529,8 @@ def test_outer_step_takes_the_svd_only_where_it_is_read(monkeypatch):
         ("robust_global", [30.0, 0.7, 2.0], False, 4),
         ("robust_global", [2.0], False, 4),
         (MIXED[:3], [30.0, 0.5, 2.0], False, 4),
+        (ROBUST[:2], [0.0, 0.5], False, 0),
+        (ROBUST[:3], [0.0, 0.5, 30.0], False, 4),
         ("nominal", [0.0] * 3, True, 4),
         ("robust_aajr", [0.5, 1.0, 2.0], True, 4),
     ):
@@ -565,17 +570,23 @@ def test_stack_rejects_models_that_differ_beyond_seed_and_lambda():
     cfgs = stack_cfgs("robust_aajr", [1.0, 2.0])
     for other in (
         replace(cfgs[1], outer_lr=0.2),
-        replace(cfgs[1], reg=replace(cfgs[1].reg, lam=0.0)),
-        replace(cfgs[1], mode="robust_global", reg=replace(cfgs[1].reg, lam=0.0)),
-        replace(cfgs[1], mode="robust_plain", reg=replace(cfgs[1].reg, lam=0.0)),
+        replace(cfgs[1], outer_steps=4),
+        replace(cfgs[1], batch_size=2),
+        replace(cfgs[1], inner=replace(cfgs[1].inner, eta=0.2)),
+        replace(cfgs[1], pset=replace(cfgs[1].pset, epsilon=0.2)),
+        replace(cfgs[1], reg=replace(cfgs[1].reg, gamma=0.5)),
+        replace(cfgs[1], mode="robust_plain", reg=replace(cfgs[1].reg, lam=0.0, gamma_adv=0.5)),
         replace(cfgs[1], mode="nominal"),
     ):
         with pytest.raises(ConfigError, match="share"):
             trainer._train_stack([cfgs[0], other], env, params0s)
-    # nominal never shares a stack with a penalized mode, whatever its lambda
+    # nominal never shares a stack with a robust mode, whatever either lambda
     nominal = replace(cfgs[0], mode="nominal", reg=replace(cfgs[0].reg, lam=0.0))
-    with pytest.raises(ConfigError, match="share"):
-        trainer._train_stack([nominal, replace(cfgs[1], mode="robust_global")], env, params0s)
+    for mode in ("robust_plain", "robust_aajr", "robust_global"):
+        for lam in (0.0, 2.0):
+            with pytest.raises(ConfigError, match="share"):
+                robust = replace(cfgs[1], mode=mode, reg=replace(cfgs[1].reg, lam=lam))
+                trainer._train_stack([nominal, robust], env, params0s)
 
 
 @pytest.mark.parametrize("mode", ["nominal", "robust_aajr", "robust_global"])
@@ -597,77 +608,147 @@ def test_objective_tape_size_does_not_grow_with_models(mode, monkeypatch):
     assert counts[1] == counts[2] == counts[0] + 3 > 3
 
 
+STACK = trainer._train_stack
+SWEEP_KWARGS = dict(
+    seeds=[0, 1, 2], policy_dims=[4, 6, 4], eval_samples=16, achieved_samples=3, bisect_iters=2, max_doublings=2
+)
+
+
+def recording(rounds, train_stack, aborted=()):
+    """``train_stack`` that records each round's (seed, mode, lambda) runs in
+    ``rounds`` and reports the runs of the ``aborted`` (seed, mode) pairs as
+    aborted."""
+
+    def run(cfgs, env, params0s, diagnostics=True, batches=None):
+        rounds.append([(c.seed, c.mode, c.reg.lam) for c in cfgs])
+        results = train_stack(cfgs, env, params0s, diagnostics, batches)
+        return [
+            (params, RunMetrics(aborted_step=0) if (c.seed, c.mode) in aborted else metrics)
+            for c, (params, metrics) in zip(cfgs, results)
+        ]
+
+    return run
+
+
+def one_at_a_time(cfgs, env, params0s, diagnostics=True, batches=None):
+    """Train each model of a round alone, drawing its own batches."""
+    return [STACK([c], env, [p], diagnostics)[0] for c, p in zip(cfgs, params0s)]
+
+
+def search_rounds(reference_rounds, lambda_init):
+    """(seed, mode) -> the rounds after the nominal one that a search takes
+    when its doubling rungs train in pairs, from the weights it trained one
+    per round: its first round trains lambda = 0 and rungs 0 and 1, each
+    further round rungs 2j and 2j + 1, or one bisection weight."""
+    paths = {}
+    for run in reference_rounds[2:]:
+        for seed, mode, lam in run:
+            paths.setdefault((seed, mode), []).append(lam)
+    for seed, _, _ in reference_rounds[1]:
+        for mode in trainer.PENALIZED:
+            paths.setdefault((seed, mode), [])
+    rounds = {}
+    for key, path in paths.items():
+        rungs = next((j for j, lam in enumerate(path) if lam != lambda_init * 2.0**j), len(path))
+        rounds[key] = 1 + max(rungs - 1, 0) // 2 + len(path) - rungs
+    return rounds
+
+
 def test_price_of_robustness_in_lockstep_equals_one_model_at_a_time(monkeypatch):
     env = mirror_env()
     cfg = mirror_cfg("nominal", batch=2, steps=6)
-    kwargs = dict(seeds=[0, 1, 2], policy_dims=[4, 6, 4], eval_samples=16, achieved_samples=3, bisect_iters=2, max_doublings=2)
-    stack, rounds, alone = trainer._train_stack, [], []
-
-    def spy(cfgs, *args, **kw):
-        rounds.append({c.mode for c in cfgs})
-        return stack(cfgs, *args, **kw)
-
-    monkeypatch.setattr(trainer, "_train_stack", spy)
-    lockstep = price_of_robustness(env, cfg, **kwargs).to_json()
+    rounds, alone, reference_rounds = [], [], []
+    monkeypatch.setattr(trainer, "_train_stack", recording(rounds, STACK))
+    lockstep = price_of_robustness(env, cfg, **SWEEP_KWARGS).to_json()
     for entry in lockstep["per_seed"]:
         assert [entry[mode]["seed"] for mode in ("nominal", "robust_global", "robust_aajr")] == [entry["seed"]] * 3
 
-    def one_at_a_time(cfgs, env, params0s, diagnostics=True):
-        alone.extend((c.seed, c.mode) for c in cfgs)
-        return [stack([c], env, [p], diagnostics)[0] for c, p in zip(cfgs, params0s)]
-
-    monkeypatch.setattr(trainer, "_train_stack", one_at_a_time)
-    assert price_of_robustness(env, cfg, **kwargs).to_json() == lockstep
-    # a (seed, mode) search trains one run per round; the penalized modes share their rounds, so while
-    # both search every round holds both, and the sweep takes 2 rounds plus the longer mode's search
-    runs = Counter(run for run in alone if run[1] in trainer.PENALIZED)
-    longest = {mode: max(n for (_, m), n in runs.items() if m == mode) for mode in trainer.PENALIZED}
-    assert min(longest.values()) >= 2
-    assert rounds[:2] == [{"nominal"}, {"robust_plain"}]
-    assert rounds[2 : 2 + min(longest.values())] == [set(trainer.PENALIZED)] * min(longest.values())
-    assert len(rounds) == 2 + max(longest.values())
+    # one model per stack, each drawing its own batches, gives the same report
+    monkeypatch.setattr(trainer, "_train_stack", recording(alone, one_at_a_time))
+    assert price_of_robustness(env, cfg, **SWEEP_KWARGS).to_json() == lockstep
+    assert alone == rounds
+    monkeypatch.setattr(trainer, "_train_stack", recording(reference_rounds, STACK))
+    assert sweep_one_rung_per_round(env, cfg, **SWEEP_KWARGS).to_json() == lockstep
+    # the nominal round, then one round with every seed's lambda = 0 run and both searches' first two rungs;
+    # each search then trains in every round until it ends, the penalized modes side by side
+    assert {mode for _, mode, _ in rounds[0]} == {"nominal"}
+    assert sorted(rounds[1]) == sorted(
+        [(seed, "robust_plain", 0.0) for seed in (0, 1, 2)]
+        + [(seed, mode, lam) for seed in (0, 1, 2) for mode in trainer.PENALIZED for lam in (1.0, 2.0)]
+    )
+    expected = search_rounds(reference_rounds, lambda_init=1.0)
+    assert len(rounds) == 1 + max(expected.values()) == 5 and len(reference_rounds) == 7
+    for (seed, mode), n in expected.items():
+        assert [r for r, run in enumerate(rounds) if any(m == mode and s == seed for s, m, _ in run)] == list(
+            range(1, 1 + n)
+        )
     # a seed's search never sees another seed's runs: reordering the seeds reorders the entries only
-    reordered = price_of_robustness(env, cfg, **dict(kwargs, seeds=[2, 0, 1])).to_json()
+    reordered = price_of_robustness(env, cfg, **dict(SWEEP_KWARGS, seeds=[2, 0, 1])).to_json()
     assert sorted(reordered["per_seed"], key=lambda e: e["seed"]) == lockstep["per_seed"]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"max_doublings": 1, "lambda_init": 0.25},  # seed 1's global search runs out of doublings above the band
+        {"max_doublings": 0},
+        {"bisect_iters": 0},
+        {"gamma": 10.0},  # every budget met at lambda = 0
+    ],
+)
+def test_sweep_equals_one_rung_per_round_reference(monkeypatch, extra):
+    env = mirror_env()
+    cfg = mirror_cfg("nominal", batch=2, steps=6)
+    if "gamma" in extra:
+        cfg = replace(cfg, reg=replace(cfg.reg, gamma=extra["gamma"]))
+    kwargs = dict(SWEEP_KWARGS, **{key: value for key, value in extra.items() if key != "gamma"})
+    rounds, reference_rounds = [], []
+    monkeypatch.setattr(trainer, "_train_stack", recording(rounds, STACK))
+    report = price_of_robustness(env, cfg, **kwargs).to_json()
+    monkeypatch.setattr(trainer, "_train_stack", recording(reference_rounds, STACK))
+    assert sweep_one_rung_per_round(env, cfg, **kwargs).to_json() == report
+    lambda_init, max_doublings = kwargs.get("lambda_init", 1.0), kwargs["max_doublings"]
+    trained = [run for r in rounds for run in r]
+    read = [run for r in reference_rounds for run in r]
+    # every run the reference trains is trained once; the others are speculative rungs that no search read
+    assert len(set(trained)) == len(trained) and set(read) <= set(trained)
+    rungs = [lambda_init * 2.0**j for j in range(max_doublings + 1)]
+    assert all(lam in rungs for _, _, lam in set(trained) - set(read))
+    assert max(lam for _, _, lam in trained) <= lambda_init * 2.0**max_doublings
+    assert len(rounds) == 1 + max(search_rounds(reference_rounds, lambda_init).values())
+    if max_doublings == 0:
+        assert not any(lam == 2.0 * lambda_init for _, _, lam in trained)
+    if "lambda_init" in extra:  # the top rung is read, and the budget stays above the band
+        level = report["per_seed"][1]["robust_global"]["achieved_spectral"]
+        assert (1, "robust_global", lambda_init * 2.0**max_doublings) in read and level > 1.05 * cfg.reg.gamma
+    if cfg.reg.gamma == 10.0:
+        assert len(rounds) == 2 and len(reference_rounds) == 2
+        assert {lam for _, _, lam in set(trained) - set(read)} == {lambda_init, 2.0 * lambda_init}
+        assert all(entry[mode]["lambda"] == 0.0 for entry in report["per_seed"] for mode in trainer.PENALIZED)
 
 
 def test_sweep_excludes_a_seed_whose_global_search_aborts(monkeypatch):
     env = mirror_env()
     cfg = mirror_cfg("nominal", batch=2, steps=6)
-    kwargs = dict(seeds=[0, 1, 2], policy_dims=[4, 6, 4], eval_samples=16, achieved_samples=3, bisect_iters=2, max_doublings=2)
-    stack, rounds = trainer._train_stack, []
-
-    def recording(train_stack, aborted=()):
-        """``train_stack`` that records each round's (seed, mode) runs and
-        reports the runs of the ``aborted`` (seed, mode) pairs as aborted."""
-
-        def run(cfgs, env, params0s, diagnostics=True):
-            rounds.append([(c.seed, c.mode) for c in cfgs])
-            results = train_stack(cfgs, env, params0s, diagnostics)
-            return [
-                (params, RunMetrics(aborted_step=0) if (c.seed, c.mode) in aborted else metrics)
-                for c, (params, metrics) in zip(cfgs, results)
-            ]
-
-        return run
-
-    def one_at_a_time(cfgs, env, params0s, diagnostics=True):
-        return [stack([c], env, [p], diagnostics)[0] for c, p in zip(cfgs, params0s)]
-
-    monkeypatch.setattr(trainer, "_train_stack", recording(stack))
-    price_of_robustness(env, cfg, **kwargs)
-    assert sum((1, "robust_aajr") in r for r in rounds) >= 2  # seed 1's AAJR search runs past its first round
+    rounds, reference_rounds = [], []
+    monkeypatch.setattr(trainer, "_train_stack", recording(rounds, STACK))
+    price_of_robustness(env, cfg, **SWEEP_KWARGS)
+    # seed 1's AAJR search runs past its first penalized round
+    assert sum(any(run[:2] == (1, "robust_aajr") for run in r) for r in rounds) >= 2
     rounds.clear()
-    monkeypatch.setattr(trainer, "_train_stack", recording(stack, aborted={(1, "robust_global")}))
-    report = price_of_robustness(env, cfg, **kwargs).to_json()
+    aborted = {(1, "robust_global")}
+    monkeypatch.setattr(trainer, "_train_stack", recording(rounds, STACK, aborted))
+    report = price_of_robustness(env, cfg, **SWEEP_KWARGS).to_json()
     assert [entry["seed"] for entry in report["per_seed"]] == [0, 2]
     assert report["excluded"] == [{"seed": 1, "mode": "robust_global", "reason": "aborted"}]
-    # the global search returns None on its first run's result; the AAJR search trained beside it, then stops
-    trained = [i for i, r in enumerate(rounds) if (1, "robust_global") in r]
-    assert trained == [2] and (1, "robust_aajr") in rounds[2]
-    assert not any((1, "robust_aajr") in r for r in rounds[3:])
-    monkeypatch.setattr(trainer, "_train_stack", recording(one_at_a_time, aborted={(1, "robust_global")}))
-    assert price_of_robustness(env, cfg, **kwargs).to_json() == report
+    # the global search returns None on its first rung's result; the AAJR rungs trained beside it, then it stops
+    trained = [i for i, r in enumerate(rounds) if any(run[:2] == (1, "robust_global") for run in r)]
+    assert trained == [1] and any(run[:2] == (1, "robust_aajr") for run in rounds[1])
+    assert not any(run[:2] == (1, "robust_aajr") for r in rounds[2:] for run in r)
+    monkeypatch.setattr(trainer, "_train_stack", recording([], one_at_a_time, aborted))
+    assert price_of_robustness(env, cfg, **SWEEP_KWARGS).to_json() == report
+    monkeypatch.setattr(trainer, "_train_stack", recording(reference_rounds, STACK, aborted))
+    assert sweep_one_rung_per_round(env, cfg, **SWEEP_KWARGS).to_json() == report
 
 
 def test_stacked_evaluation_equals_evaluating_each_model_alone():
@@ -717,6 +798,25 @@ def test_price_of_robustness_draws_one_evaluation_sample_per_round(monkeypatch):
     report = price_of_robustness(env, cfg, **kwargs)
     assert not report.excluded  # no round lost every run, so every round is evaluated
     assert len(rounds) > 2 and len(evaluations) == len(rounds)
+
+
+def test_training_batches_are_drawn_once_per_seed_and_step(monkeypatch):
+    env = mirror_env()
+    cfg = mirror_cfg("nominal", batch=2, steps=6)
+    sizes, draws = [], trainer.draws
+
+    def counting_draws(env, rng, n):
+        sizes.append(n)
+        return draws(env, rng, n)
+
+    monkeypatch.setattr(trainer, "draws", counting_draws)
+    report = price_of_robustness(env, cfg, **SWEEP_KWARGS)  # eval_samples 16, so only batches have 2 rows
+    assert len(report.per_seed) == 3
+    assert sizes.count(cfg.batch_size) == len(SWEEP_KWARGS["seeds"]) * cfg.outer_steps
+    # a single run draws each step's batch when the step runs
+    sizes.clear()
+    train(replace(cfg, mode="robust_aajr"), env, init_policy([4, 6, 4], seed=0), diagnostics=False)
+    assert sizes == [cfg.batch_size] * cfg.outer_steps
 
 
 @pytest.mark.parametrize(
