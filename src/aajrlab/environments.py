@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .tape import dot, matvec, sigmoid, softplus, vsum
 
 Array = np.ndarray
@@ -50,8 +50,7 @@ class Environment:
             raise ConfigError("target c must be a finite non-empty vector", field="c")
         if A.ndim != 2 or A.shape[0] != c.shape[0] or not np.all(np.isfinite(A)):
             raise ConfigError(f"coupling A must be a finite ({c.shape[0]}, q) matrix, got {A.shape}", field="A")
-        if int(self.state_dim) < 1:
-            raise ConfigError("must be >= 1", field="state_dim")
+        state_dim = check_count(self.state_dim, 1, "state_dim")
         if self.kind == "softplus_congestion":
             if self.beta is None or not self.beta > 0:
                 raise ConfigError("softplus_congestion needs beta > 0", field="beta")
@@ -59,13 +58,12 @@ class Environment:
             raise ConfigError("beta is only meaningful for softplus_congestion", field="beta")
         if self.peer_mode not in PEER_MODES:
             raise ConfigError(f"unknown peer_mode '{self.peer_mode}'", field="peer_mode")
-        if self.peer_mode == "mirror" and A.shape[1] != int(self.state_dim):
+        if self.peer_mode == "mirror" and A.shape[1] != state_dim:
             raise ConfigError(
                 f"mirror peer_mode requires the peer dimension, A's {A.shape[1]} columns, to equal state_dim",
                 field="A",
             )
-        if int(self.seed) < 0:
-            raise ConfigError("environment seed must be >= 0", field="seed")
+        seed = check_count(self.seed, 0, "seed")
         P = self.projector
         if P is not None:
             if self.kind != "quadratic_congestion":
@@ -80,8 +78,8 @@ class Environment:
                 raise ConfigError("projector must be nonzero", field="projector")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "state_dim", int(self.state_dim))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "state_dim", state_dim)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "projector", P)
 
     @property
@@ -108,20 +106,16 @@ def draws(env: Environment, rng: np.random.Generator, n: int):
 def sample(env: Environment, seed: int):
     """Deterministic draw of (state, peer context) for a non-negative seed:
     the one row of ``draws`` seeded by (env.seed, seed)."""
-    if int(seed) < 0:
-        raise ConfigError("sample seed must be >= 0")
-    S, A = draws(env, np.random.default_rng([env.seed, int(seed)]), 1)
+    S, A = draws(env, np.random.default_rng([env.seed, check_count(seed, 0, "seed")]), 1)
     return S[0], A[0]
 
 
 def check_seeds(seeds, minimum: int = 1) -> list[int]:
     """Run seeds as a list of at least ``minimum`` distinct non-negative
     integers; a repeated seed would run one seed twice."""
-    seeds = [int(s) for s in seeds]
+    seeds = [check_count(s, 0, "seeds", "entries") for s in seeds]
     if len(seeds) < minimum:
         raise ConfigError(f"need at least {minimum} seed" + "s" * (minimum > 1), field="seeds")
-    if any(s < 0 for s in seeds):
-        raise ConfigError("entries must be >= 0", field="seeds")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"entries must be distinct, got {seeds}", field="seeds")
     return seeds

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .environments import Environment, loss, loss_grad
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_count
 from .policy import PolicyParams, forward, jvp, vjp
 
 Array = np.ndarray
@@ -48,11 +48,9 @@ class PerturbationSet:
             raise ConfigError(f"norm order must be 2 or \"inf\", got {self.p!r}", field="p")
         if not self.epsilon >= 0:
             raise ConfigError("epsilon must be >= 0", field="epsilon")
-        if int(self.dim) < 1:
-            raise ConfigError("perturbation dimension must be >= 1", field="dim")
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", check_count(self.dim, 1, "dim"))
 
     def norm(self, delta: Array):
         """||delta||_p; one norm per row for stacked deltas."""
@@ -70,12 +68,10 @@ class InnerLoopConfig:
     def __post_init__(self):
         if not self.eta > 0:
             raise ConfigError("inner step size eta must be > 0", field="eta")
-        if int(self.steps) < 0:
-            raise ConfigError("inner step count must be >= 0", field="steps")
         if not self.eps0 > 0:
             raise ConfigError("direction floor eps0 must be > 0", field="eps0")
         object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", check_count(self.steps, 0, "steps"))
         object.__setattr__(self, "eps0", float(self.eps0))
 
 

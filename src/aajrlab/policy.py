@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_count
 from .tape import Node, backward, matvec, tanh
 
 Array = np.ndarray
@@ -126,8 +126,8 @@ def policy_spec(dims: Sequence[int], activations: Sequence[str] | None = None, i
     """The layer sizes and activations of a policy, checked without building
     its weights; activations default to tanh hidden layers and an identity
     output."""
-    dims = [int(d) for d in dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
+    dims = [check_count(d, 1, "dims", "entries") for d in dims]
+    if len(dims) < 2:
         raise ConfigError(f"policy dims must be >= 2 positive sizes, got {dims}", field="dims")
     if activations is None:
         activations = ["tanh"] * (len(dims) - 2) + ["identity"]
@@ -139,8 +139,7 @@ def policy_spec(dims: Sequence[int], activations: Sequence[str] | None = None, i
             raise ConfigError(f"layer {k}: unknown activation '{act}'", field="activations")
     if activations[-1] != "identity":
         raise ConfigError("final layer activation must be identity", field="activations")
-    if int(init_seed) < 0:
-        raise ConfigError("must be >= 0", field="init_seed")
+    check_count(init_seed, 0, "init_seed")
     return dims, activations
 
 
@@ -341,7 +340,10 @@ def load_checkpoint(path) -> PolicyParams:
     for key in ("dims", "activations", "layers"):
         if key not in payload:
             raise ConfigError(f"checkpoint {path} is missing key '{key}'")
-    dims = payload["dims"]
+    try:
+        dims = [check_count(d, 1, "dims", "entries") for d in payload["dims"]]
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from None
     acts = payload["activations"]
     raw_layers = payload["layers"]
     if len(raw_layers) != len(dims) - 1 or len(acts) != len(dims) - 1:
@@ -350,7 +352,7 @@ def load_checkpoint(path) -> PolicyParams:
     for k, raw in enumerate(raw_layers):
         if not isinstance(raw, dict) or not {"weight", "bias"} <= raw.keys():
             raise ConfigError(f"checkpoint {path}: layer {k} must be an object with 'weight' and 'bias'")
-        out_dim, in_dim = int(dims[k + 1]), int(dims[k])
+        out_dim, in_dim = dims[k + 1], dims[k]
         W = np.asarray(raw["weight"], dtype=np.float64)
         if W.size != out_dim * in_dim:
             raise ConfigError(f"checkpoint {path}: layer {k} weight has {W.size} entries, expected {out_dim * in_dim}")

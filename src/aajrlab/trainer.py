@@ -27,13 +27,15 @@ round is one model stack, trained on batches drawn once per sweep, and its
 models are evaluated as one stack too, from one draw of the evaluation
 sample. The first penalized round trains each seed's lambda = 0 run with
 every search's first two doubling rungs, and a search that is still
-doubling trains the rung after its current one in the same round; a
-speculative rung that its search never reads is dropped. The nominal risk
-reads its first ``eval_samples`` rows of the evaluation draw and the
-achieved levels its first ``achieved_samples`` rows; the achieved levels
-are ``regularizers.constraint_levels``, the measurement the inclusion
-certificate reads. The reported gaps are trained-optimum estimates, not
-exact infima.
+doubling trains the rung after its current one in the same round. Every
+(seed, mode, lambda) run trains once and enters the sweep's one result
+table, which answers a search that asks for a run it holds without a
+round; a speculative rung that its search never reads stays unread there.
+The nominal risk reads its first ``eval_samples`` rows of the evaluation
+draw and the achieved levels its first ``achieved_samples`` rows; the
+achieved levels are ``regularizers.constraint_levels``, the measurement the
+inclusion certificate reads. The reported gaps are trained-optimum
+estimates, not exact infima.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .environments import Environment, check_dims, check_seeds, draws, loss, loss_term
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_count
 from .inner import InnerLoopConfig, PerturbationSet, pga_batch
 from .policy import (
     PolicyParams,
@@ -84,12 +86,9 @@ class TrainConfig:
             raise ConfigError(f"unknown training mode '{self.mode}'", field="mode")
         if not self.outer_lr > 0:
             raise ConfigError("must be > 0", field="outer_lr")
-        if int(self.outer_steps) < 0:
-            raise ConfigError("must be >= 0", field="outer_steps")
-        if int(self.batch_size) < 1:
-            raise ConfigError("must be >= 1", field="batch_size")
-        if int(self.seed) < 0:
-            raise ConfigError("training seed must be >= 0", field="seed")
+        object.__setattr__(self, "outer_steps", check_count(self.outer_steps, 0, "outer_steps"))
+        object.__setattr__(self, "batch_size", check_count(self.batch_size, 1, "batch_size"))
+        object.__setattr__(self, "seed", check_count(self.seed, 0, "seed"))
 
 
 @dataclass(frozen=True)
@@ -264,15 +263,14 @@ def _step_record(step, env, params, S, A, record, sigmas, grads, cfg: TrainConfi
 
 def _eval_draws(env: Environment, n_samples: int, seed: int):
     """The seeded evaluation sample, drawn in full before any evaluation."""
-    if int(n_samples) < 1:
-        raise ConfigError("n_samples must be >= 1")
-    return draws(env, np.random.default_rng([env.seed, int(seed)]), int(n_samples))
+    n = check_count(n_samples, 1, "n_samples")
+    return draws(env, np.random.default_rng([env.seed, check_count(seed, 0, "seed")]), n)
 
 
 def _per_model(params: PolicyParams, *rows):
-    """Rows shared by every model of a stack, repeated as (M, N, ...) rows;
-    one model's rows as they are."""
-    return rows if not params.models else tuple(np.stack([x] * params.models) for x in rows)
+    """Rows shared by every model of a stack, as read-only (M, N, ...) views
+    that repeat them without a copy; one model's rows as they are."""
+    return rows if not params.models else tuple(np.broadcast_to(x, (params.models,) + x.shape) for x in rows)
 
 
 def _models(params: PolicyParams, x):
@@ -302,11 +300,11 @@ def _evaluate(params, env, pset, inner, eval_samples, achieved_samples, seed):
     stacked ascent: the max directional amplification over ascent steps and
     the max spectral norm over every visited state s + delta_t. Returns the
     four result fields per model, in the report's key order."""
-    n_eval, n_achieved = int(eval_samples), int(achieved_samples)
-    S, A = _eval_draws(env, max(n_eval, n_achieved), seed)
-    S_eval, A_eval = _per_model(params, S[:n_eval], A[:n_eval])
+    S, A = _eval_draws(env, max(eval_samples, achieved_samples), seed)
+    S_eval, A_eval = _per_model(params, S[:eval_samples], A[:eval_samples])
     values = _models(params, loss(env, params.handle.forward(S_eval), A_eval))
-    amps, sigmas = constraint_levels(params, *_per_model(params, S[:n_achieved], A[:n_achieved]), env, pset, inner)
+    S_levels, A_levels = _per_model(params, S[:achieved_samples], A[:achieved_samples])
+    amps, sigmas = constraint_levels(params, S_levels, A_levels, env, pset, inner)
     return [
         {
             "nominal_risk": float(np.mean(vals)),
@@ -349,11 +347,9 @@ def check_sweep(
     """The entry checks of ``price_of_robustness``, on its arguments; returns
     the seeds as a list."""
     for name, n in (("eval_samples", eval_samples), ("achieved_samples", achieved_samples)):
-        if int(n) < 1:
-            raise ConfigError("n_samples must be >= 1", field=name)
+        check_count(n, 1, name, "n_samples")
     for name, n in (("eval_seed", eval_seed), ("bisect_iters", bisect_iters), ("max_doublings", max_doublings)):
-        if int(n) < 0:
-            raise ConfigError("must be >= 0", field=name)
+        check_count(n, 0, name)
     if not lambda_init > 0:
         raise ConfigError("must be > 0", field="lambda_init")
     if not 0 < match_tol < 1:
@@ -454,38 +450,43 @@ def price_of_robustness(
 ) -> GapReport:
     """Train all three modes per seed with bisection-matched budgets.
 
-    The nominal runs train in a round of their own. Then each (seed, mode)
-    search is a generator that yields the penalty weights it wants trained
-    in one round and receives their results. The searches advance in
-    lockstep, the global and the directional ones in the same rounds: every
-    round trains the union of the weights that the searches still running
-    ask for as one model stack, and evaluates the runs that did not abort
-    as one stack. Lambda = 0 is a seed's one ``robust_plain`` run, which
-    both of its searches read.
+    Every run of the sweep, a (seed index, mode, lambda) triple, trains
+    once and enters one result table. The nominal runs train in a round of
+    their own. Then each (seed, mode) search is a generator that yields
+    the penalty weights it wants, the one it reads first, and receives
+    that one result. The searches advance in lockstep, the global and the
+    directional ones in the same rounds: every round trains the union of
+    the weights that the searches still running ask for as one model stack,
+    and evaluates the runs that did not abort as one stack. Lambda = 0 is a
+    seed's one ``robust_plain`` run, which both of its searches read.
 
     A search's first round trains lambda = 0 with its first two doubling
     rungs, ``lambda_init`` and ``2 * lambda_init``. While it is still
     doubling, a search trains its current rung with the next one, 2 lambda,
-    if ``max_doublings`` can still reach it, and reads that rung without
-    another round. Those runs are speculative: a search that stops before
-    it reads one (the budget met at lambda = 0 or at the rung below) drops
-    it. A bisection step trains one weight per round. Every model trains
-    and evaluates bit for bit as it would alone, so each search reads
-    exactly the results that one weight per round would give.
+    if ``max_doublings`` can still reach it, and reads that rung from the
+    table without another round. Those runs are speculative: a search that
+    stops before it reads one (the budget met at lambda = 0 or at the rung
+    below) leaves it unread in the table. A bisection step trains one
+    weight per round. Every model trains and evaluates bit for bit as it
+    would alone, so each search reads exactly the results that one weight
+    per round would give.
     """
     seeds = check_sweep(
         seeds, eval_samples, eval_seed, achieved_samples, bisect_iters, match_tol, lambda_init, max_doublings
     )
     gamma = base_cfg.reg.gamma
     run_round = _round_runner(env, base_cfg, seeds, policy_dims, activations, eval_samples, eval_seed, achieved_samples)
+    table = {}  # (seed index, mode, lambda) -> the run's result, None for a run that aborted
 
     def lockstep(searches: dict) -> dict:
         """Drive every (seed index, mode) search to its end; returns what each
-        returned. A round trains the union of the weights that the searches
-        ask for, speculative rungs included, as one stack; a search's
-        lambda = 0 is its seed's ``robust_plain`` run, trained once for both
-        modes. A seed whose global search returns None trains no further
-        AAJR model: its AAJR search is closed."""
+        returned. A search that asks for a run already in the table reads it
+        at once, without a round. A round trains the union of the runs that
+        the searches ask for, speculative rungs included, as one stack, and
+        enters them in the table; a search's lambda = 0 is its seed's
+        ``robust_plain`` run, trained once for both modes. A seed whose
+        global search returns None trains no further AAJR model: its AAJR
+        search is closed."""
 
         def run(key, lam):
             k, mode = key
@@ -496,7 +497,10 @@ def price_of_robustness(
             asked = {}
             for key, reply in replies.items():
                 try:
-                    asked[key] = searches[key].send(reply)
+                    lams = searches[key].send(reply)
+                    while run(key, lams[0]) in table:
+                        lams = searches[key].send(table[run(key, lams[0])])
+                    asked[key] = lams
                 except StopIteration as stop:
                     done[key] = stop.value
             for k, mode in done:
@@ -505,22 +509,14 @@ def price_of_robustness(
                     searches[k, "robust_aajr"].close()
             if not asked:
                 return done
-            results = run_round(list(dict.fromkeys(run(key, lam) for key, lams in asked.items() for lam in lams)))
-            replies = {key: [results[run(key, lam)] for lam in lams] for key, lams in asked.items()}
+            table.update(run_round(list(dict.fromkeys(run(key, lam) for key, lams in asked.items() for lam in lams))))
+            replies = {key: table[run(key, lams[0])] for key, lams in asked.items()}
 
     def match_budget(mode: str):
         """Bisect the penalty weight until the achieved level is near gamma,
         starting from this seed's lambda = 0 run; yields the weights to train
-        in one round, the one it reads next first."""
+        in one round, the one it reads next first, and receives its result."""
         lo_band, hi_band = (1.0 - match_tol) * gamma, (1.0 + match_tol) * gamma
-        known = {}
-
-        def result(lam, *speculative):
-            """The result at ``lam``, trained in one round with the speculative
-            weights unless an earlier round trained it."""
-            if lam not in known:
-                known.update(zip((lam, *speculative), (yield (lam, *speculative))))
-            return known[lam]
 
         def next_rung(doublings: int, lam: float) -> tuple:
             """The rung after ``lam``, the rung of ``doublings`` doublings, if
@@ -528,17 +524,17 @@ def price_of_robustness(
             return (lam * 2.0,) if doublings < max_doublings else ()
 
         lo_lam, hi_lam = 0.0, lambda_init
-        unpenalized = yield from result(0.0, hi_lam, *next_rung(0, hi_lam))
+        unpenalized = yield (0.0, hi_lam, *next_rung(0, hi_lam))
         if unpenalized is None:
             return None
         if _achieved_level(mode, unpenalized) <= hi_band:
             return dict(unpenalized, mode=mode)  # budget not binding (or already matched) at lambda = 0
-        hi_result = yield from result(hi_lam)
+        hi_result = yield (hi_lam,)
         for doubling in range(max_doublings):
             if hi_result is None or _achieved_level(mode, hi_result) <= hi_band:
                 break
             lo_lam, hi_lam = hi_lam, hi_lam * 2.0
-            hi_result = yield from result(hi_lam, *next_rung(doubling + 1, hi_lam))
+            hi_result = yield (hi_lam, *next_rung(doubling + 1, hi_lam))
         if hi_result is None:
             return None
         best, best_err = hi_result, abs(_achieved_level(mode, hi_result) - gamma)
@@ -546,7 +542,7 @@ def price_of_robustness(
             if lo_band <= _achieved_level(mode, best) <= hi_band:
                 return best
             mid = 0.5 * (lo_lam + hi_lam)
-            mid_result = yield from result(mid)
+            mid_result = yield (mid,)
             if mid_result is None:
                 return best
             level = _achieved_level(mode, mid_result)
@@ -555,7 +551,8 @@ def price_of_robustness(
                 best, best_err = mid_result, abs(level - gamma)
         return best
 
-    nominal = list(run_round([(k, "nominal", 0.0) for k in range(len(seeds))]).values())
+    table.update(run_round([(k, "nominal", 0.0) for k in range(len(seeds))]))
+    nominal = [table[k, "nominal", 0.0] for k in range(len(seeds))]
     kept = [k for k in range(len(seeds)) if nominal[k] is not None]
     searches = {(k, mode): match_budget(mode) for k in kept for mode in PENALIZED}
     return _gap_report(gamma, seeds, nominal, lockstep(searches))

@@ -33,13 +33,12 @@ and ``class_witness`` is the one-map case of the stacked witness.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .environments import Environment, check_dims, check_seeds, loss, loss_hessian, loss_hessian_bound, sample
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run
 from .policy import Layer, PolicyParams, forward, init_policy, jvp, stack_policies
 from .regularizers import RegularizerConfig, constraint_levels
@@ -122,9 +121,7 @@ def _segment_scan(params: PolicyParams, env: Environment, S, A, record: Ascent, 
     unit placeholder direction, and its points are masked out by
     ``record.moved``.
     """
-    if int(grid) < 1:
-        raise ConfigError("segment grid must be >= 1")
-    g, d = int(grid), S.shape[-1]
+    g, d = check_count(grid, 1, "grid"), S.shape[-1]
     tau = np.arange(1, g + 1) / (g + 1)
     shape = record.moved.shape + (g, d)
     delta = (1.0 - tau[:, None]) * record.deltas[..., :-1, None, :] + tau[:, None] * record.deltas[..., 1:, None, :]
@@ -373,17 +370,16 @@ def check_inclusion(
     """A global budget that holds on every visited state must bound every
     directional amplification. Reported as skipped when the budget itself
     is violated."""
-    if int(n_samples) < 1:
-        raise ConfigError("must be >= 1", field="n_samples")
+    n_samples, seed = check_count(n_samples, 1, "n_samples"), check_count(seed, 0, "seed")
     check_dims(env, params.dims(), pset)
     return _inclusion(params, env, pset, inner, gamma, n_samples, [seed])[0]
 
 
-def _inclusion(params, env, pset, inner, gamma, n_samples, seeds) -> list[InclusionReport]:
-    """``check_inclusion`` for each model of a stack, model i on the samples
-    drawn from seeds[i], seeds[i] + 1, ...: one ascent and one constraint
-    measurement over every model's samples."""
-    n, m = int(n_samples), len(seeds)
+def _inclusion(params, env, pset, inner, gamma, n, seeds) -> list[InclusionReport]:
+    """``check_inclusion`` for each model of a stack, model i on the ``n``
+    samples drawn from seeds[i], seeds[i] + 1, ...: one ascent and one
+    constraint measurement over every model's samples."""
+    m = len(seeds)
     S, A = (np.array(x).reshape(m, n, -1) for x in zip(*(sample(env, seed + k) for seed in seeds for k in range(n))))
     amps, sigmas = constraint_levels(params, _stacked(params, S), _stacked(params, A), env, pset, inner)
     reports = []
@@ -474,9 +470,7 @@ def _class_witnesses(specs, directions, e2e_seed) -> list[WitnessReport]:
     state and inner config. The directions and the seed are checked once;
     the maps run as one model stack, with one product with the directions,
     one SVD of the (M, d, d) maps and one ascent over one row per map."""
-    if not (isinstance(e2e_seed, numbers.Integral) and e2e_seed >= 0):
-        raise ConfigError(f"witness e2e_seed must be an integer >= 0, got {e2e_seed!r}")
-    seed = int(e2e_seed)
+    seed = check_count(e2e_seed, 0, what="witness e2e_seed")
     gamma, P, d, m = specs[0].gamma, specs[0].projector(), specs[0].dim, len(specs)
     U = [np.asarray(u, dtype=np.float64) for u in directions]
     for u in U:
@@ -529,16 +523,17 @@ def _class_witnesses(specs, directions, e2e_seed) -> list[WitnessReport]:
 
 def random_orthonormal_basis(dim: int, k: int, seed: int = 0) -> Array:
     """Seeded orthonormal (dim, k) basis via QR of a Gaussian draw."""
-    if not 1 <= k < dim:
-        raise ConfigError(f"subspace dimension must satisfy 1 <= k < {dim}")
-    rng = np.random.default_rng(seed)
+    k = check_count(k, 1, "k")
+    dim = check_count(dim, k + 1, "dim")
+    rng = np.random.default_rng(check_count(seed, 0, "seed"))
     q, _ = np.linalg.qr(rng.standard_normal((dim, k)))
     return q[:, :k]
 
 
 def subspace_directions(basis: Array, count: int, seed: int = 0) -> list[Array]:
     """Seeded unit vectors inside the span of an orthonormal basis."""
-    rng = np.random.default_rng(seed)
+    count = check_count(count, 0, "count")
+    rng = np.random.default_rng(check_count(seed, 0, "seed"))
     out = []
     for _ in range(count):
         coeff = rng.standard_normal(basis.shape[1])
@@ -554,15 +549,12 @@ def check_verify(seeds, grid=5, tol_curv_scale=1e-4, n_samples=10, eta_safety=0.
     """The entry checks of ``verify_suite``, on its arguments; returns the
     seeds as a list."""
     for name, n in (("grid", grid), ("n_samples", n_samples)):
-        if int(n) < 1:
-            raise ConfigError("must be >= 1", field=name)
+        check_count(n, 1, name)
     if not 0 < eta_safety <= 1:
         raise ConfigError("must be in (0, 1]", field="eta_safety")
     if not tol_curv_scale > 0:
         raise ConfigError("must be > 0", field="tol_curv_scale")
-    if any(int(d) < 2 for d in witness_dims):
-        raise ConfigError("entries must be >= 2", field="witness_dims")
-    if any(int(d) > MAX_WITNESS_DIM for d in witness_dims):
+    if any(check_count(d, 2, "witness_dims", "entries") > MAX_WITNESS_DIM for d in witness_dims):
         raise ConfigError(f"entries must be <= {MAX_WITNESS_DIM}", field="witness_dims")
     return check_seeds(seeds)
 
@@ -631,8 +623,8 @@ def verify_suite(
 
     witness_gamma = 1.0
     for d in witness_dims:
-        for k in range(1, int(d)):
-            basis = random_orthonormal_basis(int(d), k, seed=int(d) * 100 + k)
+        for k in range(1, d):
+            basis = random_orthonormal_basis(d, k, seed=d * 100 + k)
             directions = subspace_directions(basis, 3, seed=k)
             specs = [WitnessSpec(witness_gamma, factor * witness_gamma, basis) for factor in (2.0, 10.0)]
             for rep in _class_witnesses(specs, directions, k):
