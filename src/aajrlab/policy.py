@@ -11,9 +11,9 @@ transpose applied to the cotangent. Public functions validate a state or a
 stack once per call; internal paths call the recursion directly.
 
 A model stack keeps M policies of one shape as one: weights (M, out, in),
-biases (M, out) and states (M, B, d). Every model's rows go through the
-same calls as a single model's, so a model never depends on the models
-stacked with it.
+biases (M, out) and states (M, B, d), M = 1 included. A lone policy has no
+model axis. Every model's rows go through the same calls as a lone
+policy's, so a model never depends on the models stacked with it.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class PolicyParams:
 
     @property
     def models(self) -> int:
-        """M for a stack of M models; 0 for a single model."""
+        """M for a stack of M models; 0 for a lone policy."""
         W = self.layers[0].weight
         return W.shape[0] if W.ndim == 3 else 0
 
@@ -99,10 +99,8 @@ class PolicyParams:
 
 
 def stack_policies(members) -> PolicyParams:
-    """One model stack from policies of one shape, in order; a stack of one
-    is that policy itself, which runs without the model axis."""
-    if len(members) == 1:
-        return members[0]
+    """One model stack from policies of one shape, in order; the stack always
+    has its model axis, so a stack of one has ``models == 1``."""
     layers = [m.layers for m in members]
     return PolicyParams(
         tuple(
@@ -113,7 +111,7 @@ def stack_policies(members) -> PolicyParams:
 
 
 def unstack_policies(params: PolicyParams) -> list[PolicyParams]:
-    """The models of a stack, in order; a single policy is a stack of one."""
+    """The models of a stack, in order, as lone policies; a lone policy is its own one model."""
     if not params.models:
         return [params]
     return [
@@ -310,11 +308,12 @@ def apply_gradient_step(params: PolicyParams, grads, lr: float) -> PolicyParams:
     return PolicyParams(tuple(layers))
 
 
-def gradient_norm(grads) -> float:
+def gradient_norm(grads):
+    """The l2 norm of a gradient; one norm per model of a stack."""
     total = 0.0
     for dW, db in grads:
-        total += float(np.sum(dW * dW)) + float(np.sum(db * db))
-    return float(np.sqrt(total))
+        total += np.sum(dW * dW, axis=(-2, -1)) + np.sum(db * db, axis=-1)
+    return np.sqrt(total)
 
 
 # -- checkpoint format ------------------------------------------------------

@@ -109,12 +109,12 @@ def global_term(handle: PolicyHandle, states, v_hat, cfg: RegularizerConfig):
     return _hinge_sq(handle.jvp(states, v_hat), cfg.gamma)
 
 
-def global_penalty(params: PolicyParams, states, cfg: RegularizerConfig, sigmas=None) -> float:
-    """Mean over states of max(0, ||J(s)||_2 - gamma)^2; ``sigmas``, if
-    given, are those spectral norms already taken by ``top_singular``."""
+def global_penalty(params: PolicyParams, states, cfg: RegularizerConfig, sigmas=None):
+    """Mean over states of max(0, ||J(s)||_2 - gamma)^2, one per model of a
+    stack; ``sigmas``, if given, are the norms ``top_singular`` already took."""
     if sigmas is None:
         states = np.asarray(list(states), dtype=np.float64)
         if not len(states):
             raise ConfigError("global penalty needs at least one state")
         sigmas = spectral_norm(params, states)
-    return float(np.mean(np.maximum(sigmas - cfg.gamma, 0.0) ** 2))
+    return np.mean(np.maximum(sigmas - cfg.gamma, 0.0) ** 2, axis=-1)

@@ -12,9 +12,10 @@ per step, and only when a global hinge or the diagnostics read them. In
 robust modes the diagnostics read the ascent's own losses instead of
 evaluating the policy again. The loop runs a stack of M models that differ
 only in seed, penalty weight and initial parameters in lockstep, as
-(M, B, d) rows; ``train`` is its one-model case. The robust modes share a
-stack at any penalty weight, zero included; nominal models stack only with
-nominal models.
+(M, B, d) rows, and the diagnostics read the whole stack at once. ``train``
+is its one-model case, the one model that runs without the model axis. The
+robust modes share a stack at any penalty weight, zero included; nominal
+models stack only with nominal models.
 
 The sweep trains nominal, globally-penalized, and directionally-penalized
 models at matched budgets: the penalty weight for each penalized mode is
@@ -54,6 +55,7 @@ from .policy import (
     gradient_norm,
     init_policy,
     param_gradient,
+    policy_spec,
     stack_policies,
     unstack_policies,
 )
@@ -120,15 +122,15 @@ class RunMetrics:
         return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
-def _objective_builder(env, S, A, record, cfgs, params: PolicyParams, v_hat):
+def _objective_builder(env, S, A, record, cfgs, v_hat):
     """The stack's objective, one value per model. Each penalty enters with
     a per-model weight, the model's lambda under its own mode's penalty and
     0 under the other's, and a penalty no model uses is not built. A masked
-    penalty adds exact zeros to its model's value and gradient. One model's
-    objective and weights are scalars."""
+    penalty adds exact zeros to its model's value and gradient. The weights
+    take the leading shape of the states: a lone model's are scalars."""
     X = S if record is None else S + record.deltas[..., -1, :]
     weights = {mode: [c.reg.lam * (c.mode == mode) for c in cfgs] for mode in PENALIZED}
-    lam = {mode: np.array(w) if params.models else w[0] for mode, w in weights.items() if any(w)}
+    lam = {mode: np.reshape(w, S.shape[:-2]) for mode, w in weights.items() if any(w)}
     reg = cfgs[0].reg
 
     def build(handle):
@@ -147,24 +149,19 @@ def _training_batch(env: Environment, seed: int, step: int, size: int):
     return draws(env, np.random.default_rng([env.seed, seed, step]), size)
 
 
-def _outer_step(cfgs, env: Environment, params: PolicyParams, step: int, batches, diagnostics: bool):
-    """One outer step of every model of a stack on its (states, peers)
-    batch, one per model; returns the updated stack and, with diagnostics,
-    one record per model. The SVD is taken only for a global hinge or for
-    the diagnostics, the two readers of it."""
-    cfg, stacked = cfgs[0], params.models > 0
-    S, A = (np.stack(rows) if stacked else rows[0] for rows in zip(*batches))
+def _outer_step(cfgs, env: Environment, params: PolicyParams, step: int, S, A, diagnostics: bool):
+    """One outer step of every model of a stack on its states S and peer
+    contexts A, shaped as the stack takes them; returns the updated stack
+    and, with diagnostics, one record per model. The SVD is taken only for
+    a global hinge or for the diagnostics, the two readers of it."""
+    cfg = cfgs[0]
     record = pga_batch(params, S, A, env, cfg.pset, cfg.inner) if cfg.mode != "nominal" else None
     hinged = any(c.mode == "robust_global" and c.reg.lam for c in cfgs)
     sigmas, v_hat = top_singular(params, S) if hinged or diagnostics else (None, None)
-    _, grads = param_gradient(params, _objective_builder(env, S, A, record, cfgs, params, v_hat))
+    _, grads = param_gradient(params, _objective_builder(env, S, A, record, cfgs, v_hat))
     records = [None] * len(cfgs)
     if diagnostics:
-        models = [(S, A, record, sigmas, grads)]
-        if stacked:
-            models = [(S[i], A[i], record and record[i], sigmas[i], [(w[i], b[i]) for w, b in grads])
-                      for i in range(len(cfgs))]
-        records = [_step_record(step, env, p, *model, c) for p, model, c in zip(unstack_policies(params), models, cfgs)]
+        records = _step_records(step, env, params, S, A, record, sigmas, grads, cfg.reg)
     return apply_gradient_step(params, grads, cfg.outer_lr), records
 
 
@@ -197,7 +194,8 @@ def _train_stack(cfgs, env: Environment, params0s, diagnostics: bool = True, bat
             "stacked models must share every setting but seed, lambda and the robust mode;"
             " nominal models share a stack only with nominal models"
         )
-    params = stack_policies(params0s)
+    # train's one model runs without the model axis: as a stack of one it costs about 10 % more CPU
+    params = params0s[0] if len(cfgs) == 1 else stack_policies(params0s)
     check_dims(env, params.dims(), cfgs[0].pset)
     final, metrics, live = list(params0s), [RunMetrics() for _ in cfgs], list(range(len(cfgs)))
     for step in range(cfgs[0].outer_steps):
@@ -205,13 +203,14 @@ def _train_stack(cfgs, env: Environment, params0s, diagnostics: bool = True, bat
             i: batches[cfgs[i].seed, step] if batches else _training_batch(env, cfgs[i].seed, step, cfgs[i].batch_size)
             for i in live
         }
+        S, A = (np.stack(rows) if params.models else rows[0] for rows in zip(*batch.values()))
         try:
-            params, records = _outer_step([cfgs[i] for i in live], env, params, step, list(batch.values()), diagnostics)
+            params, records = _outer_step([cfgs[i] for i in live], env, params, step, S, A, diagnostics)
         except NumericError:
             alone = {}
             for i, member in zip(live, unstack_policies(params)):
                 try:
-                    alone[i] = _outer_step([cfgs[i]], env, member, step, [batch[i]], diagnostics)
+                    alone[i] = _outer_step([cfgs[i]], env, member, step, *batch[i], diagnostics)
                 except NumericError:
                     final[i], metrics[i].aborted_step = member, step
             live = list(alone)
@@ -241,24 +240,26 @@ def train(cfg: TrainConfig, env: Environment, params0: PolicyParams, *, diagnost
     return _train_stack([cfg], env, [params0], diagnostics)[0]
 
 
-def _step_record(step, env, params, S, A, record, sigmas, grads, cfg: TrainConfig) -> StepRecord:
-    """Per-step diagnostics of one model, each computed once for the whole
-    batch; the spectral norms are those of the objective's global hinge,
-    and in robust modes the losses are the ascent's own values at delta_0 = 0
-    and at its last iterate."""
+def _step_records(step, env, params, S, A, record, sigmas, grads, reg: RegularizerConfig) -> list[StepRecord]:
+    """Per-step diagnostics, one record per model of a stack: each column is
+    computed once for the whole stack. The spectral norms are those of the
+    objective's global hinge, and in robust modes the losses are the ascent's
+    own values at delta_0 = 0 and at its last iterate."""
     robust = record is not None
-    values = record.values[:, 0] if robust else loss(env, params.handle.forward(S), A)
-    nominal_loss = float(np.mean(values))
-    return StepRecord(
-        step=step,
-        robust_loss=float(np.mean(record.values[:, -1])) if robust else nominal_loss,
-        nominal_loss=nominal_loss,
-        aajr_penalty=float(aajr_batch_term(params.handle, S, record, cfg.reg)) if robust else 0.0,
-        global_penalty=global_penalty(params, S, cfg.reg, sigmas=sigmas),
-        max_dir_amp=float(np.max(record.amps, initial=0.0)) if robust else 0.0,
-        mean_spectral=float(np.mean(sigmas)),
-        grad_norm=gradient_norm(grads),
+    nominal_loss = np.mean(record.values[..., 0] if robust else loss(env, params.handle.forward(S), A), axis=-1)
+    columns = (
+        np.mean(record.values[..., -1], axis=-1) if robust else nominal_loss,
+        nominal_loss,
+        aajr_batch_term(params.handle, S, record, reg) if robust else 0.0,
+        global_penalty(params, S, reg, sigmas=sigmas),
+        np.max(record.amps, axis=(-2, -1), initial=0.0) if robust else 0.0,
+        np.mean(sigmas, axis=-1),
+        gradient_norm(grads),
     )
+    table = np.empty(S.shape[:-2] + (len(columns),))  # one row per model; one row for a lone model
+    for k, column in enumerate(columns):
+        table[..., k] = column
+    return [StepRecord(step, *row) for row in table.reshape(-1, len(columns)).tolist()]
 
 
 def _eval_draws(env: Environment, n_samples: int, seed: int):
@@ -268,14 +269,8 @@ def _eval_draws(env: Environment, n_samples: int, seed: int):
 
 
 def _per_model(params: PolicyParams, *rows):
-    """Rows shared by every model of a stack, as read-only (M, N, ...) views
-    that repeat them without a copy; one model's rows as they are."""
-    return rows if not params.models else tuple(np.broadcast_to(x, (params.models,) + x.shape) for x in rows)
-
-
-def _models(params: PolicyParams, x):
-    """The per-model slices of a stacked result; one model's result alone."""
-    return list(x) if params.models else [x]
+    """Rows shared by every model of a stack, as read-only (M, N, ...) views that repeat them without a copy."""
+    return tuple(np.broadcast_to(x, (params.models,) + x.shape) for x in rows)
 
 
 def evaluate_robust_risk(
@@ -302,7 +297,7 @@ def _evaluate(params, env, pset, inner, eval_samples, achieved_samples, seed):
     four result fields per model, in the report's key order."""
     S, A = _eval_draws(env, max(eval_samples, achieved_samples), seed)
     S_eval, A_eval = _per_model(params, S[:eval_samples], A[:eval_samples])
-    values = _models(params, loss(env, params.handle.forward(S_eval), A_eval))
+    values = loss(env, params.handle.forward(S_eval), A_eval)
     S_levels, A_levels = _per_model(params, S[:achieved_samples], A[:achieved_samples])
     amps, sigmas = constraint_levels(params, S_levels, A_levels, env, pset, inner)
     return [
@@ -312,7 +307,7 @@ def _evaluate(params, env, pset, inner, eval_samples, achieved_samples, seed):
             "achieved_dir_amp": float(np.max(amp, initial=0.0)),
             "achieved_spectral": max(0.0, float(np.max(sigma))),
         }
-        for vals, amp, sigma in zip(values, _models(params, amps), _models(params, sigmas))
+        for vals, amp, sigma in zip(values, amps, sigmas)
     ]
 
 
@@ -474,6 +469,7 @@ def price_of_robustness(
     seeds = check_sweep(
         seeds, eval_samples, eval_seed, achieved_samples, bisect_iters, match_tol, lambda_init, max_doublings
     )
+    check_dims(env, policy_spec(policy_dims, activations)[0], base_cfg.pset)
     gamma = base_cfg.reg.gamma
     run_round = _round_runner(env, base_cfg, seeds, policy_dims, activations, eval_samples, eval_seed, achieved_samples)
     table = {}  # (seed index, mode, lambda) -> the run's result, None for a run that aborted

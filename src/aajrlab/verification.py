@@ -26,8 +26,9 @@ The suite checks every seed's policy in one model stack: one projected
 gradient ascent gives each seed's smoothness report and the ``Ascent`` row
 its stability inequalities read, in array passes over all seeds; a seed's
 own ascent runs only in a round that shrinks eta, and one more stacked
-ascent gives the inclusion levels. The public checks run this code on one row,
-and ``class_witness`` is the one-map case of the stacked witness.
+ascent gives the inclusion levels. ``check_inclusion`` runs its policy as a
+stack of one, and ``class_witness`` is the one-map case of the stacked witness;
+the other public checks run the scan on one row of a lone policy.
 """
 
 from __future__ import annotations
@@ -98,12 +99,6 @@ class SegmentPoint:
 def _dots(x, y):
     """Dot product of each row pair, with the arithmetic of ``x_i @ y_i``."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def _stacked(params: PolicyParams, rows):
-    """(M, ...) rows, one per model of a stack, as the stack takes them;
-    a single policy takes its one model's rows without the model axis."""
-    return rows if params.models else rows[0]
 
 
 def _one_row(sample_pair):
@@ -195,8 +190,18 @@ def _smoothness(params, env, S, A, record: Ascent, inner, grid=5, tol_scale=1e-4
     return reports
 
 
+def _check_one_sample(params, env, pset, grid=5, tol_scale=1e-4, h=None) -> int:
+    """The entry checks of the one-sample checks, before their ascent; returns ``grid``."""
+    if not tol_scale > 0:
+        raise ConfigError("must be > 0", field="tol_scale")
+    if h is not None and not h > 0:
+        raise ConfigError("must be None or > 0", field="h")
+    check_dims(env, params.dims(), pset)
+    return check_count(grid, 1, "grid")
+
+
 def _one_sample(params, env, sample_pair, pset, inner, grid=5, tol_scale=1e-4, h=None) -> SmoothnessReport:
-    """``check_effective_smoothness`` without its entry check."""
+    """``check_effective_smoothness`` without its entry checks."""
     record = pga_run(params, *sample_pair, env, pset, inner)
     return _smoothness(params, env, *_one_row(sample_pair), record[None], inner, grid, tol_scale, h)[0]
 
@@ -218,7 +223,7 @@ def check_effective_smoothness(
     Runs the ascent once; the report keeps that record and ``inner`` so
     the step-size and stability checks can reuse them.
     """
-    check_dims(env, params.dims(), pset)
+    grid = _check_one_sample(params, env, pset, grid, tol_scale, h)
     return _one_sample(params, env, sample_pair, pset, inner, grid, tol_scale, h)
 
 
@@ -247,7 +252,7 @@ def stable_step_size(
     """
     if not 0 < safety <= 1:
         raise ConfigError("safety factor must be in (0, 1]")
-    check_dims(env, params.dims(), pset)
+    grid = _check_one_sample(params, env, pset, grid)
     cfg = inner
     smooth = _measured_at(smoothness, cfg) if smoothness else _one_sample(params, env, sample_pair, pset, cfg, grid)
     for _ in range(8):
@@ -293,7 +298,7 @@ def check_pga_stability(
     measured here, from one ascent.
     """
     if smoothness is None:
-        check_dims(env, params.dims(), pset)
+        grid = _check_one_sample(params, env, pset, grid)
         smoothness = _one_sample(params, env, sample_pair, pset, inner, grid)
     return _stability(pset, [_measured_at(smoothness, inner)])[0]
 
@@ -372,7 +377,7 @@ def check_inclusion(
     is violated."""
     n_samples, seed = check_count(n_samples, 1, "n_samples"), check_count(seed, 0, "seed")
     check_dims(env, params.dims(), pset)
-    return _inclusion(params, env, pset, inner, gamma, n_samples, [seed])[0]
+    return _inclusion(stack_policies([params]), env, pset, inner, gamma, n_samples, [seed])[0]
 
 
 def _inclusion(params, env, pset, inner, gamma, n, seeds) -> list[InclusionReport]:
@@ -381,9 +386,9 @@ def _inclusion(params, env, pset, inner, gamma, n, seeds) -> list[InclusionRepor
     constraint measurement over every model's samples."""
     m = len(seeds)
     S, A = (np.array(x).reshape(m, n, -1) for x in zip(*(sample(env, seed + k) for seed in seeds for k in range(n))))
-    amps, sigmas = constraint_levels(params, _stacked(params, S), _stacked(params, A), env, pset, inner)
+    amps, sigmas = constraint_levels(params, S, A, env, pset, inner)
     reports = []
-    for amp, sigma in zip(amps.reshape((m,) + amps.shape[-2:]), sigmas.reshape((m,) + sigmas.shape[-2:])):
+    for amp, sigma in zip(amps, sigmas):
         sup_proxy = float(np.max(sigma))
         violations = [
             {"sample": int(k), "step": int(t), "dir_amp": float(amp[k, t])}
@@ -483,7 +488,7 @@ def _class_witnesses(specs, directions, e2e_seed) -> list[WitnessReport]:
     if np.any(np.sqrt(_dots(off, off)) > 1e-9):
         raise ConfigError("directions must lie in the witness subspace")
     params = stack_policies([witness_policy(spec) for spec in specs])
-    W = params.layers[0].weight.reshape(m, d, d)
+    W = params.layers[0].weight
     amps = matvec(W, np.broadcast_to(U, (m,) + U.shape))
     max_amps = np.max(np.sqrt(_dots(amps, amps)), axis=-1, initial=0.0)
     sigmas = np.linalg.svd(W)[1][:, 0]
@@ -491,8 +496,7 @@ def _class_witnesses(specs, directions, e2e_seed) -> list[WitnessReport]:
     env = Environment(kind="quadratic_congestion", c=c, A=np.zeros((d, d)), state_dim=d, projector=P)
     pset = PerturbationSet(p=2.0, epsilon=0.5, dim=d)
     inner = InnerLoopConfig(eta=0.5 / max(1.0, gamma**2), steps=4)
-    S, A = (_stacked(params, np.broadcast_to(x, (m, 1, d))) for x in sample(env, seed))
-    record = pga_batch(params, S, A, env, pset, inner)
+    record = pga_batch(params, *(np.broadcast_to(x, (m, 1, d)) for x in sample(env, seed)), env, pset, inner)
     off = record.ascent - matvec(P, record.ascent)
     max_offs = np.max(np.sqrt(_dots(off, off)).reshape(m, -1), axis=-1, initial=0.0)
     directional = np.all(record.amps.reshape(m, -1) <= gamma + DIRECTIONAL_TOL, axis=-1)
@@ -599,7 +603,7 @@ def verify_suite(
     members = [init_policy(policy_dims, activations, seed=seed) for seed in seeds]
     stack = stack_policies(members)
     pairs = [sample(env, seed) for seed in seeds]
-    S, A = (_stacked(stack, np.array(x)[:, None]) for x in zip(*pairs))
+    S, A = (np.array(x)[:, None] for x in zip(*pairs))
     # the inclusion ascent, the largest, runs first, while no other report is held
     inclusions = _inclusion(stack, env, pset, inner, reg.gamma, n_samples, [seed * 1000 for seed in seeds])
     smooths = _smoothness(stack, env, S, A, pga_batch(stack, S, A, env, pset, inner), inner, grid, tol_curv_scale)

@@ -5,7 +5,9 @@ so it is independent of the library's forward-mode layer recursion, from
 which ``jacobian``, ``jvp`` and ``vjp`` all come. ``repeat_tile_jacobian``
 is the earlier, bit-exact construction of ``jacobian`` from plain ``jvp``
 calls. ``nominal_risks`` and ``achieved_levels`` are the sweep's earlier
-evaluation route, one evaluation draw per quantity. ``sweep_one_rung_per_round``
+evaluation route, one evaluation draw per quantity, with each model of a
+stack evaluated alone through the public ``forward``, ``loss`` and
+``constraint_levels``. ``sweep_one_rung_per_round``
 is the sweep's earlier lockstep, one penalty weight per search and round.
 """
 
@@ -14,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from aajrlab import trainer
-from aajrlab.environments import loss
-from aajrlab.policy import Layer, PolicyParams, jvp
+from aajrlab.environments import draws, loss
+from aajrlab.policy import Layer, PolicyParams, forward, jvp, unstack_policies
 from aajrlab.regularizers import constraint_levels
 
 
@@ -45,12 +47,18 @@ def repeat_tile_jacobian(params: PolicyParams, s) -> np.ndarray:
     return np.swapaxes(t.reshape(s.shape[:-1] + (n, -1)), -1, -2)
 
 
+def eval_draw(env, n_samples, seed):
+    """The sweep's seeded ``n_samples``-row evaluation draw."""
+    return draws(env, np.random.default_rng([env.seed, seed]), n_samples)
+
+
 def nominal_risks(params: PolicyParams, env, n_samples, seed):
     """(mean, se) of the nominal loss over an ``n_samples``-row evaluation
-    draw, per model of a stack."""
-    S, A = trainer._per_model(params, *trainer._eval_draws(env, n_samples, seed))
+    draw, per model of a stack, or of a lone policy."""
+    S, A = eval_draw(env, n_samples, seed)
     pairs = []
-    for vals in trainer._models(params, loss(env, params.handle.forward(S), A)):
+    for model in unstack_policies(params):
+        vals = loss(env, forward(model, S), A)
         se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
         pairs.append((float(np.mean(vals)), se))
     return pairs
@@ -58,13 +66,14 @@ def nominal_risks(params: PolicyParams, env, n_samples, seed):
 
 def achieved_levels(params: PolicyParams, env, pset, inner, n_samples, seed):
     """(max directional amplification, max spectral norm) of one ascent
-    over an ``n_samples``-row evaluation draw, per model of a stack."""
-    S, A = trainer._per_model(params, *trainer._eval_draws(env, n_samples, seed))
-    amps, sigmas = constraint_levels(params, S, A, env, pset, inner)
-    return [
-        (float(np.max(a, initial=0.0)), max(0.0, float(np.max(s))))
-        for a, s in zip(trainer._models(params, amps), trainer._models(params, sigmas))
-    ]
+    over an ``n_samples``-row evaluation draw, per model of a stack, or of
+    a lone policy."""
+    S, A = eval_draw(env, n_samples, seed)
+    levels = []
+    for model in unstack_policies(params):
+        amps, sigmas = constraint_levels(model, S, A, env, pset, inner)
+        levels.append((float(np.max(amps, initial=0.0)), max(0.0, float(np.max(sigmas)))))
+    return levels
 
 
 def sweep_one_rung_per_round(

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from aajrlab.environments import Environment, draws
 from aajrlab.errors import ConfigError, NumericError
+from aajrlab.inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch
 from aajrlab.policy import (
     Layer,
     PolicyParams,
@@ -20,6 +23,7 @@ from aajrlab.policy import (
     load_checkpoint,
     param_gradient,
     save_checkpoint,
+    stack_policies,
     vjp,
 )
 from aajrlab.tape import Node, backward, dot, vsum
@@ -357,3 +361,29 @@ def test_batched_policy_calls_equal_single_state_calls():
         assert np.array_equal(G[i], vjp(p, S[i], W[i]))
     with pytest.raises(ConfigError):
         jvp(p, S, V[:3])
+
+
+def test_stack_of_one_keeps_the_model_axis_and_computes_as_its_policy():
+    rng = np.random.default_rng(29)
+    p = init_policy([4, 8, 4], seed=29)
+    stack = stack_policies([p])
+    assert stack.models == 1 and p.models == 0
+    env = Environment(kind="quadratic_congestion", c=np.linspace(-0.3, 0.5, 4), A=0.3 * np.eye(4), state_dim=4)
+    S, A = draws(env, rng, 5)
+    V, W = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+    for call, args in ((forward, (S,)), (jvp, (S, V)), (vjp, (S, W))):
+        assert np.array_equal(call(stack, *(x[None] for x in args)), call(p, *args)[None])
+    pset, inner = PerturbationSet(p=2, epsilon=0.3, dim=4), InnerLoopConfig(eta=0.4, steps=3)
+    stacked, alone = pga_batch(stack, S[None], A[None], env, pset, inner), pga_batch(p, S, A, env, pset, inner)
+    for f in fields(Ascent):
+        assert np.array_equal(getattr(stacked, f.name), getattr(alone, f.name)[None])
+
+    def objective(X, V):
+        """One value per model: the squared actions plus the squared jvp along V."""
+        return lambda h: dot(h.forward(X), h.forward(X), (-2, -1)) + dot(h.jvp(X, V), h.jvp(X, V), (-2, -1))
+
+    value, grads = param_gradient(stack, objective(S[None], V[None]))
+    value_alone, grads_alone = param_gradient(p, objective(S, V))
+    assert value == value_alone
+    for (dW, db), (dW_alone, db_alone) in zip(grads, grads_alone):
+        assert np.array_equal(dW, dW_alone[None]) and np.array_equal(db, db_alone[None])

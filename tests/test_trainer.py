@@ -443,7 +443,7 @@ def test_price_of_robustness_never_builds_step_records(monkeypatch):
     def no_records(*args, **kwargs):
         raise AssertionError("step record built inside the sweep")
 
-    monkeypatch.setattr(trainer, "_step_record", no_records)
+    monkeypatch.setattr(trainer, "_step_records", no_records)
     assert price_of_robustness(env, cfg, **kwargs).to_json() == expected
 
 
@@ -758,8 +758,10 @@ def test_stacked_evaluation_equals_evaluating_each_model_alone():
     evaluations = trainer._evaluate(stack_policies(members), env, cfg.pset, cfg.inner, 16, 3, seed=4)
     assert len(evaluations) == len(members)
     for params, evaluation in zip(members, evaluations):
-        assert evaluation == trainer._evaluate(params, env, cfg.pset, cfg.inner, 16, 3, seed=4)[0]
+        assert evaluation == trainer._evaluate(stack_policies([params]), env, cfg.pset, cfg.inner, 16, 3, seed=4)[0]
         assert evaluation["nominal_risk_se"] > 0.0
+        (risk,), (level,) = nominal_risks(params, env, 16, 4), achieved_levels(params, env, cfg.pset, cfg.inner, 3, 4)
+        assert tuple(evaluation.values()) == (*risk, *level)
 
 
 @pytest.mark.parametrize("env", [mirror_env(), quad_env([0.3, -0.2, 0.5, 0.1], A=0.5 * np.eye(4), seed=2)])
@@ -769,7 +771,7 @@ def test_one_evaluation_draw_equals_one_draw_per_quantity(env, stacked, eval_sam
     # draws fills its rows in order, so the first n rows of the shared draw are an n-row draw
     cfg = mirror_cfg("robust_aajr", batch=2)
     members = [init_policy([4, 6, 4], seed=s) for s in (3, 0, 7)]
-    params = stack_policies(members) if stacked else members[0]
+    params = stack_policies(members if stacked else members[:1])
     got = trainer._evaluate(params, env, cfg.pset, cfg.inner, eval_samples, achieved_samples, seed=4)
     risks = nominal_risks(params, env, eval_samples, seed=4)
     levels = achieved_levels(params, env, cfg.pset, cfg.inner, achieved_samples, seed=4)
@@ -853,3 +855,15 @@ def test_mismatched_policy_or_ball_is_rejected_before_any_training(monkeypatch, 
         price_of_robustness(env, cfg, seeds=[0, 1, 2], policy_dims=dims)
     with pytest.raises(ConfigError, match=f"^{field}: "):
         train(replace(cfg, mode="robust_plain"), env, init_policy(dims, seed=0))
+
+
+@pytest.mark.parametrize(
+    "dims, activations, field",
+    [([2, 0, 2], None, "dims"), ([3, 4, 2], None, "dims"), ([2, 4, 2], ["tanh", "relu"], "activations")],
+)
+def test_price_of_robustness_checks_its_policy_before_drawing(monkeypatch, dims, activations, field):
+    drawn = []
+    monkeypatch.setattr(trainer, "draws", lambda *args, **kw: drawn.append(1) or draws(*args, **kw))
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        price_of_robustness(quad_env([0.5, -0.5]), make_cfg(), [0, 1, 2], dims, activations)
+    assert not drawn

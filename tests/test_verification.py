@@ -435,7 +435,7 @@ def _report_fields(report) -> dict:
         (math.inf, 0.25, 0.3, [0, 1, 2, 5]),
         (2, 0.0, 0.3, [0, 1, 2]),  # no ascent ever moves
         (2, 2.0, 8.0, [0, 1, 2]),  # a seed whose step-size search shrinks eta, beside seeds whose does not
-        (math.inf, 0.25, 0.3, [4]),  # a stack of one is the policy itself
+        (math.inf, 0.25, 0.3, [4]),  # a stack of one, which keeps its model axis
     ],
 )
 def test_stacked_certificates_equal_one_sample_calls_row_by_row(p, epsilon, eta, seeds):
@@ -445,7 +445,7 @@ def test_stacked_certificates_equal_one_sample_calls_row_by_row(p, epsilon, eta,
     members = [init_policy([3, 6, 3], seed=seed) for seed in seeds]
     stack = stack_policies(members)
     pairs = [sample(env, seed) for seed in seeds]
-    S, A = (np.array(x)[:, None] if stack.models else np.array(x) for x in zip(*pairs))
+    S, A = (np.array(x)[:, None] for x in zip(*pairs))
     smooths = verification._smoothness(stack, env, S, A, pga_batch(stack, S, A, env, pset, inner), inner)
     inclusions = verification._inclusion(stack, env, pset, inner, 1.0, 3, [seed * 1000 for seed in seeds])
     settled, shrunk = [], 0
@@ -520,6 +520,33 @@ def test_public_entries_check_shapes_before_any_ascent(monkeypatch, entry, dims,
         call()
 
 
+@pytest.mark.parametrize(
+    "entry, kwargs, field",
+    [
+        ("check_effective_smoothness", {"grid": 0}, "grid"),
+        ("check_effective_smoothness", {"h": 0.0}, "h"),
+        ("check_effective_smoothness", {"h": -1.0}, "h"),
+        ("check_effective_smoothness", {"h": math.nan}, "h"),
+        ("check_effective_smoothness", {"tol_scale": math.nan}, "tol_scale"),
+        ("check_effective_smoothness", {"tol_scale": -1.0}, "tol_scale"),
+        ("check_effective_smoothness", {"tol_scale": 0.0}, "tol_scale"),
+        ("stable_step_size", {"grid": 0}, "grid"),
+        ("stable_step_size", {"grid": 2.5}, "grid"),
+        ("check_pga_stability", {"grid": 0}, "grid"),
+        ("check_pga_stability", {"grid": 2.5}, "grid"),
+    ],
+)
+def test_one_sample_entries_check_their_arguments_before_the_ascent(monkeypatch, entry, kwargs, field):
+    ascents = []
+    monkeypatch.setattr(verification, "pga_run", lambda *args, **kw: ascents.append(1) or pga_run(*args, **kw))
+    env = quad_env([0.5, -0.5])
+    call = getattr(verification, entry)
+    with pytest.raises(ConfigError, match=f"^{field}: ") as raised:
+        call(init_policy([2, 4, 2], seed=0), env, sample(env, 0), PerturbationSet(2, 0.3, 2),
+             InnerLoopConfig(eta=0.3, steps=2), **kwargs)
+    assert raised.value.field == field and not ascents
+
+
 # -- inclusion ----------------------------------------------------------------
 
 
@@ -562,7 +589,7 @@ def test_inclusion_on_trained_global_model_at_achieved_budget():
     )
     params, metrics = train(cfg, env, init_policy([2, 4, 2], seed=0))
     assert metrics.aborted_step is None
-    achieved = trainer._evaluate(params, env, pset, inner, 10, 10, seed=500)[0]["achieved_spectral"]
+    achieved = trainer._evaluate(stack_policies([params]), env, pset, inner, 10, 10, seed=500)[0]["achieved_spectral"]
     # small headroom: the check draws its own sample set
     report = check_inclusion(params, env, pset, inner, gamma=achieved * 1.05, n_samples=10, seed=500)
     assert report.status == "pass"
