@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_count, check_positive
 from .tape import dot, matvec, sigmoid, softplus, vsum
 
 Array = np.ndarray
@@ -52,8 +52,9 @@ class Environment:
             raise ConfigError(f"coupling A must be a finite ({c.shape[0]}, q) matrix, got {A.shape}", field="A")
         state_dim = check_count(self.state_dim, 1, "state_dim")
         if self.kind == "softplus_congestion":
-            if self.beta is None or not self.beta > 0:
+            if self.beta is None:
                 raise ConfigError("softplus_congestion needs beta > 0", field="beta")
+            check_positive(self.beta, "beta")
         elif self.beta is not None:
             raise ConfigError("beta is only meaningful for softplus_congestion", field="beta")
         if self.peer_mode not in PEER_MODES:

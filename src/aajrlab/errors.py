@@ -1,10 +1,14 @@
-"""Error types shared across the package, and the one integer rule:
-every count and seed that a caller supplies passes ``check_count``, which
-returns an integer of at least a minimum (not a bool, not a whole float)
-or raises a ConfigError naming its field. Nothing is truncated."""
+"""Error types shared across the package, and two rules for what a caller
+supplies. The integer rule: every count and seed passes ``check_count``,
+which returns an integer of at least a minimum (not a bool, not a whole
+float) or raises a ConfigError naming its field. Nothing is truncated. The
+number rule: the real hyperparameters pass ``check_positive``, which
+returns a finite float > 0 (or >= 0) or raises a ConfigError naming its
+field."""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -30,4 +34,14 @@ def check_count(value, minimum: int, field: str | None = None, what: str = "") -
     if integral and value >= minimum:
         return int(value)
     rule = f"must be an integer >= {minimum}, got {value!r}"
+    raise ConfigError(f"{what} {rule}" if what else rule, field)
+
+
+def check_positive(value, field: str, what: str = "", allow_zero: bool = False) -> float:
+    """``value`` as a float, if it is a finite number > 0 (>= 0 with
+    ``allow_zero``); ConfigError with ``field`` otherwise. ``what``, if
+    given, names the value in front of the rule."""
+    if math.isfinite(value) and (value >= 0 if allow_zero else value > 0):
+        return float(value)
+    rule = f"must be a finite number {'>=' if allow_zero else '>'} 0"
     raise ConfigError(f"{what} {rule}" if what else rule, field)

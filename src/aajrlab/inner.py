@@ -6,12 +6,17 @@ the policy outputs and dense Jacobians of all iterates in one pass, then
 projects and normalizes row by row. A single run is the same computation
 on one row.
 
-The run records everything later checks need: iterates, normalized ascent
-directions, unit update directions, objective values, exact inner
-gradients, and the directional amplification ||J(s + delta_t) u_t||_2 at
-every step, as one ``Ascent`` of stacked arrays; a single run is that
-record's one row. The arrays are marked read-only, so a record is immutable
-after construction and safe to share across threads.
+One loop serves two readers. The full record, which ``pga_batch`` and
+``pga_run`` return and every later check reads, holds the iterates,
+normalized ascent directions, unit update directions, objective values,
+exact inner gradients, and the directional amplification
+||J(s + delta_t) u_t||_2 at every step, as one ``Ascent`` of stacked
+arrays; a single run is that record's one row. The training record, which
+the outer step asks for when it builds no diagnostics, holds only the
+iterates and ascent directions; its other fields are None, and it skips
+the amplifications, the last iterate's objective and gradient, and the
+separate forward pass of each iterate. The arrays are marked read-only, so
+a record is immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .environments import Environment, loss, loss_grad
-from .errors import ConfigError, NumericError, check_count
-from .policy import PolicyParams, forward, jvp, vjp
+from .errors import ConfigError, NumericError, check_count, check_positive
+from .policy import PolicyParams, _layer_pass, forward, jvp, vjp
+from .tape import matvec
 
 Array = np.ndarray
 
@@ -46,10 +52,8 @@ class PerturbationSet:
     def __post_init__(self):
         if self.p not in (2, math.inf, "inf"):
             raise ConfigError(f"norm order must be 2 or \"inf\", got {self.p!r}", field="p")
-        if not self.epsilon >= 0:
-            raise ConfigError("epsilon must be >= 0", field="epsilon")
         object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "epsilon", check_positive(self.epsilon, "epsilon", "epsilon", allow_zero=True))
         object.__setattr__(self, "dim", check_count(self.dim, 1, "dim"))
 
     def norm(self, delta: Array):
@@ -66,20 +70,17 @@ class InnerLoopConfig:
     eps0: float = 1e-8
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ConfigError("inner step size eta must be > 0", field="eta")
-        if not self.eps0 > 0:
-            raise ConfigError("direction floor eps0 must be > 0", field="eps0")
-        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "eta", check_positive(self.eta, "eta", "inner step size eta"))
         object.__setattr__(self, "steps", check_count(self.steps, 0, "steps"))
-        object.__setattr__(self, "eps0", float(self.eps0))
+        object.__setattr__(self, "eps0", check_positive(self.eps0, "eps0", "direction floor eps0"))
 
 
 @dataclass(frozen=True, eq=False)
 class Ascent:
     """The ascents of a batch as read-only stacked arrays; the leading axes
     are those of the states (B, or M and B), and indexing takes along them.
-    One row is one run, which is what ``pga_run`` returns."""
+    One row is one run, which is what ``pga_run`` returns. A training
+    record holds only ``deltas`` and ``ascent``; its other fields are None."""
 
     deltas: Array  # (..., K + 1, d) iterates, deltas[..., 0, :] == 0
     ascent: Array  # (..., K, d) normalized ascent directions
@@ -160,44 +161,64 @@ def pga_batch(
     params: PolicyParams, states, contexts, env: Environment, pset: PerturbationSet, cfg: InnerLoopConfig
 ) -> Ascent:
     """``pga_run`` on every row of (B, d) states and (B, q) peer contexts,
-    or of (M, B, d) and (M, B, q) ones for a stack of M models.
+    or of (M, B, d) and (M, B, q) ones for a stack of M models; the full
+    record. The outer step without diagnostics asks ``_ascend`` for the
+    training record instead.
 
     Each step evaluates the policy, its vjp and its jvp once for all
     iterates; a row's ascent never depends on the rows batched with it.
     Raises NumericError naming the step and the (flat) sample if an iterate,
     the objective or its gradient turns non-finite.
     """
+    return _ascend(params, states, contexts, env, pset, cfg, full=True)
+
+
+def _ascend(params: PolicyParams, states, contexts, env: Environment, pset, cfg, full: bool) -> Ascent:
+    """The one ascent loop. ``full=True`` gives ``pga_batch``'s full record
+    through the public ``forward``, ``vjp`` and ``jvp``. ``full=False`` gives
+    the training record: ``deltas`` and ``ascent``, the two fields the outer
+    update reads, bit for bit, and None for the rest. Each of its iterates
+    before the last takes its outputs and Jacobians from one layer pass, and
+    the last iterate is only checked finite."""
     S = np.asarray(states, dtype=np.float64)
     A = np.asarray(contexts, dtype=np.float64)
     if pset.dim != params.in_dim or S.ndim != 2 + (params.models > 0) or S.shape[-1] != params.in_dim:
         raise ConfigError(f"states {S.shape}, policy input {params.in_dim} and perturbation dim {pset.dim} disagree")
     rows, d, K = S.shape[:-1], S.shape[-1], cfg.steps
-    deltas, grads, values = np.zeros(rows + (K + 1, d)), np.empty(rows + (K + 1, d)), np.empty(rows + (K + 1,))
-    ascent, update = np.empty(rows + (K, d)), np.empty(rows + (K, d))
-    amps, moved = np.empty(rows + (K,)), np.empty(rows + (K,), bool)
+    deltas, ascent = np.zeros(rows + (K + 1, d)), np.empty(rows + (K, d))
+    values = grads = update = moved = amps = None
+    if full:
+        grads, values = np.empty(rows + (K + 1, d)), np.empty(rows + (K + 1,))
+        update, moved, amps = np.empty(rows + (K, d)), np.empty(rows + (K,), bool), np.empty(rows + (K,))
     for t in range(K + 1):
         delta = deltas[..., t, :]
         X = S + delta
         _check_rows(np.isfinite(X).all(axis=-1), "non-finite iterate", t)
-        Z = forward(params, X)
-        values[..., t] = loss(env, Z, A)
-        _check_rows(np.isfinite(values[..., t]), "non-finite inner objective", t)
-        grad = vjp(params, X, loss_grad(env, Z, A))  # J(X)^T grad L, one Jacobian per row
+        if t == K and not full:
+            break  # training reads the last iterate only through the outer objective
+        Z, J = (forward(params, X), None) if full else _layer_pass(params, X)
+        value = loss(env, Z, A)
+        _check_rows(np.isfinite(value), "non-finite inner objective", t)
+        w = loss_grad(env, Z, A)
+        grad = vjp(params, X, w) if full else matvec(np.swapaxes(J, -1, -2), w)  # J(X)^T grad L, one per row
         _check_rows(np.isfinite(grad).all(axis=-1), "non-finite inner gradient", t)
-        grads[..., t, :] = grad
+        if full:
+            values[..., t], grads[..., t, :] = value, grad
         if t == K:
             break
         u = ascent_direction(grad, cfg.eps0)
         ascent[..., t, :] = u
-        amps[..., t] = _row_norms(jvp(params, X, u))
         deltas[..., t + 1, :] = project(delta + cfg.eta * grad, pset)
-        step = deltas[..., t + 1, :] - delta
-        moved[..., t] = np.any(step != 0.0, axis=-1)
-        norms = _row_norms(step, keepdims=True)
-        update[..., t, :] = step / np.where(moved[..., t, None], norms, 1.0)
+        if full:
+            amps[..., t] = _row_norms(jvp(params, X, u))
+            step = deltas[..., t + 1, :] - delta
+            moved[..., t] = np.any(step != 0.0, axis=-1)
+            norms = _row_norms(step, keepdims=True)
+            update[..., t, :] = step / np.where(moved[..., t, None], norms, 1.0)
     record = Ascent(deltas, ascent, update, moved, values, grads, amps)
     for f in fields(record):
-        getattr(record, f.name).setflags(write=False)
+        if getattr(record, f.name) is not None:
+            getattr(record, f.name).setflags(write=False)
     return record
 
 

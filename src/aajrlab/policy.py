@@ -5,10 +5,12 @@ executes either on plain ndarrays (value paths used by the inner loop) or
 on tape ``Node`` weights (parameter gradients). Tangents pushed alongside
 the states supply Jacobian-vector products, one tangent per state or a
 stack of them. The dense state-action Jacobian is small (the state has at
-most a handful of entries), so ``jacobian`` takes it in one forward pass
-per state that carries all ``in_dim`` identity tangents, and ``vjp`` is its
-transpose applied to the cotangent. Public functions validate a state or a
-stack once per call; internal paths call the recursion directly.
+most a handful of entries), so ``_layer_pass`` takes it in one forward
+pass per state that carries all ``in_dim`` identity tangents: ``jacobian``
+reads it, ``vjp`` applies its transpose to the cotangent, and the training
+ascent reads the outputs of the same pass. A tangent-only pass skips the
+output layer's value, which nothing reads. Public functions validate a
+state or a stack once per call; internal paths call the recursion directly.
 
 A model stack keeps M policies of one shape as one: weights (M, out, in),
 biases (M, out) and states (M, B, d), M = 1 included. A lone policy has no
@@ -165,7 +167,7 @@ def scale_policy(params: PolicyParams, factor: float) -> PolicyParams:
 # -- the layer recursion ------------------------------------------------------
 
 
-def _mlp(layers, activations, X, T=None):
+def _mlp(layers, activations, X, T=None, value=True):
     """Run the layers over a state (or states stacked as rows) X.
 
     Per layer a = h @ W.T + b, and tangents T, if given, are pushed forward
@@ -173,10 +175,12 @@ def _mlp(layers, activations, X, T=None):
     shaped (..., k, d) against X of shape (..., d). Weights may be ndarrays
     or tape ``Node``s. Returns (h, t); t is None without tangents, and a
     tangent stack that never meets a ``tanh`` keeps the leading shape of T.
+    With ``value=False`` the output layer, always the identity, gives only
+    its tangent product, and h is None.
     """
     h, t = X, T
     stacked = T is not None and np.ndim(T) > np.ndim(X)
-    for (W, b), act in zip(layers, activations):
+    for (W, b), act in zip(layers[:-1], activations):
         a = matvec(W, h) + b
         if t is not None:
             t = matvec(W, t)
@@ -187,7 +191,10 @@ def _mlp(layers, activations, X, T=None):
                 t = (dh[..., None, :] if stacked else dh) * t
         else:
             h = a
-    return h, t
+    W, b = layers[-1]
+    if t is not None:
+        t = matvec(W, t)
+    return (matvec(W, h) + b if value else None), t
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,18 +208,20 @@ class PolicyHandle:
         return _mlp(self.layers, self.activations, x)[0]
 
     def jvp(self, x, v):
-        return _mlp(self.layers, self.activations, x, v)[1]
+        return _mlp(self.layers, self.activations, x, v, value=False)[1]
 
 
-def _jacobian(params: PolicyParams, S: Array) -> Array:
-    """Dense Jacobians at a state or at every row of S, from one forward
-    pass per state carrying the ``in_dim`` identity tangents."""
+def _layer_pass(params: PolicyParams, S: Array, value: bool = True) -> tuple[Array | None, Array]:
+    """The outputs (None with ``value=False``) and the dense Jacobians at a
+    state or at every row of S, from one pass of the layers per state
+    carrying the ``in_dim`` identity tangents; the outputs are bit for bit
+    those of ``forward``."""
     n, handle = params.in_dim, params.handle
-    _, t = _mlp(handle.layers, handle.activations, S, np.eye(n).reshape((1,) * (S.ndim - 1) + (n, n)))
+    Z, t = _mlp(handle.layers, handle.activations, S, np.eye(n).reshape((1,) * (S.ndim - 1) + (n, n)), value)
     shape = S.shape[:-1] + (n, params.out_dim)
     if t.shape != shape:  # no tanh layer: the tangents never met the states
         t = np.broadcast_to(t, shape).copy()
-    return np.swapaxes(t, -1, -2)
+    return Z, np.swapaxes(t, -1, -2)
 
 
 def _check_states(x, dim: int, what: str, rows: tuple | None = None, models: int = 0) -> Array:
@@ -247,14 +256,14 @@ def jvp(params: PolicyParams, s, v) -> Array:
 def jacobian(params: PolicyParams, s) -> Array:
     """Dense (out_dim, in_dim) Jacobian of the action with respect to the
     state; (B, out_dim, in_dim) for a (B, in_dim) stack of states."""
-    return _jacobian(params, _check_states(s, params.in_dim, "state", models=params.models))
+    return _layer_pass(params, _check_states(s, params.in_dim, "state", models=params.models), value=False)[1]
 
 
 def vjp(params: PolicyParams, s, w) -> Array:
     """Pull a cotangent on the action back to the state: J(s).T @ w."""
     s = _check_states(s, params.in_dim, "state", models=params.models)
     w = _check_states(w, params.out_dim, "cotangent", s.shape[:-1])
-    return matvec(np.swapaxes(_jacobian(params, s), -1, -2), w)
+    return matvec(np.swapaxes(_layer_pass(params, s, value=False)[1], -1, -2), w)
 
 
 Objective = Callable[[PolicyHandle], object]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environments import Environment
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_positive
 from .inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch
 from .policy import PolicyHandle, PolicyParams, jacobian
 from .tape import dot, relu, sqrt
@@ -36,12 +36,10 @@ class RegularizerConfig:
     aajr_hinge: bool = False
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise ConfigError("penalty weight lambda must be >= 0", field="lambda")
-        if not self.gamma > 0:
-            raise ConfigError("global budget gamma must be > 0", field="gamma")
-        if not self.gamma_adv > 0:
-            raise ConfigError("directional budget gamma_adv must be > 0", field="gamma_adv")
+        object.__setattr__(self, "lam", check_positive(self.lam, "lambda", "penalty weight lambda", allow_zero=True))
+        object.__setattr__(self, "gamma", check_positive(self.gamma, "gamma", "global budget gamma"))
+        gamma_adv = check_positive(self.gamma_adv, "gamma_adv", "directional budget gamma_adv")
+        object.__setattr__(self, "gamma_adv", gamma_adv)
 
 
 def _hinge_sq(w, budget: float):

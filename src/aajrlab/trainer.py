@@ -6,9 +6,12 @@ inner maximizer on all rows at once for robust modes, builds the chosen
 objective over the tape with one policy pass per term, and applies one
 plain gradient-descent update. The worst-case perturbation and the
 ascent directions are treated as constants during the outer update, which
-is what makes the surrogate a stable first-order method. The batch comes
-from ``environments.draws``, the one sampler. Spectral norms are taken once
-per step, and only when a global hinge or the diagnostics read them. In
+is what makes the surrogate a stable first-order method. Without
+diagnostics the inner maximizer returns only those two, the training
+record, and the objective's own evaluation of the last iterate is the one
+check on its loss. The batch comes from ``environments.draws``, the one
+sampler. Spectral norms are taken once per step, and only when a global
+hinge or the diagnostics read them. In
 robust modes the diagnostics read the ascent's own losses instead of
 evaluating the policy again. The loop runs a stack of M models that differ
 only in seed, penalty weight and initial parameters in lockstep, as
@@ -47,8 +50,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .environments import Environment, check_dims, check_seeds, draws, loss, loss_term
-from .errors import ConfigError, NumericError, check_count
-from .inner import InnerLoopConfig, PerturbationSet, pga_batch
+from .errors import ConfigError, NumericError, check_count, check_positive
+from .inner import InnerLoopConfig, PerturbationSet, _ascend, pga_batch
 from .policy import (
     PolicyParams,
     apply_gradient_step,
@@ -86,8 +89,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown training mode '{self.mode}'", field="mode")
-        if not self.outer_lr > 0:
-            raise ConfigError("must be > 0", field="outer_lr")
+        object.__setattr__(self, "outer_lr", check_positive(self.outer_lr, "outer_lr"))
         object.__setattr__(self, "outer_steps", check_count(self.outer_steps, 0, "outer_steps"))
         object.__setattr__(self, "batch_size", check_count(self.batch_size, 1, "batch_size"))
         object.__setattr__(self, "seed", check_count(self.seed, 0, "seed"))
@@ -153,9 +155,12 @@ def _outer_step(cfgs, env: Environment, params: PolicyParams, step: int, S, A, d
     """One outer step of every model of a stack on its states S and peer
     contexts A, shaped as the stack takes them; returns the updated stack
     and, with diagnostics, one record per model. The SVD is taken only for
-    a global hinge or for the diagnostics, the two readers of it."""
+    a global hinge or for the diagnostics, the two readers of it. Without
+    diagnostics the ascent gives the training record, the iterates and
+    directions that the objective reads; the objective evaluates the last
+    iterate, whose tape nodes check its loss finite."""
     cfg = cfgs[0]
-    record = pga_batch(params, S, A, env, cfg.pset, cfg.inner) if cfg.mode != "nominal" else None
+    record = _ascend(params, S, A, env, cfg.pset, cfg.inner, full=diagnostics) if cfg.mode != "nominal" else None
     hinged = any(c.mode == "robust_global" and c.reg.lam for c in cfgs)
     sigmas, v_hat = top_singular(params, S) if hinged or diagnostics else (None, None)
     _, grads = param_gradient(params, _objective_builder(env, S, A, record, cfgs, v_hat))
@@ -345,8 +350,7 @@ def check_sweep(
         check_count(n, 1, name, "n_samples")
     for name, n in (("eval_seed", eval_seed), ("bisect_iters", bisect_iters), ("max_doublings", max_doublings)):
         check_count(n, 0, name)
-    if not lambda_init > 0:
-        raise ConfigError("must be > 0", field="lambda_init")
+    check_positive(lambda_init, "lambda_init")
     if not 0 < match_tol < 1:
         raise ConfigError("must be in (0, 1)", field="match_tol")
     return check_seeds(seeds, minimum=3)

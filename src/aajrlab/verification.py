@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .environments import Environment, check_dims, check_seeds, loss, loss_hessian, loss_hessian_bound, sample
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_count, check_positive
 from .inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run
 from .policy import Layer, PolicyParams, forward, init_policy, jvp, stack_policies
 from .regularizers import RegularizerConfig, constraint_levels
@@ -192,10 +192,9 @@ def _smoothness(params, env, S, A, record: Ascent, inner, grid=5, tol_scale=1e-4
 
 def _check_one_sample(params, env, pset, grid=5, tol_scale=1e-4, h=None) -> int:
     """The entry checks of the one-sample checks, before their ascent; returns ``grid``."""
-    if not tol_scale > 0:
-        raise ConfigError("must be > 0", field="tol_scale")
-    if h is not None and not h > 0:
-        raise ConfigError("must be None or > 0", field="h")
+    check_positive(tol_scale, "tol_scale")
+    if h is not None:
+        check_positive(h, "h")
     check_dims(env, params.dims(), pset)
     return check_count(grid, 1, "grid")
 
@@ -408,10 +407,8 @@ class WitnessSpec:
     u_basis: Array  # (d, k) orthonormal columns, k < d
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ConfigError("witness gamma must be > 0")
-        if not self.offspace_gain > 0:
-            raise ConfigError("witness off-subspace gain must be > 0")
+        check_positive(self.gamma, "gamma", "witness gamma")
+        check_positive(self.offspace_gain, "offspace_gain", "witness off-subspace gain")
         B = np.asarray(self.u_basis, dtype=np.float64)
         if B.ndim != 2 or B.shape[1] >= B.shape[0] or B.shape[1] < 1:
             raise ConfigError(f"basis must be (d, k) with 1 <= k < d, got {B.shape}")
@@ -556,8 +553,7 @@ def check_verify(seeds, grid=5, tol_curv_scale=1e-4, n_samples=10, eta_safety=0.
         check_count(n, 1, name)
     if not 0 < eta_safety <= 1:
         raise ConfigError("must be in (0, 1]", field="eta_safety")
-    if not tol_curv_scale > 0:
-        raise ConfigError("must be > 0", field="tol_curv_scale")
+    check_positive(tol_curv_scale, "tol_curv_scale")
     if any(check_count(d, 2, "witness_dims", "entries") > MAX_WITNESS_DIM for d in witness_dims):
         raise ConfigError(f"entries must be <= {MAX_WITNESS_DIM}", field="witness_dims")
     return check_seeds(seeds)

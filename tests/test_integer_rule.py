@@ -1,12 +1,15 @@
 """The one integer rule: every count and seed a caller supplies is an
 integer of at least its minimum, or a ConfigError naming its field that is
 raised before anything is drawn or run. Numpy integers count as integers
-and give the results of the plain ints they equal."""
+and give the results of the plain ints they equal. The number rule: every
+real hyperparameter is a finite number > 0 (or >= 0), or a ConfigError
+naming its field."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ import pytest
 from aajrlab import inner as inner_module
 from aajrlab import regularizers, trainer, verification
 from aajrlab.environments import Environment, check_seeds, sample
-from aajrlab.errors import ConfigError, check_count
+from aajrlab.errors import ConfigError, check_count, check_positive
 from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_run
 from aajrlab.policy import init_policy, load_checkpoint, save_checkpoint
 from aajrlab.regularizers import RegularizerConfig
@@ -26,6 +29,7 @@ from aajrlab.verification import (
     estimate_C,
     random_orthonormal_basis,
     subspace_directions,
+    check_effective_smoothness,
     verify_suite,
 )
 
@@ -157,3 +161,47 @@ def test_check_count_rejects_what_is_not_an_integer_at_least_the_minimum(value):
     with pytest.raises(ConfigError, match=r"^n: must be an integer >= 0, got ") as info:
         check_count(value, 0, "n")
     assert info.value.field == "n"
+
+
+# entry -> (field, rule, call(value)); infinities and nan were accepted or
+# rejected with a rule that did not say "finite"
+REAL_CASES = {
+    "Environment.beta": ("beta", ">", lambda x: environment(kind="softplus_congestion", beta=x)),
+    "InnerLoopConfig.eta": ("eta", ">", lambda x: InnerLoopConfig(eta=x, steps=2)),
+    "InnerLoopConfig.eps0": ("eps0", ">", lambda x: InnerLoopConfig(eta=0.3, steps=2, eps0=x)),
+    "PerturbationSet.epsilon": ("epsilon", ">=", lambda x: PerturbationSet(p=2, epsilon=x, dim=2)),
+    "TrainConfig.outer_lr": ("outer_lr", ">", lambda x: TrainConfig(**{**TRAIN, "outer_lr": x})),
+    "RegularizerConfig.lam": ("lambda", ">=", lambda x: RegularizerConfig(lam=x, gamma=0.5, gamma_adv=0.5)),
+    "RegularizerConfig.gamma": ("gamma", ">", lambda x: RegularizerConfig(lam=0.5, gamma=x, gamma_adv=0.5)),
+    "RegularizerConfig.gamma_adv": ("gamma_adv", ">", lambda x: RegularizerConfig(lam=0.5, gamma=0.5, gamma_adv=x)),
+    "check_sweep.lambda_init": ("lambda_init", ">", lambda x: price_of_robustness(
+        ENV, TrainConfig(**TRAIN), **SWEEP, lambda_init=x
+    )),
+    "check_verify.tol_curv_scale": ("tol_curv_scale", ">", lambda x: verify_suite(
+        ENV, [2, 3, 2], None, PSET, INNER, REG, **VERIFY, tol_curv_scale=x
+    )),
+    "_check_one_sample.tol_scale": ("tol_scale", ">", lambda x: check_effective_smoothness(
+        PARAMS, ENV, PAIR, PSET, INNER, tol_scale=x
+    )),
+    "WitnessSpec.gamma": ("gamma", ">", lambda x: WitnessSpec(x, 2.0, BASIS)),
+    "WitnessSpec.offspace_gain": ("offspace_gain", ">", lambda x: WitnessSpec(1.0, x, BASIS)),
+    "_check_one_sample.h": ("h", ">", lambda x: check_effective_smoothness(PARAMS, ENV, PAIR, PSET, INNER, h=x)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", REAL_CASES)
+def test_every_real_hyperparameter_is_a_finite_number(entry, bad):
+    field, rule, call = REAL_CASES[entry]
+    with pytest.raises(ConfigError, match=rf"^{field}: (.* )?must be a finite number {rule} 0$") as info:
+        call(bad)
+    assert info.value.field == field
+
+
+def test_check_positive_returns_a_float_and_takes_zero_only_when_allowed():
+    for value in (2, np.float64(0.5), 1e-300):
+        got = check_positive(value, "x")
+        assert type(got) is float and got == value
+    assert check_positive(0, "x", allow_zero=True) == 0.0
+    with pytest.raises(ConfigError, match=r"^x: must be a finite number > 0$"):
+        check_positive(0.0, "x")

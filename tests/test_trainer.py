@@ -9,10 +9,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aajrlab import tape, trainer
+from aajrlab import inner, policy, tape, trainer
 from aajrlab.environments import Environment, draws, loss_term
-from aajrlab.errors import ConfigError
-from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_run
+from aajrlab.errors import ConfigError, NumericError
+from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_batch, pga_run
 from aajrlab.policy import (
     Layer,
     PolicyParams,
@@ -407,11 +407,29 @@ def test_batched_draws_equal_per_sample_draws(peer_mode, A):
         assert S.flags.c_contiguous and A.flags.c_contiguous and not np.shares_memory(S, A)
 
 
-@pytest.mark.parametrize("mode", ["nominal", "robust_aajr", "robust_global"])
-def test_train_without_diagnostics_gives_same_parameters(mode):
-    env = mirror_env()
-    cfg = mirror_cfg(mode, batch=3, steps=4)
-    params0 = init_policy([4, 6, 4], seed=1)
+def without_diagnostics_case(mode, variant):
+    """The mirror task's [4, 6, 4] tanh net, or one variant of it."""
+    env, cfg, params0 = mirror_env(), mirror_cfg(mode, batch=3, steps=4), init_policy([4, 6, 4], seed=1)
+    if variant == "sup_norm":
+        cfg = replace(cfg, pset=PerturbationSet(p="inf", epsilon=0.3, dim=4))
+    elif variant == "softplus":
+        env = Environment("softplus_congestion", [0.2, -0.5, 0.7, 0.1], np.zeros((4, 4)), 4, beta=2.0, seed=2)
+    elif variant == "tanh_free":  # a [2, 2] policy: one identity layer
+        env, params0 = quad_env([0.5, -0.5], A=0.5 * np.eye(2), seed=2, peer_mode="mirror"), init_policy([2, 2], seed=1)
+        cfg = replace(cfg, pset=PerturbationSet(p=2, epsilon=0.3, dim=2))
+    elif variant == "no_steps":
+        cfg = replace(cfg, inner=InnerLoopConfig(eta=0.3, steps=0))
+    return env, cfg, params0
+
+
+@pytest.mark.parametrize(
+    "mode,variant",
+    [("nominal", None), ("robust_aajr", None), ("robust_global", None), ("robust_plain", None),
+     ("robust_aajr", "sup_norm"), ("robust_global", "sup_norm"), ("robust_aajr", "softplus"),
+     ("robust_aajr", "tanh_free"), ("robust_global", "tanh_free"), ("robust_aajr", "no_steps")],
+)
+def test_train_without_diagnostics_gives_same_parameters(mode, variant):
+    env, cfg, params0 = without_diagnostics_case(mode, variant)
     with_diag, metrics = train(cfg, env, params0)
     without, bare = train(cfg, env, params0, diagnostics=False)
     assert len(metrics.records) == 4 and bare.records == []
@@ -420,16 +438,70 @@ def test_train_without_diagnostics_gives_same_parameters(mode):
         assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
 
 
-def test_train_without_diagnostics_aborts_at_same_step():
+def test_mixed_stack_without_diagnostics_gives_each_model_its_parameters():
+    env = mirror_env()
+    cfgs = stack_cfgs(ROBUST[:3], [0.0, 0.5, 30.0])
+    params0s = [init_policy([4, 6, 4], seed=s) for s in (5, 1, 2)]
+    for cfg, params0, (params, metrics) in zip(cfgs, params0s, trainer._train_stack(cfgs, env, params0s, False)):
+        alone, alone_metrics = train(cfg, env, params0)
+        assert metrics.records == [] and metrics.aborted_step is None is alone_metrics.aborted_step
+        for a, b in zip(params.layers, alone.layers):
+            assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+
+
+# the wide robust balls diverge first at the ascent's last iterate, once the outer steps have
+# grown the weights: its loss overflows (K = 1) or the iterate itself does (K = 2)
+@pytest.mark.parametrize(
+    "kwargs,first",
+    [(dict(mode="nominal", lr=1e12), None),
+     (dict(mode="robust_plain", lr=3e-300, eta=1e151, K=1, eps=1e150), "non-finite inner objective at step 1"),
+     (dict(mode="robust_aajr", lr=3e-300, eta=1e151, K=1, eps=1e150, lam=0.5), "non-finite inner objective at step 1"),
+     (dict(mode="robust_plain", lr=3e-300, eta=1e151, K=2, eps=1e150), "non-finite iterate at step 2")],
+)
+def test_train_without_diagnostics_aborts_at_same_step(kwargs, first):
     env = quad_env([0.5, 0.5])
     params0 = linear_policy(np.eye(2))
-    cfg = make_cfg(mode="nominal", lr=1e12, steps=40, batch=2, seed=0)
+    cfg = make_cfg(steps=40, batch=2, seed=0, **kwargs)
     with np.errstate(over="ignore", invalid="ignore"):
         last, metrics = train(cfg, env, params0)
         bare_last, bare = train(cfg, env, params0, diagnostics=False)
     assert metrics.aborted_step is not None
     assert bare.aborted_step == metrics.aborted_step and bare.records == []
     assert np.array_equal(last.layers[0].weight, bare_last.layers[0].weight)
+    assert np.array_equal(last.layers[0].bias, bare_last.layers[0].bias)
+    if first is not None:
+        S, A = trainer._training_batch(env, cfg.seed, metrics.aborted_step, cfg.batch_size)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=f"^{first}, "):
+            pga_batch(last, S, A, env, cfg.pset, cfg.inner)
+
+
+def test_training_ascent_calls_no_public_policy_function_and_keeps_two_fields(monkeypatch):
+    records, ascend = [], inner._ascend
+
+    def spy(*args, **kwargs):
+        records.append(ascend(*args, **kwargs))
+        return records[-1]
+
+    def public(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"public {name} called in a training ascent")
+
+        return refuse
+
+    monkeypatch.setattr(trainer, "_ascend", spy)
+    for module in (inner, policy):
+        for name in ("forward", "jvp", "vjp"):
+            monkeypatch.setattr(module, name, public(name))
+    env = mirror_env()
+    cfgs = stack_cfgs(ROBUST[:3], [0.0, 0.5, 30.0], steps=2)
+    params0s = [init_policy([4, 6, 4], seed=s) for s in (5, 1, 2)]
+    trainer._train_stack(cfgs, env, params0s, False)
+    train(cfgs[1], env, params0s[1], diagnostics=False)
+    assert len(records) == 4
+    for record in records:
+        assert record.deltas.shape[-2:] == (5, 4) and record.ascent.shape[-2:] == (4, 4)
+        assert np.isfinite(record.deltas).all() and np.isfinite(record.ascent).all()
+        assert record.values is record.grads is record.amps is record.update is record.moved is None
 
 
 def test_price_of_robustness_never_builds_step_records(monkeypatch):
