@@ -12,8 +12,8 @@ normalized ascent directions, unit update directions, objective values,
 exact inner gradients, and the directional amplification
 ||J(s + delta_t) u_t||_2 at every step, as one ``Ascent`` of stacked
 arrays; a single run is that record's one row. The training record, which
-the outer step asks for when it builds no diagnostics, holds only the
-iterates and ascent directions; its other fields are None, and it skips
+every outer step asks for, diagnostics or not, holds only the iterates
+and ascent directions; its other fields are None, and it skips
 the amplifications, the last iterate's objective and gradient, and the
 separate forward pass of each iterate. The arrays are marked read-only, so
 a record is immutable after construction and safe to share across threads.
@@ -162,8 +162,8 @@ def pga_batch(
 ) -> Ascent:
     """``pga_run`` on every row of (B, d) states and (B, q) peer contexts,
     or of (M, B, d) and (M, B, q) ones for a stack of M models; the full
-    record. The outer step without diagnostics asks ``_ascend`` for the
-    training record instead.
+    record. The outer step, with or without diagnostics, asks ``_ascend``
+    for the training record instead.
 
     Each step evaluates the policy, its vjp and its jvp once for all
     iterates; a row's ascent never depends on the rows batched with it.

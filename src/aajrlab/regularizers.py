@@ -49,21 +49,25 @@ def _hinge_sq(w, budget: float):
     return dot(excess, excess, -1) * (1.0 / w.shape[-2])
 
 
-def aajr_batch_term(handle: PolicyHandle, states, record: Ascent, cfg: RegularizerConfig | None = None):
-    """Mean penalty over every ascent step of a batch, as a tape-generic
-    expression, for the (B, d) or (M, B, d) states the ascents in ``record``
-    started from; one mean per model for a model stack, from one policy
-    pass over the rows (s + delta_t, u_t). 0.0 when the ascents have no
-    steps."""
+def aajr_rows(handle: PolicyHandle, states, record: Ascent):
+    """The rows J(s + delta_t) u_t of every ascent step in ``record`` from
+    (B, d) or (M, B, d) states, tape-generic: (..., B * K, m), from one
+    policy pass over the rows (s + delta_t, u_t)."""
     S = np.asarray(states, dtype=np.float64)
-    if record.ascent.shape[-2] == 0:
-        return 0.0
     rows = S.shape[:-2] + (-1, S.shape[-1])  # every step of every sample, per model
     X = S[..., None, :] + record.deltas[..., :-1, :]
-    amp = handle.jvp(X.reshape(rows), record.ascent.reshape(rows))
+    return handle.jvp(X.reshape(rows), record.ascent.reshape(rows))
+
+
+def aajr_penalty(rows, cfg: RegularizerConfig | None = None):
+    """The directional penalty of ``aajr_rows``, tape-generic: the mean of
+    ||row||^2, or the mean hinge^2 above ``cfg.gamma_adv`` with
+    ``cfg.aajr_hinge``; one per model of a stack, 0.0 without steps."""
+    if rows.shape[-2] == 0:
+        return 0.0
     if cfg is not None and cfg.aajr_hinge:
-        return _hinge_sq(amp, cfg.gamma_adv)
-    return dot(amp, amp, (-2, -1)) * (1.0 / amp.shape[-2])
+        return _hinge_sq(rows, cfg.gamma_adv)
+    return dot(rows, rows, (-2, -1)) * (1.0 / rows.shape[-2])
 
 
 def top_singular(params: PolicyParams, states):

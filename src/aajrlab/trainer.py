@@ -6,19 +6,18 @@ inner maximizer on all rows at once for robust modes, builds the chosen
 objective over the tape with one policy pass per term, and applies one
 plain gradient-descent update. The worst-case perturbation and the
 ascent directions are treated as constants during the outer update, which
-is what makes the surrogate a stable first-order method. Without
-diagnostics the inner maximizer returns only those two, the training
-record, and the objective's own evaluation of the last iterate is the one
-check on its loss. The batch comes from ``environments.draws``, the one
-sampler. Spectral norms are taken once per step, and only when a global
-hinge or the diagnostics read them. In
-robust modes the diagnostics read the ascent's own losses instead of
-evaluating the policy again. The loop runs a stack of M models that differ
-only in seed, penalty weight and initial parameters in lockstep, as
-(M, B, d) rows, and the diagnostics read the whole stack at once. ``train``
-is its one-model case, the one model that runs without the model axis. The
-robust modes share a stack at any penalty weight, zero included; nominal
-models stack only with nominal models.
+is what makes the surrogate a stable first-order method. The inner
+maximizer returns only those two, the training record, with or without
+diagnostics; the objective's own evaluation of the last iterate is the one
+check on its loss, and the diagnostics only read the record. The batch
+comes from ``environments.draws``, the one sampler. Spectral norms are
+taken once per step, and only when a global hinge or the diagnostics read
+them. The loop runs a stack of M models that differ only in seed, penalty
+weight and initial parameters in lockstep, as (M, B, d) rows, and the
+diagnostics read the whole stack at once. ``train`` is its one-model case,
+the one model that runs without the model axis. The robust modes share a
+stack at any penalty weight, zero included; nominal models stack only
+with nominal models.
 
 The sweep trains nominal, globally-penalized, and directionally-penalized
 models at matched budgets: the penalty weight for each penalized mode is
@@ -51,7 +50,7 @@ import numpy as np
 
 from .environments import Environment, check_dims, check_seeds, draws, loss, loss_term
 from .errors import ConfigError, NumericError, check_count, check_positive
-from .inner import InnerLoopConfig, PerturbationSet, _ascend, pga_batch
+from .inner import InnerLoopConfig, PerturbationSet, _ascend, _row_norms, pga_batch
 from .policy import (
     PolicyParams,
     apply_gradient_step,
@@ -64,7 +63,8 @@ from .policy import (
 )
 from .regularizers import (
     RegularizerConfig,
-    aajr_batch_term,
+    aajr_penalty,
+    aajr_rows,
     constraint_levels,
     global_penalty,
     global_term,
@@ -138,7 +138,7 @@ def _objective_builder(env, S, A, record, cfgs, v_hat):
     def build(handle):
         obj = loss_term(env, handle.forward(X), A) * (1.0 / S.shape[-2])
         if "robust_aajr" in lam:
-            obj = obj + lam["robust_aajr"] * aajr_batch_term(handle, S, record, reg)
+            obj = obj + lam["robust_aajr"] * aajr_penalty(aajr_rows(handle, S, record), reg)
         if "robust_global" in lam:
             obj = obj + lam["robust_global"] * global_term(handle, S, v_hat, reg)
         return obj
@@ -154,13 +154,11 @@ def _training_batch(env: Environment, seed: int, step: int, size: int):
 def _outer_step(cfgs, env: Environment, params: PolicyParams, step: int, S, A, diagnostics: bool):
     """One outer step of every model of a stack on its states S and peer
     contexts A, shaped as the stack takes them; returns the updated stack
-    and, with diagnostics, one record per model. The SVD is taken only for
-    a global hinge or for the diagnostics, the two readers of it. Without
-    diagnostics the ascent gives the training record, the iterates and
-    directions that the objective reads; the objective evaluates the last
-    iterate, whose tape nodes check its loss finite."""
+    and, with diagnostics, one record per model, read off the training
+    record the objective reads. The SVD is taken only for a global hinge or
+    for the diagnostics, the two readers of it."""
     cfg = cfgs[0]
-    record = _ascend(params, S, A, env, cfg.pset, cfg.inner, full=diagnostics) if cfg.mode != "nominal" else None
+    record = _ascend(params, S, A, env, cfg.pset, cfg.inner, full=False) if cfg.mode != "nominal" else None
     hinged = any(c.mode == "robust_global" and c.reg.lam for c in cfgs)
     sigmas, v_hat = top_singular(params, S) if hinged or diagnostics else (None, None)
     _, grads = param_gradient(params, _objective_builder(env, S, A, record, cfgs, v_hat))
@@ -238,26 +236,28 @@ def train(cfg: TrainConfig, env: Environment, params0: PolicyParams, *, diagnost
     gradient or parameter update aborts the run, with the offending step
     recorded in the metrics instead of raised; the returned parameters are
     the last finite ones. With ``diagnostics=False`` no per-step record is
-    built and ``metrics.records`` stays empty; the diagnostics never feed
-    the update, so the parameters and the aborted step are the same. This
-    is the one-model case of the stacked loop that trains a sweep's seeds.
+    built and ``metrics.records`` stays empty; the diagnostics only read,
+    so the parameters and the aborted step are the same. This is the
+    one-model case of the stacked loop that trains a sweep's seeds.
     """
     return _train_stack([cfg], env, [params0], diagnostics)[0]
 
 
 def _step_records(step, env, params, S, A, record, sigmas, grads, reg: RegularizerConfig) -> list[StepRecord]:
-    """Per-step diagnostics, one record per model of a stack: each column is
-    computed once for the whole stack. The spectral norms are those of the
-    objective's global hinge, and in robust modes the losses are the ascent's
-    own values at delta_0 = 0 and at its last iterate."""
+    """Per-step diagnostics, one record per model of a stack, each column
+    computed once for the whole stack from the global hinge's spectral
+    norms, value passes at delta_0 = 0 and at the last iterate, and one
+    untaped pass of the AAJR rows for both AAJR columns."""
     robust = record is not None
-    nominal_loss = np.mean(record.values[..., 0] if robust else loss(env, params.handle.forward(S), A), axis=-1)
+    last = S + record.deltas[..., -1, :] if robust else S
+    nominal_loss = np.mean(loss(env, params.handle.forward(S), A), axis=-1)
+    rows = aajr_rows(params.handle, S, record) if robust else None
     columns = (
-        np.mean(record.values[..., -1], axis=-1) if robust else nominal_loss,
+        np.mean(loss(env, params.handle.forward(last), A), axis=-1) if robust else nominal_loss,
         nominal_loss,
-        aajr_batch_term(params.handle, S, record, reg) if robust else 0.0,
+        aajr_penalty(rows, reg) if robust else 0.0,
         global_penalty(params, S, reg, sigmas=sigmas),
-        np.max(record.amps, axis=(-2, -1), initial=0.0) if robust else 0.0,
+        np.max(_row_norms(rows), axis=-1, initial=0.0) if robust else 0.0,
         np.mean(sigmas, axis=-1),
         gradient_norm(grads),
     )

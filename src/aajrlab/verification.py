@@ -68,8 +68,8 @@ def directional_curvature(g, delta, v, h):
     h = np.asarray(h, dtype=np.float64)
     if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-9):
         raise ConfigError("direction must be a unit vector")
-    if not np.all(h > 0):
-        raise ConfigError("finite-difference step h must be > 0")
+    if not np.all(np.isfinite(h) & (h > 0)):
+        raise ConfigError("finite-difference step h must be a finite number > 0")
     step = h[..., None] * v
     return (g(delta + step) - 2.0 * g(delta) + g(delta - step)) / (h * h)
 
@@ -375,6 +375,7 @@ def check_inclusion(
     directional amplification. Reported as skipped when the budget itself
     is violated."""
     n_samples, seed = check_count(n_samples, 1, "n_samples"), check_count(seed, 0, "seed")
+    gamma = check_positive(gamma, "gamma", "inclusion budget gamma")
     check_dims(env, params.dims(), pset)
     return _inclusion(stack_policies([params]), env, pset, inner, gamma, n_samples, [seed])[0]
 

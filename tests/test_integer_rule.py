@@ -164,7 +164,8 @@ def test_check_count_rejects_what_is_not_an_integer_at_least_the_minimum(value):
 
 
 # entry -> (field, rule, call(value)); infinities and nan were accepted or
-# rejected with a rule that did not say "finite"
+# rejected with a rule that did not say "finite", and a negative value is
+# rejected with the same rule
 REAL_CASES = {
     "Environment.beta": ("beta", ">", lambda x: environment(kind="softplus_congestion", beta=x)),
     "InnerLoopConfig.eta": ("eta", ">", lambda x: InnerLoopConfig(eta=x, steps=2)),
@@ -186,10 +187,11 @@ REAL_CASES = {
     "WitnessSpec.gamma": ("gamma", ">", lambda x: WitnessSpec(x, 2.0, BASIS)),
     "WitnessSpec.offspace_gain": ("offspace_gain", ">", lambda x: WitnessSpec(1.0, x, BASIS)),
     "_check_one_sample.h": ("h", ">", lambda x: check_effective_smoothness(PARAMS, ENV, PAIR, PSET, INNER, h=x)),
+    "check_inclusion.gamma": ("gamma", ">", lambda x: check_inclusion(PARAMS, ENV, PSET, INNER, x, 2)),
 }
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0])
 @pytest.mark.parametrize("entry", REAL_CASES)
 def test_every_real_hyperparameter_is_a_finite_number(entry, bad):
     field, rule, call = REAL_CASES[entry]

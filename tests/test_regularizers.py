@@ -11,7 +11,8 @@ from aajrlab.inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, p
 from aajrlab.policy import Layer, PolicyParams, init_policy, param_gradient, scale_policy, stack_policies
 from aajrlab.regularizers import (
     RegularizerConfig,
-    aajr_batch_term,
+    aajr_penalty,
+    aajr_rows,
     constraint_levels,
     global_penalty,
     global_term,
@@ -49,13 +50,13 @@ def oracle_aajr(params, s, record):
 def test_aajr_linear_single_step():
     p = linear_policy(np.array([[2.0, 0.0], [0.0, 1.0]]))
     record = fixed_record([np.zeros(2), np.zeros(2)], [np.array([1.0, 0.0])])
-    assert float(aajr_batch_term(p.handle, np.zeros((1, 2)), record)) == pytest.approx(4.0, abs=0.0)
+    assert float(aajr_penalty(aajr_rows(p.handle, np.zeros((1, 2)), record))) == pytest.approx(4.0, abs=0.0)
 
 
 def test_aajr_zero_policy():
     p = linear_policy(np.zeros((2, 2)))
     record = fixed_record([np.zeros(2), np.zeros(2)], [np.array([0.6, 0.8])])
-    assert float(aajr_batch_term(p.handle, np.zeros((1, 2)), record)) == 0.0
+    assert float(aajr_penalty(aajr_rows(p.handle, np.zeros((1, 2)), record))) == 0.0
 
 
 def test_aajr_matches_assembled_jacobian_oracle():
@@ -66,13 +67,13 @@ def test_aajr_matches_assembled_jacobian_oracle():
     S, A = (np.array(rows) for rows in zip(*pairs))
     record = pga_batch(params, S, A, env, pset, InnerLoopConfig(eta=0.4, steps=3))
     expected = np.mean([oracle_aajr(params, s, record[k]) for k, s in enumerate(S)])
-    assert float(aajr_batch_term(params.handle, S, record)) == pytest.approx(expected, rel=1e-12)
+    assert float(aajr_penalty(aajr_rows(params.handle, S, record))) == pytest.approx(expected, rel=1e-12)
 
 
 def test_aajr_no_ascent_steps_returns_zero():
     p = linear_policy(np.eye(2))
     record = fixed_record([np.zeros(2)], [])
-    assert aajr_batch_term(p.handle, np.zeros((1, 2)), record) == 0.0
+    assert aajr_penalty(aajr_rows(p.handle, np.zeros((1, 2)), record)) == 0.0
 
 
 def test_aajr_hinge_form():
@@ -84,7 +85,7 @@ def test_aajr_hinge_form():
     cfg = reg(gamma_adv=1.5, aajr_hinge=True)
     # amplifications are 2 and 1: hinge terms (2-1.5)^2 and 0
     expected = 0.5 * (0.5**2 + 0.0)
-    assert float(aajr_batch_term(p.handle, np.zeros((1, 2)), record, cfg)) == pytest.approx(expected, abs=1e-15)
+    assert float(aajr_penalty(aajr_rows(p.handle, np.zeros((1, 2)), record), cfg)) == pytest.approx(expected, abs=1e-15)
 
 
 def test_aajr_bounded_by_max_operator_norm():
@@ -95,7 +96,7 @@ def test_aajr_bounded_by_max_operator_norm():
         s, a = sample(env, seed)
         record = pga_batch(params, s[None], a[None], env, pset, InnerLoopConfig(eta=0.5, steps=4))
         worst = max(np.linalg.norm(assemble_jacobian(params, s + delta), 2) for delta in record.deltas[0, :-1])
-        assert float(aajr_batch_term(params.handle, s[None], record)) <= worst**2 + 1e-9
+        assert float(aajr_penalty(aajr_rows(params.handle, s[None], record))) <= worst**2 + 1e-9
 
 
 def test_spectral_norm_diagonal():
@@ -230,8 +231,8 @@ def test_aajr_term_taped_matches_value():
     pset = PerturbationSet(p=2, epsilon=0.3, dim=2)
     s, a = sample(env, 6)
     record = pga_batch(params, s[None], a[None], env, pset, InnerLoopConfig(eta=0.3, steps=2))
-    taped, _ = param_gradient(params, lambda handle: aajr_batch_term(handle, s[None], record))
-    assert taped == pytest.approx(float(aajr_batch_term(params.handle, s[None], record)), rel=1e-14)
+    taped, _ = param_gradient(params, lambda handle: aajr_penalty(aajr_rows(handle, s[None], record)))
+    assert taped == pytest.approx(float(aajr_penalty(aajr_rows(params.handle, s[None], record))), rel=1e-14)
     assert taped == pytest.approx(oracle_aajr(params, s, record[0]), rel=1e-12)
 
 

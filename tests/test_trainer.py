@@ -24,7 +24,7 @@ from aajrlab.policy import (
     scale_policy,
     stack_policies,
 )
-from aajrlab.regularizers import RegularizerConfig
+from aajrlab.regularizers import RegularizerConfig, aajr_penalty, aajr_rows
 from aajrlab.tape import dot, relu, sqrt
 from aajrlab.trainer import (
     CSV_HEADER,
@@ -419,15 +419,20 @@ def without_diagnostics_case(mode, variant):
         cfg = replace(cfg, pset=PerturbationSet(p=2, epsilon=0.3, dim=2))
     elif variant == "no_steps":
         cfg = replace(cfg, inner=InnerLoopConfig(eta=0.3, steps=0))
+    elif variant == "hinge":
+        cfg = mirror_cfg(mode, batch=3, hinge=True, steps=4)
     return env, cfg, params0
 
 
-@pytest.mark.parametrize(
-    "mode,variant",
-    [("nominal", None), ("robust_aajr", None), ("robust_global", None), ("robust_plain", None),
-     ("robust_aajr", "sup_norm"), ("robust_global", "sup_norm"), ("robust_aajr", "softplus"),
-     ("robust_aajr", "tanh_free"), ("robust_global", "tanh_free"), ("robust_aajr", "no_steps")],
-)
+DIAGNOSTIC_CASES = [
+    ("nominal", None), ("robust_aajr", None), ("robust_global", None), ("robust_plain", None),
+    ("robust_aajr", "sup_norm"), ("robust_global", "sup_norm"), ("robust_aajr", "softplus"),
+    ("robust_aajr", "tanh_free"), ("robust_global", "tanh_free"), ("robust_aajr", "no_steps"),
+    ("robust_aajr", "hinge"),
+]
+
+
+@pytest.mark.parametrize("mode,variant", DIAGNOSTIC_CASES)
 def test_train_without_diagnostics_gives_same_parameters(mode, variant):
     env, cfg, params0 = without_diagnostics_case(mode, variant)
     with_diag, metrics = train(cfg, env, params0)
@@ -475,6 +480,26 @@ def test_train_without_diagnostics_aborts_at_same_step(kwargs, first):
             pga_batch(last, S, A, env, cfg.pset, cfg.inner)
 
 
+@pytest.mark.parametrize("mode,variant", DIAGNOSTIC_CASES)
+def test_step_records_equal_the_full_record_of_the_same_step(mode, variant):
+    # the diagnostics read the training record; each column equals what the full record of the same step gives
+    env, cfg, params0 = without_diagnostics_case(mode, variant)
+    _, metrics = train(cfg, env, params0)
+    assert len(metrics.records) == cfg.outer_steps
+    robust = mode != "nominal"
+    for step, got in enumerate(metrics.records):
+        params = train(replace(cfg, outer_steps=step), env, params0, diagnostics=False)[0]
+        S, A = trainer._training_batch(env, cfg.seed, step, cfg.batch_size)
+        full = pga_batch(params, S, A, env, cfg.pset, cfg.inner)
+        assert got.nominal_loss == np.mean(full.values[:, 0])
+        assert got.robust_loss == (np.mean(full.values[:, -1]) if robust else got.nominal_loss)
+        assert got.max_dir_amp == (np.max(full.amps, initial=0.0) if robust else 0.0)
+        penalty = aajr_penalty(aajr_rows(params.handle, S, full), cfg.reg)
+        assert got.aajr_penalty == (penalty if robust else 0.0)
+    if variant == "hinge":  # the budget binds, so the hinge form is what the column reads
+        assert any(r.aajr_penalty > 0.0 for r in metrics.records)
+
+
 def test_training_ascent_calls_no_public_policy_function_and_keeps_two_fields(monkeypatch):
     records, ascend = [], inner._ascend
 
@@ -497,7 +522,11 @@ def test_training_ascent_calls_no_public_policy_function_and_keeps_two_fields(mo
     params0s = [init_policy([4, 6, 4], seed=s) for s in (5, 1, 2)]
     trainer._train_stack(cfgs, env, params0s, False)
     train(cfgs[1], env, params0s[1], diagnostics=False)
-    assert len(records) == 4
+    # train with diagnostics runs the same training ascent: robust_aajr, robust_global and the hinge form
+    hinge = replace(cfgs[1], reg=replace(cfgs[1].reg, aajr_hinge=True))
+    for cfg in (cfgs[1], cfgs[2], hinge):
+        assert len(train(cfg, env, params0s[1])[1].records) == 2
+    assert len(records) == 10
     for record in records:
         assert record.deltas.shape[-2:] == (5, 4) and record.ascent.shape[-2:] == (4, 4)
         assert np.isfinite(record.deltas).all() and np.isfinite(record.ascent).all()
