@@ -3,8 +3,8 @@ supplies. The integer rule: every count and seed passes ``check_count``,
 which returns an integer of at least a minimum (not a bool, not a whole
 float) or raises a ConfigError naming its field. Nothing is truncated. The
 number rule: the real hyperparameters pass ``check_positive``, which
-returns a finite float > 0 (or >= 0) or raises a ConfigError naming its
-field."""
+returns a finite real number (not a bool) > 0 (or >= 0) as a float or
+raises a ConfigError naming its field."""
 
 from __future__ import annotations
 
@@ -38,10 +38,11 @@ def check_count(value, minimum: int, field: str | None = None, what: str = "") -
 
 
 def check_positive(value, field: str, what: str = "", allow_zero: bool = False) -> float:
-    """``value`` as a float, if it is a finite number > 0 (>= 0 with
-    ``allow_zero``); ConfigError with ``field`` otherwise. ``what``, if
-    given, names the value in front of the rule."""
-    if math.isfinite(value) and (value >= 0 if allow_zero else value > 0):
+    """``value`` as a float, if it is a real number (numpy's too, not a bool)
+    that is finite and > 0 (>= 0 with ``allow_zero``); ConfigError with
+    ``field`` otherwise. ``what``, if given, names the value in front of it."""
+    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and math.isfinite(value) and (value >= 0 if allow_zero else value > 0):
         return float(value)
     rule = f"must be a finite number {'>=' if allow_zero else '>'} 0"
     raise ConfigError(f"{what} {rule}" if what else rule, field)

@@ -173,13 +173,14 @@ def pga_batch(
     return _ascend(params, states, contexts, env, pset, cfg, full=True)
 
 
-def _ascend(params: PolicyParams, states, contexts, env: Environment, pset, cfg, full: bool) -> Ascent:
+def _ascend(params: PolicyParams, states, contexts, env: Environment, pset, cfg, full: bool, eta=None) -> Ascent:
     """The one ascent loop. ``full=True`` gives ``pga_batch``'s full record
     through the public ``forward``, ``vjp`` and ``jvp``. ``full=False`` gives
     the training record: ``deltas`` and ``ascent``, the two fields the outer
     update reads, bit for bit, and None for the rest. Each of its iterates
     before the last takes its outputs and Jacobians from one layer pass, and
-    the last iterate is only checked finite."""
+    the last iterate is only checked finite. ``eta``, (M, 1, 1) for a stack
+    of M models, gives each model its own step size in place of ``cfg.eta``."""
     S = np.asarray(states, dtype=np.float64)
     A = np.asarray(contexts, dtype=np.float64)
     if pset.dim != params.in_dim or S.ndim != 2 + (params.models > 0) or S.shape[-1] != params.in_dim:
@@ -208,7 +209,7 @@ def _ascend(params: PolicyParams, states, contexts, env: Environment, pset, cfg,
             break
         u = ascent_direction(grad, cfg.eps0)
         ascent[..., t, :] = u
-        deltas[..., t + 1, :] = project(delta + cfg.eta * grad, pset)
+        deltas[..., t + 1, :] = project(delta + (cfg.eta if eta is None else eta) * grad, pset)
         if full:
             amps[..., t] = _row_norms(jvp(params, X, u))
             step = deltas[..., t + 1, :] - delta

@@ -341,31 +341,29 @@ def save_checkpoint(params: PolicyParams, path) -> None:
 
 
 def load_checkpoint(path) -> PolicyParams:
+    """The policy ``save_checkpoint`` wrote to ``path``; any other content is
+    a ConfigError that names the file."""
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        if not isinstance(payload, dict):
+            raise ConfigError("expected a JSON object")
+        for key in ("dims", "activations", "layers"):
+            if not isinstance(payload.get(key), list):
+                raise ConfigError(f"'{key}' must be a list" if key in payload else f"missing key '{key}'")
+        dims, acts = policy_spec(payload["dims"], payload["activations"])
+        if len(payload["layers"]) != len(dims) - 1:
+            raise ConfigError(f"expected {len(dims) - 1} layers, got {len(payload['layers'])}", field="layers")
+        layers = []
+        for k, raw in enumerate(payload["layers"]):
+            if not isinstance(raw, dict) or not {"weight", "bias"} <= raw.keys():
+                raise ConfigError(f"layer {k} must be an object with 'weight' and 'bias'")
+            for name, x, n in (("weight", raw["weight"], dims[k + 1] * dims[k]), ("bias", raw["bias"], dims[k + 1])):
+                if not (isinstance(x, list) and len(x) == n and set(map(type, x)) <= {int, float}):
+                    raise ConfigError(f"layer {k} {name} must be a list of {n} numbers")
+            W, b = (np.array(raw[name], dtype=np.float64) for name in ("weight", "bias"))
+            layers.append(Layer(W.reshape(dims[k + 1], dims[k]), b, acts[k]))
+        return PolicyParams(tuple(layers))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    for key in ("dims", "activations", "layers"):
-        if key not in payload:
-            raise ConfigError(f"checkpoint {path} is missing key '{key}'")
-    try:
-        dims = [check_count(d, 1, "dims", "entries") for d in payload["dims"]]
-    except ConfigError as exc:
+    except (ConfigError, OverflowError) as exc:  # OverflowError: an integer weight beyond the float range
         raise ConfigError(f"checkpoint {path}: {exc}") from None
-    acts = payload["activations"]
-    raw_layers = payload["layers"]
-    if len(raw_layers) != len(dims) - 1 or len(acts) != len(dims) - 1:
-        raise ConfigError(f"checkpoint {path}: dims/activations/layers do not agree")
-    layers = []
-    for k, raw in enumerate(raw_layers):
-        if not isinstance(raw, dict) or not {"weight", "bias"} <= raw.keys():
-            raise ConfigError(f"checkpoint {path}: layer {k} must be an object with 'weight' and 'bias'")
-        out_dim, in_dim = dims[k + 1], dims[k]
-        W = np.asarray(raw["weight"], dtype=np.float64)
-        if W.size != out_dim * in_dim:
-            raise ConfigError(f"checkpoint {path}: layer {k} weight has {W.size} entries, expected {out_dim * in_dim}")
-        b = np.asarray(raw["bias"], dtype=np.float64)
-        if b.shape != (out_dim,):
-            raise ConfigError(f"checkpoint {path}: layer {k} bias has shape {b.shape}, expected ({out_dim},)")
-        layers.append(Layer(W.reshape(out_dim, in_dim), b, acts[k]))
-    return PolicyParams(tuple(layers))

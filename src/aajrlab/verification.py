@@ -24,23 +24,23 @@ Checks implemented here:
 
 The suite checks every seed's policy in one model stack: one projected
 gradient ascent gives each seed's smoothness report and the ``Ascent`` row
-its stability inequalities read, in array passes over all seeds; a seed's
-own ascent runs only in a round that shrinks eta, and one more stacked
-ascent gives the inclusion levels. ``check_inclusion`` runs its policy as a
-stack of one, and ``class_witness`` is the one-map case of the stacked witness;
-the other public checks run the scan on one row of a lone policy.
+its stability inequalities read, in array passes over all seeds; each
+step-size round runs one ascent over the seeds whose eta it shrinks, each
+at its own eta, and one more gives the inclusion levels. The public checks
+``check_inclusion``, ``stable_step_size`` and ``class_witness`` are one-row
+cases of the stacked ones; the others scan one row of a lone policy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .environments import Environment, check_dims, check_seeds, loss, loss_hessian, loss_hessian_bound, sample
 from .errors import ConfigError, check_count, check_positive
-from .inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run
+from .inner import Ascent, InnerLoopConfig, PerturbationSet, _ascend, pga_batch, pga_run
 from .policy import Layer, PolicyParams, forward, init_policy, jvp, stack_policies
 from .regularizers import RegularizerConfig, constraint_levels
 from .tape import matvec
@@ -245,22 +245,34 @@ def stable_step_size(
     eta only ever shrinks, which keeps the loop monotone.
 
     ``smoothness``, when given, is the report already measured at ``inner``
-    (ConfigError otherwise) and saves measuring it again; a new ascent runs
-    only in a round that shrinks eta. The returned report was measured at
-    the returned config.
+    (ConfigError otherwise); without it, the lone policy's ascent measures
+    it. The rounds that shrink eta are the one-row case of ``verify``'s
+    stacked search. The returned report was measured at the returned config.
     """
-    if not 0 < safety <= 1:
-        raise ConfigError("safety factor must be in (0, 1]")
+    if check_positive(safety, "safety", "safety factor") > 1:
+        raise ConfigError("safety factor must be in (0, 1]", "safety")
     grid = _check_one_sample(params, env, pset, grid)
-    cfg = inner
-    smooth = _measured_at(smoothness, cfg) if smoothness else _one_sample(params, env, sample_pair, pset, cfg, grid)
+    smooth = _measured_at(smoothness, inner) if smoothness else _one_sample(params, env, sample_pair, pset, inner, grid)
+    smooth = _step_sizes([params], env, *(x[None] for x in _one_row(sample_pair)), pset, [smooth], safety, grid)[0]
+    return smooth.inner, smooth
+
+
+def _step_sizes(members, env, S, A, pset, reports, safety, grid) -> list[SmoothnessReport]:
+    """``stable_step_size`` for each lone policy of ``members``, from its row of
+    (M, 1, ...) states S and contexts A and its report at the configured eta:
+    a round stacks the models it shrinks for one ascent, each at its own eta."""
+    reports = list(reports)
     for _ in range(8):
-        bound = smooth.l_eff_bound
-        if bound == 0.0 or cfg.eta <= safety / bound:
+        # a model settles at a zero bound or at an eta within safety / bound; a NaN bound never settles
+        shrink = [i for i, r in enumerate(reports) if r.l_eff_bound and not r.inner.eta <= safety / r.l_eff_bound]
+        if not shrink:
             break
-        cfg = InnerLoopConfig(eta=safety / bound, steps=cfg.steps, eps0=cfg.eps0)
-        smooth = _one_sample(params, env, sample_pair, pset, cfg, grid)
-    return cfg, smooth
+        cfgs = [replace(reports[i].inner, eta=safety / reports[i].l_eff_bound) for i in shrink]
+        stack, eta = stack_policies([members[i] for i in shrink]), np.array([cfg.eta for cfg in cfgs])[:, None, None]
+        record = _ascend(stack, S[shrink], A[shrink], env, pset, cfgs[0], full=True, eta=eta)
+        for i, cfg, report in zip(shrink, cfgs, _smoothness(stack, env, S[shrink], A[shrink], record, None, grid)):
+            reports[i] = replace(report, inner=cfg)
+    return reports
 
 
 def _measured_at(smoothness: SmoothnessReport, inner: InnerLoopConfig) -> SmoothnessReport:
@@ -552,8 +564,8 @@ def check_verify(seeds, grid=5, tol_curv_scale=1e-4, n_samples=10, eta_safety=0.
     seeds as a list."""
     for name, n in (("grid", grid), ("n_samples", n_samples)):
         check_count(n, 1, name)
-    if not 0 < eta_safety <= 1:
-        raise ConfigError("must be in (0, 1]", field="eta_safety")
+    if check_positive(eta_safety, "eta_safety", "safety factor") > 1:
+        raise ConfigError("safety factor must be in (0, 1]", "eta_safety")
     check_positive(tol_curv_scale, "tol_curv_scale")
     if any(check_count(d, 2, "witness_dims", "entries") > MAX_WITNESS_DIM for d in witness_dims):
         raise ConfigError(f"entries must be <= {MAX_WITNESS_DIM}", field="witness_dims")
@@ -581,8 +593,8 @@ def verify_suite(
     The seeds' policies run as one model stack: one ascent and one segment
     scan give every seed's smoothness report, one array pass checks every
     seed's stability inequalities, and one more ascent over every seed's
-    samples gives the inclusion levels. A seed whose step-size search
-    shrinks eta runs one ascent of its own per round that shrinks it, and
+    samples gives the inclusion levels. A step-size round that shrinks eta
+    runs one ascent over the seeds it shrinks, each at its own eta, and
     the returned record is the one measured at the stabilised step size.
     Each class-witness grid point (a dimension and a subspace dimension)
     checks both of its gains from one two-model witness ascent.
@@ -604,12 +616,9 @@ def verify_suite(
     # the inclusion ascent, the largest, runs first, while no other report is held
     inclusions = _inclusion(stack, env, pset, inner, reg.gamma, n_samples, [seed * 1000 for seed in seeds])
     smooths = _smoothness(stack, env, S, A, pga_batch(stack, S, A, env, pset, inner), inner, grid, tol_curv_scale)
-    settled = [
-        stable_step_size(m, env, pair, pset, inner, safety=eta_safety, grid=grid, smoothness=smooth)
-        for m, pair, smooth in zip(members, pairs, smooths)
-    ]
-    stabilities = _stability(pset, [smooth_stab for _, smooth_stab in settled])
-    for seed, smooth, (_, smooth_stab), stability, inclusion in zip(seeds, smooths, settled, stabilities, inclusions):
+    settled = _step_sizes(members, env, S, A, pset, smooths, eta_safety, grid)
+    stabilities = _stability(pset, settled)
+    for seed, smooth, smooth_stab, stability, inclusion in zip(seeds, smooths, settled, stabilities, inclusions):
         max_curvature = max((p.curvature for p in smooth.points), default=0.0)
         margins = {"violations": smooth.violations, "max_curvature": max_curvature, "tol": smooth.tol}
         add("effective_smoothness", seed, smooth.passed, margins, smooth.constants())
@@ -644,5 +653,5 @@ def verify_suite(
                     {"gamma": rep.gamma},
                 )
 
-    trajectories = {seed: smooth.trajectory for seed, (_, smooth) in zip(seeds, settled)}
+    trajectories = {seed: smooth.trajectory for seed, smooth in zip(seeds, settled)}
     return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}, trajectories

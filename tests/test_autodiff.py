@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -307,10 +308,47 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(l1.bias, l2.bias)
 
 
-def test_checkpoint_rejects_malformed(tmp_path):
+def _checkpoint_text(weight=(1, 0, 0, 1), count=1, **payload) -> str:
+    """A checkpoint file's text: ``count`` layers of a [2, 2] identity policy,
+    with ``payload`` overriding its keys."""
+    layer = {"weight": weight, "bias": [0, 0]}
+    return json.dumps({"dims": [2, 2], "activations": ["identity"], "layers": [layer] * count, **payload})
+
+
+# name -> the text of a file that is not a checkpoint
+MALFORMED_CHECKPOINTS = {
+    "too_few_weights": _checkpoint_text(weight=[1.0]),
+    "not_json": "{",
+    "json_string": '"a checkpoint"',
+    "json_list": "[2, 2]",
+    "dims_not_a_list": _checkpoint_text(dims=3),
+    "activations_a_string": _checkpoint_text(count=2, dims=[2, 2, 2], activations="ti"),  # read one character at a time
+    "unknown_activation": _checkpoint_text(activations=["relu"]),
+    "last_activation_not_identity": _checkpoint_text(activations=["tanh"]),
+    "weight_a_string": _checkpoint_text(weight=["one", 0, 0, 1]),
+    "weight_nan": _checkpoint_text(weight=[math.nan, 0, 0, 1]),  # the NaN literal
+    "weight_null": _checkpoint_text(weight=[None, 0, 0, 1]),
+    "weight_bool": _checkpoint_text(weight=[True, 0, 0, 1]),
+    "weight_beyond_float_range": _checkpoint_text(weight=[10**400, 0, 0, 1]),
+    "weight_nested": _checkpoint_text(weight=[[1, 0], [0, 1]]),  # weights are stored flat
+    "more_layers_than_dims": _checkpoint_text(count=2),
+    "no_layers": _checkpoint_text(count=0),
+    "layers_not_a_list": _checkpoint_text(layers="one"),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_CHECKPOINTS.values(), ids=MALFORMED_CHECKPOINTS.keys())
+def test_checkpoint_rejects_malformed_naming_the_file(tmp_path, text):
     path = tmp_path / "bad.json"
-    path.write_text('{"dims": [2, 2], "activations": ["identity"], "layers": [{"weight": [1.0], "bias": [0.0, 0.0]}]}')
-    with pytest.raises(ConfigError):
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^checkpoint {re.escape(str(path))}[: ]"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_that_is_not_text_names_the_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ConfigError, match=f"^checkpoint {re.escape(str(path))} is not valid JSON"):
         load_checkpoint(path)
 
 

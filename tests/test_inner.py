@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from aajrlab.environments import Environment, sample
+from aajrlab import inner as inner_module
 from aajrlab.errors import ConfigError, NumericError
 from aajrlab.inner import (
     Ascent,
@@ -355,6 +356,33 @@ def test_pga_batch_rows_equal_pga_run_bit_for_bit(dims, p_norm, kind):
     for m, batch in enumerate(batches):
         for f in fields(Ascent):
             assert np.array_equal(getattr(stacked[m], f.name), getattr(batch, f.name))
+
+
+@pytest.mark.parametrize("steps", [4, 0])
+@pytest.mark.parametrize("p_norm", [2, math.inf])
+@pytest.mark.parametrize("full", [True, False])
+def test_per_model_step_sizes_give_each_model_its_own_pga_batch_bit_for_bit(full, p_norm, steps):
+    env = quad_env([0.6, -0.8, 0.3])
+    if p_norm == math.inf:
+        env = Environment(kind="softplus_congestion", c=env.c, A=env.A, state_dim=3, beta=2.0)
+    pset = PerturbationSet(p=p_norm, epsilon=0.5, dim=3)
+    members, etas = [init_policy([3, 6, 3], seed=seed) for seed in range(3)], [0.05, 0.7, 6.0]
+    pairs = [[sample(env, 10 * seed + k) for k in range(4)] for seed in range(3)]
+    S, A = (np.array([[pair[i] for pair in rows] for rows in pairs]) for i in (0, 1))
+    # the stack's config carries a step size that the per-model ones replace
+    stack, cfg = stack_policies(members), InnerLoopConfig(eta=1.0, steps=steps)
+    got = inner_module._ascend(stack, S, A, env, pset, cfg, full, eta=np.array(etas)[:, None, None])
+    for m, (params, eta) in enumerate(zip(members, etas)):
+        own = pga_batch(params, S[m], A[m], env, pset, InnerLoopConfig(eta=eta, steps=steps))
+        for f in fields(Ascent):
+            value = getattr(got, f.name)
+            if full or f.name in ("deltas", "ascent"):
+                assert np.array_equal(value[m], getattr(own, f.name))
+            else:
+                assert value is None  # the training record keeps only the iterates and ascent directions
+    if steps:  # each model's iterates are not those of the config's step size
+        plain = inner_module._ascend(stack, S, A, env, pset, cfg, full).deltas
+        assert not any(np.array_equal(got.deltas[m], plain[m]) for m in range(3))
 
 
 def test_pga_batch_numeric_error_names_step_and_sample():

@@ -30,6 +30,7 @@ from aajrlab.verification import (
     random_orthonormal_basis,
     subspace_directions,
     check_effective_smoothness,
+    stable_step_size,
     verify_suite,
 )
 
@@ -164,8 +165,9 @@ def test_check_count_rejects_what_is_not_an_integer_at_least_the_minimum(value):
 
 
 # entry -> (field, rule, call(value)); infinities and nan were accepted or
-# rejected with a rule that did not say "finite", and a negative value is
-# rejected with the same rule
+# rejected with a rule that did not say "finite", a negative value is
+# rejected with the same rule, and so are a bool (True passed as 1) and a
+# string (which raised a bare TypeError)
 REAL_CASES = {
     "Environment.beta": ("beta", ">", lambda x: environment(kind="softplus_congestion", beta=x)),
     "InnerLoopConfig.eta": ("eta", ">", lambda x: InnerLoopConfig(eta=x, steps=2)),
@@ -188,10 +190,16 @@ REAL_CASES = {
     "WitnessSpec.offspace_gain": ("offspace_gain", ">", lambda x: WitnessSpec(1.0, x, BASIS)),
     "_check_one_sample.h": ("h", ">", lambda x: check_effective_smoothness(PARAMS, ENV, PAIR, PSET, INNER, h=x)),
     "check_inclusion.gamma": ("gamma", ">", lambda x: check_inclusion(PARAMS, ENV, PSET, INNER, x, 2)),
+    "check_verify.eta_safety": ("eta_safety", ">", lambda x: verify_suite(
+        ENV, [2, 3, 2], None, PSET, INNER, REG, **VERIFY, eta_safety=x
+    )),
+    "stable_step_size.safety": ("safety", ">", lambda x: stable_step_size(
+        PARAMS, ENV, PAIR, PSET, INNER, safety=x
+    )),
 }
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0, True, np.bool_(True), "0.3"])
 @pytest.mark.parametrize("entry", REAL_CASES)
 def test_every_real_hyperparameter_is_a_finite_number(entry, bad):
     field, rule, call = REAL_CASES[entry]

@@ -311,22 +311,30 @@ def test_stability_rejects_report_from_another_step_size(monkeypatch):
 
 
 def _counted_suite(monkeypatch, eta, witness_dims=(2,)):
-    """verify_suite on a [3,6,3] net with every ascent recorded: the stacked
-    ``pga_batch`` and the one-row ``pga_run`` of ``verification``, and the
-    inclusion check's ``pga_batch``."""
+    """verify_suite on a [3,6,3] net with every ascent recorded as (entry,
+    whether it ran on the suite's environment, states, config): the stacked
+    ``pga_batch``, the one-row ``pga_run`` and the step-size search's
+    ``_ascend`` of ``verification``, and the inclusion check's ``pga_batch``.
+    An ``_ascend`` call records its per-model step sizes in place of the config."""
     env = quad_env([0.6, -0.8, 0.3])
     pset = PerturbationSet(p=2, epsilon=2.0, dim=3)
     inner = InnerLoopConfig(eta=eta, steps=4)
     calls = []
 
     def counting(entry, ascent):
-        def spy(params, s, a, env_, pset_, cfg):
-            calls.append((entry, env_ is env, np.array(s, dtype=float), cfg))
-            return ascent(params, s, a, env_, pset_, cfg)
+        def spy(params, s, a, env_, pset_, cfg, *args, **kwargs):
+            etas = np.ravel(kwargs["eta"]).tolist() if "eta" in kwargs else cfg
+            calls.append((entry, env_ is env, np.array(s, dtype=float), etas))
+            return ascent(params, s, a, env_, pset_, cfg, *args, **kwargs)
 
         return spy
 
-    for module, name in ((verification, "pga_batch"), (verification, "pga_run"), (regularizers, "pga_batch")):
+    for module, name in (
+        (verification, "pga_batch"),
+        (verification, "pga_run"),
+        (verification, "_ascend"),
+        (regularizers, "pga_batch"),
+    ):
         entry = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
         monkeypatch.setattr(module, name, counting(entry, getattr(module, name)))
     report, trajectories = verify_suite(
@@ -350,9 +358,23 @@ def _is_witness_ascent(call):
     return cfg == InnerLoopConfig(eta=0.5, steps=4) and S.shape[:2] == (2, 1)
 
 
+def _settling_etas(params, env, pair, pset, inner, safety=0.9):
+    """The step sizes the search visits for one seed, each measured on the
+    lone policy: the configured eta, then one per round that shrinks it."""
+    etas = [inner.eta]
+    for _ in range(8):
+        cfg = InnerLoopConfig(eta=etas[-1], steps=inner.steps, eps0=inner.eps0)
+        bound = check_effective_smoothness(params, env, pair, pset, cfg).l_eff_bound
+        if bound == 0.0 or cfg.eta <= safety / bound:
+            break
+        etas.append(safety / bound)
+    return etas
+
+
 @pytest.mark.parametrize("eta", [0.1, 8.0])
-def test_verify_suite_runs_one_ascent_per_seed_and_step_size(monkeypatch, eta):
-    env, _, inner, report, _, calls = _counted_suite(monkeypatch, eta)
+def test_verify_suite_runs_one_stacked_ascent_per_step_size_round(monkeypatch, eta):
+    env, pset, inner, report, _, calls = _counted_suite(monkeypatch, eta)
+    monkeypatch.undo()  # the lone-policy references below run unrecorded
     stability = {c["seed"]: c["margins"]["eta"] for c in report["checks"] if c["name"] == "pga_stability"}
     witnesses = sum(c["name"] == "class_witness" for c in report["checks"])
     states = np.array([sample(env, seed)[0] for seed in stability])
@@ -368,17 +390,22 @@ def test_verify_suite_runs_one_ascent_per_seed_and_step_size(monkeypatch, eta):
     # and one more covers every seed's inclusion samples
     inclusion = [c for c in calls if c[0] == "regularizers.pga_batch"]
     assert len(inclusion) == 1 and inclusion[0][2].shape == (3, 2, 3) and inclusion[0][3] == inner
-    rounds = 0
-    for s, eta_stab in zip(states, stability.values()):
-        # then the seed runs one ascent of its own per round that shrinks eta
-        runs = [(cfg, own and np.array_equal(s_, s)) for entry, own, s_, cfg in calls if entry == "verification.pga_run"]
-        own_rows = [cfg.eta for cfg, seeds_own in runs if seeds_own]
-        etas = [inner.eta] + own_rows
-        assert etas[-1] == eta_stab
-        assert all(later < earlier for earlier, later in zip(etas, etas[1:]))
-        rounds += len(own_rows)
-    assert len(calls) == 2 + rounds + witnesses // 2
-    assert (rounds > 0) == (eta == 8.0)
+    # no ascent runs on a lone policy
+    assert not [c for c in calls if c[0] == "verification.pga_run"]
+    # each round that shrinks eta runs one stacked ascent over exactly the seeds it shrinks, each at its own eta
+    visited = [  # per seed, in the order of ``states``
+        _settling_etas(init_policy([3, 6, 3], ["tanh", "identity"], seed=seed), env, sample(env, seed), pset, inner)
+        for seed in stability
+    ]
+    rounds = [c for c in calls if c[0] == "verification._ascend"]
+    assert len(rounds) == max(map(len, visited)) - 1
+    for r, (_, own, S, etas) in enumerate(rounds, start=1):
+        shrunk = [k for k, seq in enumerate(visited) if len(seq) > r]
+        assert own and np.array_equal(S, states[shrunk][:, None])
+        assert etas == [visited[k][r] for k in shrunk]
+    assert list(stability.values()) == [seq[-1] for seq in visited]
+    assert len(calls) == 2 + len(rounds) + witnesses // 2
+    assert bool(rounds) == (eta == 8.0)
 
 
 def test_verify_suite_runs_one_witness_ascent_per_grid_point(monkeypatch):
@@ -437,9 +464,10 @@ def _report_fields(report) -> dict:
         (2, 0.0, 0.3, [0, 1, 2]),  # no ascent ever moves
         (2, 2.0, 8.0, [0, 1, 2]),  # a seed whose step-size search shrinks eta, beside seeds whose does not
         (math.inf, 0.25, 0.3, [4]),  # a stack of one, which keeps its model axis
+        (math.inf, 0.25, 8.0, [0, 1, 2, 3, 4, 5]),  # two rounds: the first shrinks four seeds, the second one of them
     ],
 )
-def test_stacked_certificates_equal_one_sample_calls_row_by_row(p, epsilon, eta, seeds):
+def test_stacked_certificates_equal_one_sample_calls_row_by_row(monkeypatch, p, epsilon, eta, seeds):
     env = quad_env([0.6, -0.8, 0.3]) if p == 2 else soft_env([0.2, -0.5, 0.7])
     pset = PerturbationSet(p=p, epsilon=epsilon, dim=3)
     inner = InnerLoopConfig(eta=eta, steps=4)
@@ -462,6 +490,24 @@ def test_stacked_certificates_equal_one_sample_calls_row_by_row(p, epsilon, eta,
         if epsilon == 0.0:
             assert not smooth.points and smooth.l_eff_bound == 0.0 and not smooth.trajectory.moved.any()
     assert (0 < shrunk < len(seeds)) == (eta == 8.0)
+    # the stacked search: one ascent per round over the models it shrinks, and every settled
+    # report is the lone policy's report at the settled eta, bit for bit
+    sizes, ascend = [], verification._ascend
+
+    def counted(params, *args, **kwargs):
+        sizes.append(params.models)
+        return ascend(params, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "_ascend", counted)
+    searched = verification._step_sizes(members, env, S, A, pset, smooths, 0.9, 5)
+    monkeypatch.undo()
+    visited = [_settling_etas(params, env, pair, pset, inner) for params, pair in zip(members, pairs)]
+    assert sizes == [sum(len(etas) > r for etas in visited) for r in range(1, max(map(len, visited)))]
+    assert (sizes == [4, 1]) == (len(seeds) == 6)
+    for (params, pair, cfg, smooth_stab), report in zip(settled, searched):
+        assert report.inner == cfg
+        assert _report_fields(report) == _report_fields(smooth_stab)
+        assert _report_fields(report) == _report_fields(check_effective_smoothness(params, env, pair, pset, cfg))
     stabilities = verification._stability(pset, [smooth_stab for *_, smooth_stab in settled])
     for (params, pair, cfg, smooth_stab), stability in zip(settled, stabilities):
         one = check_pga_stability(params, env, pair, pset, cfg, smoothness=smooth_stab)
@@ -533,6 +579,8 @@ def test_public_entries_check_shapes_before_any_ascent(monkeypatch, entry, dims,
         ("check_effective_smoothness", {"tol_scale": 0.0}, "tol_scale"),
         ("stable_step_size", {"grid": 0}, "grid"),
         ("stable_step_size", {"grid": 2.5}, "grid"),
+        ("stable_step_size", {"safety": 1.5}, "safety"),
+        ("stable_step_size", {"safety": True}, "safety"),
         ("check_pga_stability", {"grid": 0}, "grid"),
         ("check_pga_stability", {"grid": 2.5}, "grid"),
     ],
@@ -808,6 +856,8 @@ def test_verify_suite_needs_distinct_nonnegative_seeds(seeds):
         {"grid": 0},
         {"eta_safety": 0.0},
         {"eta_safety": 1.5},
+        {"eta_safety": True},
+        {"eta_safety": "0.9"},
         {"tol_curv_scale": -1.0},
         {"tol_curv_scale": 0.0},
         {"witness_dims": (1, 0)},
@@ -828,6 +878,7 @@ def test_verify_suite_rejects_bad_arguments_before_any_ascent(monkeypatch, bad):
         (regularizers, "pga_batch"),
         (verification, "pga_batch"),
         (verification, "pga_run"),
+        (verification, "_ascend"),
     ):
         monkeypatch.setattr(module, name, no_ascent)
     field = {"policy_dims": "dims", "pset": "pset.dim"}.get(next(iter(bad)), next(iter(bad)))
