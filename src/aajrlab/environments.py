@@ -10,9 +10,10 @@ Two loss families over the action z and the observable peer demand a:
 An optional orthogonal projector replaces the quadratic residual with its
 projection, which confines loss gradients to a chosen subspace (used by the
 expressivity witness checks). The one sampler, ``draws``, is seeded and
-deterministic, and ``sample`` is its one-row case. In ``mirror`` mode the
-peer demand equals the drawn state, which makes the task state-dependent
-and lets sensitivity budgets actually bind.
+deterministic, and ``sample`` is its one-row case; ``samples``, the
+vectorized form of ``sample``, draws one row per seed in one array pass.
+In ``mirror`` mode the peer demand equals the drawn state, which makes the
+task state-dependent and lets sensitivity budgets actually bind.
 """
 
 from __future__ import annotations
@@ -92,23 +93,113 @@ class Environment:
         return self.A.shape[1]
 
 
-def draws(env: Environment, rng: np.random.Generator, n: int):
-    """n seeded (state, peer context) draws, stacked as (n, d) and (n, q)
-    rows: one uniform draw of n rows, each row a state followed by its peer
-    context, or a state alone that is also its context in ``mirror`` mode."""
+def _split(env: Environment, uniform):
+    """(n, d) states and (n, q) peer contexts from ``uniform(k)``, (n, k) uniform draws: each
+    row a state followed by its peer context, or a state alone that is its context in ``mirror`` mode."""
     d = env.state_dim
     if env.peer_mode == "mirror":
-        S = rng.uniform(-1.0, 1.0, (n, d))
+        S = uniform(d)
         return S, S.copy()
-    rows = rng.uniform(-1.0, 1.0, (n, d + env.peer_dim))
+    rows = uniform(d + env.peer_dim)
     return rows[:, :d].copy(), rows[:, d:].copy()
 
 
+def draws(env: Environment, rng: np.random.Generator, n: int):
+    """n seeded (state, peer context) draws, stacked as (n, d) and (n, q)
+    rows: one uniform draw of n rows."""
+    return _split(env, lambda k: rng.uniform(-1.0, 1.0, (n, k)))
+
+
 def sample(env: Environment, seed: int):
-    """Deterministic draw of (state, peer context) for a non-negative seed:
-    the one row of ``draws`` seeded by (env.seed, seed)."""
+    """Deterministic draw of (state, peer context) for a non-negative seed: the one row of
+    ``draws`` seeded by numpy's ``default_rng([env.seed, seed])``. ``samples`` draws many
+    such rows at once; ``tests/test_environments.py`` pins its rows to this one."""
     S, A = draws(env, np.random.default_rng([env.seed, check_count(seed, 0, "seed")]), 1)
     return S[0], A[0]
+
+
+def samples(env: Environment, seeds):
+    """``sample`` for each of ``seeds``, as (n, d) states and (n, q) peer contexts: row i is
+    bit for bit sample(env, seeds[i]). Every seed is checked before ``_uniform_rows`` draws."""
+    seeds = [check_count(s, 0, "seed") for s in seeds]
+    return _split(env, lambda k: _uniform_rows(env.seed, seeds, k))
+
+
+# numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's 128-bit LCG multiplier (pcg64.h)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _POOL_SIZE, _MASK32 = 0xCA01F9DD, 0x4973F715, 4, 0xFFFFFFFF
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+
+
+def _words(seeds) -> tuple[Array, Array]:
+    """(w, n) uint32: the 32-bit words of each non-negative int as SeedSequence
+    splits an int, least significant first, zero-padded; and the (n,) word counts."""
+    rests = [np.array(seeds, dtype=object)]
+    while np.any(rests[-1] >> 32):
+        rests.append(rests[-1] >> 32)
+    rests = np.array(rests)
+    return (rests & _MASK32).astype(np.uint32), 1 + np.sum(rests[1:] > 0, axis=0)
+
+
+def _uniform_rows(base: int, seeds: list[int], k: int) -> Array:
+    """(len(seeds), k): row i is ``default_rng([base, seeds[i]]).uniform(-1.0, 1.0, k)``
+    by numpy's own algorithms on every row at once: SeedSequence's mixing and
+    ``generate_state(4, np.uint64)`` per entropy word count, PCG64's seeding, 128-bit
+    LCG step and XSL-RR output, and ``uniform``'s ``-1 + 2 * ((x >> 11) * 2**-53)``.
+    Explicit uint32 / uint64 constants keep numpy 1.24's and NEP 50's dtypes alike."""
+    u64 = np.uint64
+    head, (words, count) = _words([base])[0], _words(seeds)
+    state = np.zeros((4, len(seeds)), u64)  # generate_state(4, np.uint64), one column per row
+    with np.errstate(over="ignore"):
+        for w in set(count.tolist()):  # np.unique would import numpy.ma, about 10 ms, on its first call
+            rows = np.flatnonzero(count == w)
+            state[:, rows] = _seed_sequence(np.concatenate([np.repeat(head, len(rows), 1), words[:w, rows]]))
+        inc = (state[2] << u64(1) | state[3] >> u64(63), state[3] << u64(1) | u64(1))  # odd, as PCG64 seeds it
+
+        def add(a_hi, a_lo, b_hi, b_lo):  # modulo 2**128
+            return a_hi + b_hi + (a_lo + b_lo < a_lo).astype(u64), a_lo + b_lo
+
+        def lcg(hi, lo):  # (hi, lo) * multiplier + inc, modulo 2**128
+            lo0, lo1, m0, m1 = lo & u64(_MASK32), lo >> u64(32), u64(_PCG_MULT_LO & _MASK32), u64(_PCG_MULT_LO >> 32)
+            p00, p01, p10 = lo0 * m0, lo0 * m1, lo1 * m0
+            mid = (p00 >> u64(32)) + (p01 & u64(_MASK32)) + (p10 & u64(_MASK32))
+            carry = lo1 * m1 + (p01 >> u64(32)) + (p10 >> u64(32)) + (mid >> u64(32))  # high half of lo * MULT_LO
+            return add(carry + lo * u64(_PCG_MULT_HI) + hi * u64(_PCG_MULT_LO), lo * u64(_PCG_MULT_LO), *inc)
+
+        hi, lo = lcg(*add(*inc, state[0], state[1]))  # pcg_setseq_128_srandom_r
+        out = np.empty((len(seeds), k))
+        for j in range(k):
+            hi, lo = lcg(hi, lo)
+            x, rot = hi ^ lo, hi >> u64(58)
+            out[:, j] = (x >> rot | x << (u64(64) - rot & u64(63))) >> u64(11)
+    return -1.0 + 2.0 * (out * (1.0 / 9007199254740992.0))
+
+
+def _seed_sequence(entropy: Array) -> Array:
+    """(4, n) uint64: SeedSequence(words).generate_state(4, np.uint64) for
+    each column of a (w, n) uint32 array of entropy words."""
+    u32, const = np.uint32, [_INIT_A, _MULT_A]
+
+    def hashmix(value):
+        value, const[0] = value ^ u32(const[0]), const[0] * const[1] & _MASK32
+        value = value * u32(const[0])
+        return value ^ value >> u32(16)
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ result >> u32(16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0])) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    const[:] = _INIT_B, _MULT_B  # generate_state hashes the pool, cycled, with its own constants
+    words = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
+    return np.array([lo | hi << np.uint64(32) for lo, hi in zip(words[::2], words[1::2])])
 
 
 def check_seeds(seeds, minimum: int = 1) -> list[int]:

@@ -365,5 +365,7 @@ def load_checkpoint(path) -> PolicyParams:
         return PolicyParams(tuple(layers))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:  # a missing file, a directory, no read permission
+        raise ConfigError(f"checkpoint {path} cannot be read: {exc.strerror or exc}") from exc
     except (ConfigError, OverflowError) as exc:  # OverflowError: an integer weight beyond the float range
         raise ConfigError(f"checkpoint {path}: {exc}") from None

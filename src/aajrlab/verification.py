@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .environments import Environment, check_dims, check_seeds, loss, loss_hessian, loss_hessian_bound, sample
+from .environments import Environment, check_dims, check_seeds, loss, loss_hessian, loss_hessian_bound, sample, samples
 from .errors import ConfigError, check_count, check_positive
 from .inner import Ascent, InnerLoopConfig, PerturbationSet, _ascend, pga_batch, pga_run
 from .policy import Layer, PolicyParams, forward, init_policy, jvp, stack_policies
@@ -397,7 +397,7 @@ def _inclusion(params, env, pset, inner, gamma, n, seeds) -> list[InclusionRepor
     samples drawn from seeds[i], seeds[i] + 1, ...: one ascent and one
     constraint measurement over every model's samples."""
     m = len(seeds)
-    S, A = (np.array(x).reshape(m, n, -1) for x in zip(*(sample(env, seed + k) for seed in seeds for k in range(n))))
+    S, A = (x.reshape(m, n, -1) for x in samples(env, [seed + k for seed in seeds for k in range(n)]))
     amps, sigmas = constraint_levels(params, S, A, env, pset, inner)
     reports = []
     for amp, sigma in zip(amps, sigmas):
@@ -611,8 +611,7 @@ def verify_suite(
 
     members = [init_policy(policy_dims, activations, seed=seed) for seed in seeds]
     stack = stack_policies(members)
-    pairs = [sample(env, seed) for seed in seeds]
-    S, A = (np.array(x)[:, None] for x in zip(*pairs))
+    S, A = (x[:, None] for x in samples(env, seeds))
     # the inclusion ascent, the largest, runs first, while no other report is held
     inclusions = _inclusion(stack, env, pset, inner, reg.gamma, n_samples, [seed * 1000 for seed in seeds])
     smooths = _smoothness(stack, env, S, A, pga_batch(stack, S, A, env, pset, inner), inner, grid, tol_curv_scale)

@@ -352,6 +352,13 @@ def test_checkpoint_that_is_not_text_names_the_file(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_checkpoint_that_cannot_be_read_names_the_file(tmp_path, name):
+    path = tmp_path / name  # no such file, or a directory
+    with pytest.raises(ConfigError, match=f"^checkpoint {re.escape(str(path))} cannot be read: "):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("layer", [{"weight": [1, 0, 0, 1]}, {"bias": [0, 0]}, [[1, 0, 0, 1], [0, 0]]])
 def test_checkpoint_rejects_malformed_layer_naming_it(tmp_path, layer):
     path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from aajrlab import environments
 from aajrlab.environments import (
     Environment,
     draws,
@@ -13,6 +14,7 @@ from aajrlab.environments import (
     loss_hessian,
     loss_hessian_bound,
     sample,
+    samples,
 )
 from aajrlab.errors import ConfigError
 
@@ -69,6 +71,36 @@ def test_sample_is_row_zero_of_draws(peer_mode, A):
         s_ref = rng.uniform(-1.0, 1.0, 3)
         a_ref = s_ref if peer_mode == "mirror" else rng.uniform(-1.0, 1.0, 2)
         assert np.array_equal(s, s_ref) and np.array_equal(a, a_ref)
+
+
+# seeds of one, two, three and five 32-bit words, so one call mixes entropy
+# word counts, including more words than SeedSequence's pool of four; 7 twice
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 7, 7, 2**130 + 3]
+
+
+@pytest.mark.parametrize("env_seed", [0, 2**32 + 9])
+@pytest.mark.parametrize("peer_mode, A", [("independent", np.ones((3, 2))), ("mirror", np.eye(3))])
+@pytest.mark.parametrize("make", [quad_env, soft_env])
+def test_samples_rows_are_sample_bit_for_bit(make, peer_mode, A, env_seed):
+    env = make(m=3, A=A, peer_mode=peer_mode, seed=env_seed)
+    S, P = samples(env, ORACLE_SEEDS)
+    assert S.shape == (len(ORACLE_SEEDS), 3) and P.shape == (len(ORACLE_SEEDS), A.shape[1])
+    for seed, s, a in zip(ORACLE_SEEDS, S, P):
+        s_ref, a_ref = sample(env, seed)  # numpy's own generator, one per row
+        assert np.array_equal(s.view(np.uint64), s_ref.view(np.uint64))
+        assert np.array_equal(a.view(np.uint64), a_ref.view(np.uint64))
+    S0, P0 = samples(env, [])
+    assert S0.shape == (0, 3) and P0.shape == (0, A.shape[1])
+
+
+def test_samples_checks_every_seed_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("rows were drawn before the seeds were checked")
+
+    monkeypatch.setattr(environments, "_uniform_rows", no_draw)
+    for bad in (True, 1.5, -1):
+        with pytest.raises(ConfigError, match=rf"^seed: must be an integer >= 0, got {bad!r}$"):
+            samples(quad_env(), [0, bad])
 
 
 def test_sample_deterministic_per_seed():

@@ -16,7 +16,7 @@ import pytest
 
 from aajrlab import inner as inner_module
 from aajrlab import regularizers, trainer, verification
-from aajrlab.environments import Environment, check_seeds, sample
+from aajrlab.environments import Environment, check_seeds, sample, samples
 from aajrlab.errors import ConfigError, check_count, check_positive
 from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_run
 from aajrlab.policy import init_policy, load_checkpoint, save_checkpoint
@@ -74,6 +74,7 @@ CASES = {
     "Environment.state_dim": ("state_dim", 2, 2.5, lambda n, _: environment(state_dim=n)),
     "Environment.seed": ("seed", 3, 2.5, lambda n, _: environment(seed=n)),
     "sample": ("seed", 4, 1.5, lambda n, _: sample(ENV, n)),
+    "samples": ("seed", 4, 1.5, lambda n, _: samples(ENV, [0, n])),
     "check_seeds": ("seeds", 2, 1.5, lambda n, _: check_seeds([0, n])),
     "PerturbationSet.dim": ("dim", 2, 2.5, lambda n, _: PerturbationSet(p=2, epsilon=0.3, dim=n)),
     "InnerLoopConfig.steps": ("steps", 2, 2.7, lambda n, _: pga_run(PARAMS, *PAIR, ENV, PSET, InnerLoopConfig(0.3, n))),

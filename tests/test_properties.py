@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aajrlab.cli import parse_config_dict
+from aajrlab.environments import Environment, sample, samples
 from aajrlab.errors import ConfigError
 from aajrlab.inner import PerturbationSet, ascent_direction, project
 from aajrlab.policy import forward, init_policy, jacobian
@@ -45,6 +46,24 @@ def test_project_rows_are_feasible_and_independent(rows, p, epsilon):
         assert np.array_equal(row, project(original, pset))
     # the norm of stacked rows is the norm of each row
     assert np.array_equal(pset.norm(rows), [pset.norm(row) for row in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**160), max_size=8),
+    env_seed=st.integers(0, 2**96),
+    mirror=st.booleans(),
+    d=st.integers(1, 5),
+)
+def test_samples_rows_are_sample_rows_bit_for_bit(seeds, env_seed, mirror, d):
+    q, peer_mode = (d, "mirror") if mirror else (2, "independent")
+    env = Environment("quadratic_congestion", np.zeros(2), np.ones((2, q)), d, seed=env_seed, peer_mode=peer_mode)
+    S, P = samples(env, seeds)
+    assert S.shape == (len(seeds), d) and P.shape == (len(seeds), q)
+    for seed, s, a in zip(seeds, S, P):
+        s_ref, a_ref = sample(env, seed)
+        assert np.array_equal(s.view(np.uint64), s_ref.view(np.uint64))
+        assert np.array_equal(a.view(np.uint64), a_ref.view(np.uint64))
 
 
 @settings(max_examples=300, deadline=None)

@@ -418,6 +418,23 @@ def test_verify_suite_runs_one_witness_ascent_per_grid_point(monkeypatch):
     assert [c[2].shape for c in runs] == [(2, 1, 2)] + [(2, 1, 4)] * 3
 
 
+def test_verify_suite_draws_its_sample_rows_in_two_calls(monkeypatch):
+    calls = []
+
+    def counting(name, draw):
+        return lambda env, seeds: calls.append((name, seeds)) or draw(env, seeds)
+
+    monkeypatch.setattr(verification, "samples", counting("samples", verification.samples))
+    monkeypatch.setattr(verification, "sample", counting("sample", verification.sample))
+    *_, report, _, _ = _counted_suite(monkeypatch, 0.1, witness_dims=(2, 4))
+    # every seed's sample pair in one call, then every seed's inclusion rows in one more
+    inclusion_rows = [seed * 1000 + k for seed in (0, 1, 2) for k in range(2)]
+    assert calls[:2] == [("samples", [0, 1, 2]), ("samples", inclusion_rows)]
+    # and one start state per class-witness grid point, (2, 1), (4, 1), (4, 2) and (4, 3), seeded by k
+    witnesses = sum(c["name"] == "class_witness" for c in report["checks"])
+    assert calls[2:] == [("sample", k) for k in (1, 1, 2, 3)] and len(calls[2:]) == witnesses // 2
+
+
 def test_verify_suite_after_shrinking_eta_matches_fresh_run(monkeypatch):
     env, pset, inner, report, trajectories, _ = _counted_suite(monkeypatch, 8.0)
     shrunk = 0
