@@ -173,14 +173,15 @@ def pga_batch(
     return _ascend(params, states, contexts, env, pset, cfg, full=True)
 
 
-def _ascend(params: PolicyParams, states, contexts, env: Environment, pset, cfg, full: bool, eta=None) -> Ascent:
+def _ascend(params: PolicyParams, states, contexts, env, pset, cfg, full: bool, eta=None, start=None) -> Ascent:
     """The one ascent loop. ``full=True`` gives ``pga_batch``'s full record
     through the public ``forward``, ``vjp`` and ``jvp``. ``full=False`` gives
     the training record: ``deltas`` and ``ascent``, the two fields the outer
     update reads, bit for bit, and None for the rest. Each of its iterates
     before the last takes its outputs and Jacobians from one layer pass, and
-    the last iterate is only checked finite. ``eta``, (M, 1, 1) for a stack
-    of M models, gives each model its own step size in place of ``cfg.eta``."""
+    the last iterate is only checked finite. delta_0 = 0 reads ``start``, the
+    caller's ``_layer_pass(params, states)``, if given. ``eta``, (M, 1, 1)
+    for a stack of M models, gives each model its own step for ``cfg.eta``."""
     S = np.asarray(states, dtype=np.float64)
     A = np.asarray(contexts, dtype=np.float64)
     if pset.dim != params.in_dim or S.ndim != 2 + (params.models > 0) or S.shape[-1] != params.in_dim:
@@ -197,7 +198,7 @@ def _ascend(params: PolicyParams, states, contexts, env: Environment, pset, cfg,
         _check_rows(np.isfinite(X).all(axis=-1), "non-finite iterate", t)
         if t == K and not full:
             break  # training reads the last iterate only through the outer objective
-        Z, J = (forward(params, X), None) if full else _layer_pass(params, X)
+        Z, J = (forward(params, X), None) if full else start if t == 0 and start is not None else _layer_pass(params, X)
         value = loss(env, Z, A)
         _check_rows(np.isfinite(value), "non-finite inner objective", t)
         w = loss_grad(env, Z, A)

@@ -1,15 +1,15 @@
 """MLP policies with exact input-space and parameter-space derivatives.
 
 One layer recursion, ``_mlp``, runs over states stacked as (B, d) rows and
-executes either on plain ndarrays (value paths used by the inner loop) or
-on tape ``Node`` weights (parameter gradients). Tangents pushed alongside
-the states supply Jacobian-vector products, one tangent per state or a
-stack of them. The dense state-action Jacobian is small (the state has at
-most a handful of entries), so ``_layer_pass`` takes it in one forward
-pass per state that carries all ``in_dim`` identity tangents: ``jacobian``
-reads it, ``vjp`` applies its transpose to the cotangent, and the training
-ascent reads the outputs of the same pass. A tangent-only pass skips the
-output layer's value, which nothing reads. Public functions validate a
+executes either on plain ndarrays (value paths used by the inner loop) or on
+tape ``Node`` weights (parameter gradients). Tangents pushed alongside the
+states supply Jacobian-vector products, one tangent per state or a stack of
+them. The dense state-action Jacobian is small (the state has at most a
+handful of entries), so ``_layer_pass`` takes it in one forward pass per
+state that carries all ``in_dim`` identity tangents: ``jacobian`` reads it,
+``vjp`` applies its transpose to the cotangent, and the outer step and its
+training ascent read both outputs of the same pass. A tangent-only pass skips
+the output layer's value, which nothing reads. Public functions validate a
 state or a stack once per call; internal paths call the recursion directly.
 
 A model stack keeps M policies of one shape as one: weights (M, out, in),

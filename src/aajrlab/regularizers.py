@@ -6,11 +6,11 @@ The directional penalty averages ||J(s + delta_t) u_t||_2^2 over the
 recorded ascent steps with the directions held constant: the ascents are
 run before the penalty is differentiated, so no gradient ever flows
 through u_t. Spectral norms come from a dense SVD of the small state-action
-Jacobian; when differentiated, the top right singular vector is held fixed
-and the gradient flows only through the product J v. ``constraint_levels``
-is the one measurement of the directional amplifications along the ascents
-and of the spectral norm at every visited state, which the inclusion
-certificate and the sweep's budget matching both read.
+Jacobians that ``top_singular`` is given; when differentiated, the top
+right singular vector is held fixed and the gradient flows only through J v.
+``constraint_levels`` is the one measurement of the directional
+amplifications along the ascents and of the spectral norm at every visited
+state, which the inclusion certificate and the sweep's budget matching read.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ def aajr_penalty(rows, cfg: RegularizerConfig | None = None):
     return dot(rows, rows, (-2, -1)) * (1.0 / rows.shape[-2])
 
 
-def top_singular(params: PolicyParams, states):
-    """Largest singular value of J and its right singular vector at a state,
-    or at every row of stacked states, from one dense SVD per Jacobian."""
-    J = jacobian(params, states)
+def top_singular(J):
+    """Largest singular value and its right singular vector of a dense
+    Jacobian, or of each of a stack, from one SVD each; it takes Jacobians,
+    so the outer step passes those of its one layer pass at delta = 0."""
     if not np.all(np.isfinite(J)):
         raise NumericError("non-finite Jacobian")
     _, sigmas, vt = np.linalg.svd(J)
@@ -81,8 +81,8 @@ def top_singular(params: PolicyParams, states):
 
 
 def spectral_norm(params: PolicyParams, s):
-    """Exact ||J(s)||_2; one value per row for (B, in_dim) stacked states."""
-    sigma = top_singular(params, s)[0]
+    """Exact ||J(s)||_2, ``top_singular`` of ``jacobian``; one per row of (B, in_dim) stacked states."""
+    sigma = top_singular(jacobian(params, s))[0]
     return float(sigma) if sigma.ndim == 0 else sigma
 
 

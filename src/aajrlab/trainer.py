@@ -3,21 +3,21 @@ evaluation, and the budget-matched price-of-robustness sweep.
 
 Each outer step draws a seeded batch, stacks it as (B, d) rows, runs the
 inner maximizer on all rows at once for robust modes, builds the chosen
-objective over the tape with one policy pass per term, and applies one
-plain gradient-descent update. The worst-case perturbation and the
-ascent directions are treated as constants during the outer update, which
-is what makes the surrogate a stable first-order method. The inner
-maximizer returns only those two, the training record, with or without
-diagnostics; the objective's own evaluation of the last iterate is the one
-check on its loss, and the diagnostics only read the record. The batch
-comes from ``environments.draws``, the one sampler. Spectral norms are
-taken once per step, and only when a global hinge or the diagnostics read
-them. The loop runs a stack of M models that differ only in seed, penalty
-weight and initial parameters in lockstep, as (M, B, d) rows, and the
-diagnostics read the whole stack at once. ``train`` is its one-model case,
-the one model that runs without the model axis. The robust modes share a
-stack at any penalty weight, zero included; nominal models stack only
-with nominal models.
+objective over the tape with one policy pass per term, and applies one plain
+gradient-descent update. The worst-case perturbation and the ascent
+directions are treated as constants during the outer update, which is what
+makes the surrogate a stable first-order method. The inner maximizer returns
+only those two, the training record, with or without diagnostics; the
+objective's own evaluation of the last iterate is the one check on its loss,
+and the diagnostics only read the record. The batch comes from
+``environments.draws``, the one sampler. One untaped layer pass at delta = 0
+per step feeds the ascent's first iterate, the spectral norms (taken only
+for a global hinge or the diagnostics) and the nominal loss. The loop runs a
+stack of M models that differ only in seed, penalty weight and initial
+parameters in lockstep, as (M, B, d) rows, and the diagnostics read the
+whole stack at once. ``train`` is its one-model case, the one model that
+runs without the model axis. The robust modes share a stack at any penalty
+weight, zero included; nominal models stack only with nominal models.
 
 The sweep trains nominal, globally-penalized, and directionally-penalized
 models at matched budgets: the penalty weight for each penalized mode is
@@ -53,6 +53,7 @@ from .errors import ConfigError, NumericError, check_count, check_positive
 from .inner import InnerLoopConfig, PerturbationSet, _ascend, _row_norms, pga_batch
 from .policy import (
     PolicyParams,
+    _layer_pass,
     apply_gradient_step,
     gradient_norm,
     init_policy,
@@ -155,16 +156,18 @@ def _outer_step(cfgs, env: Environment, params: PolicyParams, step: int, S, A, d
     """One outer step of every model of a stack on its states S and peer
     contexts A, shaped as the stack takes them; returns the updated stack
     and, with diagnostics, one record per model, read off the training
-    record the objective reads. The SVD is taken only for a global hinge or
-    for the diagnostics, the two readers of it."""
-    cfg = cfgs[0]
-    record = _ascend(params, S, A, env, cfg.pset, cfg.inner, full=False) if cfg.mode != "nominal" else None
+    record the objective reads. One untaped layer pass at delta = 0, taken
+    only for a reader, feeds the ascent's first iterate, the SVD (after the
+    ascent; for a global hinge with lambda > 0 or diagnostics) and nominal_loss."""
+    cfg, robust = cfgs[0], cfgs[0].mode != "nominal"
     hinged = any(c.mode == "robust_global" and c.reg.lam for c in cfgs)
-    sigmas, v_hat = top_singular(params, S) if hinged or diagnostics else (None, None)
+    start = _layer_pass(params, S) if (robust and cfg.inner.steps) or hinged or diagnostics else None
+    record = _ascend(params, S, A, env, cfg.pset, cfg.inner, full=False, start=start) if robust else None
+    sigmas, v_hat = top_singular(start[1]) if hinged or diagnostics else (None, None)
     _, grads = param_gradient(params, _objective_builder(env, S, A, record, cfgs, v_hat))
     records = [None] * len(cfgs)
     if diagnostics:
-        records = _step_records(step, env, params, S, A, record, sigmas, grads, cfg.reg)
+        records = _step_records(step, env, params, S, A, start[0], record, sigmas, grads, cfg.reg)
     return apply_gradient_step(params, grads, cfg.outer_lr), records
 
 
@@ -181,10 +184,10 @@ def _train_stack(cfgs, env: Environment, params0s, diagnostics: bool = True, bat
     stack only with ``nominal`` models. ``batches`` maps (seed, step) to
     the batch drawn in advance for that outer step; without it each step
     draws its models' batches. The policy dims and the perturbation ball
-    are checked against the environment before the first step. A step that
-    raises NumericError is re-run model by model: a model that fails it
-    aborts with its last finite parameters and leaves the stack, and the
-    others go on.
+    are checked at the entries, ``train`` and ``price_of_robustness``, not
+    here. A step that raises NumericError is re-run model by model: a model
+    that fails it aborts with its last finite parameters and leaves the
+    stack, and the others go on.
     """
 
     def shared(c: TrainConfig) -> TrainConfig:
@@ -199,7 +202,6 @@ def _train_stack(cfgs, env: Environment, params0s, diagnostics: bool = True, bat
         )
     # train's one model runs without the model axis: as a stack of one it costs about 10 % more CPU
     params = params0s[0] if len(cfgs) == 1 else stack_policies(params0s)
-    check_dims(env, params.dims(), cfgs[0].pset)
     final, metrics, live = list(params0s), [RunMetrics() for _ in cfgs], list(range(len(cfgs)))
     for step in range(cfgs[0].outer_steps):
         batch = {
@@ -237,20 +239,21 @@ def train(cfg: TrainConfig, env: Environment, params0: PolicyParams, *, diagnost
     recorded in the metrics instead of raised; the returned parameters are
     the last finite ones. With ``diagnostics=False`` no per-step record is
     built and ``metrics.records`` stays empty; the diagnostics only read,
-    so the parameters and the aborted step are the same. This is the
-    one-model case of the stacked loop that trains a sweep's seeds.
+    so the parameters and the aborted step are the same. The one-model case
+    of the stacked loop, whose shapes it checks against the environment.
     """
+    check_dims(env, params0.dims(), cfg.pset)
     return _train_stack([cfg], env, [params0], diagnostics)[0]
 
 
-def _step_records(step, env, params, S, A, record, sigmas, grads, reg: RegularizerConfig) -> list[StepRecord]:
+def _step_records(step, env, params, S, A, Z, record, sigmas, grads, reg: RegularizerConfig) -> list[StepRecord]:
     """Per-step diagnostics, one record per model of a stack, each column
-    computed once for the whole stack from the global hinge's spectral
-    norms, value passes at delta_0 = 0 and at the last iterate, and one
-    untaped pass of the AAJR rows for both AAJR columns."""
+    computed once for the whole stack from the spectral norms and outputs Z
+    of the outer step's one pass at delta_0 = 0, a value pass at the last
+    iterate, and one untaped pass of the AAJR rows for both AAJR columns."""
     robust = record is not None
     last = S + record.deltas[..., -1, :] if robust else S
-    nominal_loss = np.mean(loss(env, params.handle.forward(S), A), axis=-1)
+    nominal_loss = np.mean(loss(env, Z, A), axis=-1)
     rows = aajr_rows(params.handle, S, record) if robust else None
     columns = (
         np.mean(loss(env, params.handle.forward(last), A), axis=-1) if robust else nominal_loss,

@@ -613,7 +613,8 @@ def verify_suite(
     stack = stack_policies(members)
     S, A = (x[:, None] for x in samples(env, seeds))
     # the inclusion ascent, the largest, runs first, while no other report is held
-    inclusions = _inclusion(stack, env, pset, inner, reg.gamma, n_samples, [seed * 1000 for seed in seeds])
+    # seed s's inclusion rows are max(1000, n_samples) * s + k, k < n_samples: no two seeds share a row
+    inclusions = _inclusion(stack, env, pset, inner, reg.gamma, n_samples, [s * max(1000, n_samples) for s in seeds])
     smooths = _smoothness(stack, env, S, A, pga_batch(stack, S, A, env, pset, inner), inner, grid, tol_curv_scale)
     settled = _step_sizes(members, env, S, A, pset, smooths, eta_safety, grid)
     stabilities = _stability(pset, settled)

@@ -18,7 +18,7 @@ from aajrlab.cli import parse_config_dict
 from aajrlab.environments import Environment, sample, samples
 from aajrlab.errors import ConfigError
 from aajrlab.inner import PerturbationSet, ascent_direction, project
-from aajrlab.policy import forward, init_policy, jacobian
+from aajrlab.policy import Layer, PolicyParams, _layer_pass, forward, init_policy, jacobian
 
 from conftest import repeat_tile_jacobian
 
@@ -95,6 +95,35 @@ def test_batched_forward_and_jacobian_rows_equal_single_calls(dims, seed, batch)
     for i, s in enumerate(states):
         assert np.array_equal(Z[i], forward(params, s))
         assert np.array_equal(J[i], jacobian(params, s))
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    dims=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    seed=st.integers(0, 2**16),
+    batch=st.integers(0, 5),
+    zero_bias=st.booleans(),
+)
+def test_layer_pass_at_s_and_at_s_plus_zero_gives_the_jacobians_bit_for_bit(data, dims, seed, batch, zero_bias):
+    # the outer step hands the training ascent its pass at S for the first iterate, S + 0.0: a -0.0 entry turns
+    # into +0.0 there, and the Jacobians read the states only through 1 - h * h, which no zero's sign moves
+    params = init_policy(dims, seed=seed)
+    if zero_bias:  # the all -0.0 row then meets signed-zero pre-activations at every layer
+        signs = np.random.default_rng(seed).choice([0.0, -0.0], len(params.layers))
+        layers = [Layer(layer.weight, np.full_like(layer.bias, sign), layer.activation)
+                  for layer, sign in zip(params.layers, signs)]
+        params = PolicyParams(tuple(layers))
+    drawn = data.draw(arrays(np.float64, (batch, dims[0]), elements=SIGNED_ZEROS | st.floats(-3.0, 3.0)))
+    S = np.concatenate([np.full((1, dims[0]), -0.0), drawn])
+    Z, J = _layer_pass(params, S)
+    Z0, J0 = _layer_pass(params, S + 0.0)
+    assert np.array_equal(J.view(np.uint64), J0.view(np.uint64))
+    assert np.array_equal(J.view(np.uint64), jacobian(params, S).view(np.uint64))  # what the SVD read before
+    assert np.array_equal(Z, Z0)  # as numbers; an output's zero may differ in sign
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

@@ -8,7 +8,7 @@ import pytest
 from aajrlab.environments import Environment, sample
 from aajrlab.errors import ConfigError, NumericError
 from aajrlab.inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run
-from aajrlab.policy import Layer, PolicyParams, init_policy, param_gradient, scale_policy, stack_policies
+from aajrlab.policy import Layer, PolicyParams, init_policy, jacobian, param_gradient, scale_policy, stack_policies
 from aajrlab.regularizers import (
     RegularizerConfig,
     aajr_penalty,
@@ -205,7 +205,7 @@ def test_global_hinge_reuses_precomputed_singular_pairs():
     params = scale_policy(init_policy([4, 8, 4], seed=5), 3.0)
     states = np.random.default_rng(5).uniform(-1, 1, (6, 4))
     cfg = reg(gamma=0.4)
-    sigmas, v_hat = top_singular(params, states)
+    sigmas, v_hat = top_singular(jacobian(params, states))
     np.testing.assert_array_equal(sigmas, spectral_norm(params, states))
     for s, sigma, v in zip(states, sigmas, v_hat):
         dense = np.linalg.svd(assemble_jacobian(params, s))

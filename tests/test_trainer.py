@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aajrlab import inner, policy, tape, trainer
+from aajrlab import cli, inner, policy, regularizers, tape, trainer
 from aajrlab.environments import Environment, draws, loss_term
 from aajrlab.errors import ConfigError, NumericError
 from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_batch, pga_run
@@ -37,6 +39,8 @@ from aajrlab.trainer import (
 )
 
 from conftest import achieved_levels, linear_policy, nominal_risks, sweep_one_rung_per_round
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def nominal_risk(params, env, n_samples, seed):
@@ -509,24 +513,27 @@ def test_training_ascent_calls_no_public_policy_function_and_keeps_two_fields(mo
 
     def public(name):
         def refuse(*args, **kwargs):
-            raise AssertionError(f"public {name} called in a training ascent")
+            raise AssertionError(f"public {name} called in an outer step")
 
         return refuse
 
     monkeypatch.setattr(trainer, "_ascend", spy)
-    for module in (inner, policy):
-        for name in ("forward", "jvp", "vjp"):
-            monkeypatch.setattr(module, name, public(name))
+    # the outer step reads J(s) at delta = 0 off its one layer pass, so it calls no public pass function;
+    # raising=False puts the refusal also where a module does not import the name, so no later import slips by
+    for module in (inner, policy, regularizers, trainer):
+        for name in ("forward", "jvp", "vjp", "jacobian"):
+            monkeypatch.setattr(module, name, public(name), raising=False)
     env = mirror_env()
     cfgs = stack_cfgs(ROBUST[:3], [0.0, 0.5, 30.0], steps=2)
     params0s = [init_policy([4, 6, 4], seed=s) for s in (5, 1, 2)]
     trainer._train_stack(cfgs, env, params0s, False)
     train(cfgs[1], env, params0s[1], diagnostics=False)
-    # train with diagnostics runs the same training ascent: robust_aajr, robust_global and the hinge form
+    # train with diagnostics runs the same training ascent, in all four modes and in the hinge form
     hinge = replace(cfgs[1], reg=replace(cfgs[1].reg, aajr_hinge=True))
-    for cfg in (cfgs[1], cfgs[2], hinge):
+    nominal = replace(cfgs[0], mode="nominal")
+    for cfg in (nominal, cfgs[0], cfgs[1], cfgs[2], hinge):
         assert len(train(cfg, env, params0s[1])[1].records) == 2
-    assert len(records) == 10
+    assert len(records) == 12  # two steps each of the stack, the lone run and four robust runs with diagnostics
     for record in records:
         assert record.deltas.shape[-2:] == (5, 4) and record.ascent.shape[-2:] == (4, 4)
         assert np.isfinite(record.deltas).all() and np.isfinite(record.ascent).all()
@@ -616,9 +623,9 @@ def test_outer_step_takes_the_svd_only_where_it_is_read(monkeypatch):
     calls = []
     top_singular = trainer.top_singular
 
-    def spy(params, states):
-        calls.append(params.models)
-        return top_singular(params, states)
+    def spy(J):
+        calls.append(J.shape[0] if J.ndim == 4 else 0)  # M for the (M, B, m, d) Jacobians of a stack
+        return top_singular(J)
 
     monkeypatch.setattr(trainer, "top_singular", spy)
     env, params0s = mirror_env(), [init_policy([4, 6, 4], seed=s) for s in range(3)]
@@ -639,6 +646,57 @@ def test_outer_step_takes_the_svd_only_where_it_is_read(monkeypatch):
         cfgs = stack_cfgs(modes, lams, steps=4)
         trainer._train_stack(cfgs, env, params0s[: len(cfgs)], diagnostics)
         assert calls == [len(cfgs) if len(cfgs) > 1 else 0] * expected, (modes, lams, diagnostics)
+
+
+def shipped_train(name, **changes):
+    """The environment, train config and initial policy of a shipped config,
+    with ``changes`` merged into its train block (one level deep)."""
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    for key, value in changes.items():
+        raw["train"][key] = {**raw["train"][key], **value} if isinstance(value, dict) else value
+    run = cli.parse_config_dict(raw)
+    env, cfg = cli._train_setup(run, "train")
+    return env, cfg, cli.build_policy(run.policy)
+
+
+HINGE = {"reg": {"aajr_hinge": True, "gamma_adv": 0.2, "lambda": 0.5}}  # the CI's hinge copy
+
+
+@pytest.mark.parametrize(
+    "name, changes, diagnostics, passes",
+    [
+        ("quadratic_small", {}, True, 5),  # robust_aajr, K = 3
+        ("quadratic_small", {}, False, 3),
+        ("quadratic_small", HINGE, True, 5),
+        ("quadratic_small", HINGE, False, 3),
+        ("softplus_small", {"reg": {"lambda": 5.0}}, True, 6),  # robust_global, K = 4
+        ("softplus_small", {"reg": {"lambda": 5.0}}, False, 4),
+        ("quadratic_small", {"mode": "nominal"}, True, 1),
+        ("quadratic_small", {"mode": "nominal"}, False, 0),
+        ("quadratic_small", {"mode": "robust_plain", "inner": {"steps": 0}}, False, 0),
+    ],
+)
+def test_outer_step_takes_one_untaped_pass_at_delta_zero(monkeypatch, name, changes, diagnostics, passes):
+    # the training ascent's first iterate, the SVD and the nominal-loss column share one layer pass at delta = 0
+    steps, outer_step, mlp = [], trainer._outer_step, policy._mlp
+
+    def stepping(cfgs, env, params, step, S, A, diagnostics):
+        steps.append((S, []))
+        return outer_step(cfgs, env, params, step, S, A, diagnostics)
+
+    def counting(layers, activations, X, *args, **kwargs):
+        if not isinstance(layers[0][0], tape.Node):  # an untaped pass: ndarray weights
+            steps[-1][1].append(np.asarray(X))
+        return mlp(layers, activations, X, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_outer_step", stepping)
+    monkeypatch.setattr(policy, "_mlp", counting)
+    env, cfg, params0 = shipped_train(name, outer_steps=4, **changes)
+    _, metrics = train(cfg, env, params0, diagnostics=diagnostics)
+    assert metrics.aborted_step is None and len(steps) == 4
+    for S, xs in steps:
+        assert len(xs) == passes
+        assert sum(x.shape == S.shape and np.array_equal(x, S) for x in xs) == min(passes, 1)
 
 
 def test_diverging_stack_member_aborts_at_the_same_step_without_the_svd():

@@ -435,6 +435,20 @@ def test_verify_suite_draws_its_sample_rows_in_two_calls(monkeypatch):
     assert calls[2:] == [("sample", k) for k in (1, 1, 2, 3)] and len(calls[2:]) == witnesses // 2
 
 
+def test_verify_suite_gives_no_two_seeds_an_inclusion_row_in_common(monkeypatch):
+    # seed s's inclusion rows are max(1000, n_samples) * s + k: with 1001 samples, 1000 * s + k would hand row 1000
+    # to both seed 0 and seed 1
+    calls, draw = [], verification.samples
+    monkeypatch.setattr(verification, "samples", lambda env, seeds: calls.append(list(seeds)) or draw(env, seeds))
+    env = quad_env([0.6, -0.8, 0.3])
+    pset, inner = PerturbationSet(p=2, epsilon=0.5, dim=3), InnerLoopConfig(eta=0.3, steps=1)
+    reg = RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0)
+    verify_suite(env, [3, 4, 3], None, pset, inner, reg, seeds=[0, 1], n_samples=1001, grid=1, witness_dims=(2,))
+    rows = calls[1]
+    assert rows == [s * 1001 + k for s in (0, 1) for k in range(1001)]
+    assert len(rows) == 2002 == len(set(rows))
+
+
 def test_verify_suite_after_shrinking_eta_matches_fresh_run(monkeypatch):
     env, pset, inner, report, trajectories, _ = _counted_suite(monkeypatch, 8.0)
     shrunk = 0
