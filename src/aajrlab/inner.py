@@ -15,8 +15,10 @@ arrays; a single run is that record's one row. The training record, which
 every outer step asks for, diagnostics or not, holds only the iterates
 and ascent directions; its other fields are None, and it skips
 the amplifications, the last iterate's objective and gradient, and the
-separate forward pass of each iterate. The arrays are marked read-only, so
-a record is immutable after construction and safe to share across threads.
+separate forward pass of each iterate; a nominal model's has zero steps.
+The arrays are marked read-only, so a record is immutable after
+construction and safe to share across threads. The shapes are checked at
+the public entries, ``pga_batch`` and through it ``pga_run``, not per call.
 """
 
 from __future__ import annotations
@@ -167,25 +169,26 @@ def pga_batch(
 
     Each step evaluates the policy, its vjp and its jvp once for all
     iterates; a row's ascent never depends on the rows batched with it.
-    Raises NumericError naming the step and the (flat) sample if an iterate,
-    the objective or its gradient turns non-finite.
+    Raises ConfigError before any pass if the shapes disagree, and
+    NumericError naming the step and the (flat) sample if an iterate, the
+    objective or its gradient turns non-finite.
     """
-    return _ascend(params, states, contexts, env, pset, cfg, full=True)
-
-
-def _ascend(params: PolicyParams, states, contexts, env, pset, cfg, full: bool, eta=None, start=None) -> Ascent:
-    """The one ascent loop. ``full=True`` gives ``pga_batch``'s full record
-    through the public ``forward``, ``vjp`` and ``jvp``. ``full=False`` gives
-    the training record: ``deltas`` and ``ascent``, the two fields the outer
-    update reads, bit for bit, and None for the rest. Each of its iterates
-    before the last takes its outputs and Jacobians from one layer pass, and
-    the last iterate is only checked finite. delta_0 = 0 reads ``start``, the
-    caller's ``_layer_pass(params, states)``, if given. ``eta``, (M, 1, 1)
-    for a stack of M models, gives each model its own step for ``cfg.eta``."""
     S = np.asarray(states, dtype=np.float64)
-    A = np.asarray(contexts, dtype=np.float64)
     if pset.dim != params.in_dim or S.ndim != 2 + (params.models > 0) or S.shape[-1] != params.in_dim:
         raise ConfigError(f"states {S.shape}, policy input {params.in_dim} and perturbation dim {pset.dim} disagree")
+    return _ascend(params, S, np.asarray(contexts, dtype=np.float64), env, pset, cfg, full=True)
+
+
+def _ascend(params: PolicyParams, S: Array, A: Array, env, pset, cfg, full: bool, eta=None, start=None) -> Ascent:
+    """The one ascent loop, on float64 arrays whose shapes an entry checked.
+    ``full=True`` gives ``pga_batch``'s full record through the public
+    ``forward``, ``vjp`` and ``jvp``. ``full=False`` gives the training
+    record: ``deltas`` and ``ascent``, the two fields the outer update reads,
+    bit for bit, and None for the rest. Each of its iterates before the last
+    takes its outputs and Jacobians from one layer pass, and the last iterate
+    is only checked finite. delta_0 = 0 reads ``start``, the caller's
+    ``_layer_pass(params, S)``, if given. ``eta``, (M, 1, 1) for a stack of M
+    models, gives each model its own step for ``cfg.eta``."""
     rows, d, K = S.shape[:-1], S.shape[-1], cfg.steps
     deltas, ascent = np.zeros(rows + (K + 1, d)), np.empty(rows + (K, d))
     values = grads = update = moved = amps = None

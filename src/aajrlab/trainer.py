@@ -2,22 +2,23 @@
 evaluation, and the budget-matched price-of-robustness sweep.
 
 Each outer step draws a seeded batch, stacks it as (B, d) rows, runs the
-inner maximizer on all rows at once for robust modes, builds the chosen
-objective over the tape with one policy pass per term, and applies one plain
-gradient-descent update. The worst-case perturbation and the ascent
-directions are treated as constants during the outer update, which is what
-makes the surrogate a stable first-order method. The inner maximizer returns
-only those two, the training record, with or without diagnostics; the
-objective's own evaluation of the last iterate is the one check on its loss,
-and the diagnostics only read the record. The batch comes from
-``environments.draws``, the one sampler. One untaped layer pass at delta = 0
-per step feeds the ascent's first iterate, the spectral norms (taken only
-for a global hinge or the diagnostics) and the nominal loss. The loop runs a
-stack of M models that differ only in seed, penalty weight and initial
-parameters in lockstep, as (M, B, d) rows, and the diagnostics read the
-whole stack at once. ``train`` is its one-model case, the one model that
-runs without the model axis. The robust modes share a stack at any penalty
-weight, zero included; nominal models stack only with nominal models.
+inner maximizer on all rows at once, builds the chosen objective over the
+tape with one policy pass per term, and applies one plain gradient-descent
+update. Every mode takes this one step: a nominal model's inner maximizer
+has only delta = 0, an ascent of zero steps. The worst-case perturbation
+and the ascent directions are treated as constants during the outer
+update, which is what makes the surrogate a stable first-order method. The
+inner maximizer returns only those two, the training record, with or
+without diagnostics; the objective's own evaluation of the last iterate is
+the one check on its loss, and the diagnostics only read the record. The
+batch comes from ``environments.draws``, the one sampler. One untaped layer
+pass at delta = 0 per step feeds the ascent's first iterate, the spectral
+norms (taken only for a global hinge or the diagnostics) and the nominal
+loss. The loop runs a stack of M models that differ only in seed, mode,
+penalty weight and initial parameters in lockstep, as (M, B, d) rows, with
+one number of ascent steps, and the diagnostics read the whole stack at
+once. ``train`` is its one-model case, the one model that runs without the
+model axis.
 
 The sweep trains nominal, globally-penalized, and directionally-penalized
 models at matched budgets: the penalty weight for each penalized mode is
@@ -27,13 +28,13 @@ for the directional mode) is at most the band's top, then bisected until
 it lands within a tolerance of the shared budget gamma. All seeds are
 trained together, and the two penalized modes share their rounds: every
 round is one model stack, trained on batches drawn once per sweep, and its
-models are evaluated as one stack too, from one draw of the evaluation
-sample. The first penalized round trains each seed's lambda = 0 run with
-every search's first two doubling rungs, and a search that is still
-doubling trains the rung after its current one in the same round. Every
-(seed, mode, lambda) run trains once and enters the sweep's one result
-table, which answers a search that asks for a run it holds without a
-round; a speculative rung that its search never reads stays unread there.
+models are evaluated as one stack too, on the evaluation sample, drawn
+once per sweep. The first penalized round trains each seed's lambda = 0
+run with every search's first two doubling rungs, and a search that is
+still doubling trains the rung after its current one in the same round.
+Every (seed, mode, lambda) run trains once and enters the sweep's one
+result table, which answers a search that asks for a run it holds without
+a round; a speculative rung that its search never reads stays unread there.
 The nominal risk reads its first ``eval_samples`` rows of the evaluation
 draw and the achieved levels its first ``achieved_samples`` rows; the
 achieved levels are ``regularizers.constraint_levels``, the measurement the
@@ -130,8 +131,9 @@ def _objective_builder(env, S, A, record, cfgs, v_hat):
     a per-model weight, the model's lambda under its own mode's penalty and
     0 under the other's, and a penalty no model uses is not built. A masked
     penalty adds exact zeros to its model's value and gradient. The weights
-    take the leading shape of the states: a lone model's are scalars."""
-    X = S if record is None else S + record.deltas[..., -1, :]
+    take the leading shape of the states: a lone model's are scalars. The
+    loss reads the last iterate: S + 0 after zero steps."""
+    X = S + record.deltas[..., -1, :]
     weights = {mode: [c.reg.lam * (c.mode == mode) for c in cfgs] for mode in PENALIZED}
     lam = {mode: np.reshape(w, S.shape[:-2]) for mode, w in weights.items() if any(w)}
     reg = cfgs[0].reg
@@ -156,13 +158,13 @@ def _outer_step(cfgs, env: Environment, params: PolicyParams, step: int, S, A, d
     """One outer step of every model of a stack on its states S and peer
     contexts A, shaped as the stack takes them; returns the updated stack
     and, with diagnostics, one record per model, read off the training
-    record the objective reads. One untaped layer pass at delta = 0, taken
-    only for a reader, feeds the ascent's first iterate, the SVD (after the
-    ascent; for a global hinge with lambda > 0 or diagnostics) and nominal_loss."""
-    cfg, robust = cfgs[0], cfgs[0].mode != "nominal"
-    hinged = any(c.mode == "robust_global" and c.reg.lam for c in cfgs)
-    start = _layer_pass(params, S) if (robust and cfg.inner.steps) or hinged or diagnostics else None
-    record = _ascend(params, S, A, env, cfg.pset, cfg.inner, full=False, start=start) if robust else None
+    record the objective reads, of zero steps for a nominal model. One
+    untaped layer pass at delta = 0, taken only for a reader, feeds the
+    ascent's first iterate, the SVD (after the ascent; for a global hinge
+    with lambda > 0 or diagnostics) and nominal_loss."""
+    cfg, hinged = cfgs[0], any(c.mode == "robust_global" and c.reg.lam for c in cfgs)
+    start = _layer_pass(params, S) if cfg.inner.steps or hinged or diagnostics else None
+    record = _ascend(params, S, A, env, cfg.pset, cfg.inner, full=False, start=start)
     sigmas, v_hat = top_singular(start[1]) if hinged or diagnostics else (None, None)
     _, grads = param_gradient(params, _objective_builder(env, S, A, record, cfgs, v_hat))
     records = [None] * len(cfgs)
@@ -176,12 +178,12 @@ def _train_stack(cfgs, env: Environment, params0s, diagnostics: bool = True, bat
     model, each bit for bit what training it alone gives.
 
     The models share the environment and every hyperparameter but their
-    seed, their penalty weight and ``params0``. ``robust_plain``,
-    ``robust_aajr`` and ``robust_global`` models may share a stack at any
-    lambda, lambda = 0 beside lambda > 0, since all of them run the same
-    ascent: each penalty enters with a per-model weight that is an exact
-    zero for a model of another mode or at lambda = 0. ``nominal`` models
-    stack only with ``nominal`` models. ``batches`` maps (seed, step) to
+    seed, their mode, their penalty weight and ``params0``. They may mix
+    modes and lambdas, lambda = 0 beside lambda > 0, since all of them run
+    the same ascent: each penalty enters with a per-model weight that is an
+    exact zero for a model of another mode or at lambda = 0. A nominal
+    model's config gets zero inner steps here, once, so it stacks only with
+    zero-step models. ``batches`` maps (seed, step) to
     the batch drawn in advance for that outer step; without it each step
     draws its models' batches. The policy dims and the perturbation ball
     are checked at the entries, ``train`` and ``price_of_robustness``, not
@@ -189,16 +191,12 @@ def _train_stack(cfgs, env: Environment, params0s, diagnostics: bool = True, bat
     that fails it aborts with its last finite parameters and leaves the
     stack, and the others go on.
     """
-
-    def shared(c: TrainConfig) -> TrainConfig:
-        """What stacked models have in common; every robust mode counts as one."""
-        mode = "nominal" if c.mode == "nominal" else "robust_plain"
-        return replace(c, mode=mode, seed=0, reg=replace(c.reg, lam=0.0))
-
-    if len(set(map(shared, cfgs))) > 1:
+    # a nominal model is the zero-step ascent; stacked models share all but seed, mode and lambda
+    cfgs = [replace(c, inner=replace(c.inner, steps=0)) if c.mode == "nominal" else c for c in cfgs]
+    if len({replace(c, mode="robust_plain", seed=0, reg=replace(c.reg, lam=0.0)) for c in cfgs}) > 1:
         raise ConfigError(
-            "stacked models must share every setting but seed, lambda and the robust mode;"
-            " nominal models share a stack only with nominal models"
+            "stacked models must share every setting but seed, lambda and the mode;"
+            " a nominal model has zero inner steps, so it shares a stack only with zero-step models"
         )
     # train's one model runs without the model axis: as a stack of one it costs about 10 % more CPU
     params = params0s[0] if len(cfgs) == 1 else stack_policies(params0s)
@@ -250,20 +248,17 @@ def _step_records(step, env, params, S, A, Z, record, sigmas, grads, reg: Regula
     """Per-step diagnostics, one record per model of a stack, each column
     computed once for the whole stack from the spectral norms and outputs Z
     of the outer step's one pass at delta_0 = 0, a value pass at the last
-    iterate, and one untaped pass of the AAJR rows for both AAJR columns."""
-    robust = record is not None
-    last = S + record.deltas[..., -1, :] if robust else S
-    nominal_loss = np.mean(loss(env, Z, A), axis=-1)
-    rows = aajr_rows(params.handle, S, record) if robust else None
-    columns = (
-        np.mean(loss(env, params.handle.forward(last), A), axis=-1) if robust else nominal_loss,
-        nominal_loss,
-        aajr_penalty(rows, reg) if robust else 0.0,
-        global_penalty(params, S, reg, sigmas=sigmas),
-        np.max(_row_norms(rows), axis=-1, initial=0.0) if robust else 0.0,
-        np.mean(sigmas, axis=-1),
-        gradient_norm(grads),
-    )
+    iterate, and one untaped pass of the AAJR rows for both AAJR columns.
+    After zero ascent steps the last iterate is S: robust_loss reads Z, and
+    the AAJR columns, which have no rows, are 0."""
+    robust_loss = nominal_loss = np.mean(loss(env, Z, A), axis=-1)
+    aajr = max_amp = 0.0
+    if record.steps:
+        rows = aajr_rows(params.handle, S, record)
+        robust_loss = np.mean(loss(env, params.handle.forward(S + record.deltas[..., -1, :]), A), axis=-1)
+        aajr, max_amp = aajr_penalty(rows, reg), np.max(_row_norms(rows), axis=-1, initial=0.0)
+    hinge = global_penalty(params, S, reg, sigmas=sigmas)
+    columns = (robust_loss, nominal_loss, aajr, hinge, max_amp, np.mean(sigmas, axis=-1), gradient_norm(grads))
     table = np.empty(S.shape[:-2] + (len(columns),))  # one row per model; one row for a lone model
     for k, column in enumerate(columns):
         table[..., k] = column
@@ -295,15 +290,14 @@ def evaluate_robust_risk(
     return float(np.mean(pga_batch(params, S, A, env, pset, inner).values[:, -1]))
 
 
-def _evaluate(params, env, pset, inner, eval_samples, achieved_samples, seed):
-    """The sweep's evaluation of every model of a stack, from one draw of
-    the evaluation sample: the nominal risk and its se over its first
-    ``eval_samples`` rows, and the achieved levels over its first
+def _evaluate(params, env, pset, inner, S, A, eval_samples, achieved_samples):
+    """The sweep's evaluation of every model of a stack on the evaluation
+    sample's rows S, A: the nominal risk and its se over the first
+    ``eval_samples`` rows, and the achieved levels over the first
     ``achieved_samples`` rows. The levels are the constraint levels of one
     stacked ascent: the max directional amplification over ascent steps and
     the max spectral norm over every visited state s + delta_t. Returns the
     four result fields per model, in the report's key order."""
-    S, A = _eval_draws(env, max(eval_samples, achieved_samples), seed)
     S_eval, A_eval = _per_model(params, S[:eval_samples], A[:eval_samples])
     values = loss(env, params.handle.forward(S_eval), A_eval)
     S_levels, A_levels = _per_model(params, S[:achieved_samples], A[:achieved_samples])
@@ -363,13 +357,15 @@ def _round_runner(env, base_cfg, seeds, policy_dims, activations, eval_samples, 
     """The sweep's round: ``run_round(runs)`` trains the (seed index, mode,
     lambda) runs as one stack and evaluates the runs that did not abort as
     one stack; it returns each run's result, None for a run that aborted.
-    Every round stacks its models' batches from one table, so each (seed,
-    step) training batch is drawn once per sweep."""
+    Every round stacks its models' batches from one table and evaluates on
+    one sample, so each (seed, step) training batch and the evaluation
+    sample are drawn once per sweep."""
     batches = {
         (seed, step): _training_batch(env, seed, step, base_cfg.batch_size)
         for seed in seeds
         for step in range(base_cfg.outer_steps)
     }
+    S, A = _eval_draws(env, max(eval_samples, achieved_samples), eval_seed)  # the evaluation sample
 
     def run_round(runs) -> dict:
         cfgs = [
@@ -382,7 +378,7 @@ def _round_runner(env, base_cfg, seeds, policy_dims, activations, eval_samples, 
         if not kept:
             return results
         stack = stack_policies([params for _, _, params in kept])
-        evaluations = _evaluate(stack, env, base_cfg.pset, base_cfg.inner, eval_samples, achieved_samples, eval_seed)
+        evaluations = _evaluate(stack, env, base_cfg.pset, base_cfg.inner, S, A, eval_samples, achieved_samples)
         for (run, cfg, _), evaluation in zip(kept, evaluations):
             results[run] = {"mode": cfg.mode, "seed": cfg.seed, "lambda": cfg.reg.lam, **evaluation}
         return results

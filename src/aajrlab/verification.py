@@ -42,7 +42,7 @@ from .environments import Environment, check_dims, check_seeds, loss, loss_hessi
 from .errors import ConfigError, check_count, check_positive
 from .inner import Ascent, InnerLoopConfig, PerturbationSet, _ascend, pga_batch, pga_run
 from .policy import Layer, PolicyParams, forward, init_policy, jvp, stack_policies
-from .regularizers import RegularizerConfig, constraint_levels
+from .regularizers import RegularizerConfig, constraint_levels, top_singular
 from .tape import matvec
 
 Array = np.ndarray
@@ -501,7 +501,7 @@ def _class_witnesses(specs, directions, e2e_seed) -> list[WitnessReport]:
     W = params.layers[0].weight
     amps = matvec(W, np.broadcast_to(U, (m,) + U.shape))
     max_amps = np.max(np.sqrt(_dots(amps, amps)), axis=-1, initial=0.0)
-    sigmas = np.linalg.svd(W)[1][:, 0]
+    sigmas = top_singular(W)[0]
     c = np.random.default_rng(seed).uniform(-1.0, 1.0, d)
     env = Environment(kind="quadratic_congestion", c=c, A=np.zeros((d, d)), state_dim=d, projector=P)
     pset = PerturbationSet(p=2.0, epsilon=0.5, dim=d)

@@ -533,9 +533,10 @@ def test_training_ascent_calls_no_public_policy_function_and_keeps_two_fields(mo
     nominal = replace(cfgs[0], mode="nominal")
     for cfg in (nominal, cfgs[0], cfgs[1], cfgs[2], hinge):
         assert len(train(cfg, env, params0s[1])[1].records) == 2
-    assert len(records) == 12  # two steps each of the stack, the lone run and four robust runs with diagnostics
-    for record in records:
-        assert record.deltas.shape[-2:] == (5, 4) and record.ascent.shape[-2:] == (4, 4)
+    assert len(records) == 14  # two steps each of the stack, the lone run and five runs with diagnostics
+    for k, record in enumerate(records):
+        steps = 0 if k in (4, 5) else 4  # the nominal run's steps train on the zero-step ascent
+        assert record.deltas.shape[-2:] == (steps + 1, 4) and record.ascent.shape[-2:] == (steps, 4)
         assert np.isfinite(record.deltas).all() and np.isfinite(record.ascent).all()
         assert record.values is record.grads is record.amps is record.update is record.moved is None
 
@@ -674,6 +675,10 @@ HINGE = {"reg": {"aajr_hinge": True, "gamma_adv": 0.2, "lambda": 0.5}}  # the CI
         ("quadratic_small", {"mode": "nominal"}, True, 1),
         ("quadratic_small", {"mode": "nominal"}, False, 0),
         ("quadratic_small", {"mode": "robust_plain", "inner": {"steps": 0}}, False, 0),
+        # with zero ascent steps the last iterate is S: the diagnostics read the pass at delta = 0, as nominal does
+        ("quadratic_small", {"mode": "robust_plain", "inner": {"steps": 0}}, True, 1),
+        ("quadratic_small", {"inner": {"steps": 0}}, True, 1),
+        ("quadratic_small", {"inner": {"steps": 0}}, False, 0),
     ],
 )
 def test_outer_step_takes_one_untaped_pass_at_delta_zero(monkeypatch, name, changes, diagnostics, passes):
@@ -739,13 +744,34 @@ def test_stack_rejects_models_that_differ_beyond_seed_and_lambda():
     ):
         with pytest.raises(ConfigError, match="share"):
             trainer._train_stack([cfgs[0], other], env, params0s)
-    # nominal never shares a stack with a robust mode, whatever either lambda
+    # a nominal model has zero inner steps, so it never shares a stack with a robust model of K > 0
     nominal = replace(cfgs[0], mode="nominal", reg=replace(cfgs[0].reg, lam=0.0))
     for mode in ("robust_plain", "robust_aajr", "robust_global"):
         for lam in (0.0, 2.0):
             with pytest.raises(ConfigError, match="share"):
                 robust = replace(cfgs[1], mode=mode, reg=replace(cfgs[1].reg, lam=lam))
                 trainer._train_stack([nominal, robust], env, params0s)
+
+
+@pytest.mark.parametrize("diagnostics", [True, False])
+def test_nominal_model_trains_as_a_zero_step_robust_plain_model_bit_for_bit(diagnostics):
+    # nominal training is the minimax surrogate whose inner maximizer has only delta = 0
+    env = mirror_env()
+    nominal = stack_cfgs("nominal", [0.0, 0.7, 0.0], steps=6)
+    plain = [replace(c, mode="robust_plain", inner=replace(c.inner, steps=0)) for c in nominal]
+    params0s = [init_policy([4, 6, 4], seed=s) for s in (5, 1, 2)]
+    alone = [train(cfg, env, params0, diagnostics=diagnostics) for cfg, params0 in zip(nominal, params0s)]
+    for cfg, params0, want in zip(plain, params0s, alone):
+        assert_same_run(train(cfg, env, params0, diagnostics=diagnostics), want)
+        assert len(want[1].records) == (cfg.outer_steps if diagnostics else 0)
+        assert all(r.robust_loss == r.nominal_loss and r.aajr_penalty == r.max_dir_amp == 0.0 for r in want[1].records)
+    for got, want in zip(trainer._train_stack(plain, env, params0s, diagnostics), alone):
+        assert_same_run(got, want)
+    # in one stack beside zero-step robust models, each model trains as it does alone
+    zero_step = replace(plain[2], mode="robust_global", reg=replace(plain[2].reg, lam=30.0))
+    mixed = [nominal[0], plain[1], zero_step]
+    for cfg, params0, got in zip(mixed, params0s, trainer._train_stack(mixed, env, params0s, diagnostics)):
+        assert_same_run(got, train(cfg, env, params0, diagnostics=diagnostics))
 
 
 @pytest.mark.parametrize("mode", ["nominal", "robust_aajr", "robust_global"])
@@ -914,10 +940,11 @@ def test_stacked_evaluation_equals_evaluating_each_model_alone():
     env = mirror_env()
     cfg = mirror_cfg("robust_aajr", batch=2)
     members = [init_policy([4, 6, 4], seed=s) for s in (3, 0, 7)]
-    evaluations = trainer._evaluate(stack_policies(members), env, cfg.pset, cfg.inner, 16, 3, seed=4)
+    rows = trainer._eval_draws(env, 16, seed=4)
+    evaluations = trainer._evaluate(stack_policies(members), env, cfg.pset, cfg.inner, *rows, 16, 3)
     assert len(evaluations) == len(members)
     for params, evaluation in zip(members, evaluations):
-        assert evaluation == trainer._evaluate(stack_policies([params]), env, cfg.pset, cfg.inner, 16, 3, seed=4)[0]
+        assert evaluation == trainer._evaluate(stack_policies([params]), env, cfg.pset, cfg.inner, *rows, 16, 3)[0]
         assert evaluation["nominal_risk_se"] > 0.0
         (risk,), (level,) = nominal_risks(params, env, 16, 4), achieved_levels(params, env, cfg.pset, cfg.inner, 3, 4)
         assert tuple(evaluation.values()) == (*risk, *level)
@@ -931,7 +958,8 @@ def test_one_evaluation_draw_equals_one_draw_per_quantity(env, stacked, eval_sam
     cfg = mirror_cfg("robust_aajr", batch=2)
     members = [init_policy([4, 6, 4], seed=s) for s in (3, 0, 7)]
     params = stack_policies(members if stacked else members[:1])
-    got = trainer._evaluate(params, env, cfg.pset, cfg.inner, eval_samples, achieved_samples, seed=4)
+    rows = trainer._eval_draws(env, max(eval_samples, achieved_samples), seed=4)
+    got = trainer._evaluate(params, env, cfg.pset, cfg.inner, *rows, eval_samples, achieved_samples)
     risks = nominal_risks(params, env, eval_samples, seed=4)
     levels = achieved_levels(params, env, cfg.pset, cfg.inner, achieved_samples, seed=4)
     assert len(got) == len(risks) == len(levels) == (3 if stacked else 1)
@@ -940,25 +968,34 @@ def test_one_evaluation_draw_equals_one_draw_per_quantity(env, stacked, eval_sam
         assert tuple(evaluation.values()) == (*risk, *level)
 
 
-def test_price_of_robustness_draws_one_evaluation_sample_per_round(monkeypatch):
+def test_price_of_robustness_draws_one_evaluation_sample_per_sweep(monkeypatch):
     env = mirror_env()
     cfg = mirror_cfg("nominal", batch=2, steps=6)
     kwargs = dict(seeds=[0, 1, 2], policy_dims=[4, 6, 4], eval_samples=16, achieved_samples=3, bisect_iters=2, max_doublings=2)
-    stack, eval_draws, rounds, evaluations = trainer._train_stack, trainer._eval_draws, [], []
+    stack, eval_draws, evaluate = trainer._train_stack, trainer._eval_draws, trainer._evaluate
+    rounds, draws, rows = [], [], []
 
     def counting_stack(*args, **kw):
         rounds.append(1)
         return stack(*args, **kw)
 
-    def counting_draws(*args, **kw):
-        evaluations.append(1)
-        return eval_draws(*args, **kw)
+    def counting_draws(env, n_samples, seed):
+        draws.append((n_samples, seed))
+        return eval_draws(env, n_samples, seed)
+
+    def reading(params, env, pset, inner, S, A, *args):
+        rows.append((S, A))
+        return evaluate(params, env, pset, inner, S, A, *args)
 
     monkeypatch.setattr(trainer, "_train_stack", counting_stack)
     monkeypatch.setattr(trainer, "_eval_draws", counting_draws)
+    monkeypatch.setattr(trainer, "_evaluate", reading)
     report = price_of_robustness(env, cfg, **kwargs)
     assert not report.excluded  # no round lost every run, so every round is evaluated
-    assert len(rounds) > 2 and len(evaluations) == len(rounds)
+    # one draw of max(eval_samples, achieved_samples) rows, which every round's evaluation reads
+    assert draws == [(16, 10_000)]
+    assert len(rounds) > 2 and len(rows) == len(rounds)
+    assert all(S is rows[0][0] and A is rows[0][1] for S, A in rows)
 
 
 def test_training_batches_are_drawn_once_per_seed_and_step(monkeypatch):

@@ -669,7 +669,8 @@ def test_inclusion_on_trained_global_model_at_achieved_budget():
     )
     params, metrics = train(cfg, env, init_policy([2, 4, 2], seed=0))
     assert metrics.aborted_step is None
-    achieved = trainer._evaluate(stack_policies([params]), env, pset, inner, 10, 10, seed=500)[0]["achieved_spectral"]
+    rows = trainer._eval_draws(env, 10, seed=500)
+    achieved = trainer._evaluate(stack_policies([params]), env, pset, inner, *rows, 10, 10)[0]["achieved_spectral"]
     # small headroom: the check draws its own sample set
     report = check_inclusion(params, env, pset, inner, gamma=achieved * 1.05, n_samples=10, seed=500)
     assert report.status == "pass"
