@@ -55,7 +55,8 @@ class Environment:
         if self.kind == "softplus_congestion":
             if self.beta is None:
                 raise ConfigError("softplus_congestion needs beta > 0", field="beta")
-            check_positive(self.beta, "beta")
+            if not np.isfinite((beta := check_positive(self.beta, "beta")) * beta / 4.0):
+                raise ConfigError(f"beta^2 / 4, the loss's smoothness constant, overflows at {beta!r}", field="beta")
         elif self.beta is not None:
             raise ConfigError("beta is only meaningful for softplus_congestion", field="beta")
         if self.peer_mode not in PEER_MODES:

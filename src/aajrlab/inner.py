@@ -39,7 +39,7 @@ Array = np.ndarray
 _EPS = np.finfo(np.float64).eps
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PerturbationSet:
     """Norm ball {delta : ||delta||_p <= epsilon}, p in {2, inf} (or "inf", as configs spell it).
 

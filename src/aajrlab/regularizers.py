@@ -8,9 +8,9 @@ run before the penalty is differentiated, so no gradient ever flows
 through u_t. Spectral norms come from a dense SVD of the small state-action
 Jacobians that ``top_singular`` is given; when differentiated, the top
 right singular vector is held fixed and the gradient flows only through J v.
-``constraint_levels`` is the one measurement of the directional
-amplifications along the ascents and of the spectral norm at every visited
-state, which the inclusion certificate and the sweep's budget matching read.
+``constraint_levels`` reads the directional amplifications and the spectral
+norm at every visited state off an ascent record its caller ran: the one
+measurement the inclusion certificate and the sweep's budget matching read.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environments import Environment
 from .errors import ConfigError, NumericError, check_positive
-from .inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch
+from .inner import Ascent
 from .policy import PolicyHandle, PolicyParams, jacobian
 from .tape import dot, relu, sqrt
 
@@ -86,15 +85,12 @@ def spectral_norm(params: PolicyParams, s):
     return float(sigma) if sigma.ndim == 0 else sigma
 
 
-def constraint_levels(
-    params: PolicyParams, states, contexts, env: Environment, pset: PerturbationSet, inner: InnerLoopConfig
-):
-    """The constraint levels of the ascents from (B, d) states, or from the
-    (M, B, d) states of a model stack: the directional amplification
-    ||J(s + delta_t) u_t|| of every step, (..., B, K), and the exact
-    spectral norm at every visited state s + delta_t, (..., B, K + 1)."""
+def constraint_levels(params: PolicyParams, states, record: Ascent):
+    """The constraint levels of ``record``, the full ``pga_batch`` record of
+    the ascents from (B, d) or a stack's (M, B, d) states: each step's
+    directional amplification ||J(s + delta_t) u_t||, (..., B, K), and the
+    exact spectral norm at every visited state s + delta_t, (..., B, K + 1)."""
     S = np.asarray(states, dtype=np.float64)
-    record = pga_batch(params, S, contexts, env, pset, inner)
     # one iterate at a time: the Jacobians of every visited state at once would hold K + 1 times the memory
     sigmas = [spectral_norm(params, S + record.deltas[..., t, :]) for t in range(record.steps + 1)]
     return record.amps, np.stack(sigmas, axis=-1)

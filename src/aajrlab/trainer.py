@@ -37,9 +37,9 @@ result table, which answers a search that asks for a run it holds without
 a round; a speculative rung that its search never reads stays unread there.
 The nominal risk reads its first ``eval_samples`` rows of the evaluation
 draw and the achieved levels its first ``achieved_samples`` rows; the
-achieved levels are ``regularizers.constraint_levels``, the measurement the
-inclusion certificate reads. The reported gaps are trained-optimum
-estimates, not exact infima.
+achieved levels are ``regularizers.constraint_levels`` of one ascent over
+them, the measurement the inclusion certificate reads. The reported gaps
+are trained-optimum estimates, not exact infima.
 """
 
 from __future__ import annotations
@@ -294,14 +294,15 @@ def _evaluate(params, env, pset, inner, S, A, eval_samples, achieved_samples):
     """The sweep's evaluation of every model of a stack on the evaluation
     sample's rows S, A: the nominal risk and its se over the first
     ``eval_samples`` rows, and the achieved levels over the first
-    ``achieved_samples`` rows. The levels are the constraint levels of one
-    stacked ascent: the max directional amplification over ascent steps and
+    ``achieved_samples`` rows. The levels read the full record of one stacked
+    ascent, run here: the max directional amplification over ascent steps and
     the max spectral norm over every visited state s + delta_t. Returns the
     four result fields per model, in the report's key order."""
     S_eval, A_eval = _per_model(params, S[:eval_samples], A[:eval_samples])
     values = loss(env, params.handle.forward(S_eval), A_eval)
     S_levels, A_levels = _per_model(params, S[:achieved_samples], A[:achieved_samples])
-    amps, sigmas = constraint_levels(params, S_levels, A_levels, env, pset, inner)
+    record = pga_batch(params, S_levels, A_levels, env, pset, inner)
+    amps, sigmas = constraint_levels(params, S_levels, record)
     return [
         {
             "nominal_risk": float(np.mean(vals)),

@@ -22,13 +22,13 @@ Checks implemented here:
   least ||step||^2 / (2 eta) on every step, keep gradient changes along the
   update direction below L_eff * ||step||, and stay feasible.
 
-The suite checks every seed's policy in one model stack: one projected
-gradient ascent gives each seed's smoothness report and the ``Ascent`` row
-its stability inequalities read, in array passes over all seeds; each
-step-size round runs one ascent over the seeds whose eta it shrinks, each
-at its own eta, and one more gives the inclusion levels. The public checks
-``check_inclusion``, ``stable_step_size`` and ``class_witness`` are one-row
-cases of the stacked ones; the others scan one row of a lone policy.
+The suite checks every seed's policy in one model stack, with one ascent
+per step size: at the configured eta, each seed's sample row, which gives
+its smoothness report and the ``Ascent`` row its stability inequalities
+read, ascends with its inclusion rows; each step-size round ascends the
+seeds whose eta it shrinks, each at its own eta. ``check_inclusion``,
+``stable_step_size`` and ``class_witness`` are one-row cases of the stacked
+checks; the others scan one row of a lone policy.
 """
 
 from __future__ import annotations
@@ -384,21 +384,21 @@ def check_inclusion(
     seed: int = 0,
 ) -> InclusionReport:
     """A global budget that holds on every visited state must bound every
-    directional amplification. Reported as skipped when the budget itself
-    is violated."""
+    directional amplification; checked on the ascents from the rows seeded
+    seed, seed + 1, ... Reported as skipped when the budget itself fails."""
     n_samples, seed = check_count(n_samples, 1, "n_samples"), check_count(seed, 0, "seed")
     gamma = check_positive(gamma, "gamma", "inclusion budget gamma")
     check_dims(env, params.dims(), pset)
-    return _inclusion(stack_policies([params]), env, pset, inner, gamma, n_samples, [seed])[0]
+    stack = stack_policies([params])
+    S, A = (x[None] for x in samples(env, range(seed, seed + n_samples)))
+    return _inclusion(stack, S, pga_batch(stack, S, A, env, pset, inner), gamma)[0]
 
 
-def _inclusion(params, env, pset, inner, gamma, n, seeds) -> list[InclusionReport]:
-    """``check_inclusion`` for each model of a stack, model i on the ``n``
-    samples drawn from seeds[i], seeds[i] + 1, ...: one ascent and one
-    constraint measurement over every model's samples."""
-    m = len(seeds)
-    S, A = (x.reshape(m, n, -1) for x in samples(env, [seed + k for seed in seeds for k in range(n)]))
-    amps, sigmas = constraint_levels(params, S, A, env, pset, inner)
+def _inclusion(params, S, record: Ascent, gamma) -> list[InclusionReport]:
+    """``check_inclusion`` for each model of a stack on its (M, n, d) rows S,
+    from the full record of their ascents: one constraint measurement."""
+    n = S.shape[-2]
+    amps, sigmas = constraint_levels(params, S, record)
     reports = []
     for amp, sigma in zip(amps, sigmas):
         sup_proxy = float(np.max(sigma))
@@ -590,16 +590,16 @@ def verify_suite(
     """Run every check per seed; returns the JSON report and, per seed, a
     one-row ``Ascent``.
 
-    The seeds' policies run as one model stack: one ascent and one segment
-    scan give every seed's smoothness report, one array pass checks every
-    seed's stability inequalities, and one more ascent over every seed's
-    samples gives the inclusion levels. A step-size round that shrinks eta
-    runs one ascent over the seeds it shrinks, each at its own eta, and
-    the returned record is the one measured at the stabilised step size.
-    Each class-witness grid point (a dimension and a subspace dimension)
-    checks both of its gains from one two-model witness ascent.
-    Every argument is checked by ``check_verify`` and ``check_dims`` before
-    any ascent runs.
+    The seeds' policies run as one model stack, with one ascent per step
+    size. One ``samples`` call draws each seed's sample row and inclusion
+    rows, and they ascend together at the configured eta: one segment scan
+    and one array pass over the sample rows give every seed's smoothness
+    and stability reports, and the inclusion rows its inclusion levels. A
+    step-size round that shrinks eta ascends the seeds it shrinks, each at
+    its own eta; the returned record is the one measured at the stabilised
+    step size. Each class-witness grid point checks both of its gains from
+    one two-model witness ascent. ``check_verify`` and ``check_dims`` check
+    every argument before any ascent runs.
     """
     seeds = check_verify(seeds, grid, tol_curv_scale, n_samples, eta_safety, witness_dims)
     check_dims(env, policy_dims, pset)
@@ -611,12 +611,13 @@ def verify_suite(
 
     members = [init_policy(policy_dims, activations, seed=seed) for seed in seeds]
     stack = stack_policies(members)
-    S, A = (x[:, None] for x in samples(env, seeds))
-    # the inclusion ascent, the largest, runs first, while no other report is held
-    # seed s's inclusion rows are max(1000, n_samples) * s + k, k < n_samples: no two seeds share a row
-    inclusions = _inclusion(stack, env, pset, inner, reg.gamma, n_samples, [s * max(1000, n_samples) for s in seeds])
-    smooths = _smoothness(stack, env, S, A, pga_batch(stack, S, A, env, pset, inner), inner, grid, tol_curv_scale)
-    settled = _step_sizes(members, env, S, A, pset, smooths, eta_safety, grid)
+    # seed s's sample row is s, its inclusion rows max(1000, n_samples) * s + k, k < n_samples: no two seeds share one
+    rows = [r for s in seeds for r in [s] + [max(1000, n_samples) * s + k for k in range(n_samples)]]
+    S, A = (x.reshape(len(seeds), 1 + n_samples, -1) for x in samples(env, rows))
+    record = pga_batch(stack, S, A, env, pset, inner)
+    inclusions = _inclusion(stack, S[:, 1:], record[:, 1:], reg.gamma)
+    smooths = _smoothness(stack, env, S[:, :1], A[:, :1], record[:, :1], inner, grid, tol_curv_scale)
+    settled = _step_sizes(members, env, S[:, :1], A[:, :1], pset, smooths, eta_safety, grid)
     stabilities = _stability(pset, settled)
     for seed, smooth, smooth_stab, stability, inclusion in zip(seeds, smooths, settled, stabilities, inclusions):
         max_curvature = max((p.curvature for p in smooth.points), default=0.0)

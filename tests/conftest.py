@@ -17,6 +17,7 @@ import numpy as np
 
 from aajrlab import trainer
 from aajrlab.environments import draws, loss
+from aajrlab.inner import pga_batch
 from aajrlab.policy import Layer, PolicyParams, forward, jvp, unstack_policies
 from aajrlab.regularizers import constraint_levels
 
@@ -71,7 +72,7 @@ def achieved_levels(params: PolicyParams, env, pset, inner, n_samples, seed):
     S, A = eval_draw(env, n_samples, seed)
     levels = []
     for model in unstack_policies(params):
-        amps, sigmas = constraint_levels(model, S, A, env, pset, inner)
+        amps, sigmas = constraint_levels(model, S, pga_batch(model, S, A, env, pset, inner))
         levels.append((float(np.max(amps, initial=0.0)), max(0.0, float(np.max(sigmas)))))
     return levels
 

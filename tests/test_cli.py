@@ -245,6 +245,20 @@ def test_sweep_match_tol_at_or_above_one_is_config_error(tmp_path, capsys, tol):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_softplus_beta_whose_square_overflows_is_config_error(tmp_path, capsys, command):
+    cfg = json.loads((REPO / "configs" / "softplus_small.json").read_text())
+    cfg["environment"]["beta"] = 1e154
+    parse_config_dict(cfg)  # beta^2 / 4 is finite: the config builds
+    cfg["environment"]["beta"] = 1e155
+    with pytest.raises(ConfigError, match=r"^environment\.beta: "):
+        parse_config_dict(cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_CONFIG
+    assert "environment.beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_report_aggregates(tmp_path, capsys):
     out = tmp_path / "run"
     main(["train", "--config", str(QUAD_CONFIG), "--out", str(out)])

@@ -178,6 +178,19 @@ def test_softplus_hessian_matches_finite_differences_and_bound():
     assert all(np.array_equal(rows[k], loss_hessian(env, Z[k], A[k])) for k in range(4))
 
 
+@pytest.mark.parametrize("beta", [1e155, 2e154, 10**160], ids=["1e155", "2e154", "int 10**160"])
+def test_softplus_beta_whose_smoothness_constant_overflows_is_rejected(beta):
+    # beta^2 / 4 bounds the loss Hessian; above about 1.34e154 the square overflows a float
+    with pytest.raises(ConfigError, match=r"^beta: beta\^2 / 4, .* overflows"):
+        soft_env(beta=beta)
+
+
+def test_softplus_beta_whose_smoothness_constant_is_finite_builds():
+    env = soft_env(beta=1e154)
+    assert loss_hessian_bound(env) == 1e154**2 / 4.0
+    assert np.isfinite(loss_hessian(env, np.zeros(2), np.zeros(2))).all()
+
+
 def test_hessian_bounds_exact():
     assert loss_hessian_bound(quad_env()) == 1.0
     assert loss_hessian_bound(soft_env(beta=2.0)) == 1.0

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from aajrlab import inner as inner_module
-from aajrlab import regularizers, trainer, verification
+from aajrlab import trainer, verification
 from aajrlab.environments import Environment, check_seeds, sample, samples
 from aajrlab.errors import ConfigError, check_count, check_positive
 from aajrlab.inner import InnerLoopConfig, PerturbationSet, pga_run
@@ -141,7 +141,7 @@ def test_every_count_and_seed_is_an_integer_checked_before_any_draw(monkeypatch,
 
     with monkeypatch.context() as spies:
         spies.setattr(np.random, "default_rng", no_draw)
-        for module in (inner_module, regularizers, trainer, verification):
+        for module in (inner_module, trainer, verification):
             spies.setattr(module, "pga_batch", no_draw)
         spies.setattr(verification, "pga_run", no_draw)
         for bad in (non_integral, True):

@@ -241,9 +241,11 @@ def test_constraint_levels_match_dense_oracle_at_every_visited_state():
     pset, inner = PerturbationSet(p=2, epsilon=0.4, dim=3), InnerLoopConfig(eta=0.4, steps=4)
     members = [init_policy([3, 5, 3], seed=seed) for seed in (3, 4)]
     S, A = (np.array(rows) for rows in zip(*(sample(env, k) for k in range(5))))
-    stacked = constraint_levels(stack_policies(members), np.stack([S, S]), np.stack([A, A]), env, pset, inner)
+    stack, SS = stack_policies(members), np.stack([S, S])
+    stacked = constraint_levels(stack, SS, pga_batch(stack, SS, np.stack([A, A]), env, pset, inner))
     for i, params in enumerate(members):
-        for amps, sigmas in (constraint_levels(params, S, A, env, pset, inner), (stacked[0][i], stacked[1][i])):
+        alone = constraint_levels(params, S, pga_batch(params, S, A, env, pset, inner))
+        for amps, sigmas in (alone, (stacked[0][i], stacked[1][i])):
             assert amps.shape == (5, 4) and sigmas.shape == (5, 5)
             for k, (s, a) in enumerate(zip(S, A)):
                 traj = pga_run(params, s, a, env, pset, inner)

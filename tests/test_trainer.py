@@ -753,6 +753,17 @@ def test_stack_rejects_models_that_differ_beyond_seed_and_lambda():
                 trainer._train_stack([nominal, robust], env, params0s)
 
 
+def test_stack_takes_equal_balls_that_are_not_the_same_object():
+    # a perturbation ball is a value: configs built with separate PerturbationSet(2, 0.3, 2) objects share a stack
+    env = quad_env([0.5, -0.3])
+    cfgs = [make_cfg("robust_aajr", steps=3, K=2, eps=0.3, lam=lam, seed=seed) for lam, seed in ((0.5, 0), (2.0, 1))]
+    assert cfgs[0].pset is not cfgs[1].pset and cfgs[0].pset == cfgs[1].pset
+    assert hash(cfgs[0].pset) == hash(PerturbationSet(2, 0.3, 2))
+    params0s = [init_policy([2, 4, 2], seed=s) for s in (0, 1)]
+    for cfg, params0, got in zip(cfgs, params0s, trainer._train_stack(cfgs, env, params0s)):
+        assert_same_run(got, train(cfg, env, params0))
+
+
 @pytest.mark.parametrize("diagnostics", [True, False])
 def test_nominal_model_trains_as_a_zero_step_robust_plain_model_bit_for_bit(diagnostics):
     # nominal training is the minimax surrogate whose inner maximizer has only delta = 0

@@ -11,7 +11,7 @@ import pytest
 from aajrlab import inner as inner_module
 from aajrlab import policy as policy_module
 from aajrlab import regularizers, trainer, verification
-from aajrlab.environments import Environment, loss_hessian, sample
+from aajrlab.environments import Environment, loss_hessian, sample, samples
 from aajrlab.errors import ConfigError
 from aajrlab.inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run, trajectory_records
 from aajrlab.policy import forward, init_policy, jvp, scale_policy, stack_policies
@@ -333,7 +333,6 @@ def _counted_suite(monkeypatch, eta, witness_dims=(2,)):
         (verification, "pga_batch"),
         (verification, "pga_run"),
         (verification, "_ascend"),
-        (regularizers, "pga_batch"),
     ):
         entry = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
         monkeypatch.setattr(module, name, counting(entry, getattr(module, name)))
@@ -382,14 +381,15 @@ def test_verify_suite_runs_one_stacked_ascent_per_step_size_round(monkeypatch, e
     # each class-witness grid point runs its two gains as one ascent on an environment of its own
     witness_runs = [c for c in stacked if _is_witness_ascent(c)]
     assert len(witness_runs) == witnesses // 2 and not any(own for _, own, _, _ in witness_runs)
-    # one stacked ascent covers every seed at the configured eta, one row per seed
+    # one stacked ascent covers every seed at the configured eta: its sample row, then its two inclusion rows
     stacked = [c for c in stacked if not _is_witness_ascent(c)]
     assert len(stacked) == 1
     _, own, S, cfg = stacked[0]
-    assert own and cfg == inner and np.array_equal(S, states[:, None])
-    # and one more covers every seed's inclusion samples
-    inclusion = [c for c in calls if c[0] == "regularizers.pga_batch"]
-    assert len(inclusion) == 1 and inclusion[0][2].shape == (3, 2, 3) and inclusion[0][3] == inner
+    assert own and cfg == inner and S.shape == (3, 3, 3) and np.array_equal(S[:, :1], states[:, None])
+    inclusion_states = [[sample(env, 1000 * seed + k)[0] for k in range(2)] for seed in stability]
+    assert np.array_equal(S[:, 1:], inclusion_states)
+    # the constraint levels read that record: the regularizers run no ascent of their own
+    assert not hasattr(regularizers, "pga_batch")
     # no ascent runs on a lone policy
     assert not [c for c in calls if c[0] == "verification.pga_run"]
     # each round that shrinks eta runs one stacked ascent over exactly the seeds it shrinks, each at its own eta
@@ -404,7 +404,7 @@ def test_verify_suite_runs_one_stacked_ascent_per_step_size_round(monkeypatch, e
         assert own and np.array_equal(S, states[shrunk][:, None])
         assert etas == [visited[k][r] for k in shrunk]
     assert list(stability.values()) == [seq[-1] for seq in visited]
-    assert len(calls) == 2 + len(rounds) + witnesses // 2
+    assert len(calls) == 1 + len(rounds) + witnesses // 2
     assert bool(rounds) == (eta == 8.0)
 
 
@@ -418,7 +418,7 @@ def test_verify_suite_runs_one_witness_ascent_per_grid_point(monkeypatch):
     assert [c[2].shape for c in runs] == [(2, 1, 2)] + [(2, 1, 4)] * 3
 
 
-def test_verify_suite_draws_its_sample_rows_in_two_calls(monkeypatch):
+def test_verify_suite_draws_its_sample_rows_in_one_call(monkeypatch):
     calls = []
 
     def counting(name, draw):
@@ -427,12 +427,11 @@ def test_verify_suite_draws_its_sample_rows_in_two_calls(monkeypatch):
     monkeypatch.setattr(verification, "samples", counting("samples", verification.samples))
     monkeypatch.setattr(verification, "sample", counting("sample", verification.sample))
     *_, report, _, _ = _counted_suite(monkeypatch, 0.1, witness_dims=(2, 4))
-    # every seed's sample pair in one call, then every seed's inclusion rows in one more
-    inclusion_rows = [seed * 1000 + k for seed in (0, 1, 2) for k in range(2)]
-    assert calls[:2] == [("samples", [0, 1, 2]), ("samples", inclusion_rows)]
+    # every seed's sample row s, then its inclusion rows 1000 * s + k, in one call
+    assert calls[:1] == [("samples", [0, 0, 1, 1, 1000, 1001, 2, 2000, 2001])]
     # and one start state per class-witness grid point, (2, 1), (4, 1), (4, 2) and (4, 3), seeded by k
     witnesses = sum(c["name"] == "class_witness" for c in report["checks"])
-    assert calls[2:] == [("sample", k) for k in (1, 1, 2, 3)] and len(calls[2:]) == witnesses // 2
+    assert calls[1:] == [("sample", k) for k in (1, 1, 2, 3)] and len(calls[1:]) == witnesses // 2
 
 
 def test_verify_suite_gives_no_two_seeds_an_inclusion_row_in_common(monkeypatch):
@@ -444,7 +443,10 @@ def test_verify_suite_gives_no_two_seeds_an_inclusion_row_in_common(monkeypatch)
     pset, inner = PerturbationSet(p=2, epsilon=0.5, dim=3), InnerLoopConfig(eta=0.3, steps=1)
     reg = RegularizerConfig(lam=0.0, gamma=1.0, gamma_adv=1.0)
     verify_suite(env, [3, 4, 3], None, pset, inner, reg, seeds=[0, 1], n_samples=1001, grid=1, witness_dims=(2,))
-    rows = calls[1]
+    # each seed's block of the one call: its sample row, then its inclusion rows
+    (rows,) = calls
+    assert rows[0] == 0 and rows[1002] == 1 and len(rows) == 2 * 1002
+    rows = rows[1:1002] + rows[1003:]
     assert rows == [s * 1001 + k for s in (0, 1) for k in range(1001)]
     assert len(rows) == 2002 == len(set(rows))
 
@@ -507,7 +509,8 @@ def test_stacked_certificates_equal_one_sample_calls_row_by_row(monkeypatch, p, 
     pairs = [sample(env, seed) for seed in seeds]
     S, A = (np.array(x)[:, None] for x in zip(*pairs))
     smooths = verification._smoothness(stack, env, S, A, pga_batch(stack, S, A, env, pset, inner), inner)
-    inclusions = verification._inclusion(stack, env, pset, inner, 1.0, 3, [seed * 1000 for seed in seeds])
+    S3, A3 = (x.reshape(len(seeds), 3, -1) for x in samples(env, [seed * 1000 + k for seed in seeds for k in range(3)]))
+    inclusions = verification._inclusion(stack, S3, pga_batch(stack, S3, A3, env, pset, inner), 1.0)
     settled, shrunk = [], 0
     for params, pair, smooth, inclusion, seed in zip(members, pairs, smooths, inclusions, seeds):
         one = check_effective_smoothness(params, env, pair, pset, inner)
@@ -579,7 +582,7 @@ def test_public_entries_check_shapes_before_any_ascent(monkeypatch, entry, dims,
     def no_ascent(*args, **kwargs):
         raise AssertionError("an ascent ran before the shapes were checked")
 
-    for module in (inner_module, regularizers, trainer, verification):
+    for module in (inner_module, trainer, verification):
         monkeypatch.setattr(module, "pga_batch", no_ascent)
     monkeypatch.setattr(verification, "pga_run", no_ascent)
     env = quad_env([0.5, -0.5])
@@ -907,7 +910,6 @@ def test_verify_suite_rejects_bad_arguments_before_any_ascent(monkeypatch, bad):
 
     for module, name in (
         (inner_module, "pga_batch"),
-        (regularizers, "pga_batch"),
         (verification, "pga_batch"),
         (verification, "pga_run"),
         (verification, "_ascend"),
