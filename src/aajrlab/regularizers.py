@@ -8,9 +8,12 @@ run before the penalty is differentiated, so no gradient ever flows
 through u_t. Spectral norms come from a dense SVD of the small state-action
 Jacobians that ``top_singular`` is given; when differentiated, the top
 right singular vector is held fixed and the gradient flows only through J v.
-``constraint_levels`` reads the directional amplifications and the spectral
-norm at every visited state off an ascent record its caller ran: the one
-measurement the inclusion certificate and the sweep's budget matching read.
+``constraint_levels`` reads the directional amplifications and the largest
+spectral norm over every visited state off an ascent record its caller ran:
+the one measurement the inclusion certificate and the sweep's budget
+matching read. It bounds ||J||_2 cheaply at every visited state and takes
+an SVD only where the bound can reach the largest norm, so the sup is still
+bit for bit the max of ``spectral_norm`` over every visited state.
 """
 
 from __future__ import annotations
@@ -85,15 +88,41 @@ def spectral_norm(params: PolicyParams, s):
     return float(sigma) if sigma.ndim == 0 else sigma
 
 
+# a row is dropped only when its bound is below the running sup by far more than the bound's rounding
+_SUP_SLACK = 1e-9
+
+
+def _norm_bound(J):
+    """u >= ||J||_2 up to rounding, and u <= min(m, n)^(1/16) ||J||_2, for each of a stack of Jacobians:
+    u = s ||(G^T G)^4||_F^(1/8) for G = J / s and s = max |J_ij|, which cannot overflow; 0 for a zero J."""
+    s = np.max(np.abs(J), axis=(-2, -1))
+    G = J / np.where(s > 0, s, 1.0)[..., None, None]
+    P = np.linalg.matrix_power(np.swapaxes(G, -1, -2) @ G, 4)
+    return s * np.sum(P * P, axis=(-2, -1)) ** (1 / 16)
+
+
 def constraint_levels(params: PolicyParams, states, record: Ascent):
     """The constraint levels of ``record``, the full ``pga_batch`` record of
     the ascents from (B, d) or a stack's (M, B, d) states: each step's
     directional amplification ||J(s + delta_t) u_t||, (..., B, K), and the
-    exact spectral norm at every visited state s + delta_t, (..., B, K + 1)."""
+    largest exact spectral norm over every visited state s + delta_t, (...).
+    Only the rows whose ``_norm_bound`` can reach the running sup take an SVD."""
     S = np.asarray(states, dtype=np.float64)
+    sup = np.zeros(S.shape[:-2]).reshape(-1)
     # one iterate at a time: the Jacobians of every visited state at once would hold K + 1 times the memory
-    sigmas = [spectral_norm(params, S + record.deltas[..., t, :]) for t in range(record.steps + 1)]
-    return record.amps, np.stack(sigmas, axis=-1)
+    for t in range(record.steps + 1):
+        J = jacobian(params, S + record.deltas[..., t, :])
+        J = J.reshape(sup.shape + J.shape[-3:])  # (models, B, m, n), one model for a lone policy
+        if not np.all(np.isfinite(J)):
+            raise NumericError("non-finite Jacobian")
+        u, models = _norm_bound(J), np.arange(len(sup))
+        top = np.argmax(u, axis=-1)
+        sup = np.maximum(sup, top_singular(J[models, top])[0])
+        rest = u > sup[:, None] * (1.0 - _SUP_SLACK)
+        rest[models, top] = False
+        if rest.any():
+            np.maximum.at(sup, np.nonzero(rest)[0], top_singular(J[rest])[0])
+    return record.amps, sup.reshape(S.shape[:-2])
 
 
 def global_term(handle: PolicyHandle, states, v_hat, cfg: RegularizerConfig):

@@ -38,7 +38,8 @@ a round; a speculative rung that its search never reads stays unread there.
 The nominal risk reads its first ``eval_samples`` rows of the evaluation
 draw and the achieved levels its first ``achieved_samples`` rows; the
 achieved levels are ``regularizers.constraint_levels`` of one ascent over
-them, the measurement the inclusion certificate reads. The reported gaps
+them: the largest amplification and the largest exact spectral norm over
+every visited state, the measurement the inclusion certificate reads. The reported gaps
 are trained-optimum estimates, not exact infima.
 """
 
@@ -296,21 +297,21 @@ def _evaluate(params, env, pset, inner, S, A, eval_samples, achieved_samples):
     ``eval_samples`` rows, and the achieved levels over the first
     ``achieved_samples`` rows. The levels read the full record of one stacked
     ascent, run here: the max directional amplification over ascent steps and
-    the max spectral norm over every visited state s + delta_t. Returns the
+    the max exact spectral norm over every visited state s + delta_t. Returns the
     four result fields per model, in the report's key order."""
     S_eval, A_eval = _per_model(params, S[:eval_samples], A[:eval_samples])
     values = loss(env, params.handle.forward(S_eval), A_eval)
     S_levels, A_levels = _per_model(params, S[:achieved_samples], A[:achieved_samples])
     record = pga_batch(params, S_levels, A_levels, env, pset, inner)
-    amps, sigmas = constraint_levels(params, S_levels, record)
+    amps, sups = constraint_levels(params, S_levels, record)
     return [
         {
             "nominal_risk": float(np.mean(vals)),
             "nominal_risk_se": float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0,
             "achieved_dir_amp": float(np.max(amp, initial=0.0)),
-            "achieved_spectral": max(0.0, float(np.max(sigma))),
+            "achieved_spectral": max(0.0, sup),
         }
-        for vals, amp, sigma in zip(values, amps, sigmas)
+        for vals, amp, sup in zip(values, amps, sups.tolist())
     ]
 
 

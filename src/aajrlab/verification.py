@@ -396,12 +396,12 @@ def check_inclusion(
 
 def _inclusion(params, S, record: Ascent, gamma) -> list[InclusionReport]:
     """``check_inclusion`` for each model of a stack on its (M, n, d) rows S,
-    from the full record of their ascents: one constraint measurement."""
+    from the full record of their ascents: one constraint measurement, whose
+    per-model largest spectral norm over every visited state is ``sup_proxy``."""
     n = S.shape[-2]
-    amps, sigmas = constraint_levels(params, S, record)
+    amps, sups = constraint_levels(params, S, record)
     reports = []
-    for amp, sigma in zip(amps, sigmas):
-        sup_proxy = float(np.max(sigma))
+    for amp, sup_proxy in zip(amps, sups.tolist()):
         violations = [
             {"sample": int(k), "step": int(t), "dir_amp": float(amp[k, t])}
             for k, t in np.argwhere(amp > gamma + DIRECTIONAL_TOL)

@@ -7,7 +7,8 @@ is the earlier, bit-exact construction of ``jacobian`` from plain ``jvp``
 calls. ``nominal_risks`` and ``achieved_levels`` are the sweep's earlier
 evaluation route, one evaluation draw per quantity, with each model of a
 stack evaluated alone through the public ``forward``, ``loss`` and
-``constraint_levels``. ``sweep_one_rung_per_round``
+``spectral_norm``: the achieved spectral level is ``visited_sup``, the dense
+max over every visited state, never ``constraint_levels``. ``sweep_one_rung_per_round``
 is the sweep's earlier lockstep, one penalty weight per search and round.
 """
 
@@ -19,7 +20,7 @@ from aajrlab import trainer
 from aajrlab.environments import draws, loss
 from aajrlab.inner import pga_batch
 from aajrlab.policy import Layer, PolicyParams, forward, jvp, unstack_policies
-from aajrlab.regularizers import constraint_levels
+from aajrlab.regularizers import spectral_norm
 
 
 def assemble_jacobian(params: PolicyParams, s) -> np.ndarray:
@@ -48,6 +49,14 @@ def repeat_tile_jacobian(params: PolicyParams, s) -> np.ndarray:
     return np.swapaxes(t.reshape(s.shape[:-1] + (n, -1)), -1, -2)
 
 
+def visited_sup(params: PolicyParams, S, record) -> np.ndarray:
+    """The dense oracle of the sampled spectral sup: the max of
+    ``spectral_norm`` over every visited state of the ascent ``record`` from
+    S, one per model of a stack (0-d for a lone policy)."""
+    sigmas = [spectral_norm(params, S + record.deltas[..., t, :]) for t in range(record.steps + 1)]
+    return np.max(np.stack(sigmas, axis=-1), axis=(-2, -1))
+
+
 def eval_draw(env, n_samples, seed):
     """The sweep's seeded ``n_samples``-row evaluation draw."""
     return draws(env, np.random.default_rng([env.seed, seed]), n_samples)
@@ -68,12 +77,12 @@ def nominal_risks(params: PolicyParams, env, n_samples, seed):
 def achieved_levels(params: PolicyParams, env, pset, inner, n_samples, seed):
     """(max directional amplification, max spectral norm) of one ascent
     over an ``n_samples``-row evaluation draw, per model of a stack, or of
-    a lone policy."""
+    a lone policy: the norm is ``visited_sup``."""
     S, A = eval_draw(env, n_samples, seed)
     levels = []
     for model in unstack_policies(params):
-        amps, sigmas = constraint_levels(model, S, pga_batch(model, S, A, env, pset, inner))
-        levels.append((float(np.max(amps, initial=0.0)), max(0.0, float(np.max(sigmas)))))
+        record = pga_batch(model, S, A, env, pset, inner)
+        levels.append((float(np.max(record.amps, initial=0.0)), max(0.0, float(visited_sup(model, S, record)))))
     return levels
 
 

@@ -1,6 +1,7 @@
 """Property tests: row-wise projection and ascent directions on extreme
-finite inputs, batched policy calls against single-state calls, and config
-parsing of shipped configs with one value replaced by arbitrary JSON."""
+finite inputs, batched policy calls against single-state calls, the pruned
+sampled spectral sup against every visited state's SVD, and config parsing
+of shipped configs with one value replaced by arbitrary JSON."""
 
 from __future__ import annotations
 
@@ -17,10 +18,21 @@ from hypothesis.extra.numpy import arrays
 from aajrlab.cli import parse_config_dict
 from aajrlab.environments import Environment, sample, samples
 from aajrlab.errors import ConfigError
-from aajrlab.inner import PerturbationSet, ascent_direction, project
-from aajrlab.policy import Layer, PolicyParams, _layer_pass, forward, init_policy, jacobian
+from aajrlab.inner import InnerLoopConfig, PerturbationSet, ascent_direction, pga_batch, project
+from aajrlab.policy import (
+    ACTIVATIONS,
+    Layer,
+    PolicyParams,
+    _layer_pass,
+    forward,
+    init_policy,
+    jacobian,
+    scale_policy,
+    stack_policies,
+)
+from aajrlab.regularizers import constraint_levels
 
-from conftest import repeat_tile_jacobian
+from conftest import repeat_tile_jacobian, visited_sup
 
 FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 EPS = np.finfo(np.float64).eps
@@ -124,6 +136,43 @@ def test_layer_pass_at_s_and_at_s_plus_zero_gives_the_jacobians_bit_for_bit(data
     assert np.array_equal(J.view(np.uint64), J0.view(np.uint64))
     assert np.array_equal(J.view(np.uint64), jacobian(params, S).view(np.uint64))  # what the SVD read before
     assert np.array_equal(Z, Z0)  # as numbers; an output's zero may differ in sign
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    h=st.integers(2, 9),
+    models=st.integers(1, 5),
+    batch=st.integers(1, 29),
+    steps=st.integers(0, 5),
+    activation=st.sampled_from(ACTIVATIONS),
+    log_scale=st.floats(-3.0, 2.0),
+    zero_layer=st.sampled_from([None, 0, 1]),
+    p=st.sampled_from([2.0, math.inf]),
+    seed=st.integers(0, 2**16),
+)
+@example(d=3, h=4, models=2, batch=6, steps=3, activation="identity", log_scale=0.0, zero_layer=None, p=2.0, seed=0)
+@example(d=2, h=2, models=1, batch=1, steps=0, activation="tanh", log_scale=0.0, zero_layer=0, p=math.inf, seed=1)
+def test_pruned_visited_sup_is_the_full_svd_max_bit_for_bit(
+    d, h, models, batch, steps, activation, log_scale, zero_layer, p, seed
+):
+    # with an identity net every row's bound ties, so every row takes an SVD; a zero layer zeroes the first model
+    members = [scale_policy(init_policy([d, h, d], [activation, "identity"], seed=seed + i), 10.0**log_scale)
+               for i in range(models)]
+    if zero_layer is not None:
+        layers = list(members[0].layers)
+        zero = layers[zero_layer]
+        layers[zero_layer] = Layer(0 * zero.weight, 0 * zero.bias, zero.activation)
+        members[0] = PolicyParams(tuple(layers))
+    env = Environment("quadratic_congestion", np.linspace(-0.5, 0.5, d), 0.5 * np.eye(d), d, seed=seed)
+    S, A = (x.reshape(models, batch, -1) for x in samples(env, range(models * batch)))
+    stack, pset = stack_policies(members), PerturbationSet(p=p, epsilon=0.4, dim=d)
+    record = pga_batch(stack, S, A, env, pset, InnerLoopConfig(eta=0.3, steps=steps))
+    sup = constraint_levels(stack, S, record)[1]
+    assert np.array_equal(sup.view(np.uint64), visited_sup(stack, S, record).view(np.uint64))
+    assert constraint_levels(members[-1], S[-1], record[-1])[1] == sup[-1]
+    if zero_layer is not None:
+        assert sup[0] == 0.0
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

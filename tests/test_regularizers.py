@@ -13,6 +13,7 @@ from aajrlab.regularizers import (
     RegularizerConfig,
     aajr_penalty,
     aajr_rows,
+    _norm_bound,
     constraint_levels,
     global_penalty,
     global_term,
@@ -20,7 +21,7 @@ from aajrlab.regularizers import (
     top_singular,
 )
 
-from conftest import assemble_jacobian, linear_policy
+from conftest import assemble_jacobian, linear_policy, visited_sup
 
 
 def reg(lam=0.0, gamma=1.0, gamma_adv=1.0, **kw):
@@ -242,18 +243,69 @@ def test_constraint_levels_match_dense_oracle_at_every_visited_state():
     members = [init_policy([3, 5, 3], seed=seed) for seed in (3, 4)]
     S, A = (np.array(rows) for rows in zip(*(sample(env, k) for k in range(5))))
     stack, SS = stack_policies(members), np.stack([S, S])
-    stacked = constraint_levels(stack, SS, pga_batch(stack, SS, np.stack([A, A]), env, pset, inner))
+    stacked_record = pga_batch(stack, SS, np.stack([A, A]), env, pset, inner)
+    stacked = constraint_levels(stack, SS, stacked_record)
+    assert stacked[0].shape == (2, 5, 4) and stacked[1].shape == (2,)
+    np.testing.assert_array_equal(stacked[1], visited_sup(stack, SS, stacked_record))
     for i, params in enumerate(members):
-        alone = constraint_levels(params, S, pga_batch(params, S, A, env, pset, inner))
-        for amps, sigmas in (alone, (stacked[0][i], stacked[1][i])):
-            assert amps.shape == (5, 4) and sigmas.shape == (5, 5)
-            for k, (s, a) in enumerate(zip(S, A)):
-                traj = pga_run(params, s, a, env, pset, inner)
-                jacobians = [assemble_jacobian(params, s + delta) for delta in traj.deltas]
-                dense_sigmas = [np.linalg.svd(J, compute_uv=False)[0] for J in jacobians]
-                dense_amps = [np.linalg.norm(J @ u) for J, u in zip(jacobians, traj.ascent)]
-                np.testing.assert_allclose(sigmas[k], dense_sigmas, rtol=1e-12, atol=0)
+        record = pga_batch(params, S, A, env, pset, inner)
+        alone = constraint_levels(params, S, record)
+        assert alone[0].shape == (5, 4) and alone[1].shape == ()
+        assert alone[1] == visited_sup(params, S, record) == stacked[1][i]
+        dense_sigmas = []
+        for k, (s, a) in enumerate(zip(S, A)):
+            traj = pga_run(params, s, a, env, pset, inner)
+            jacobians = [assemble_jacobian(params, s + delta) for delta in traj.deltas]
+            dense_sigmas += [np.linalg.svd(J, compute_uv=False)[0] for J in jacobians]
+            dense_amps = [np.linalg.norm(J @ u) for J, u in zip(jacobians, traj.ascent)]
+            for amps in (alone[0], stacked[0][i]):
                 np.testing.assert_allclose(amps[k], dense_amps, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(alone[1], max(dense_sigmas), rtol=1e-12, atol=0)
+
+
+def matrices():
+    """Random, rank-1 and +-1e150-scaled matrices of every shape up to 6 x 6."""
+    rng = np.random.default_rng(26)
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for _ in range(5):
+                J = rng.standard_normal((m, n))
+                yield J
+                yield np.outer(rng.standard_normal(m), rng.standard_normal(n))
+                yield J * 1e150
+                yield J * -1e-150
+
+
+def test_norm_bound_brackets_the_spectral_norm():
+    # sigma_1 <= u <= min(m, n)^(1/16) sigma_1, up to rounding far below the pruning slack
+    count = 0
+    for J in matrices():
+        sigma, u = np.linalg.svd(J, compute_uv=False)[0], _norm_bound(J)
+        assert sigma <= u * (1.0 + 1e-12) and u <= min(J.shape) ** (1 / 16) * sigma * (1.0 + 1e-12)
+        count += 1
+    assert count == 36 * 20
+    assert _norm_bound(np.zeros((3, 2))) == 0.0
+    stack = np.stack([np.zeros((2, 3)), 2.0 * np.eye(2, 3), np.full((2, 3), 1e300)])
+    np.testing.assert_array_equal(_norm_bound(stack), [_norm_bound(J) for J in stack])
+    assert np.all(np.isfinite(_norm_bound(stack)))
+
+
+def test_constraint_levels_reject_a_non_finite_jacobian_at_any_visited_state():
+    # the record comes from a benign stack; the second model of the stack passed overflows only at
+    # one visited state, the first row's start, where its wide tanh unit is unsaturated
+    env = Environment(kind="quadratic_congestion", c=np.array([0.4, 0.1, -0.3]), A=np.zeros((3, 3)), state_dim=3)
+    pset, inner = PerturbationSet(p=2, epsilon=0.4, dim=3), InnerLoopConfig(eta=0.4, steps=3)
+    members = [init_policy([3, 3, 3], seed=seed) for seed in (3, 4)]
+    S, A = (np.array(rows) for rows in zip(*(sample(env, k) for k in range(4))))
+    SS = np.stack([S, S])
+    record = pga_batch(stack_policies(members), SS, np.stack([A, A]), env, pset, inner)
+    big = 1e200 * np.eye(3)
+    bad = PolicyParams((Layer(big, -(big @ S[0]), "tanh"), Layer(big, np.zeros(3), "identity")))
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = jacobian(bad, (SS[1][:, None] + record.deltas[1]).reshape(-1, 3))
+        assert np.count_nonzero(~np.all(np.isfinite(J), axis=(-2, -1))) == 1
+        with pytest.raises(NumericError, match="non-finite Jacobian"):
+            constraint_levels(stack_policies([members[0], bad]), SS, record)
 
 
 def test_regularizer_config_validation():

@@ -961,6 +961,22 @@ def test_stacked_evaluation_equals_evaluating_each_model_alone():
         assert tuple(evaluation.values()) == (*risk, *level)
 
 
+def test_evaluated_spectral_level_of_a_mixed_mode_stack_is_the_dense_visited_max():
+    # models trained in three modes, then evaluated as one stack: each achieved_spectral is bit for bit the
+    # max of spectral_norm over every state its evaluation ascent visits
+    env = mirror_env()
+    modes = ["robust_plain", "robust_aajr", "robust_global"]
+    cfgs = [replace(mirror_cfg(mode, batch=3, steps=4), seed=seed) for seed, mode in enumerate(modes)]
+    params0s = [init_policy([4, 6, 4], seed=seed) for seed in range(3)]
+    members = [params for params, _ in trainer._train_stack(cfgs, env, params0s, diagnostics=False)]
+    rows = trainer._eval_draws(env, 12, seed=4)
+    evaluations = trainer._evaluate(stack_policies(members), env, cfgs[0].pset, cfgs[0].inner, *rows, 12, 12)
+    levels = achieved_levels(stack_policies(members), env, cfgs[0].pset, cfgs[0].inner, 12, seed=4)
+    assert len({level for _, level in levels}) == 3
+    for evaluation, (_, level) in zip(evaluations, levels):
+        assert evaluation["achieved_spectral"] == level
+
+
 @pytest.mark.parametrize("env", [mirror_env(), quad_env([0.3, -0.2, 0.5, 0.1], A=0.5 * np.eye(4), seed=2)])
 @pytest.mark.parametrize("stacked", [True, False])
 @pytest.mark.parametrize("eval_samples, achieved_samples", [(16, 3), (5, 5), (3, 16)])
