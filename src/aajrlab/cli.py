@@ -57,7 +57,6 @@ class RunConfig:
 # A JSON kind is float (a number), int, str or bool, [kind] for a list of that
 # kind, or object for any value, which its library constructor checks.
 REQUIRED = object()
-IGNORED = (None, None)  # accepted and dropped
 KIND_NAMES = {float: "number", int: "integer", str: "string", bool: "boolean"}
 
 # key -> (JSON kind or the schema of an object, default); a None default leaves the key out
@@ -86,8 +85,6 @@ SCHEMA = {
             "gamma": (float, 1.0),
             "gamma_adv": (float, None),  # gamma
             "aajr_hinge": (bool, False),
-            "power_iters": IGNORED,  # power iteration is gone: spectral norms are exact
-            "power_tol": IGNORED,
         }, {}),
     }, None),
     "verify": ({
@@ -123,7 +120,7 @@ def _load(raw, schema: dict, path: str) -> dict:
     for key, (kind, default) in schema.items():
         if key not in raw and default is REQUIRED:
             raise ConfigError(f"{where}: missing required key '{key}'")
-        if kind is not None and (key in raw or default is not None):
+        if key in raw or default is not None:
             value, name = raw.get(key, default), f"{path}.{key}" if path else key
             out[key] = _load(value, kind, name) if isinstance(kind, dict) else _read(value, kind, name)
     return out
@@ -316,13 +313,10 @@ def _summary(path: Path) -> list[str]:
         if len(rows) < 2:
             return [f"  {path}  (empty)"]
         fields = dict(zip(rows[0].split(","), rows[-1].split(",")))
-        lines = [
+        return [
             f"  {path}  steps={len(rows) - 1}  final robust_loss={fields['robust_loss']}"
             f"  nominal_loss={fields['nominal_loss']}  grad_norm={fields['grad_norm']}"
         ]
-        if (path.parent / INCOMPLETE_MARKER).exists():
-            lines.append(f"    WARNING: {path.parent} is marked incomplete")
-        return lines
     report = json.loads(path.read_text())
     if path.name == "gap_report.json":
         return [
@@ -331,7 +325,9 @@ def _summary(path: Path) -> list[str]:
         ]
     checks = report.get("checks", [])
     failed = [c for c in checks if not c.get("pass", False)]
-    return [f"  {path}  checks={len(checks)}  failed={len(failed)}  all_pass={report.get('all_pass')}"]
+    unresolved = sum(c.get("status") == "unresolved" for c in checks)
+    line = f"  {path}  checks={len(checks)}  failed={len(failed)}  all_pass={report.get('all_pass')}"
+    return [line + (f"  unresolved={unresolved}" if unresolved else "")]
 
 
 def cmd_report(directory) -> int:
@@ -350,6 +346,8 @@ def cmd_report(directory) -> int:
             lines += _summary(path)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
+        if (path.parent / INCOMPLETE_MARKER).exists():
+            lines.append(f"    WARNING: {path.parent} is marked incomplete")
     print("\n".join(lines))
     return EXIT_OK
 

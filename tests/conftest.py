@@ -10,6 +10,12 @@ stack evaluated alone through the public ``forward``, ``loss`` and
 ``spectral_norm``: the achieved spectral level is ``visited_sup``, the dense
 max over every visited state, never ``constraint_levels``. ``sweep_one_rung_per_round``
 is the sweep's earlier lockstep, one penalty weight per search and round.
+``inner_objective`` is delta -> L(pi(s + delta), a) through the public
+``forward`` and ``loss``, and ``reference_segment_scan`` the smoothness
+scan's earlier stencil oracle: five policy passes per scan, the centre and
+both neighbours of every probe point through ``inner_objective`` and
+``directional_curvature``, then J v from ``jvp`` and the loss Hessian from
+a second ``forward`` at the same points.
 """
 
 from __future__ import annotations
@@ -17,10 +23,12 @@ from __future__ import annotations
 import numpy as np
 
 from aajrlab import trainer
-from aajrlab.environments import draws, loss
+from aajrlab.environments import draws, loss, loss_hessian
+from aajrlab.errors import check_count
 from aajrlab.inner import pga_batch
 from aajrlab.policy import Layer, PolicyParams, forward, jvp, unstack_policies
 from aajrlab.regularizers import spectral_norm
+from aajrlab.verification import _dots, directional_curvature
 
 
 def assemble_jacobian(params: PolicyParams, s) -> np.ndarray:
@@ -172,6 +180,41 @@ def sweep_one_rung_per_round(
         {(k, mode): match_budget(mode, unpenalized[k, "robust_plain"]) for k in kept for mode in trainer.PENALIZED}
     )
     return trainer._gap_report(gamma, seeds, [nominal[k, "nominal"] for k in range(len(seeds))], matched)
+
+
+def inner_objective(params: PolicyParams, env, s, a):
+    """delta -> L(pi(s + delta), a); one value per row for stacked deltas,
+    against one state and context or one of each per row."""
+    s = np.asarray(s, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+
+    def g(delta):
+        z = forward(params, s + np.asarray(delta, dtype=np.float64))
+        return loss(env, z, np.broadcast_to(a, z.shape[:-1] + a.shape[-1:]))
+
+    return g
+
+
+def reference_segment_scan(params: PolicyParams, env, S, A, record, grid: int = 5, h=None):
+    """The (tau, curvature, amplification, residual) of ``_segment_scan``,
+    with the stencil run through ``inner_objective`` and J v and the loss
+    Hessian's action taken from separate public passes."""
+    g, d = check_count(grid, 1, "grid"), S.shape[-1]
+    tau = np.arange(1, g + 1) / (g + 1)
+    shape = record.moved.shape + (g, d)
+    delta = (1.0 - tau[:, None]) * record.deltas[..., :-1, None, :] + tau[:, None] * record.deltas[..., 1:, None, :]
+    V = np.where(record.moved[..., None], record.update, np.eye(d)[0])[..., None, :]
+    rows = S.shape[:-2] + (-1, d)  # every point of every sample, per model
+    delta, V = delta.reshape(rows), np.broadcast_to(V, shape).reshape(rows)
+    s = np.broadcast_to(S[..., None, None, :], shape).reshape(rows)
+    a = np.broadcast_to(A[..., None, None, :], shape[:-1] + A.shape[-1:]).reshape(rows[:-1] + A.shape[-1:])
+    step = np.full(delta.shape[:-1], h) if h is not None else 1e-4 * np.maximum(1.0, np.linalg.norm(delta, axis=-1))
+    curv = directional_curvature(inner_objective(params, env, s, a), delta, V, step)
+    X = s + delta
+    Jv = jvp(params, X, V)
+    HJv = (Jv[..., None, :] @ loss_hessian(env, forward(params, X), a))[..., 0, :]
+    out = shape[:-1]
+    return tau, curv.reshape(out), np.sqrt(_dots(Jv, Jv)).reshape(out), (curv - _dots(HJv, Jv)).reshape(out)
 
 
 def flatten_params(params: PolicyParams) -> np.ndarray:

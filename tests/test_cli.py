@@ -498,12 +498,62 @@ def test_allocation_failure_is_runtime_error(tmp_path, capsys, monkeypatch, wher
     assert (out / ".incomplete").exists() == (where == "train")
 
 
-def test_legacy_power_iteration_keys_are_accepted_and_ignored():
+def test_legacy_power_iteration_keys_are_unknown(tmp_path, capsys):
+    # power iteration is gone: spectral norms are exact, and a key that does nothing is no key
+    cfg = json.loads(QUAD_CONFIG.read_text())
+    cfg["train"]["reg"]["power_iters"] = 60
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_CONFIG
+    assert "train.reg: unknown key 'power_iters'" in capsys.readouterr().err
+    assert not out.exists()
     cfg = minimal_config()
-    cfg["train"]["reg"] = {"gamma": 2.0}
-    expected = parse_config_dict(cfg).train
-    cfg["train"]["reg"].update(power_iters=60, power_tol=1e-12)
-    assert parse_config_dict(cfg).train == expected
+    cfg["train"]["reg"] = {"power_tol": 1e-12}
+    with pytest.raises(ConfigError, match="^train.reg: unknown key 'power_tol'$"):
+        parse_config_dict(cfg)
+
+
+def test_report_flags_every_artifact_of_a_directory_marked_incomplete(tmp_path, capsys):
+    cfg = json.loads(QUAD_CONFIG.read_text())
+    cfg["environment"]["c"] = [1e200, -1e200]
+    runs, out = tmp_path / "runs", tmp_path / "runs" / "huge_c"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_RUNTIME
+    assert (out / ".incomplete").exists() and (out / "metrics.csv").read_text().count("\n") == 1  # no step
+    # a verify and a sweep report beside it read as if their runs had finished
+    (out / "verify_report.json").write_text(json.dumps({"checks": [{"name": "x", "pass": True}], "all_pass": True}))
+    gap = {"gamma": 1.0, "t_hat": 0.0, "t_hat_ad": 0.0, "pooled_se": 0.0}
+    (out / "gap_report.json").write_text(json.dumps(gap))
+    finished = runs / "finished"
+    finished.mkdir()
+    (finished / "gap_report.json").write_text(json.dumps(gap))
+    capsys.readouterr()
+    assert main(["report", "--out", str(runs)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("metrics.csv", "verify_report.json", "gap_report.json"):
+        at = [k for k, line in enumerate(lines) if line.startswith(f"  {out / name}  ")]
+        assert len(at) == 1 and lines[at[0] + 1] == f"    WARNING: {out} is marked incomplete", lines
+    assert sum("WARNING" in line for line in lines) == 3
+    assert f"  {out / 'metrics.csv'}  (empty)" in lines
+    assert not any("unresolved=" in line for line in lines)  # only a count above zero is printed
+
+
+def test_verify_step_below_the_objectives_rounding_is_unresolved(tmp_path, capsys):
+    # at beta = 1e154 the softplus objective reads ~7e153 at every iterate: every gain is 0, below its rounding
+    cfg = json.loads((REPO / "configs" / "softplus_small.json").read_text())
+    cfg["environment"]["beta"] = 1e154
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_CHECK_FAILED
+    report = json.loads((out / "verify_report.json").read_text())
+    stability = [c for c in report["checks"] if c["name"] == "pga_stability"]
+    assert [c["seed"] for c in stability] == [0, 1, 2]
+    for check in stability:
+        assert check["status"] == "unresolved" and check["pass"] is False and check["margins"]["premise_ok"]
+        violations = check["margins"]["violations"]
+        assert violations and all(v["unresolved"] is True for v in violations)
+    assert all(c["pass"] for c in report["checks"] if c["name"] != "pga_stability")
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].endswith("failed=3  all_pass=False  unresolved=3")
 
 
 def test_exit_code_contract_from_report():

@@ -1,7 +1,8 @@
 """Property tests: row-wise projection and ascent directions on extreme
 finite inputs, batched policy calls against single-state calls, the pruned
-sampled spectral sup against every visited state's SVD, and config parsing
-of shipped configs with one value replaced by arbitrary JSON."""
+sampled spectral sup against every visited state's SVD, the smoothness scan
+against its five-pass stencil oracle, and config parsing of shipped configs
+with one value replaced by arbitrary JSON."""
 
 from __future__ import annotations
 
@@ -31,8 +32,9 @@ from aajrlab.policy import (
     stack_policies,
 )
 from aajrlab.regularizers import constraint_levels
+from aajrlab.verification import _segment_scan, random_orthonormal_basis
 
-from conftest import repeat_tile_jacobian, visited_sup
+from conftest import reference_segment_scan, repeat_tile_jacobian, visited_sup
 
 FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 EPS = np.finfo(np.float64).eps
@@ -173,6 +175,48 @@ def test_pruned_visited_sup_is_the_full_svd_max_bit_for_bit(
     assert constraint_levels(members[-1], S[-1], record[-1])[1] == sup[-1]
     if zero_layer is not None:
         assert sup[0] == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    width=st.integers(2, 6),
+    activation=st.sampled_from(ACTIVATIONS),
+    loss_kind=st.sampled_from(["quadratic", "projected", "softplus"]),
+    p=st.sampled_from([2.0, math.inf]),
+    epsilon=st.sampled_from([0.0, 0.05, 0.4]),
+    steps=st.integers(0, 5),
+    grid=st.integers(1, 6),
+    models=st.integers(0, 4),
+    batch=st.integers(1, 4),
+    h=st.sampled_from([None, 0.25, 1e-3]),
+    seed=st.integers(0, 2**16),
+)
+@example(d=2, width=2, activation="identity", loss_kind="quadratic", p=2.0, epsilon=0.0, steps=0, grid=1, models=0,
+         batch=1, h=None, seed=0)
+@example(d=3, width=4, activation="tanh", loss_kind="softplus", p=math.inf, epsilon=0.4, steps=5, grid=6, models=4,
+         batch=3, h=0.25, seed=1)
+def test_segment_scan_equals_the_stencil_oracle_bit_for_bit(
+    d, width, activation, loss_kind, p, epsilon, steps, grid, models, batch, h, seed
+):
+    # models = 0 is a lone policy with (B, d) rows; 1 to 4 a model stack with (M, B, d) rows
+    members = [init_policy([d, width, d], [activation, "identity"], seed=seed + i) for i in range(max(models, 1))]
+    params = stack_policies(members) if models else members[0]
+    c, A = np.linspace(-0.5, 0.7, d), 0.5 * np.eye(d)
+    if loss_kind == "softplus":
+        env = Environment("softplus_congestion", c, A, d, beta=2.0, seed=seed)
+    else:
+        basis = random_orthonormal_basis(d, d - 1, seed=seed)
+        env = Environment("quadratic_congestion", c, A, d, seed=seed,
+                          projector=basis @ basis.T if loss_kind == "projected" else None)
+    S, A = (x.reshape(((models,) if models else ()) + (batch, -1)) for x in samples(env, range(max(models, 1) * batch)))
+    pset = PerturbationSet(p=p, epsilon=epsilon, dim=d)
+    record = pga_batch(params, S, A, env, pset, InnerLoopConfig(eta=0.3, steps=steps))
+    got = _segment_scan(params, env, S, A, record, grid, h)
+    want = reference_segment_scan(params, env, S, A, record, grid, h)
+    for x, y in zip(got, want):  # tau, curvature, amplification, residual
+        assert x.shape == y.shape
+        assert np.array_equal(np.ascontiguousarray(x).view(np.uint64), np.ascontiguousarray(y).view(np.uint64))
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

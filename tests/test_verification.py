@@ -10,7 +10,7 @@ import pytest
 
 from aajrlab import inner as inner_module
 from aajrlab import policy as policy_module
-from aajrlab import regularizers, trainer, verification
+from aajrlab import environments, regularizers, trainer, verification
 from aajrlab.environments import Environment, loss_hessian, sample, samples
 from aajrlab.errors import ConfigError
 from aajrlab.inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run, trajectory_records
@@ -26,7 +26,6 @@ from aajrlab.verification import (
     class_witness,
     directional_curvature,
     estimate_C,
-    inner_objective,
     random_orthonormal_basis,
     stable_step_size,
     subspace_directions,
@@ -35,7 +34,7 @@ from aajrlab.verification import (
     witness_policy,
 )
 
-from conftest import assemble_jacobian, linear_policy
+from conftest import assemble_jacobian, inner_objective, linear_policy
 
 
 def quad_env(c, A=None, state_dim=None, projector=None):
@@ -183,6 +182,71 @@ def test_estimate_c_stable_across_grid_densities():
     assert abs(c5 - c9) <= 0.1 * c9
 
 
+def hand_record(deltas, update, values=None):
+    """A one-row ascent record built by hand: every step moved, along ``update``."""
+    deltas, update = np.array(deltas, dtype=float), np.array(update, dtype=float)
+    K, d = update.shape
+    values = np.zeros(K + 1) if values is None else np.array(values, dtype=float)
+    return Ascent(deltas, update, update, np.ones(K, dtype=bool), values, np.ones((K + 1, d)), np.ones(K))
+
+
+def spy_policy_passes(monkeypatch, calls):
+    """Record every layer recursion, through policy's own name and any module's import of it, as "value",
+    "tangent" or "value and tangent", and every public jvp call as "jvp"."""
+    def recursion(fn):
+        def wrapper(layers, activations, X, T=None, value=True):
+            calls.append("tangent" if not value else "value" if T is None else "value and tangent")
+            return fn(layers, activations, X, T, value)
+        return wrapper
+
+    def public_jvp(fn):
+        return lambda *args: calls.append("jvp") or fn(*args)
+
+    for module in (policy_module, verification):
+        for name, wrap in (("_mlp", recursion), ("jvp", public_jvp)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+
+
+def test_segment_scan_takes_one_value_and_tangent_pass_and_one_value_pass(monkeypatch):
+    env = soft_env([0.2, -0.5, 0.7])
+    members = [init_policy([3, 5, 3], seed=seed) for seed in range(3)]
+    pset, inner = PerturbationSet(p=2, epsilon=0.5, dim=3), InnerLoopConfig(eta=0.3, steps=4)
+    stack = stack_policies(members)
+    S, A = (x.reshape(3, 2, -1) for x in samples(env, range(6)))
+    record = pga_batch(stack, S, A, env, pset, inner)
+    s, a = sample(env, 1)
+    traj = pga_run(members[1], s, a, env, pset, inner)
+    calls, losses = [], []
+    spy_policy_passes(monkeypatch, calls)
+    monkeypatch.setattr(verification, "loss", lambda *args: losses.append(1) or environments.loss(*args))
+    scans = [lambda: verification._segment_scan(stack, env, S, A, record, 4)]
+    scans.append(lambda: estimate_C(members[1], env, s, a, traj))
+    for scan in scans:
+        calls.clear()
+        losses.clear()
+        scan()
+        # the stencil's neighbours take one value pass; each probe point's output and J v one pass, not five
+        assert sorted(calls) == ["value", "value and tangent"]
+        assert len(losses) == 2
+
+
+def test_estimate_c_checks_direction_and_step_before_any_pass(monkeypatch):
+    env = quad_env([0.7, -0.2])
+    params = init_policy([2, 4, 2], seed=1)
+    s, a = sample(env, 1)
+    calls = []
+    spy_policy_passes(monkeypatch, calls)
+    non_unit = hand_record([[0.0, 0.0], [0.2, 0.0]], [[2.0, 0.0]])
+    with pytest.raises(ConfigError, match="^direction must be a unit vector$"):
+        estimate_C(params, env, s, a, non_unit)
+    # a NaN iterate gives a NaN default step at every point of its segments
+    nan_iterate = hand_record([[0.0, 0.0], [np.nan, 0.0], [0.1, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ConfigError, match="^finite-difference step h must be a finite number > 0$"):
+        estimate_C(params, env, s, a, nan_iterate)
+    assert calls == []
+
+
 # -- effective smoothness -----------------------------------------------------
 
 
@@ -282,6 +346,23 @@ def test_stability_oversized_step_recorded_not_asserted():
         assert not report.premise_ok
         outcomes.append(report.passed)
     assert outcomes  # at least one oversized run was actually exercised
+
+
+@pytest.mark.parametrize("g0, change, unresolved", [(1e8, -1.0, False), (7.11164644454538e153, 0.0, True)])
+def test_stability_flags_an_ascent_shortfall_within_the_objectives_rounding(g0, change, unresolved):
+    # one step of 0.1 at eta 0.1 promises a gain of 0.05 and more: losing 1.0 at |g| ~ 1e8 is resolved, while
+    # at |g| ~ 7e153 a value that never changes leaves a shortfall far below 4 ulps of g
+    env = quad_env([1.0, 0.0])
+    params = linear_policy(np.eye(2))
+    pset, inner = PerturbationSet(p=2, epsilon=0.5, dim=2), InnerLoopConfig(eta=0.1, steps=1)
+    pair = (np.zeros(2), np.zeros(2))
+    smooth = check_effective_smoothness(params, env, pair, pset, inner, h=0.25)
+    traj = hand_record([[0.0, 0.0], [0.1, 0.0]], [[1.0, 0.0]], [g0, g0 + change])
+    report = check_pga_stability(params, env, pair, pset, inner, smoothness=dataclasses.replace(smooth, trajectory=traj))
+    assert report.premise_ok and not report.passed
+    assert {v["inequality"] for v in report.violations} == {"projected_ascent", "interior_ascent"}
+    for v in report.violations:
+        assert v.get("unresolved", False) is unresolved
 
 
 def test_stability_rejects_report_from_another_step_size(monkeypatch):
@@ -835,7 +916,7 @@ def test_class_witness_reads_its_map_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
     monkeypatch.setattr(regularizers, "spectral_norm", spy("spectral_norm", regularizers.spectral_norm))
     monkeypatch.setattr(verification, "pga_batch", spy("pga_batch", verification.pga_batch))
-    for module in (policy_module, inner_module, verification):
+    for module in (policy_module, inner_module):  # verification imports no jvp
         monkeypatch.setattr(module, "jvp", spy("jvp", module.jvp))
     for d in (2, 4, 8):
         basis = random_orthonormal_basis(d, d // 2, seed=d)
