@@ -4,7 +4,8 @@ One layer recursion, ``_mlp``, runs over states stacked as (B, d) rows and
 executes either on plain ndarrays (value paths used by the inner loop) or on
 tape ``Node`` weights (parameter gradients). Tangents pushed alongside the
 states supply Jacobian-vector products, one tangent per state or a stack of
-them. The dense state-action Jacobian is small (the state has at most a
+them, and on request the second-order tangent D^2 pi[v, v] of one tangent
+per state. The dense state-action Jacobian is small (the state has at most a
 handful of entries), so ``_layer_pass`` takes it in one forward pass per
 state that carries all ``in_dim`` identity tangents: ``jacobian`` reads it,
 ``vjp`` applies its transpose to the cotangent, and the outer step and its
@@ -167,7 +168,7 @@ def scale_policy(params: PolicyParams, factor: float) -> PolicyParams:
 # -- the layer recursion ------------------------------------------------------
 
 
-def _mlp(layers, activations, X, T=None, value=True):
+def _mlp(layers, activations, X, T=None, value=True, second=False):
     """Run the layers over a state (or states stacked as rows) X.
 
     Per layer a = h @ W.T + b, and tangents T, if given, are pushed forward
@@ -177,24 +178,33 @@ def _mlp(layers, activations, X, T=None, value=True):
     tangent stack that never meets a ``tanh`` keeps the leading shape of T.
     With ``value=False`` the output layer, always the identity, gives only
     its tangent product, and h is None.
+
+    ``second=True`` (ndarray weights, one tangent v per state) also pushes
+    the second-order tangent of the line X + r v, from t2 = 0 (Taylor mode):
+    a'' = W t2, then h'' = (1 - h^2)(a'' - 2 h a'^2) at a tanh layer and
+    h'' = a'' at an identity one; it returns (h, t, D^2 pi[v, v] = W t2).
     """
     h, t = X, T
+    t2 = np.zeros_like(X) if second else None  # the line through X has no curvature
     stacked = T is not None and np.ndim(T) > np.ndim(X)
     for (W, b), act in zip(layers[:-1], activations):
         a = matvec(W, h) + b
+        t2 = matvec(W, t2) if second else None
         if t is not None:
             t = matvec(W, t)
         if act == "tanh":
             h = tanh(a)
             if t is not None:
                 dh = 1.0 - h * h
+                t2 = dh * (t2 - 2.0 * h * t * t) if second else None
                 t = (dh[..., None, :] if stacked else dh) * t
         else:
             h = a
     W, b = layers[-1]
     if t is not None:
         t = matvec(W, t)
-    return (matvec(W, h) + b if value else None), t
+    z = matvec(W, h) + b if value else None
+    return (z, t, matvec(W, t2)) if second else (z, t)
 
 
 @dataclass(frozen=True, eq=False)

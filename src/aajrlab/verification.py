@@ -13,11 +13,10 @@ Checks implemented here:
   directions it generates stay in U. The maps of one basis and one budget
   (the suite's two gains per grid point) share that setup and run as one
   model stack: one product, one SVD and one ascent for all of them;
-* effective smoothness: the central second difference of the inner
-  objective along recorded update segments stays below
-  L_loss * gamma_hat^2 + C_hat, with the residual curvature C_hat measured
-  on the same segment grid; one layer pass gives every probe point's output
-  and J v, and one value pass both stencil neighbours of every point;
+* effective smoothness: the exact curvature of the inner objective along
+  recorded update segments stays below L_loss * gamma_hat^2 + C_hat, with
+  the residual curvature C_hat measured on the same segment grid; one layer
+  pass gives every probe point's output, J v and D^2 pi[v, v];
 * ascent stability: with step size eta <= 1 / L_eff the projected ascent
   iterates gain at least eta/2 * ||grad||^2 on interior steps, gain at
   least ||step||^2 / (2 eta) on every step, keep gradient changes along the
@@ -39,10 +38,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .environments import Environment, check_dims, check_seeds, loss, loss_hessian, loss_hessian_bound, sample, samples
+from .environments import Environment, check_dims, check_seeds, loss_grad, loss_hessian, loss_hessian_bound, sample, samples
 from .errors import ConfigError, check_count, check_positive
 from .inner import Ascent, InnerLoopConfig, PerturbationSet, _ascend, pga_batch, pga_run
-from .policy import Layer, PolicyParams, _check_states, _mlp, forward, init_policy, stack_policies
+from .policy import Layer, PolicyParams, _check_states, _mlp, init_policy, stack_policies
 from .regularizers import RegularizerConfig, constraint_levels, top_singular
 from .tape import matvec
 
@@ -57,37 +56,32 @@ DIRECTIONAL_TOL = 1e-9
 MAX_WITNESS_DIM = 64
 
 
-def _second_difference(stencil, delta, v, h):
-    """The unit-direction and step checks, then the central second difference
-    (plus - 2 centre + minus) / h^2 of the values ``stencil(delta, side)``
-    gives at delta + side, delta and delta - side, side = h v; any further
-    values the stencil returns follow the curvature."""
-    delta, v, h = (np.asarray(x, dtype=np.float64) for x in (delta, v, h))
+def _check_unit(v) -> None:
     if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-9):
         raise ConfigError("direction must be a unit vector")
-    if not np.all(np.isfinite(h) & (h > 0)):
-        raise ConfigError("finite-difference step h must be a finite number > 0")
-    plus, centre, minus, *rest = stencil(delta, h[..., None] * v)
-    return ((plus - 2.0 * centre + minus) / (h * h), *rest)
 
 
 def directional_curvature(g, delta, v, h):
-    """Second-order central difference of g along a unit direction.
+    """Second-order central difference of g along a unit direction v, step h.
 
     Row by row when delta and v are (n, d) stacks: g then maps a stack to
     one value per row, h is one step or one step per row, and the result
-    has one curvature per row. The smoothness scan shares its checks and
-    expression."""
-    return _second_difference(lambda delta, side: (g(delta + side), g(delta), g(delta - side)), delta, v, h)[0]
+    has one curvature per row. The smoothness scan takes the exact
+    curvature instead."""
+    delta, v, h = (np.asarray(x, dtype=np.float64) for x in (delta, v, h))
+    _check_unit(v)
+    if not np.all(np.isfinite(h) & (h > 0)):
+        raise ConfigError("finite-difference step h must be a finite number > 0")
+    return (g(delta + h[..., None] * v) - 2.0 * g(delta) + g(delta - h[..., None] * v)) / (h * h)
 
 
 @dataclass(frozen=True)
 class SegmentPoint:
     segment: int  # index t of the step the point lies on
     tau: float  # position within [delta_t, delta_{t+1}]
-    curvature: float  # finite-difference directional curvature
+    curvature: float  # exact directional curvature of the inner objective
     amplification: float  # ||J(s + delta) v_t||
-    residual: float  # curvature minus the loss-Hessian quadratic form
+    residual: float  # the policy's own term: grad L . D^2 pi[v, v], either sign
 
 
 def _dots(x, y):
@@ -99,19 +93,17 @@ def _one_row(sample_pair):
     return tuple(np.asarray(x, dtype=np.float64)[None] for x in sample_pair)
 
 
-def _segment_scan(params: PolicyParams, env: Environment, S, A, record: Ascent, grid: int = 5, h=None):
+def _segment_scan(params: PolicyParams, env: Environment, S, A, record: Ascent, grid: int = 5):
     """Probe ``grid`` interior points of every step of the ascents in
     ``record`` from (..., B, d) states S and contexts A. One layer pass gives
-    every point's output Z and J v along its update direction, which the
-    stencil's centre and the loss-Hessian term both read, and one value pass
-    gives both neighbour sets of the stencil: two policy calls per scan.
+    every point's output Z, J v and D^2 pi[v, v] along its update direction
+    v, and the inner objective's exact curvature there is
+    (J v)' H(Z) (J v) + residual, residual = grad L(Z) . D^2 pi[v, v].
 
     Returns the positions tau, (grid,), and the curvature, amplification and
-    residual at every point, (..., B, K, grid), with the finite-difference
-    step ``h`` or, without it, 1e-4 * max(1, ||delta||) at each point. A
-    step whose iterate did not move has no segment: it is probed along a
-    unit placeholder direction, and its points are masked out by
-    ``record.moved``.
+    residual at every point, (..., B, K, grid). A step whose iterate did not
+    move has no segment: it is probed along a unit placeholder direction,
+    and its points are masked out by ``record.moved``.
     """
     g, d = check_count(grid, 1, "grid"), S.shape[-1]
     tau = np.arange(1, g + 1) / (g + 1)
@@ -122,27 +114,20 @@ def _segment_scan(params: PolicyParams, env: Environment, S, A, record: Ascent, 
     delta, V = delta.reshape(rows), np.broadcast_to(V, shape).reshape(rows)
     s = np.broadcast_to(S[..., None, None, :], shape).reshape(rows)
     a = np.broadcast_to(A[..., None, None, :], shape[:-1] + A.shape[-1:]).reshape(rows[:-1] + A.shape[-1:])
-    step = np.full(delta.shape[:-1], h) if h is not None else 1e-4 * np.maximum(1.0, np.linalg.norm(delta, axis=-1))
-    n, handle = delta.shape[-2], params.handle
-
-    def stencil(delta, side):
-        ends = forward(params, np.concatenate([s + (delta + side), s + (delta - side)], axis=-2))
-        ends = loss(env, ends, np.concatenate([a, a], axis=-2))
-        X = _check_states(s + delta, d, "state", models=params.models)
-        Z, Jv = _mlp(handle.layers, handle.activations, X, _check_states(V, d, "tangent", X.shape[:-1]))
-        return ends[..., :n], loss(env, Z, a), ends[..., n:], Z, Jv
-
-    curv, Z, Jv = _second_difference(stencil, delta, V, step)
+    _check_unit(V)
+    X, handle = _check_states(s + delta, d, "state", models=params.models), params.handle
+    Z, Jv, D2 = _mlp(handle.layers, handle.activations, X, _check_states(V, d, "tangent", X.shape[:-1]), second=True)
+    residual = _dots(loss_grad(env, Z, a), D2)
     HJv = (Jv[..., None, :] @ loss_hessian(env, Z, a))[..., 0, :]
     out = shape[:-1]
-    return tau, curv.reshape(out), np.sqrt(_dots(Jv, Jv)).reshape(out), (curv - _dots(HJv, Jv)).reshape(out)
+    return tau, (_dots(HJv, Jv) + residual).reshape(out), np.sqrt(_dots(Jv, Jv)).reshape(out), residual.reshape(out)
 
 
 def estimate_C(params: PolicyParams, env: Environment, s, a, traj: Ascent, grid: int = 5) -> float:
     """Max sampled residual curvature along the trajectory, floored at 0.
 
-    The residual isolates the policy's own second-order contribution: for a
-    linear policy it vanishes up to finite-difference noise.
+    The residual isolates the policy's own second-order contribution,
+    grad L . D^2 pi[v, v]: for a linear policy it is exactly 0.
     """
     return _smoothness(params, env, *_one_row((s, a)), traj[None], None, grid)[0].c_hat
 
@@ -169,11 +154,11 @@ class SmoothnessReport:
         }
 
 
-def _smoothness(params, env, S, A, record: Ascent, inner, grid=5, tol_scale=1e-4, h=None) -> list[SmoothnessReport]:
+def _smoothness(params, env, S, A, record: Ascent, inner, grid=5, tol_scale=1e-4) -> list[SmoothnessReport]:
     """``check_effective_smoothness`` on every row of the ascents ``record``
     ran at ``inner`` from (..., B, d) states S and contexts A, from one
     segment scan over all of them; one report per row, in row order."""
-    tau, curv, amp, residual = _segment_scan(params, env, S, A, record, grid, h=h)
+    tau, curv, amp, residual = _segment_scan(params, env, S, A, record, grid)
     tau, l_loss = tau.tolist(), loss_hessian_bound(env)
     reports = []
     for idx in np.ndindex(record.moved.shape[:-1]):
@@ -203,10 +188,10 @@ def _check_one_sample(params, env, pset, grid=5, tol_scale=1e-4, h=None) -> int:
     return check_count(grid, 1, "grid")
 
 
-def _one_sample(params, env, sample_pair, pset, inner, grid=5, tol_scale=1e-4, h=None) -> SmoothnessReport:
+def _one_sample(params, env, sample_pair, pset, inner, grid=5, tol_scale=1e-4) -> SmoothnessReport:
     """``check_effective_smoothness`` without its entry checks."""
     record = pga_run(params, *sample_pair, env, pset, inner)
-    return _smoothness(params, env, *_one_row(sample_pair), record[None], inner, grid, tol_scale, h)[0]
+    return _smoothness(params, env, *_one_row(sample_pair), record[None], inner, grid, tol_scale)[0]
 
 
 def check_effective_smoothness(
@@ -224,10 +209,11 @@ def check_effective_smoothness(
     L_loss * gamma_hat^2 + C_hat. Vacuously true when no iterate moved.
 
     Runs the ascent once; the report keeps that record and ``inner`` so
-    the step-size and stability checks can reuse them.
+    the step-size and stability checks can reuse them. The curvature is
+    exact: ``h``, once a finite-difference step, is checked but unused.
     """
     grid = _check_one_sample(params, env, pset, grid, tol_scale, h)
-    return _one_sample(params, env, sample_pair, pset, inner, grid, tol_scale, h)
+    return _one_sample(params, env, sample_pair, pset, inner, grid, tol_scale)
 
 
 def stable_step_size(
@@ -257,26 +243,27 @@ def stable_step_size(
         raise ConfigError("safety factor must be in (0, 1]", "safety")
     grid = _check_one_sample(params, env, pset, grid)
     smooth = _measured_at(smoothness, inner) if smoothness else _one_sample(params, env, sample_pair, pset, inner, grid)
-    smooth = _step_sizes([params], env, *(x[None] for x in _one_row(sample_pair)), pset, [smooth], safety, grid)[0]
+    smooth = _step_sizes([params], env, *(x[None] for x in _one_row(sample_pair)), pset, [smooth], safety, grid)[0][0]
     return smooth.inner, smooth
 
 
-def _step_sizes(members, env, S, A, pset, reports, safety, grid) -> list[SmoothnessReport]:
+def _step_sizes(members, env, S, A, pset, reports, safety, grid) -> tuple[list[SmoothnessReport], list, list]:
     """``stable_step_size`` for each lone policy of ``members``, from its row of
     (M, 1, ...) states S and contexts A and its report at the configured eta:
-    a round stacks the models it shrinks for one ascent, each at its own eta."""
-    reports = list(reports)
-    for _ in range(8):
-        # a model settles at a zero bound or at an eta within safety / bound; a NaN bound never settles
-        shrink = [i for i, r in enumerate(reports) if r.l_eff_bound and not r.inner.eta <= safety / r.l_eff_bound]
-        if not shrink:
-            break
+    a round stacks the models it shrinks for one ascent, each at its own eta.
+    Returns the reports, and per model its rounds and whether it settled."""
+    reports, rounds = list(reports), [0] * len(reports)
+    for n in range(9):
+        # settled: a zero bound, or an eta within safety / bound; a non-finite bound has no eta to shrink to
+        settled = [not r.l_eff_bound or r.inner.eta <= safety / r.l_eff_bound for r in reports]
+        shrink = [i for i, r in enumerate(reports) if not settled[i] and math.isfinite(r.l_eff_bound)]
+        if not shrink or n == 8:
+            return reports, rounds, settled
         cfgs = [replace(reports[i].inner, eta=safety / reports[i].l_eff_bound) for i in shrink]
         stack, eta = stack_policies([members[i] for i in shrink]), np.array([cfg.eta for cfg in cfgs])[:, None, None]
         record = _ascend(stack, S[shrink], A[shrink], env, pset, cfgs[0], full=True, eta=eta)
         for i, cfg, report in zip(shrink, cfgs, _smoothness(stack, env, S[shrink], A[shrink], record, None, grid)):
-            reports[i] = replace(report, inner=cfg)
-    return reports
+            reports[i], rounds[i] = replace(report, inner=cfg), rounds[i] + 1
 
 
 def _measured_at(smoothness: SmoothnessReport, inner: InnerLoopConfig) -> SmoothnessReport:
@@ -357,8 +344,8 @@ def _stability(pset: PerturbationSet, reports: list[SmoothnessReport]) -> list[S
     )
     out = []
     for r, report in enumerate(reports):
-        # the measured bound carries finite-difference noise; allow 1e-9 relative
-        # slack so eta == 1/L_eff exactly still counts as meeting the premise
+        # the bound is exact up to rounding; allow 1e-9 relative slack so
+        # eta == 1/L_eff computed in floating point still meets the premise
         l_eff, eta_r = report.l_eff_bound, report.inner.eta
         rep = StabilityReport(eta=eta_r, l_eff_bound=l_eff, premise_ok=l_eff == 0.0 or eta_r <= (1.0 + 1e-9) / l_eff)
         row = {name: col[r].tolist() for name, col in columns.items()}
@@ -624,19 +611,22 @@ def verify_suite(
 
     members = [init_policy(policy_dims, activations, seed=seed) for seed in seeds]
     stack = stack_policies(members)
-    # seed s's sample row is s, its inclusion rows max(1000, n_samples) * s + k, k < n_samples: no two seeds share one
+    # seed s's sample row is s, its inclusion rows max(1000, n_samples) * s + k, k < n_samples: no two seeds share
+    # an inclusion row, but seed s's sample row is seed 0's inclusion row s whenever s < n_samples
     rows = [r for s in seeds for r in [s] + [max(1000, n_samples) * s + k for k in range(n_samples)]]
     S, A = (x.reshape(len(seeds), 1 + n_samples, -1) for x in samples(env, rows))
     record = pga_batch(stack, S, A, env, pset, inner)
     inclusions = _inclusion(stack, S[:, 1:], record[:, 1:], reg.gamma)
     smooths = _smoothness(stack, env, S[:, :1], A[:, :1], record[:, :1], inner, grid, tol_curv_scale)
-    settled = _step_sizes(members, env, S[:, :1], A[:, :1], pset, smooths, eta_safety, grid)
-    stabilities = _stability(pset, settled)
-    for seed, smooth, smooth_stab, stability, inclusion in zip(seeds, smooths, settled, stabilities, inclusions):
+    stabilised, rounds, settled = _step_sizes(members, env, S[:, :1], A[:, :1], pset, smooths, eta_safety, grid)
+    stabilities = _stability(pset, stabilised)
+    per_seed = zip(seeds, smooths, stabilised, rounds, settled, stabilities, inclusions)
+    for seed, smooth, smooth_stab, n_rounds, ok, stability, inclusion in per_seed:
         max_curvature = max((p.curvature for p in smooth.points), default=0.0)
         margins = {"violations": smooth.violations, "max_curvature": max_curvature, "tol": smooth.tol}
         add("effective_smoothness", seed, smooth.passed, margins, smooth.constants())
         margins = {"violations": stability.violations, "eta": stability.eta, "premise_ok": stability.premise_ok}
+        margins.update(rounds=n_rounds, settled=ok)
         unresolved = stability.violations and all(v.get("unresolved") for v in stability.violations)
         status = "premise_not_met" if not stability.premise_ok else "unresolved" if unresolved else None
         passed = stability.passed or not stability.premise_ok
@@ -656,5 +646,5 @@ def verify_suite(
                 margins = {name: getattr(rep, name) for name in WITNESS_MARGINS}
                 add("class_witness", None, rep.passed, margins, {"gamma": rep.gamma})
 
-    trajectories = {seed: smooth.trajectory for seed, smooth in zip(seeds, settled)}
+    trajectories = {seed: smooth.trajectory for seed, smooth in zip(seeds, stabilised)}
     return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}, trajectories

@@ -12,10 +12,11 @@ max over every visited state, never ``constraint_levels``. ``sweep_one_rung_per_
 is the sweep's earlier lockstep, one penalty weight per search and round.
 ``inner_objective`` is delta -> L(pi(s + delta), a) through the public
 ``forward`` and ``loss``, and ``reference_segment_scan`` the smoothness
-scan's earlier stencil oracle: five policy passes per scan, the centre and
+scan's finite-difference oracle: five policy passes per scan, the centre and
 both neighbours of every probe point through ``inner_objective`` and
 ``directional_curvature``, then J v from ``jvp`` and the loss Hessian from
-a second ``forward`` at the same points.
+a second ``forward`` at the same points. Its curvature and residual carry
+the stencil's error; its positions and amplifications are exact.
 """
 
 from __future__ import annotations
@@ -197,7 +198,8 @@ def inner_objective(params: PolicyParams, env, s, a):
 
 def reference_segment_scan(params: PolicyParams, env, S, A, record, grid: int = 5, h=None):
     """The (tau, curvature, amplification, residual) of ``_segment_scan``,
-    with the stencil run through ``inner_objective`` and J v and the loss
+    with the curvature from a central difference of ``inner_objective`` at
+    step h, or 1e-4 * max(1, ||delta||) without it, and J v and the loss
     Hessian's action taken from separate public passes."""
     g, d = check_count(grid, 1, "grid"), S.shape[-1]
     tau = np.arange(1, g + 1) / (g + 1)

@@ -16,6 +16,7 @@ from aajrlab.inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch
 from aajrlab.policy import (
     Layer,
     PolicyParams,
+    _mlp,
     apply_gradient_step,
     forward,
     init_policy,
@@ -104,6 +105,27 @@ def test_jvp_matches_finite_differences(seed):
     fd = (forward(p, s + h * v) - forward(p, s - h * v)) / (2 * h)
     got = jvp(p, s, v)
     assert np.linalg.norm(got - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12)
+
+
+def test_second_order_tangent_matches_the_closed_form_of_two_tanh_layers():
+    # pi(x) = w3 tanh(w2 tanh(w1 x + b1) + b2) + b3 on the line x + r v, v = +-1; at these x the two terms of
+    # pi'' do not cancel, so 1e-14 relative is a rounding bound
+    w1, b1, w2, b2, w3, b3 = 1.3, 0.2, -0.9, 0.4, 1.7, -0.3
+    p = PolicyParams((Layer(np.array([[w1]]), np.array([b1]), "tanh"), Layer(np.array([[w2]]), np.array([b2]), "tanh"),
+                      Layer(np.array([[w3]]), np.array([b3]), "identity")))
+    x = np.array([[-1.1], [-0.3], [0.45], [1.6]])
+    q = np.tanh(w1 * x + b1)
+    r = np.tanh(w2 * q + b2)
+    slope = w3 * (1 - r**2) * w2 * (1 - q**2) * w1
+    curvature = w3 * (1 - r**2) * (-2 * r * (w2 * (1 - q**2) * w1) ** 2 + w2 * (-2 * q * (1 - q**2)) * w1**2)
+    for v in (1.0, -1.0):
+        Z, Jv, D2 = _mlp(p.handle.layers, p.handle.activations, x, np.full_like(x, v), second=True)
+        assert np.array_equal(Z, forward(p, x)) and np.array_equal(Jv, jvp(p, x, np.full_like(x, v)))
+        assert np.all(np.abs(Jv - v * slope) <= 1e-14 * np.abs(slope))
+        assert np.all(np.abs(D2 - curvature) <= 1e-14 * np.abs(curvature))
+    # an identity layer carries no curvature: a linear net's second-order tangent is exactly 0
+    line = linear_policy(np.array([[1.5, 0.2], [-0.3, 0.8]]))
+    assert not _mlp(line.handle.layers, line.handle.activations, np.ones((3, 2)), np.eye(3, 2), second=True)[2].any()
 
 
 def test_jvp_linearity():

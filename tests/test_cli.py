@@ -556,6 +556,21 @@ def test_verify_step_below_the_objectives_rounding_is_unresolved(tmp_path, capsy
     assert capsys.readouterr().out.splitlines()[1].endswith("failed=3  all_pass=False  unresolved=3")
 
 
+def test_verify_says_when_the_step_size_search_ran_out_of_rounds(tmp_path):
+    # at epsilon = 0.5 and eta = 8, seed 0's search shrinks eta in all 8 rounds without settling
+    cfg = json.loads((REPO / "configs" / "softplus_small.json").read_text())
+    cfg["train"]["set"]["epsilon"], cfg["train"]["inner"]["eta"], cfg["verify"]["seeds"] = 0.5, 8.0, list(range(7))
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "verify_report.json").read_text())
+    stability = {c["seed"]: c["margins"] for c in report["checks"] if c["name"] == "pga_stability"}
+    assert (stability[0]["rounds"], stability[0]["settled"]) == (8, False)
+    for seed in range(1, 5):  # eta 8 is already within safety / L_eff
+        assert (stability[seed]["rounds"], stability[seed]["settled"], stability[seed]["eta"]) == (0, True, 8.0)
+    for margins in stability.values():
+        assert list(margins) == ["violations", "eta", "premise_ok", "rounds", "settled"]
+
+
 def test_exit_code_contract_from_report():
     passing = {"checks": [{"name": "x", "pass": True}], "all_pass": True}
     failing = {"checks": [{"name": "x", "pass": True}, {"name": "y", "pass": False}], "all_pass": False}

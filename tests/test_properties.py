@@ -1,8 +1,9 @@
 """Property tests: row-wise projection and ascent directions on extreme
 finite inputs, batched policy calls against single-state calls, the pruned
 sampled spectral sup against every visited state's SVD, the smoothness scan
-against its five-pass stencil oracle, and config parsing of shipped configs
-with one value replaced by arbitrary JSON."""
+against its five-pass stencil oracle, the second-order tangent against a
+central difference of ``jvp``, and config parsing of shipped configs with
+one value replaced by arbitrary JSON."""
 
 from __future__ import annotations
 
@@ -25,9 +26,11 @@ from aajrlab.policy import (
     Layer,
     PolicyParams,
     _layer_pass,
+    _mlp,
     forward,
     init_policy,
     jacobian,
+    jvp,
     scale_policy,
     stack_policies,
 )
@@ -196,7 +199,7 @@ def test_pruned_visited_sup_is_the_full_svd_max_bit_for_bit(
          batch=1, h=None, seed=0)
 @example(d=3, width=4, activation="tanh", loss_kind="softplus", p=math.inf, epsilon=0.4, steps=5, grid=6, models=4,
          batch=3, h=0.25, seed=1)
-def test_segment_scan_equals_the_stencil_oracle_bit_for_bit(
+def test_segment_scan_matches_the_stencil_oracle(
     d, width, activation, loss_kind, p, epsilon, steps, grid, models, batch, h, seed
 ):
     # models = 0 is a lone policy with (B, d) rows; 1 to 4 a model stack with (M, B, d) rows
@@ -212,11 +215,42 @@ def test_segment_scan_equals_the_stencil_oracle_bit_for_bit(
     S, A = (x.reshape(((models,) if models else ()) + (batch, -1)) for x in samples(env, range(max(models, 1) * batch)))
     pset = PerturbationSet(p=p, epsilon=epsilon, dim=d)
     record = pga_batch(params, S, A, env, pset, InnerLoopConfig(eta=0.3, steps=steps))
-    got = _segment_scan(params, env, S, A, record, grid, h)
+    got = _segment_scan(params, env, S, A, record, grid)
     want = reference_segment_scan(params, env, S, A, record, grid, h)
-    for x, y in zip(got, want):  # tau, curvature, amplification, residual
+    for x, y in zip(got, want):
         assert x.shape == y.shape
+    for x, y in zip(got[::2], want[::2]):  # tau and amplification: bit for bit
         assert np.array_equal(np.ascontiguousarray(x).view(np.uint64), np.ascontiguousarray(y).view(np.uint64))
+    if h != 0.25:  # the stencil's own O(h^2) error at h = 0.25 is larger than the tolerance
+        tol = 1e-6 * np.maximum(1.0, np.abs(want[1]))
+        for x, y in zip(got[1::2], want[1::2]):  # curvature and residual: exact against the stencil
+            assert np.all(np.abs(x - y) <= tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    widths=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+    tanh=st.lists(st.booleans(), min_size=2, max_size=2),
+    log_scale=st.floats(-1.0, 0.5),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+@example(d=1, widths=[1, 1], tanh=[True, True], log_scale=0.0, rows=1, seed=0)
+def test_second_order_tangent_matches_a_central_difference_of_jvp(d, widths, tanh, log_scale, rows, seed):
+    acts = ["tanh" if t else "identity" for t in tanh[: len(widths)]] + ["identity"]
+    params = scale_policy(init_policy([d] + widths + [d], acts, seed=seed), 10.0**log_scale)
+    rng = np.random.default_rng(seed)
+    X, V = rng.uniform(-2.0, 2.0, (rows, d)), rng.standard_normal((rows, d))
+    V /= np.linalg.norm(V, axis=-1, keepdims=True)
+    D2 = _mlp(params.handle.layers, params.handle.activations, X, V, second=True)[2]
+    h = 1e-4
+    fd = (jvp(params, X + h * V, V) - jvp(params, X - h * V, V)) / (2.0 * h)
+    # the difference misses D^2 pi[v, v] by h^2 / 6 times the fourth derivative along v, which scales as P^4 with
+    # P = prod max(1, ||W_k||_2) (at most 0.6 h^2 P^4 measured over 9000 draws), and rounds by about eps |J v| / h,
+    # with |J v| <= P
+    P = np.prod([max(1.0, np.linalg.norm(layer.weight, 2)) for layer in params.layers])
+    assert np.all(np.abs(D2 - fd) <= h**2 * P**4 + 16.0 * EPS * P / h)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

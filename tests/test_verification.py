@@ -12,7 +12,7 @@ from aajrlab import inner as inner_module
 from aajrlab import policy as policy_module
 from aajrlab import environments, regularizers, trainer, verification
 from aajrlab.environments import Environment, loss_hessian, sample, samples
-from aajrlab.errors import ConfigError
+from aajrlab.errors import ConfigError, NumericError
 from aajrlab.inner import Ascent, InnerLoopConfig, PerturbationSet, pga_batch, pga_run, trajectory_records
 from aajrlab.policy import forward, init_policy, jvp, scale_policy, stack_policies
 from aajrlab.regularizers import RegularizerConfig, spectral_norm
@@ -34,7 +34,7 @@ from aajrlab.verification import (
     witness_policy,
 )
 
-from conftest import assemble_jacobian, inner_objective, linear_policy
+from conftest import assemble_jacobian, inner_objective, linear_policy, reference_segment_scan
 
 
 def quad_env(c, A=None, state_dim=None, projector=None):
@@ -192,23 +192,27 @@ def hand_record(deltas, update, values=None):
 
 def spy_policy_passes(monkeypatch, calls):
     """Record every layer recursion, through policy's own name and any module's import of it, as "value",
-    "tangent" or "value and tangent", and every public jvp call as "jvp"."""
+    "tangent", "value and tangent" or "value and both tangents", every public forward or jvp call by its
+    name, and every call of the loss and its derivatives by its name."""
     def recursion(fn):
-        def wrapper(layers, activations, X, T=None, value=True):
-            calls.append("tangent" if not value else "value" if T is None else "value and tangent")
-            return fn(layers, activations, X, T, value)
+        def wrapper(layers, activations, X, T=None, value=True, second=False):
+            kind = "tangent" if not value else "value" if T is None else "value and tangent"
+            calls.append("value and both tangents" if second else kind)
+            return fn(layers, activations, X, T, value, second)
         return wrapper
 
-    def public_jvp(fn):
-        return lambda *args: calls.append("jvp") or fn(*args)
+    def named(name):
+        return lambda fn: lambda *args: calls.append(name) or fn(*args)
 
-    for module in (policy_module, verification):
-        for name, wrap in (("_mlp", recursion), ("jvp", public_jvp)):
+    spies = [("_mlp", recursion)] + [(name, named(name)) for name in ("forward", "jvp")]
+    spies += [(name, named(name)) for name in ("loss", "loss_grad", "loss_hessian")]
+    for module in (policy_module, environments, verification):
+        for name, wrap in spies:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrap(getattr(module, name)))
 
 
-def test_segment_scan_takes_one_value_and_tangent_pass_and_one_value_pass(monkeypatch):
+def test_segment_scan_takes_one_layer_pass_and_no_value_pass(monkeypatch):
     env = soft_env([0.2, -0.5, 0.7])
     members = [init_policy([3, 5, 3], seed=seed) for seed in range(3)]
     pset, inner = PerturbationSet(p=2, epsilon=0.5, dim=3), InnerLoopConfig(eta=0.3, steps=4)
@@ -217,21 +221,18 @@ def test_segment_scan_takes_one_value_and_tangent_pass_and_one_value_pass(monkey
     record = pga_batch(stack, S, A, env, pset, inner)
     s, a = sample(env, 1)
     traj = pga_run(members[1], s, a, env, pset, inner)
-    calls, losses = [], []
+    calls = []
     spy_policy_passes(monkeypatch, calls)
-    monkeypatch.setattr(verification, "loss", lambda *args: losses.append(1) or environments.loss(*args))
     scans = [lambda: verification._segment_scan(stack, env, S, A, record, 4)]
     scans.append(lambda: estimate_C(members[1], env, s, a, traj))
     for scan in scans:
         calls.clear()
-        losses.clear()
         scan()
-        # the stencil's neighbours take one value pass; each probe point's output and J v one pass, not five
-        assert sorted(calls) == ["value", "value and tangent"]
-        assert len(losses) == 2
+        # each probe point's output, J v and D^2 pi[v, v] come from one pass: no stencil, no neighbour pass
+        assert sorted(calls) == ["loss_grad", "loss_hessian", "value and both tangents"]
 
 
-def test_estimate_c_checks_direction_and_step_before_any_pass(monkeypatch):
+def test_estimate_c_checks_direction_and_states_before_any_pass(monkeypatch):
     env = quad_env([0.7, -0.2])
     params = init_policy([2, 4, 2], seed=1)
     s, a = sample(env, 1)
@@ -240,9 +241,9 @@ def test_estimate_c_checks_direction_and_step_before_any_pass(monkeypatch):
     non_unit = hand_record([[0.0, 0.0], [0.2, 0.0]], [[2.0, 0.0]])
     with pytest.raises(ConfigError, match="^direction must be a unit vector$"):
         estimate_C(params, env, s, a, non_unit)
-    # a NaN iterate gives a NaN default step at every point of its segments
+    # a NaN iterate puts NaN in every probe point of its segments
     nan_iterate = hand_record([[0.0, 0.0], [np.nan, 0.0], [0.1, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ConfigError, match="^finite-difference step h must be a finite number > 0$"):
+    with pytest.raises(NumericError, match="^state contains non-finite entries$"):
         estimate_C(params, env, s, a, nan_iterate)
     assert calls == []
 
@@ -251,17 +252,40 @@ def test_estimate_c_checks_direction_and_step_before_any_pass(monkeypatch):
 
 
 def test_smoothness_tight_for_linear_quadratic():
-    # curvature equals ||J v||^2 exactly; a large h keeps rounding negligible
+    # criterion 4's tight case (at K = 4): curvature equals ||J v||^2 and the residual is exactly 0, at any h
     env = quad_env([1.0, -0.5])
     params = linear_policy(np.array([[1.5, 0.2], [-0.3, 0.8]]))
     pset = PerturbationSet(p=2, epsilon=0.8, dim=2)
     inner = InnerLoopConfig(eta=0.3, steps=4)
     s, a = sample(env, 3)
-    report = check_effective_smoothness(params, env, (s, a), pset, inner, h=0.25)
-    assert report.passed
-    assert report.c_hat <= 1e-5
-    for p in report.points:
-        assert abs(p.curvature - p.amplification**2) <= 1e-9
+    for h in (None, 0.25, 1e-6):
+        report = check_effective_smoothness(params, env, (s, a), pset, inner, h=h)
+        assert report.passed and report.points
+        assert report.c_hat == 0.0 and report.l_eff_bound == report.gamma_adv_hat**2
+        for p in report.points:
+            assert p.residual == 0.0 and abs(p.curvature - p.amplification**2) <= 1e-9
+
+
+def test_smoothness_report_does_not_depend_on_h():
+    # the curvature is exact, so h, the former finite-difference step, changes nothing
+    env = soft_env([0.2, -0.5, 0.7])
+    pset, inner = PerturbationSet(p=2, epsilon=0.5, dim=3), InnerLoopConfig(eta=0.3, steps=5)
+    params, pair = init_policy([3, 6, 3], seed=4), sample(env, 4)
+    reports = [check_effective_smoothness(params, env, pair, pset, inner, h=h) for h in (None, 0.25, 1e-6)]
+    assert reports[0].points and all(_report_fields(r) == _report_fields(reports[0]) for r in reports[1:])
+
+
+def test_exact_curvature_matches_the_stencil_oracle_on_criterion_4_runs():
+    pset, inner = PerturbationSet(p=2, epsilon=0.5, dim=3), InnerLoopConfig(eta=0.3, steps=5)
+    for env in (quad_env([0.6, -0.8, 0.3]), soft_env([0.2, -0.5, 0.7])):
+        for seed in range(20):
+            params = init_policy([3, 6, 3], seed=seed)
+            S, A = (x[None] for x in sample(env, seed))
+            record = pga_run(params, S[0], A[0], env, pset, inner)[None]
+            got = verification._segment_scan(params, env, S, A, record)
+            want = reference_segment_scan(params, env, S, A, record)
+            tol = 1e-6 * np.maximum(1.0, np.abs(want[1]))
+            assert np.all(np.abs(got[1] - want[1]) <= tol) and np.all(np.abs(got[3] - want[3]) <= tol)
 
 
 def test_smoothness_vacuous_when_epsilon_zero():
@@ -363,6 +387,19 @@ def test_stability_flags_an_ascent_shortfall_within_the_objectives_rounding(g0, 
     assert {v["inequality"] for v in report.violations} == {"projected_ascent", "interior_ascent"}
     for v in report.violations:
         assert v.get("unresolved", False) is unresolved
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_step_size_search_does_not_shrink_to_a_non_finite_bound():
+    # at beta = 1.3e154, L_L * gamma_hat^2 overflows: safety / inf would set eta to 0, which no config accepts
+    env = soft_env([0.2, -0.5, 0.7], beta=1.3e154)
+    params = linear_policy(3.0 * np.eye(3))
+    pair, pset, inner = sample(env, 0), PerturbationSet(p=2, epsilon=0.5, dim=3), InnerLoopConfig(eta=0.3, steps=4)
+    cfg, smooth = stable_step_size(params, env, pair, pset, inner)
+    assert cfg == inner and smooth.l_eff_bound == math.inf
+    S, A = (x[None, None] for x in pair)
+    assert verification._step_sizes([params], env, S, A, pset, [smooth], 0.9, 5)[1:] == ([0], [False])
+    assert not check_pga_stability(params, env, pair, pset, cfg, smoothness=smooth).premise_ok
 
 
 def test_stability_rejects_report_from_another_step_size(monkeypatch):
@@ -551,6 +588,8 @@ def test_verify_suite_after_shrinking_eta_matches_fresh_run(monkeypatch):
             "violations": stability.violations,
             "eta": stability.eta,
             "premise_ok": stability.premise_ok,
+            "rounds": len(_settling_etas(params, env, pair, pset, inner)) - 1,
+            "settled": not smooth.l_eff_bound or cfg.eta <= 0.9 / smooth.l_eff_bound,
         }
         assert check["constants"] == smooth.constants()
         assert check["pass"] == (stability.passed or not stability.premise_ok)
@@ -614,9 +653,10 @@ def test_stacked_certificates_equal_one_sample_calls_row_by_row(monkeypatch, p, 
         return ascend(params, *args, **kwargs)
 
     monkeypatch.setattr(verification, "_ascend", counted)
-    searched = verification._step_sizes(members, env, S, A, pset, smooths, 0.9, 5)
+    searched, rounds, settled_flags = verification._step_sizes(members, env, S, A, pset, smooths, 0.9, 5)
     monkeypatch.undo()
     visited = [_settling_etas(params, env, pair, pset, inner) for params, pair in zip(members, pairs)]
+    assert rounds == [len(etas) - 1 for etas in visited] and settled_flags == [True] * len(seeds)
     assert sizes == [sum(len(etas) > r for etas in visited) for r in range(1, max(map(len, visited)))]
     assert (sizes == [4, 1]) == (len(seeds) == 6)
     for (params, pair, cfg, smooth_stab), report in zip(settled, searched):
